@@ -1,24 +1,13 @@
 """Build the compiled branch-and-bound kernel.
 
-The extension is optional: if Cython (or a C compiler) is unavailable the
+The extension is optional: without a C compiler (or Python headers) the
 package installs anyway and falls back to the pure-Python kernel at import.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/dompack/_bbkernel.pyx"],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("dompack._bbkernel", ["src/dompack/_bbkernel.c"], optional=True)
+    ]
+)

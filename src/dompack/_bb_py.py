@@ -2,7 +2,7 @@
 
 Both kernels are deterministic: fixed preprocessing order, fixed branch
 order, and incumbents replaced only on strict improvement.  The compiled
-kernel in _bbkernel.pyx implements the same algorithms step for step; the
+kernel in _bbkernel.c implements the same algorithms step for step; the
 two must return identical witnesses.
 """
 

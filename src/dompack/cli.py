@@ -58,12 +58,30 @@ def _load_graph(path: str) -> Graph:
     text = _read_text(path)
     stripped = text.strip()
     try:
-        if path.endswith(".json") or stripped.startswith("{"):
+        if path.endswith(".json") or _is_json_document(stripped):
             return from_edge_json(stripped)
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
         return from_graph6(line)
     except (Graph6Error, GraphError) as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
+
+
+def _is_json_document(text: str) -> bool:
+    # Edge-list JSON starts with "{", but so does graph6 of order 60.
+    if not text.startswith("{"):
+        return False
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _size_limit() -> int:
+    try:
+        return oracles.size_limit()
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
 
 
 def _parse_ids(arg: str | None, g: Graph) -> frozenset[int]:
@@ -97,11 +115,12 @@ def cmd_solve(args) -> int:
         inst = XYInstance(g, _parse_ids(args.x, g), _parse_ids(args.y, g), mode)
     except GraphError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
+    max_n = args.max_n if args.max_n is not None else _size_limit()
     try:
         if args.variant == "gamma":
-            res = oracles.exact_domination(inst, max_n=args.max_n)
+            res = oracles.exact_domination(inst, max_n=max_n)
         else:
-            res = oracles.exact_packing(inst, max_n=args.max_n)
+            res = oracles.exact_packing(inst, max_n=max_n)
     except oracles.OversizeError as exc:
         raise CliError(str(exc), EXIT_OVERSIZE) from exc
     print(oracles.exact_result_json(args.variant, inst, res))
@@ -111,18 +130,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
-
-
-def _completion_width(completion: Graph) -> int:
-    peo = families.recognize_chordal(completion)
-    if peo is None:
-        raise CliError("certificate is not chordal", EXIT_CONSTRUCTION)
-    seen: set[int] = set()
-    omega = 0
-    for v in peo:
-        omega = max(omega, 1 + len(completion.adj[v] - seen))
-        seen.add(v)
-    return omega - 1
 
 
 def cmd_construct(args) -> int:
@@ -142,7 +149,10 @@ def cmd_construct(args) -> int:
                 raise CliError("--certificate (chordal completion) required", EXIT_PARSE)
             g = _load_graph(args.input)
             completion = _load_graph(args.certificate)
-            witness = engine.run_treewidth(g, completion, _completion_width(completion))
+            width = families.chordal_width(completion)
+            if width is None:
+                raise CliError("certificate is not chordal", EXIT_CONSTRUCTION)
+            witness = engine.run_treewidth(g, completion, width)
         elif cls == "twinwidth":
             if not args.certificate:
                 raise CliError("--certificate (contraction sequence) required", EXIT_PARSE)
@@ -271,13 +281,21 @@ _CLASS_BUDGET_OFFSETS = {
 }
 
 
-def _validate_witness_doc(doc: dict, g: Graph) -> str | None:
+def _id_set(ids, key: str) -> frozenset[int]:
+    if not isinstance(ids, list) or not all(isinstance(v, int) for v in ids):
+        raise CliError(f"witness field {key!r} must be a list of vertex ids", EXIT_PARSE)
+    return frozenset(ids)
+
+
+def _validate_witness_doc(doc, g: Graph) -> str | None:
+    if not isinstance(doc, dict):
+        raise CliError("witness JSON must be an object", EXIT_PARSE)
     if "variant" in doc:
         mode = Mode(doc.get("mode", "plain"))
-        inst = XYInstance(
-            g, frozenset(doc.get("x", ())), frozenset(doc.get("y", ())), mode
-        )
-        members = frozenset(doc["witness"])
+        x = _id_set(doc.get("x", []), "x")
+        y = _id_set(doc.get("y", []), "y")
+        inst = XYInstance(g, x, y, mode)
+        members = _id_set(doc["witness"], "witness")
         if len(members) != doc["value"]:
             return "witness size disagrees with value"
         if doc["variant"] == "gamma":
@@ -290,16 +308,21 @@ def _validate_witness_doc(doc: dict, g: Graph) -> str | None:
             return f"unknown variant {doc['variant']!r}"
         return None
     if "class" in doc:
+        if not isinstance(doc["class"], str):
+            raise CliError("witness field 'class' must be a string", EXIT_PARSE)
         mode = _CLASS_MODES.get(doc["class"], Mode.PLAIN)
         inst = XYInstance(g, mode=mode)
-        d = frozenset(doc["D"])
-        p = frozenset(doc["P"])
+        d = _id_set(doc["D"], "D")
+        p = _id_set(doc["P"], "P")
         if not oracles.check_xy_dominating(inst, d):
             return "D fails the dominating checker"
         if not oracles.check_xy_packing(inst, p):
             return "P fails the packing checker"
-        num, den = doc["constant"].split("/")
-        constant = Fraction(int(num), int(den))
+        try:
+            num, den = doc["constant"].split("/")
+            constant = Fraction(int(num), int(den))
+        except (AttributeError, ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"bad constant {doc['constant']!r}", EXIT_PARSE) from exc
         offset = _CLASS_BUDGET_OFFSETS.get(doc["class"], 0)
         if p and len(d) > constant * len(p) + offset:
             return "size of D exceeds the certified budget"
@@ -319,10 +342,10 @@ def cmd_validate(args) -> int:
         elif what == "tw-cert":
             completion = _load_graph(args.files[0])
             g = _load_graph(args.files[1])
-            if args.k is None and families.recognize_chordal(completion) is None:
+            k = args.k if args.k is not None else families.chordal_width(completion)
+            if k is None:
                 problem = "certificate is not chordal"
             else:
-                k = args.k if args.k is not None else _completion_width(completion)
                 problem = (
                     None
                     if families.validate_tw_certificate(g, completion, k)
@@ -413,14 +436,12 @@ def _scan_one(task):
     return record
 
 
-def _scan_sources(args, counters):
-    if args.enumerate_n is not None:
-        if args.enumerate_n > 7:
-            raise CliError("built-in enumeration capped at n = 7", EXIT_OVERSIZE)
-        for g in families.enumerate_labeled_graphs(args.enumerate_n):
+def _scan_sources(enumerate_n, text, counters):
+    if enumerate_n is not None:
+        for g in families.enumerate_labeled_graphs(enumerate_n):
             yield to_graph6(g)
         return
-    for lineno, line in enumerate(_read_text(args.file).splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -444,10 +465,19 @@ def _passes_filter(g6: str, filt: str) -> bool:
 
 def cmd_scan(args) -> int:
     _normalize_scan_source(args)
+    # Every input error is raised here, before streaming: with --jobs > 1 the
+    # sources are drained in a pool thread, where an error would hang the pool.
+    n = args.enumerate_n
+    if n is not None and n < 0:
+        raise CliError(f"bad enumeration size {n}", EXIT_PARSE)
+    if n is not None and n > 7:
+        raise CliError("built-in enumeration capped at n = 7", EXIT_OVERSIZE)
+    text = _read_text(args.file) if n is None else None
+    _size_limit()
     counters = {"malformed": 0}
     tasks = (
         (g6, args.check)
-        for g6 in _scan_sources(args, counters)
+        for g6 in _scan_sources(n, text, counters)
         if _passes_filter(g6, args.filter)
     )
     summary = {

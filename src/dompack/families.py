@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructions import ConvexEncoding, DiskConfiguration
-from .graph import Graph, GraphError, degeneracy_ordering, distances_from
+from .graph import Graph, GraphError, components, degeneracy_ordering
 
 
 class OversizeFamilyError(ValueError):
@@ -341,6 +341,20 @@ def recognize_chordal(g: Graph):
     return peo
 
 
+def chordal_width(g: Graph) -> int | None:
+    """Clique number minus one of a chordal graph (-1 when empty), or None
+    when the graph is not chordal."""
+    peo = recognize_chordal(g)
+    if peo is None:
+        return None
+    seen: set[int] = set()
+    omega = 0
+    for v in peo:
+        omega = max(omega, 1 + len(g.adj[v] - seen))
+        seen.add(v)
+    return omega - 1
+
+
 def degeneracy(g: Graph) -> int:
     return degeneracy_ordering(g)[1]
 
@@ -385,16 +399,8 @@ def validate_tw_certificate(g: Graph, completion: Graph, k: int) -> bool:
     cedges = set(completion.edges())
     if not gedges <= cedges:
         return False
-    peo = recognize_chordal(completion)
-    if peo is None:
-        return False
-    later = {}
-    seen = set()
-    for v in peo:
-        later[v] = completion.adj[v] - seen
-        seen.add(v)
-    clique_number = max((1 + len(later[v]) for v in peo), default=0)
-    return clique_number <= k + 1
+    width = chordal_width(completion)
+    return width is not None and width <= k
 
 
 def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None) -> bool:
@@ -449,7 +455,7 @@ def validate_rotation_planarity(g: Graph, rs: RotationSystem) -> bool:
     for v, rot in rs.rotations.items():
         for i, u in enumerate(rot):
             succ[(v, u)] = rot[(i + 1) % len(rot)]
-    for comp in _components_sets(g):
+    for comp in components(g):
         darts = [(u, v) for u in comp for v in g.adj[u]]
         faces = 0
         unseen = set(darts)
@@ -466,17 +472,6 @@ def validate_rotation_planarity(g: Graph, rs: RotationSystem) -> bool:
         if len(comp) - e + faces != 2:
             return False
     return True
-
-
-def _components_sets(g: Graph):
-    seen = set()
-    out = []
-    for v in g.vertices():
-        if v not in seen:
-            comp = set(distances_from(g, v))
-            seen |= comp
-            out.append(comp)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,12 @@ class InfeasibleError(ValueError):
 
 def size_limit() -> int:
     env = os.environ.get("DOMPACK_MAX_N")
-    return int(env) if env else DEFAULT_MAX_N
+    if not env:
+        return DEFAULT_MAX_N
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DOMPACK_MAX_N must be an integer, got {env!r}") from None
 
 
 def _guard(g: Graph, max_n) -> None:

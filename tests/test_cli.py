@@ -64,6 +64,15 @@ class TestSolve:
         code, _, _ = run_cli(["solve", "--variant", "gamma", big], capsys)
         assert code == 3
 
+    def test_graph6_of_order_60(self, tmp_path, capsys):
+        # Its graph6 header byte is "{", the first byte of edge-list JSON too.
+        text = to_graph6(families.gen_cycle(60))
+        assert text.startswith("{")
+        c60 = write(tmp_path, "c60.g6", text + "\n")
+        code, out, _ = run_cli(["solve", "--variant", "rho", c60], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == 20
+
 
 class TestConstruct:
     def test_generic_petersen(self, petersen_file, capsys):
@@ -267,6 +276,44 @@ class TestScan:
         )
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestMalformedInputs:
+    """Malformed input exits 2 with a one-line error, never a traceback."""
+
+    @staticmethod
+    def assert_parse_error(result):
+        code, out, err = result
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            5,
+            {"variant": "gamma", "value": 1, "witness": ["a"], "mode": "plain", "x": [], "y": []},
+            {"variant": "gamma", "value": 1, "witness": [1.5], "mode": "plain", "x": [], "y": []},
+            {"class": "generic", "constant": "4/0", "D": [0, 1, 4, 5], "P": [0]},
+        ],
+        ids=["scalar", "string-id", "float-id", "zero-denominator"],
+    )
+    def test_validate_witness(self, doc, petersen_file, tmp_path, capsys):
+        wf = write(tmp_path, "w.json", json.dumps(doc))
+        self.assert_parse_error(
+            run_cli(["validate", "--what", "witness", wf, petersen_file], capsys)
+        )
+
+    def test_scan_negative_enumeration(self, capsys):
+        self.assert_parse_error(run_cli(["scan", "--enumerate-n", "-1"], capsys))
+
+    def test_size_limit_not_an_integer(self, petersen_file, monkeypatch, capsys):
+        monkeypatch.setenv("DOMPACK_MAX_N", "abc")
+        self.assert_parse_error(run_cli(["solve", "--variant", "gamma", petersen_file], capsys))
+
+    def test_scan_cap_checked_before_the_pool(self, capsys):
+        # Raised inside the pool's feeder thread, this error used to hang.
+        code, _, err = run_cli(["scan", "--enumerate-n", "8", "--jobs", "2"], capsys)
+        assert code == 3 and "capped" in err
 
 
 class TestRoundTrips:

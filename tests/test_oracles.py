@@ -1,3 +1,10 @@
+import importlib.util
+import os
+import random
+import shutil
+import sysconfig
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,38 +136,142 @@ class TestAgainstReference:
             assert oracles.exact_domination(inst).value == oracles.reference_domination_value(inst)
 
 
+KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "dompack" / "_bbkernel.c"
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The C kernel built from source into a temporary directory.
+
+    Never built into the checkout: anything importable from src/ would be
+    picked up by every later run there.
+    """
+    include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip(f"cannot build the C kernel: no Python.h in {include}")
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"cannot build the C kernel: no C compiler ({cc}) on PATH")
+    from setuptools import Distribution, Extension
+
+    out = tmp_path_factory.mktemp("bbkernel")
+    ext = Extension("dompack._bbkernel", [str(KERNEL_SOURCE)])
+    cmd = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "dompack._bbkernel", cmd.get_ext_fullpath("dompack._bbkernel")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def use_compiled(compiled_kernel, monkeypatch):
+    """Route solvers through the freshly built kernel."""
+    monkeypatch.delenv("DOMPACK_FORCE_PY", raising=False)
+    monkeypatch.setattr(solvers, "_compiled", compiled_kernel)
+    assert solvers.backend_name() == "compiled"
+    return compiled_kernel
+
+
+def on_both_backends(monkeypatch, solve):
+    fast = solve()
+    monkeypatch.setenv("DOMPACK_FORCE_PY", "1")
+    slow = solve()
+    monkeypatch.delenv("DOMPACK_FORCE_PY")
+    return fast, slow
+
+
+# Every width from 1 to 64, with extra draws at the 63- and 64-bit edges.
+WIDTHS = [*range(1, 65), 63, 64, 63, 64]
+
+
 class TestBackendParity:
-    def test_hitting_set_matches_pure(self):
-        import random as _r
+    def test_hitting_set_matches_pure(self, compiled_kernel):
+        rng = random.Random(7)
+        for n in WIDTHS:
+            for _ in range(4):
+                reqs = []
+                for _ in range(rng.randint(1, min(2 * n, 24))):
+                    size = rng.randint(1, min(n, rng.choice((2, 3, 4, n))))
+                    reqs.append(sum(1 << v for v in rng.sample(range(n), size)))
+                reqs[0] |= 1 << (n - 1)
+                # Few owners, so equal (popcount, owner) keys are common.
+                owners = [rng.randrange(len(reqs) // 2 + 1) for _ in reqs]
+                assert compiled_kernel.min_hitting_set(reqs, owners) == (
+                    _bb_py.min_hitting_set(reqs, owners)
+                )
 
-        rng = _r.Random(7)
-        for _ in range(60):
-            n = rng.randint(1, 10)
-            reqs = []
-            for _ in range(rng.randint(1, 12)):
-                members = rng.sample(range(n), rng.randint(1, n))
-                reqs.append(sum(1 << v for v in members))
-            owners = list(range(len(reqs)))
-            assert _bb_py.min_hitting_set(reqs, owners) == solvers.min_hitting_set(
-                reqs, owners, n
-            ) or solvers.backend_name() == "python"
+    def test_hitting_set_edge_cases(self, compiled_kernel):
+        for reqs, owners in (([], []), ([3, 0], [0, 1]), ([1 << 63], [63])):
+            assert compiled_kernel.min_hitting_set(reqs, owners) == (
+                _bb_py.min_hitting_set(reqs, owners)
+            )
 
-    def test_mis_matches_pure(self):
-        import random as _r
+    def test_mis_matches_pure(self, compiled_kernel):
+        rng = random.Random(11)
+        for n in WIDTHS:
+            for _ in range(4):
+                p = rng.choice((0.05, 0.15, 0.4, 0.7))
+                adj = [0] * n
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        if rng.random() < p:
+                            adj[u] |= 1 << v
+                            adj[v] |= 1 << u
+                cand = rng.getrandbits(n) | 1 << (n - 1)
+                if n > 40:
+                    cand &= rng.getrandbits(n) | 1 << (n - 1)
+                assert compiled_kernel.max_independent_set(adj, cand) == (
+                    _bb_py.max_independent_set(adj, cand)
+                )
 
-        rng = _r.Random(11)
-        for _ in range(60):
-            n = rng.randint(1, 10)
-            adj = [0] * n
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if rng.random() < 0.4:
-                        adj[u] |= 1 << v
-                        adj[v] |= 1 << u
-            cand = rng.randrange(1 << n)
-            assert _bb_py.max_independent_set(adj, cand) == solvers.max_independent_set(
-                adj, cand, n
-            ) or solvers.backend_name() == "python"
+    def test_total_mode_repeated_owners(self, use_compiled, monkeypatch):
+        for seed in range(10):
+            g = random_graph(14, 0.3, seed)
+            _, y = random_xy(g, seed + 100)
+            inst = XYInstance(g, y_set=y, mode=Mode.TOTAL)
+            owners = [v for v, _ in oracles._domination_requirements(inst)]
+            assert len(set(owners)) < len(owners)
+            fast, slow = on_both_backends(monkeypatch, lambda: oracles.exact_domination(inst))
+            assert fast == slow
+
+    def test_block_chain(self, use_compiled, monkeypatch):
+        inst = plain(families.gen_chained_blocks(4))
+        for solve, value in ((oracles.exact_domination, 9), (oracles.exact_packing, 4)):
+            fast, slow = on_both_backends(monkeypatch, lambda: solve(inst))
+            assert fast == slow and fast.value == value
+
+    def test_width_routing(self, use_compiled, monkeypatch):
+        def path(n):
+            return [(1 << v >> 1) | (1 << v + 1 if v + 1 < n else 0) for v in range(n)]
+
+        # 65 bits do not fit the compiled kernel, so only the pure path can
+        # answer at width 65.
+        wide = [(1 << 64) | 1, 1 << 63]
+        with pytest.raises(OverflowError):
+            use_compiled.min_hitting_set(wide, [0, 1])
+        assert solvers.min_hitting_set(wide, [0, 1], 65) == _bb_py.min_hitting_set(wide, [0, 1])
+        full = (1 << 65) - 1
+        assert solvers.max_independent_set(path(65), full, 65) == (
+            _bb_py.max_independent_set(path(65), full)
+        )
+        # With the pure kernel gone, width 64 must still be answered.
+        reqs, owners = [(1 << 63) | 1, 1 << 62], [0, 1]
+        full = (1 << 64) - 1
+        expected = (
+            _bb_py.min_hitting_set(reqs, owners),
+            _bb_py.max_independent_set(path(64), full),
+        )
+        monkeypatch.setattr(solvers, "_bb_py", None)
+        assert (
+            solvers.min_hitting_set(reqs, owners, 64),
+            solvers.max_independent_set(path(64), full, 64),
+        ) == expected
 
 
 class TestInvariants:
