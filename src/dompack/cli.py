@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from multiprocessing import Pool
@@ -22,7 +23,9 @@ from .graph import (
     XYInstance,
     from_edge_json,
     from_graph6,
-    is_connected,
+    graph6_to_masks,
+    masks_connected,
+    masks_to_graph6,
     to_graph6,
 )
 
@@ -44,6 +47,11 @@ class CliError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # Pool workers send exceptions back pickled; the default reduction
+        # would call __init__ without the code.
+        return (CliError, (str(self), self.code))
 
 
 def _read_text(path: str) -> str:
@@ -383,27 +391,43 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _class_flags(g: Graph) -> int:
+# The scan works on neighbourhood bitmasks (see ``dompack.graph``) and never
+# builds a Graph: the 32,768 graphs of ``--enumerate-n 6`` are each set up in
+# microseconds, so a Graph per graph would cost more than the kernels.
+
+
+def _edge_count(masks) -> int:
+    return sum(m.bit_count() for m in masks) // 2
+
+
+def _subcubic(masks) -> bool:
+    return all(m.bit_count() <= 3 for m in masks)
+
+
+def _is_tree(masks) -> bool:
+    return _edge_count(masks) == len(masks) - 1 and masks_connected(masks)
+
+
+def _class_flags(masks, m: int) -> int:
     flags = 0
-    if g.max_degree() <= 3:
+    if _subcubic(masks):
         flags |= FLAG_SUBCUBIC
-    connected = is_connected(g)
-    if connected:
+    if masks_connected(masks):
         flags |= FLAG_CONNECTED
-    if connected and g.edge_count == g.n - 1:
-        flags |= FLAG_TREE
-    if g.n <= ATFREE_FLAG_MAX_N and families.recognize_at_free(g):
+        if m == len(masks) - 1:
+            flags |= FLAG_TREE
+    if len(masks) <= ATFREE_FLAG_MAX_N and families.at_free_masks(masks):
         flags |= FLAG_ATFREE
     return flags
 
 
 def _scan_one(task):
-    g6, check = task
-    g = from_graph6(g6)
-    inst = XYInstance(g)
-    gamma = oracles.exact_domination(inst).value
-    rho = oracles.exact_packing(inst).value
-    flags = _class_flags(g)
+    g6, masks, check, max_n = task
+    oracles.check_size(len(masks), max_n)
+    gamma = oracles.domination_kernel(masks)[0]
+    rho = oracles.packing_kernel(masks)[0]
+    m = _edge_count(masks)
+    flags = _class_flags(masks, m)
     violation = False
     equality = False
     applicable = True
@@ -422,8 +446,8 @@ def _scan_one(task):
             equality = gamma == rho
     record = {
         "graph6": g6,
-        "n": g.n,
-        "m": g.edge_count,
+        "n": len(masks),
+        "m": m,
         "gamma": gamma,
         "rho": rho,
         "ratio": _frac_str(Fraction(gamma, rho)) if rho else None,
@@ -437,30 +461,26 @@ def _scan_one(task):
 
 
 def _scan_sources(enumerate_n, text, counters):
+    """(graph6, masks) for each input graph, each decoded once; malformed
+    file lines are reported, counted and skipped."""
     if enumerate_n is not None:
-        for g in families.enumerate_labeled_graphs(enumerate_n):
-            yield to_graph6(g)
+        for masks in families.enumerate_labeled_masks(enumerate_n):
+            yield masks_to_graph6(masks), masks
         return
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         try:
-            from_graph6(line)
+            masks = graph6_to_masks(line)
         except Graph6Error as exc:
             print(f"line {lineno}: skipped malformed graph6 ({exc})", file=sys.stderr)
             counters["malformed"] += 1
             continue
-        yield line
+        yield line, masks
 
 
-def _passes_filter(g6: str, filt: str) -> bool:
-    if filt == "all":
-        return True
-    g = from_graph6(g6)
-    if filt == "subcubic":
-        return g.max_degree() <= 3
-    return is_connected(g) and g.edge_count == g.n - 1
+_SCAN_FILTERS = {"all": lambda masks: True, "subcubic": _subcubic, "tree": _is_tree}
 
 
 def cmd_scan(args) -> int:
@@ -473,12 +493,13 @@ def cmd_scan(args) -> int:
     if n is not None and n > 7:
         raise CliError("built-in enumeration capped at n = 7", EXIT_OVERSIZE)
     text = _read_text(args.file) if n is None else None
-    _size_limit()
+    max_n = _size_limit()
+    keep = _SCAN_FILTERS[args.filter]
     counters = {"malformed": 0}
     tasks = (
-        (g6, args.check)
-        for g6 in _scan_sources(n, text, counters)
-        if _passes_filter(g6, args.filter)
+        (g6, masks, args.check, max_n)
+        for g6, masks in _scan_sources(n, text, counters)
+        if keep(masks)
     )
     summary = {
         "graphs": 0,
@@ -488,8 +509,9 @@ def cmd_scan(args) -> int:
         "malformed": 0,
     }
     violations = []
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        with Pool(jobs) as pool:
             records = pool.imap(_scan_one, tasks, chunksize=64)
             for record in records:
                 _emit_scan_record(record, summary, violations)

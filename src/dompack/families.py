@@ -245,23 +245,30 @@ def gen_random_convex(nx: int, ny: int, seed: int) -> ConvexEncoding:
 def recognize_at_free(g: Graph) -> bool:
     """No independent triple where each pair connects outside the third's
     closed neighborhood (exhaustive over triples)."""
+    return at_free_masks(g.masks)
+
+
+def at_free_masks(adj) -> bool:
+    """``recognize_at_free`` on open-neighbourhood bitmasks."""
+    n = len(adj)
+    full = (1 << n) - 1
 
     def linked_avoiding(a: int, b: int, z: int) -> bool:
-        ball = g.adj[z] | {z}
-        if a in ball or b in ball:
-            return False
-        reach = {a}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            for w in g.adj[x]:
-                if w not in ball and w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        return b in reach
+        # a and b lie outside N[z]: the triple is independent.
+        allowed = full & ~(adj[z] | 1 << z)
+        reach = frontier = 1 << a
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & allowed & ~reach
+            reach |= frontier
+        return bool((reach >> b) & 1)
 
-    for u, v, w in combinations(range(g.n), 3):
-        if v in g.adj[u] or w in g.adj[u] or w in g.adj[v]:
+    for u, v, w in combinations(range(n), 3):
+        if (adj[u] >> v) & 1 or (adj[u] >> w) & 1 or (adj[v] >> w) & 1:
             continue
         if (
             linked_avoiding(u, v, w)
@@ -627,12 +634,35 @@ def brute_force_tww_sequence(g: Graph, k: int):
 
 def enumerate_labeled_graphs(n: int):
     """All labeled graphs on n vertices (no isomorphism rejection), n <= 7."""
+    for adj in enumerate_labeled_masks(n):
+        yield Graph.from_masks(adj)
+
+
+def enumerate_labeled_masks(n: int):
+    """``enumerate_labeled_graphs`` as open-neighbourhood bitmasks.
+
+    Graph k has edge i of ``combinations(range(n), 2)`` iff bit i of k is
+    set.  Counting k up flips the trailing ones and one zero, so each step
+    toggles those edges in place.
+    """
     if n > 7:
         raise OversizeFamilyError("labeled enumeration capped at n = 7")
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
     pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        yield Graph.from_edges(n, edges)
+    adj = [0] * n
+    yield tuple(adj)
+    for k in range(1, 1 << len(pairs)):
+        flipped = k ^ (k - 1)
+        i = 0
+        while flipped:
+            if flipped & 1:
+                u, v = pairs[i]
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            flipped >>= 1
+            i += 1
+        yield tuple(adj)
 
 
 def _refine_masks(adj: tuple[int, ...]) -> tuple[tuple, tuple]:
@@ -701,19 +731,6 @@ def _masks_isomorphic(a1: tuple[int, ...], a2: tuple[int, ...], col1, col2) -> b
     return extend(0)
 
 
-def _masks_to_graph(adj: tuple[int, ...]) -> Graph:
-    edges = []
-    for u in range(len(adj)):
-        m = adj[u] >> (u + 1)
-        v = u + 1
-        while m:
-            if m & 1:
-                edges.append((u, v))
-            m >>= 1
-            v += 1
-    return Graph.from_edges(len(adj), edges)
-
-
 def enumerate_connected_bounded_degree(n_max: int, max_deg: int):
     """One representative per isomorphism class of connected graphs with the
     degree bound, for every order up to n_max.  Grown by vertex augmentation
@@ -748,7 +765,7 @@ def enumerate_connected_bounded_degree(n_max: int, max_deg: int):
                     bucket.append((cand, colors))
                     out.append(cand)
         for cand in out:
-            yield _masks_to_graph(cand)
+            yield Graph.from_masks(cand)
         reps = out
 
 

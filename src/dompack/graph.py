@@ -3,6 +3,10 @@
 Vertices are dense integers 0..n-1. Edges carry a color tag, black by default;
 a graph with no red edges is "plain". Graphs are immutable after construction:
 the builder-style mutators return new values.
+
+Small graphs also have a bitmask form: a tuple of open-neighbourhood ints,
+bit u of ``masks[v]`` set iff uv is an edge.  The graph6 codec, the exact
+oracles and the scan work on it directly.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import inf
 
 Edge = tuple[int, int]
@@ -63,6 +68,20 @@ class Graph:
             frozenset(red),
             tuple(labels) if labels is not None else None,
         )
+
+    @staticmethod
+    def from_masks(masks) -> "Graph":
+        """Plain graph from symmetric open-neighbourhood bitmasks (see
+        ``masks``); each edge is read once, from its larger endpoint."""
+        return Graph.from_edges(
+            len(masks), [(u, v) for v, m in enumerate(masks) for u in bits(m & ((1 << v) - 1))]
+        )
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Open neighbourhoods as bitmasks, built on first use: big graphs
+        that never reach a mask-level routine never pay for them."""
+        return tuple(sum(1 << u for u in s) for s in self.adj)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -146,6 +165,14 @@ class XYInstance:
 # ---------------------------------------------------------------------------
 
 
+def bits(m: int):
+    """The set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 def closed_neighborhood(g: Graph, s) -> frozenset[int]:
     """N[s]: the members of s together with all their neighbors."""
     s = g.check_vertex_set(s)
@@ -187,7 +214,9 @@ def distance(g: Graph, u: int, v: int):
 def power2_conflict_graph(g: Graph) -> Graph:
     """Same vertices; edge uv iff 1 <= dist(u,v) <= 2.
 
-    Independent sets of this graph are exactly the packings of g.
+    Independent sets of this graph are exactly the packings of g.  The
+    oracles build the same rows from bitmasks (``oracles.packing_kernel``);
+    this set-based form is their reference.
     """
     edges = []
     for u in range(g.n):
@@ -237,6 +266,26 @@ def components(g: Graph) -> list[frozenset[int]]:
 
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(distances_from(g, 0)) == g.n
+
+
+def masks_connected(masks) -> bool:
+    """``is_connected`` on the bitmask form, by BFS over whole frontiers.
+
+    For small graphs; ``is_connected`` stays linear in the edges for big ones.
+    """
+    n = len(masks)
+    if n <= 1:
+        return True
+    reach = frontier = 1
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~reach
+        reach |= frontier
+    return reach == (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,24 +382,29 @@ def _g6_decode_n(s: str) -> tuple[int, str]:
     return n, s[4:]
 
 
-def to_graph6(g: Graph) -> str:
-    """Encode the underlying plain graph (colors are not representable)."""
-    bits = []
-    for v in range(1, g.n):
-        row = g.adj[v]
-        bits.extend(1 if u in row else 0 for u in range(v))
-    while len(bits) % 6:
-        bits.append(0)
-    out = [_g6_encode_n(g.n)]
-    for i in range(0, len(bits), 6):
-        word = 0
-        for b in bits[i : i + 6]:
-            word = (word << 1) | b
-        out.append(chr(word + 63))
-    return "".join(out)
+# Six stream bits, first bit most significant, <-> their graph6 byte.
+_G6_CHARS = {format(w, "06b"): chr(w + 63) for w in range(64)}
+_G6_BITS = {c: b for b, c in _G6_CHARS.items()}
 
 
-def from_graph6(s: str) -> Graph:
+def masks_to_graph6(masks) -> str:
+    """graph6 of the graph with the given open-neighbourhood bitmasks."""
+    n = len(masks)
+    head = _g6_encode_n(n)
+    # Pair (u, v), u < v, is bit v(v-1)/2 + u of the stream.
+    total = n * (n - 1) // 2
+    if not total:
+        return head
+    stream = 0
+    for v in range(1, n):
+        stream |= (masks[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
+    col = format(stream, f"0{total}b")[::-1]
+    col += "0" * (-total % 6)
+    return head + "".join([_G6_CHARS[col[i : i + 6]] for i in range(0, len(col), 6)])
+
+
+def graph6_to_masks(s: str) -> tuple[int, ...]:
+    """Open-neighbourhood bitmasks of a graph6 string (header optional)."""
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
@@ -358,20 +412,34 @@ def from_graph6(s: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(body)}")
-    bits = []
-    for c in body:
-        w = ord(c) - 63
-        if not (0 <= w < 64):
-            raise Graph6Error(f"byte {c!r} out of graph6 range")
-        bits.extend((w >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    edges = []
-    i = 0
+    if n < 0:
+        raise Graph6Error(f"order byte {s[0]!r} out of graph6 range")
+    try:
+        col = "".join([_G6_BITS[c] for c in body])
+    except KeyError as exc:
+        raise Graph6Error(f"byte {exc.args[0]!r} out of graph6 range") from None
+    masks = [0] * n
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph.from_edges(n, edges)
+        # Column v lists u = 0..v-1, first bit first.
+        low = int(col[start : start + v][::-1], 2)
+        start += v
+        masks[v] |= low
+        bit_v = 1 << v
+        while low:
+            b = low & -low
+            masks[b.bit_length() - 1] |= bit_v
+            low ^= b
+    return tuple(masks)
+
+
+def to_graph6(g: Graph) -> str:
+    """Encode the underlying plain graph (colors are not representable)."""
+    return masks_to_graph6(g.masks)
+
+
+def from_graph6(s: str) -> Graph:
+    return Graph.from_masks(graph6_to_masks(s))
 
 
 def to_edge_json(g: Graph) -> str:

@@ -4,7 +4,10 @@ The checkers transcribe the defining conditions directly and are the ground
 truth everything else is validated against.  The solvers reduce to the
 bitmask branch-and-bound kernels: domination in all modes becomes a minimum
 hitting set over per-vertex requirement sets, packing becomes a maximum
-independent set in the distance-2 conflict graph.
+independent set in the distance-2 conflict graph.  ``domination_kernel`` and
+``packing_kernel`` build those kernel inputs straight from a graph's
+neighbourhood bitmasks; ``exact_domination``, ``exact_packing`` and the CLI
+scan all go through them.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from .graph import (
     Graph,
     Mode,
     XYInstance,
+    bits,
     closed_neighborhood,
     distances_from,
-    power2_conflict_graph,
 )
 
 DEFAULT_MAX_N = 64
@@ -49,10 +52,11 @@ def size_limit() -> int:
         raise ValueError(f"DOMPACK_MAX_N must be an integer, got {env!r}") from None
 
 
-def _guard(g: Graph, max_n) -> None:
+def check_size(n: int, max_n=None) -> None:
+    """Raise OversizeError when n exceeds max_n (default: ``size_limit()``)."""
     limit = max_n if max_n is not None else size_limit()
-    if g.n > limit:
-        raise OversizeError(f"n={g.n} exceeds limit {limit}")
+    if n > limit:
+        raise OversizeError(f"n={n} exceeds limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -113,27 +117,56 @@ def check_xy_packing(inst: XYInstance, p) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _domination_requirements(inst: XYInstance) -> list[tuple[int, frozenset[int]]]:
-    """Per-vertex requirement sets: D satisfies the mode iff it meets each one."""
-    g = inst.graph
-    reqs: list[tuple[int, frozenset[int]]] = []
-    if inst.mode is Mode.BLACK:
-        for v in g.vertices():
-            if v in inst.y_set:
-                continue
-            bn = g.black_neighbors(v)
-            reqs.append((v, bn if bn else g.adj[v] | {v}))
-        return reqs
-    free = closed_neighborhood(g, inst.x_set) | inst.y_set
-    for v in g.vertices():
-        if v not in free:
-            reqs.append((v, g.adj[v] | {v}))
-    if inst.mode is Mode.TOTAL:
-        exempt = inst.x_set | inst.y_set
-        for v in g.vertices():
-            if v not in exempt and g.adj[v]:
-                reqs.append((v, g.adj[v]))
-    return reqs
+def _closed_mask(masks, s: int) -> int:
+    """N[s] for a vertex set given as a mask."""
+    out = s
+    while s:
+        low = s & -s
+        out |= masks[low.bit_length() - 1]
+        s ^= low
+    return out
+
+
+def _domination_requirements(masks, x: int, y: int, mode: Mode, red) -> tuple[list, list]:
+    """Per-vertex requirement masks and their owners: D satisfies the mode iff
+    it meets each one.  Rows (v, N[v]) come first in vertex order, then the
+    Total rows (v, N(v)); Black rows drop red edges."""
+    n = len(masks)
+    if mode is Mode.BLACK:
+        rows = [v for v in range(n) if not (y >> v) & 1]
+        reqs = []
+        for v in rows:
+            black = masks[v] & ~red[v] if red else masks[v]
+            reqs.append(black if black else masks[v] | 1 << v)
+        return reqs, rows
+    free = _closed_mask(masks, x) | y
+    rows = [v for v in range(n) if not (free >> v) & 1]
+    reqs = [masks[v] | 1 << v for v in rows]
+    if mode is Mode.TOTAL:
+        exempt = x | y
+        total = [v for v in range(n) if not (exempt >> v) & 1 and masks[v]]
+        reqs += [masks[v] for v in total]
+        rows += total
+    return reqs, rows
+
+
+def domination_kernel(masks, x: int = 0, y: int = 0, mode: Mode = Mode.PLAIN, red=None):
+    """Minimum (X,Y)-dominating set of the graph with these neighbourhood
+    bitmasks, as the kernel's (size, mask, nodes_explored).  X and Y are
+    vertex masks; ``red`` gives each vertex's red-edge mask (Black mode)."""
+    reqs, owners = _domination_requirements(masks, x, y, mode, red)
+    return solvers.min_hitting_set(reqs, owners, len(masks))
+
+
+def packing_kernel(masks, x: int = 0, y: int = 0):
+    """Maximum (X,Y)-packing as the kernel's (size, mask, nodes_explored).
+
+    A vertex conflicts with everything within distance two: N[N[v]] - v.
+    """
+    n = len(masks)
+    conflict = [_closed_mask(masks, m | 1 << v) & ~(1 << v) for v, m in enumerate(masks)]
+    cand = ((1 << n) - 1) & ~(_closed_mask(masks, x) | y)
+    return solvers.max_independent_set(conflict, cand, n)
 
 
 def _mask(s) -> int:
@@ -144,23 +177,26 @@ def _mask(s) -> int:
 
 
 def _unmask(m: int) -> frozenset[int]:
-    out = set()
-    v = 0
-    while m:
-        if m & 1:
-            out.add(v)
-        m >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(bits(m))
+
+
+def _red_masks(g: Graph) -> list[int] | None:
+    if not g.red:
+        return None
+    red = [0] * g.n
+    for u, v in g.red:
+        red[u] |= 1 << v
+        red[v] |= 1 << u
+    return red
 
 
 def exact_domination(inst: XYInstance, max_n=None) -> ExactResult:
     """Minimum (X,Y)-dominating set for the instance's mode, by branch and bound."""
-    _guard(inst.graph, max_n)
-    owned = _domination_requirements(inst)
-    reqs = [_mask(r) for _, r in owned]
-    owners = [v for v, _ in owned]
-    size, mask, nodes = solvers.min_hitting_set(reqs, owners, inst.graph.n)
+    g = inst.graph
+    check_size(g.n, max_n)
+    size, mask, nodes = domination_kernel(
+        g.masks, _mask(inst.x_set), _mask(inst.y_set), inst.mode, _red_masks(g)
+    )
     if size < 0:
         raise InfeasibleError("mode constraints cannot be met")
     return ExactResult(size, _unmask(mask), nodes)
@@ -169,12 +205,8 @@ def exact_domination(inst: XYInstance, max_n=None) -> ExactResult:
 def exact_packing(inst: XYInstance, max_n=None) -> ExactResult:
     """Maximum (X,Y)-packing via maximum independent set in the conflict graph."""
     g = inst.graph
-    _guard(g, max_n)
-    conflict = power2_conflict_graph(g)
-    banned = closed_neighborhood(g, inst.x_set) | inst.y_set
-    cand = _mask(v for v in g.vertices() if v not in banned)
-    adj = [_mask(conflict.adj[v]) for v in g.vertices()]
-    size, mask, nodes = solvers.max_independent_set(adj, cand, g.n)
+    check_size(g.n, max_n)
+    size, mask, nodes = packing_kernel(g.masks, _mask(inst.x_set), _mask(inst.y_set))
     return ExactResult(size, _unmask(mask), nodes)
 
 

@@ -1,11 +1,13 @@
+import hashlib
 import json
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from dompack import families
-from dompack.cli import main
+from dompack import cli, families
+from dompack.cli import CliError, main
 from dompack.graph import to_graph6
 
 
@@ -277,6 +279,53 @@ class TestScan:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    # sha256 of the stdout of `scan --enumerate-n 5 ...`: scan records are a
+    # stable interface, so these digests must not change.
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["--check", "duality"],
+             "ed4dc9b1946c185d651d87f4c567d4f031ef2cba24143254d846ec68a906f4be"),
+            (["--filter", "tree", "--check", "treeeq"],
+             "3379a24667e6f7a93b8b43434877b49cb22f7ea7ab9460918043a2f5e5e695b0"),
+            (["--filter", "subcubic", "--check", "henning"],
+             "d6661edde51bcefe665c2d3ab42d4da2f23d6aacd0077889479f9fce4d321e1f"),
+        ],
+        ids=["duality", "tree-treeeq", "subcubic-henning"],
+    )
+    def test_golden_stdout(self, args, digest, capsys):
+        code, out, _ = run_cli(["scan", "--enumerate-n", "5", *args], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_parallel_enumeration_matches_serial(self, capsys):
+        code1, out1, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "1"], capsys)
+        code2, out2, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "2"], capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch, capsys):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        code, out, _ = run_cli(["scan", "--enumerate-n", "3", "--jobs", "1000"], capsys)
+        assert code == 0 and started == [3]
+        assert json.loads(out.splitlines()[-1])["summary"]["graphs"] == 8
+
 
 class TestMalformedInputs:
     """Malformed input exits 2 with a one-line error, never a traceback."""
@@ -314,6 +363,13 @@ class TestMalformedInputs:
         # Raised inside the pool's feeder thread, this error used to hang.
         code, _, err = run_cli(["scan", "--enumerate-n", "8", "--jobs", "2"], capsys)
         assert code == 3 and "capped" in err
+
+
+def test_cli_error_pickles():
+    # Pool workers send exceptions back pickled.
+    exc = pickle.loads(pickle.dumps(CliError("cannot read x", 2)))
+    assert isinstance(exc, CliError)
+    assert str(exc) == "cannot read x" and exc.code == 2
 
 
 class TestRoundTrips:

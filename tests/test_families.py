@@ -8,10 +8,12 @@ from dompack.families import (
     ContractionSequence,
     OversizeFamilyError,
     RotationSystem,
+    at_free_masks,
     brute_force_tw_certificate,
     brute_force_tww_sequence,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
+    enumerate_labeled_masks,
     gen_chained_blocks,
     gen_cycle,
     gen_petersen,
@@ -27,7 +29,7 @@ from dompack.families import (
     validate_rotation_planarity,
     validate_tw_certificate,
 )
-from dompack.graph import Graph, XYInstance, is_connected, to_graph6
+from dompack.graph import Graph, XYInstance, is_connected, masks_connected, to_graph6
 from conftest import complete, named, random_graph
 
 
@@ -304,6 +306,36 @@ class TestEnumeration:
     def test_labeled_cap(self):
         with pytest.raises(OversizeFamilyError):
             list(enumerate_labeled_graphs(8))
+
+    def test_masks_on_all_six_vertex_graphs(self):
+        # Set-based references: graph k is built from the edges named by the
+        # bits of k; AT-free is the triple test with a set BFS per pair.
+        def at_free(g):
+            def linked_avoiding(a, b, z):
+                ball = g.adj[z] | {z}
+                reach, stack = {a}, [a]
+                while stack:
+                    for w in g.adj[stack.pop()]:
+                        if w not in ball and w not in reach:
+                            reach.add(w)
+                            stack.append(w)
+                return b in reach
+
+            return not any(
+                linked_avoiding(u, v, w) and linked_avoiding(u, w, v) and linked_avoiding(v, w, u)
+                for u, v, w in itertools.combinations(range(g.n), 3)
+                if not (v in g.adj[u] or w in g.adj[u] or w in g.adj[v])
+            )
+
+        pairs = list(itertools.combinations(range(6), 2))
+        count = 0
+        for k, masks in enumerate(enumerate_labeled_masks(6)):
+            g = Graph.from_edges(6, [e for i, e in enumerate(pairs) if (k >> i) & 1])
+            assert g.masks == masks
+            assert masks_connected(masks) == is_connected(g)
+            assert at_free_masks(masks) == at_free(g)
+            count += 1
+        assert count == 1 << 15
 
     def test_bounded_degree_counts_match_networkx(self):
         # Independent count: dedupe the labeled enumeration with networkx

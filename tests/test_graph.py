@@ -1,4 +1,5 @@
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -19,7 +20,9 @@ from dompack.graph import (
     distance,
     from_edge_json,
     from_graph6,
+    graph6_to_masks,
     induced,
+    masks_to_graph6,
     power2_conflict_graph,
     to_edge_json,
     to_graph6,
@@ -229,6 +232,22 @@ class TestGraph6:
             from_graph6("B")  # truncated body
         with pytest.raises(Graph6Error):
             from_graph6("A" + chr(200))
+        with pytest.raises(Graph6Error):
+            from_graph6(">?")  # order byte below '?' with a body of matching length
+
+    @pytest.mark.parametrize("n", [0, 1, 62, 63, 64])
+    def test_mask_codec_roundtrip(self, n):
+        # Orders 62/63 switch between the one- and four-byte order prefix.
+        rng = random.Random(n)
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        )
+        s = masks_to_graph6(g.masks)
+        assert graph6_to_masks(s) == g.masks
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from(g.edges())
+        assert nx.to_graph6_bytes(h, header=False).decode().strip() == s
 
     def test_large_order_prefix(self):
         g = Graph.from_edges(63, [(0, 62)])

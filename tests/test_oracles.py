@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dompack import families, oracles, solvers
-from dompack.graph import Graph, Mode, XYInstance
+from dompack.graph import (
+    Graph,
+    Mode,
+    XYInstance,
+    closed_neighborhood,
+    power2_conflict_graph,
+)
 from dompack import _bb_py
 from conftest import complete, named, random_graph, random_xy
 
@@ -136,6 +142,83 @@ class TestAgainstReference:
             assert oracles.exact_domination(inst).value == oracles.reference_domination_value(inst)
 
 
+def _set_based_results(inst):
+    """exact_domination and exact_packing computed the set-based way:
+    frozenset requirement rows turned into masks vertex by vertex, and the
+    packing conflicts read off power2_conflict_graph."""
+    g = inst.graph
+
+    def mask(s):
+        return sum(1 << v for v in s)
+
+    if inst.mode is Mode.BLACK:
+        rows = []
+        for v in g.vertices():
+            if v not in inst.y_set:
+                bn = g.black_neighbors(v)
+                rows.append((v, bn if bn else g.adj[v] | {v}))
+    else:
+        free = closed_neighborhood(g, inst.x_set) | inst.y_set
+        rows = [(v, g.adj[v] | {v}) for v in g.vertices() if v not in free]
+        if inst.mode is Mode.TOTAL:
+            exempt = inst.x_set | inst.y_set
+            rows += [(v, g.adj[v]) for v in g.vertices() if v not in exempt and g.adj[v]]
+    size, chosen, nodes = solvers.min_hitting_set(
+        [mask(r) for _, r in rows], [v for v, _ in rows], g.n
+    )
+    gamma = oracles.ExactResult(size, oracles._unmask(chosen), nodes)
+    conflict = power2_conflict_graph(g)
+    banned = closed_neighborhood(g, inst.x_set) | inst.y_set
+    size, chosen, nodes = solvers.max_independent_set(
+        [mask(conflict.adj[v]) for v in g.vertices()],
+        mask(v for v in g.vertices() if v not in banned),
+        g.n,
+    )
+    return gamma, oracles.ExactResult(size, oracles._unmask(chosen), nodes)
+
+
+def _random_black(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    edges, reds = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            roll = rng.random()
+            if roll < 0.25:
+                edges.append((u, v))
+            elif roll < 0.45:
+                reds.append((u, v))
+    y = frozenset(v for v in range(n) if rng.random() < 0.2)
+    return XYInstance(Graph.from_edges(n, edges, reds), y_set=y, mode=Mode.BLACK)
+
+
+class TestMaskLayer:
+    """The mask-level setup hands the kernels exactly what the set-based one
+    did, so value, witness and node count all agree."""
+
+    @staticmethod
+    def assert_same(inst):
+        assert (oracles.exact_domination(inst), oracles.exact_packing(inst)) == (
+            _set_based_results(inst)
+        )
+
+    def test_all_small_labeled_graphs(self):
+        for n in range(6):
+            for g in families.enumerate_labeled_graphs(n):
+                self.assert_same(plain(g))
+
+    @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.TOTAL])
+    def test_random_xy(self, mode):
+        for seed in range(60):
+            g = random_graph(9, 0.35, seed)
+            x, y = random_xy(g, seed + 2000)
+            self.assert_same(XYInstance(g, x, y, mode))
+
+    def test_random_black_with_red_edges(self):
+        for seed in range(60):
+            self.assert_same(_random_black(seed))
+
+
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "dompack" / "_bbkernel.c"
 
 
@@ -235,7 +318,8 @@ class TestBackendParity:
             g = random_graph(14, 0.3, seed)
             _, y = random_xy(g, seed + 100)
             inst = XYInstance(g, y_set=y, mode=Mode.TOTAL)
-            owners = [v for v, _ in oracles._domination_requirements(inst)]
+            y_mask = sum(1 << v for v in y)
+            _, owners = oracles._domination_requirements(g.masks, 0, y_mask, Mode.TOTAL, None)
             assert len(set(owners)) < len(owners)
             fast, slow = on_both_backends(monkeypatch, lambda: oracles.exact_domination(inst))
             assert fast == slow
