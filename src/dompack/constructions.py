@@ -6,12 +6,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .engine import EngineError, WitnessPair, _ratio, _validate_witness
 from .graph import (
     Graph,
     GraphError,
     XYInstance,
+    ball2,
     closed_neighborhood,
     distances_from,
     is_connected,
@@ -24,6 +27,25 @@ class NotFoundError(EngineError):
 
 class EncodingInvalid(EngineError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Greedy packings
+# ---------------------------------------------------------------------------
+
+
+def _extend_packing(g: Graph, order, p: set[int]) -> set[int]:
+    """Greedy packing: add, in ``order``, each vertex at distance >= 3 from
+    every member so far.  ``p`` must already be a packing; it is extended in
+    place and returned."""
+    blocked: set[int] = set()
+    for u in p:
+        blocked |= ball2(g, u)
+    for v in order:
+        if v not in blocked:
+            p.add(v)
+            blocked |= ball2(g, v)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +162,25 @@ class ConvexEncoding:
         edges = [(x, y) for y, ns in self.y_neighbors.items() for x in ns]
         return Graph.from_edges(n, edges)
 
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Index of each interval-side vertex in ``x_order``."""
+        return {x: i for i, x in enumerate(self.x_order)}
+
     def interval(self, y: int) -> tuple[int, int] | None:
-        pos = {x: i for i, x in enumerate(self.x_order)}
         ns = self.y_neighbors[y]
         if not ns:
             return None
+        pos = self.positions
         ps = sorted(pos[x] for x in ns)
         return ps[0], ps[-1]
 
 
 def _check_encoding(g: Graph, enc: ConvexEncoding) -> dict[int, tuple[int, int]]:
+    """Each right vertex's interval, once the encoding is known to be exactly
+    the graph with no isolated vertex.  Two vertices then lie within distance
+    2 iff two intervals overlap, a point lies in an interval, or two points
+    share an interval, so radius-2 balls of the graph decide packings."""
     from .families import is_convex_order
 
     if not is_convex_order(g, enc):
@@ -159,42 +190,12 @@ def _check_encoding(g: Graph, enc: ConvexEncoding) -> dict[int, tuple[int, int]]
     return {y: enc.interval(y) for y in enc.y_neighbors}
 
 
-def _packing_ok(intervals, pos, members) -> bool:
-    xs = sorted(pos[v] for v in members if v in pos)
-    ys = [v for v in members if v not in pos]
-    # Interval-side pairs: intervals pairwise disjoint.
-    ivs = sorted(intervals[y] for y in ys)
-    for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
-        if a2 <= b1:
-            return False
-    # A point inside a chosen interval is distance <= 2 from its chooser.
-    for lo, hi in ivs:
-        if any(lo <= q <= hi for q in xs):
-            return False
-    # Two points inside one interval (chosen or not) are distance 2 apart.
-    for iv in intervals.values():
-        if iv is None:
-            continue
-        lo, hi = iv
-        if sum(1 for q in xs if lo <= q <= hi) >= 2:
-            return False
-    return True
-
-
 def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
     """Interval sweep: maximal packing with short intervals, endpoints and
     extremal intervals as the dominating complement; |D| <= 3|P|."""
     intervals = _check_encoding(g, enc)
-    pos = {x: i for i, x in enumerate(enc.x_order)}
-    order = sorted(g.vertices())
-
-    def extend(members: set[int]) -> set[int]:
-        for v in order:
-            if v not in members and _packing_ok(intervals, pos, members | {v}):
-                members.add(v)
-        return members
-
-    p = extend(set())
+    pos = enc.positions
+    p = _extend_packing(g, g.vertices(), set())
     # Improvement loop: swap a packed interval for a strictly shorter one,
     # re-extend, repeat to a fixed point (guarded against cycling).
     seen = set()
@@ -207,15 +208,15 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
         for y in sorted(v for v in p if v in intervals):
             lo, hi = intervals[y]
             width = hi - lo
+            rest = p - {y}
             for y2 in sorted(intervals):
                 if y2 in p or intervals[y2] is None:
                     continue
                 lo2, hi2 = intervals[y2]
                 if hi2 - lo2 >= width:
                     continue
-                candidate = (p - {y}) | {y2}
-                if _packing_ok(intervals, pos, candidate):
-                    p = extend(candidate)
+                if ball2(g, y2).isdisjoint(rest):
+                    p = _extend_packing(g, g.vertices(), rest | {y2})
                     swapped = True
                     break
             if swapped:
@@ -290,13 +291,19 @@ class DiskConfiguration:
         return "\n".join(f"{fmt(x)},{fmt(y)}" for x, y in self.centers) + ("\n" if self.centers else "")
 
     def intersection_graph(self) -> Graph:
+        # Exact test on integers: every centre scaled by the lcm of the
+        # denominators, so |c_i - c_j| <= 2 becomes a bound of 4 * den**2.
         n = len(self.centers)
+        den = lcm(*(q.denominator for c in self.centers for q in c))
+        pts = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+               for x, y in self.centers]
+        bound = 4 * den * den
         edges = []
         for i in range(n):
-            xi, yi = self.centers[i]
+            xi, yi = pts[i]
             for j in range(i + 1, n):
-                xj, yj = self.centers[j]
-                if (xi - xj) ** 2 + (yi - yj) ** 2 <= 4:
+                xj, yj = pts[j]
+                if (xi - xj) ** 2 + (yi - yj) ** 2 <= bound:
                     edges.append((i, j))
         return Graph.from_edges(n, edges)
 
@@ -372,20 +379,17 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
     if g.n == 0:
         return WitnessPair(frozenset(), frozenset(), "unit-disk",
                            Fraction(covering_constant()), (), None)
-    p: set[int] = set()
-    for v in g.vertices():
-        dist = distances_from(g, v)
-        if all(dist.get(u, 3) >= 3 for u in p):
-            p.add(v)
+    p = _extend_packing(g, g.vertices(), set())
     cover = _covering_for(5.0)
+    centers = [(float(x), float(y)) for x, y in cfg.centers]
     d: set[int] = set()
     for v in sorted(p):
-        cx, cy = cfg.centers[v]
+        cx, cy = centers[v]
         for px, py in cover:
-            tx, ty = float(cx) + px, float(cy) + py
+            tx, ty = cx + px, cy + py
             best = None
-            for i, (xi, yi) in enumerate(cfg.centers):
-                if (float(xi) - tx) ** 2 + (float(yi) - ty) ** 2 <= 1.0 + 1e-12:
+            for i, (xi, yi) in enumerate(centers):
+                if (xi - tx) ** 2 + (yi - ty) ** 2 <= 1.0 + 1e-12:
                     best = i
                     break
             if best is not None:
@@ -405,11 +409,7 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
 
 def construct_generic(g: Graph) -> WitnessPair:
     """Greedy maximal packing P and D = N[P]; |D| <= (max degree + 1)|P|."""
-    p: set[int] = set()
-    for v in sorted(g.vertices(), key=lambda v: (g.degree(v), v)):
-        dist = distances_from(g, v)
-        if all(dist.get(u, 3) >= 3 for u in p):
-            p.add(v)
+    p = _extend_packing(g, sorted(g.vertices(), key=lambda v: (g.degree(v), v)), set())
     d = set(closed_neighborhood(g, p))
     if g.n and len(d) > (g.max_degree() + 1) * max(len(p), 1):
         raise EngineError("generic budget violated")

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, Mode, XYInstance
+from .graph import Graph, Mode, XYInstance, ball2
 from .oracles import check_xy_dominating, check_xy_packing
 
 
@@ -364,13 +364,9 @@ def _simplicial(compl_adj: dict[int, set[int]], within=None) -> list[int]:
 
 def _dist2_set(st: _State, v: int, targets) -> set[int]:
     """Targets at graph distance exactly 2 from v in the working graph."""
-    ring1 = st.adj[v]
-    ring2 = set()
-    for u in ring1:
-        ring2 |= st.adj[u]
-    ring2 -= ring1
+    ring2 = ball2(st, v) - st.adj[v]
     ring2.discard(v)
-    return {c for c in targets if c in ring2}
+    return ring2.intersection(targets)
 
 
 def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int, trace) -> RuleApplication:

@@ -383,7 +383,7 @@ def is_convex_order(g: Graph, enc: ConvexEncoding) -> bool:
         return False
     if edges != set(g.edges()):
         return False
-    pos = {x: i for i, x in enumerate(enc.x_order)}
+    pos = enc.positions
     for ns in enc.y_neighbors.values():
         if not ns:
             continue

@@ -205,6 +205,21 @@ def distances_from(g: Graph, u: int) -> dict[int, int]:
     return dist
 
 
+def ball2(g, v: int) -> set[int]:
+    """N²[v]: v and every vertex within distance 2 of it, as a new set.
+
+    Two rounds of set unions, so the cost is the size of the ball, not of
+    the graph.  ``g`` is anything whose ``adj[v]`` is v's neighbour set: a
+    Graph or a driver's working state.
+    """
+    adj = g.adj
+    ball = set(adj[v])
+    ball.add(v)
+    for u in adj[v]:
+        ball |= adj[u]
+    return ball
+
+
 def distance(g: Graph, u: int, v: int):
     """Shortest-path distance; INFINITY when disconnected. Edge colors are ignored."""
     g._check(v)
@@ -220,11 +235,7 @@ def power2_conflict_graph(g: Graph) -> Graph:
     """
     edges = []
     for u in range(g.n):
-        ball = set(g.adj[u])
-        for w in g.adj[u]:
-            ball |= g.adj[w]
-        ball.discard(u)
-        edges.extend((u, v) for v in ball if u < v)
+        edges.extend((u, v) for v in ball2(g, u) if u < v)
     return Graph.from_edges(g.n, edges)
 
 

@@ -22,9 +22,9 @@ from .graph import (
     Graph,
     Mode,
     XYInstance,
+    ball2,
     bits,
     closed_neighborhood,
-    distances_from,
 )
 
 DEFAULT_MAX_N = 64
@@ -104,11 +104,13 @@ def check_xy_packing(inst: XYInstance, p) -> bool:
         return False
     if p & closed_neighborhood(g, inst.x_set):
         return False
+    # Some pair lies within distance 2 iff a member falls in the radius-2
+    # ball of one taken before it.
+    blocked: set[int] = set()
     for u in p:
-        dist = distances_from(g, u)
-        for v in p:
-            if v != u and dist.get(v, 3) < 3:
-                return False
+        if u in blocked:
+            return False
+        blocked |= ball2(g, u)
     return True
 
 

@@ -129,6 +129,29 @@ def random_interval_graph(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_cograph(n: int, seed: int) -> tuple[Graph, families.ContractionSequence]:
+    """A cograph grown by adding twins, and the contraction sequence that
+    undoes the growth: merging a vertex into its twin makes no red edge."""
+    rng = random.Random(seed)
+    adj = {0: set()}
+    anchors = []
+    for v in range(1, n):
+        a = rng.randrange(v)
+        nbrs = set(adj[a]) if rng.random() < 0.5 else adj[a] | {a}
+        adj[v] = set(nbrs)
+        for u in nbrs:
+            adj[u].add(v)
+        anchors.append(a)
+    current = list(range(n))
+    merges = []
+    for fresh, v in enumerate(range(n - 1, 0, -1), start=n):
+        a = anchors[v - 1]
+        merges.append((current[a], current[v], fresh))
+        current[a] = fresh
+    g = Graph.from_edges(n, [(u, v) for u in adj for v in adj[u] if u < v])
+    return g, families.ContractionSequence(tuple(merges), 0)
+
+
 def random_xy(g: Graph, seed: int, px=0.2, py=0.2):
     rng = random.Random(seed)
     x = frozenset(v for v in g.vertices() if rng.random() < px)

@@ -133,6 +133,74 @@ class TestConstruct:
         )
         assert code == 0
 
+    # sha256 of the stdout of `construct --class C` on the seeded in-class
+    # inputs of `_golden_argv`: witnesses and traces are a stable interface,
+    # so these digests must not change.
+    @pytest.mark.parametrize(
+        "cls, digest",
+        [
+            ("planar",
+             "2f12060175e8669dfcd56e37b5f8e1a6a8ad1bb9ad6495d3974f5e9500e47f99"),
+            ("generic",
+             "5a435bc9b5265571ad6797bd08f14ce3e37d8afa01e0a2201365c1a11e2f44c1"),
+            ("treewidth",
+             "d4c9816793ec7842e0a5f4ca9dfbeee20d99f340862384f710e7f59da0732b5e"),
+            ("twodeg",
+             "4d2494ff5cdbf6793325f444d59637caf8d96588fe32753c7869cfcb44d72265"),
+            ("dh",
+             "5c43f5b1d8c914890db524c31837bebf162cb9162edce5bca14d1569dff6be78"),
+            ("twinwidth",
+             "d372fda968dbe32632053689a58d24eb00332228ef3d4908fe872344666fcc98"),
+            ("atfree",
+             "d00c384c108a425cf87cedef710c46e1a8a2f3b071cfbd84b44e68ee4d0d147d"),
+            ("convex",
+             "070b1c599f090aa351a74f2545de95bbea606c94d9045865adb75b213aad66ce"),
+            ("unitdisk",
+             "0a15c64e1bc19633c480857c34e6f09f72a1c7f31c9ba4d475d3661ee7b1c8d1"),
+        ],
+    )
+    def test_golden_stdout(self, cls, digest, tmp_path, capsys):
+        code, out, _ = run_cli(_golden_argv(cls, tmp_path), capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _golden_argv(cls, tmp_path):
+    """`construct` arguments for one seeded in-class input of up to 200
+    vertices (the AT-free pair search is exhaustive, so that one is smaller)."""
+    import conftest
+    from dompack.graph import is_connected, to_edge_json
+
+    cert = None
+    if cls == "planar":
+        g = conftest.random_planar(200, 1)
+    elif cls == "generic":
+        g = conftest.random_graph(200, 0.03, 2)
+    elif cls == "treewidth":
+        g, completion = conftest.random_partial_ktree(200, 3, 3)
+        cert = write(tmp_path, "cert.g6", to_graph6(completion) + "\n")
+    elif cls == "twodeg":
+        g = conftest.random_twodeg(200, 4)
+    elif cls == "dh":
+        g = conftest.random_dh(200, 5)
+    elif cls == "twinwidth":
+        g, seq = conftest.random_cograph(160, 6)
+        cert = write(tmp_path, "seq.json", seq.to_json())
+    elif cls == "atfree":
+        g = conftest.random_interval_graph(40, 7)
+        assert is_connected(g)
+    elif cls == "convex":
+        enc = families.gen_random_convex(100, 80, 8)
+        g = enc.to_graph()
+        cert = write(tmp_path, "enc.json", enc.to_json())
+    else:
+        cfg = families.gen_random_unitdisk(150, 16.0, 9)
+        gf = write(tmp_path, "disks.csv", cfg.to_csv())
+    if cls != "unitdisk":
+        gf = write(tmp_path, "g.json", to_edge_json(g))
+    argv = ["construct", "--class", cls, gf]
+    return argv + ["--certificate", cert] if cert else argv
+
 
 class TestGenerateValidate:
     def test_generate_chained_blocks(self, capsys):

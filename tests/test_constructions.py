@@ -17,14 +17,60 @@ from dompack.constructions import (
     find_dominating_pair,
     verify_covering,
 )
-from dompack.graph import Graph, XYInstance
-from conftest import complete, named, random_interval_graph
+from dompack.graph import Graph, XYInstance, distances_from
+from conftest import complete, named, random_graph, random_interval_graph, random_planar
 
 
 def check_plain(g, w):
     inst = XYInstance(g)
     assert oracles.check_xy_dominating(inst, w.d_set)
     assert oracles.check_xy_packing(inst, w.p_set)
+
+
+def bfs_greedy(g, order, p=()):
+    """Reference greedy packing: take v when a whole-graph BFS from v finds
+    no member within distance 2."""
+    p = set(p)
+    for v in order:
+        dist = distances_from(g, v)
+        if all(dist.get(u, 3) >= 3 for u in p):
+            p.add(v)
+    return p
+
+
+def bfs_convex_packing(g, enc):
+    """construct_convex's packing with every test a whole-graph BFS: the
+    id-order greedy, then swaps of a packed interval for a strictly shorter
+    one followed by a re-extension, to a fixed point."""
+    intervals = {}
+    for y, ns in enc.y_neighbors.items():
+        ps = sorted(enc.x_order.index(x) for x in ns)
+        intervals[y] = (ps[0], ps[-1])
+
+    def near(u, members):
+        dist = distances_from(g, u)
+        return any(dist.get(v, 3) < 3 for v in members)
+
+    p = bfs_greedy(g, g.vertices())
+    seen = set()
+    while frozenset(p) not in seen:
+        seen.add(frozenset(p))
+        swap = next(
+            (
+                (y, y2)
+                for y in sorted(v for v in p if v in intervals)
+                for y2 in sorted(intervals)
+                if y2 not in p
+                and intervals[y2][1] - intervals[y2][0] < intervals[y][1] - intervals[y][0]
+                and not near(y2, p - {y})
+            ),
+            None,
+        )
+        if swap is None:
+            break
+        y, y2 = swap
+        p = bfs_greedy(g, g.vertices(), (p - {y}) | {y2})
+    return p
 
 
 class TestDominatingPair:
@@ -143,6 +189,24 @@ class TestConvex:
             check_plain(g, w)
             assert len(w.d_set) <= 3 * len(w.p_set)
 
+    def test_packing_matches_bfs_greedy(self):
+        for seed in range(40):
+            enc = families.gen_random_convex(4 + seed % 17, 3 + seed % 13, seed)
+            g = enc.to_graph()
+            assert construct_convex(g, enc).p_set == bfs_convex_packing(g, enc)
+        enc = ConvexEncoding(
+            (5, 6, 7, 8, 9, 10),
+            {0: (5, 6, 7, 8, 9, 10), 1: (6, 7), 2: (8, 9), 3: (5,), 4: (10,)},
+        )
+        g = enc.to_graph()
+        assert construct_convex(g, enc).p_set == bfs_convex_packing(g, enc)
+
+    def test_intervals_use_the_order(self):
+        enc = families.gen_random_convex(12, 9, 4)
+        for y, ns in enc.y_neighbors.items():
+            ps = sorted(enc.x_order.index(x) for x in ns)
+            assert enc.interval(y) == (ps[0], ps[-1])
+
     def test_encoding_json_roundtrip(self):
         enc = families.gen_random_convex(5, 4, 9)
         back = ConvexEncoding.from_json(enc.to_json())
@@ -193,6 +257,29 @@ class TestUnitDisk:
             check_plain(g, w)
             assert len(w.d_set) <= covering_constant() * len(w.p_set)
 
+    def test_packing_matches_bfs_greedy(self):
+        for seed in range(25):
+            cfg = families.gen_random_unitdisk(10 + seed, 4.0 + seed % 9, seed)
+            g = cfg.intersection_graph()
+            assert construct_unitdisk(cfg).p_set == bfs_greedy(g, g.vertices())
+
+    def test_intersection_graph_exact(self):
+        # Pairs at distance exactly 2 meet; denominators differ per centre.
+        text = "0,0\n2,0\n6/5,8/5\n1/3,-5/3\n-1/7,2\n2,2\n0,1999999/1000000\n"
+        cfg = DiskConfiguration.from_csv(text)
+        for c in [cfg] + [families.gen_random_unitdisk(30, 7.0, s) for s in range(10)]:
+            pts = c.centers
+            expected = [
+                (i, j)
+                for i in range(len(pts))
+                for j in range(i + 1, len(pts))
+                if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= 4
+            ]
+            assert sorted(c.intersection_graph().edges()) == expected
+        edges = set(cfg.intersection_graph().edges())
+        assert {(0, 1), (0, 2), (1, 2), (1, 5), (0, 6)} <= edges
+        assert (5, 6) not in edges
+
     def test_csv_roundtrip(self):
         cfg = families.gen_random_unitdisk(6, 5.0, 2)
         assert DiskConfiguration.from_csv(cfg.to_csv()) == cfg
@@ -220,6 +307,14 @@ class TestGeneric:
         assert len(w.d_set) == 4
         inst = XYInstance(petersen)
         assert oracles.exact_domination(inst).value <= len(w.d_set)
+
+    def test_packing_matches_bfs_greedy(self):
+        graphs = [random_planar(30 + 7 * s, s) for s in range(12)]
+        graphs += [random_graph(25 + s, 0.06 + 0.02 * (s % 5), s) for s in range(12)]
+        graphs.append(Graph.from_edges(9, [(0, 1), (1, 2), (4, 5)]))
+        for g in graphs:
+            order = sorted(g.vertices(), key=lambda v: (g.degree(v), v))
+            assert construct_generic(g).p_set == bfs_greedy(g, order)
 
     def test_empty(self):
         w = construct_generic(Graph.from_edges(0))

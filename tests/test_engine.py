@@ -8,6 +8,7 @@ from dompack.engine import (
     RuleApplication,
     Stalled,
     _State,
+    _dist2_set,
     replay,
     rule_isolated,
     rule_low_degree,
@@ -17,7 +18,7 @@ from dompack.engine import (
     run_planar,
     run_treewidth,
 )
-from dompack.graph import Graph, XYInstance
+from dompack.graph import Graph, XYInstance, delete_vertex, distances_from
 from conftest import complete, named, random_partial_ktree, random_planar
 
 
@@ -197,6 +198,18 @@ class TestTreewidthDriver:
                 assert len(w.d_set) <= k * len(w.p_set)
             else:
                 assert not w.d_set
+
+    def test_dist2_set_reads_the_working_graph(self):
+        for seed in range(20):
+            g = random_planar(10 + seed, seed)
+            st = status(g)
+            st.apply(RuleApplication("demo", removed_vertices=(0,)))
+            rest = delete_vertex(g, 0)  # vertex v of g is v - 1 here
+            targets = set(range(1, g.n, 2))
+            for v in st.adj:
+                dist = distances_from(rest, v - 1)
+                expect = {c for c in targets if dist.get(c - 1) == 2}
+                assert _dist2_set(st, v, targets) == expect
 
     def test_trace_replay_matches(self):
         g, compl = random_partial_ktree(12, 2, 5)

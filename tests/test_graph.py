@@ -12,12 +12,14 @@ from dompack.graph import (
     INFINITY,
     add_edge,
     add_vertex,
+    ball2,
     closed_neighborhood,
     components,
     degeneracy_ordering,
     delete_edge,
     delete_vertex,
     distance,
+    distances_from,
     from_edge_json,
     from_graph6,
     graph6_to_masks,
@@ -149,6 +151,25 @@ class TestDegeneracy:
             mind = min(len(g.adj[v] & vs) for v in verts)
             best = max(best, mind)
         assert best == d
+
+
+class TestBall2:
+    @given(graphs(max_n=9))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bfs(self, g):
+        for v in g.vertices():
+            ball = {u for u, d in distances_from(g, v).items() if d <= 2}
+            assert ball2(g, v) == ball
+
+    def test_isolated_vertex_is_its_own_ball(self):
+        assert ball2(Graph.from_edges(3, [(1, 2)]), 0) == {0}
+
+    def test_returns_a_fresh_set(self):
+        g = named("p5")
+        ball = ball2(g, 2)
+        ball.clear()
+        assert ball2(g, 2) == {0, 1, 2, 3, 4}
+        assert g.adj[2] == {1, 3}
 
 
 class TestConflictGraph:

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from dompack import families, oracles, solvers
 from dompack.graph import (
     Graph,
+    GraphError,
     Mode,
     XYInstance,
     closed_neighborhood,
+    distances_from,
     power2_conflict_graph,
 )
 from dompack import _bb_py
@@ -47,6 +49,71 @@ class TestCheckers:
         inst = XYInstance(g, mode=Mode.TOTAL)
         assert not oracles.check_xy_dominating(inst, {0})
         assert oracles.check_xy_dominating(inst, {0, 1})
+
+
+def _reference_is_packing(inst, p):
+    """The packing definition with one whole-graph BFS per member."""
+    g = inst.graph
+    p = g.check_vertex_set(p)
+    if p & inst.y_set or p & closed_neighborhood(g, inst.x_set):
+        return False
+    return all(distances_from(g, u).get(v, 3) >= 3 for u in p for v in p if v != u)
+
+
+@st.composite
+def packing_cases(draw):
+    """A sparse graph (often disconnected, with isolated vertices), X and Y
+    in any mode, and a candidate P."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    pairs = st.lists(st.tuples(vertex, vertex), max_size=2 * n) if n > 1 else st.just([])
+    edges = {(min(e), max(e)) for e in draw(pairs) if e[0] != e[1]}
+    mode = draw(st.sampled_from(list(Mode)))
+    subset = st.frozensets(vertex, max_size=n // 3) if n else st.just(frozenset())
+    red = {e for e in edges if draw(st.booleans())} if mode is Mode.BLACK else set()
+    g = Graph.from_edges(n, sorted(edges - red), sorted(red))
+    x = frozenset() if mode is Mode.BLACK else draw(subset)
+    inst = XYInstance(g, x, draw(subset), mode)
+    return inst, draw(st.frozensets(vertex, max_size=5) if n else st.just(frozenset()))
+
+
+class TestPackingChecker:
+    """check_xy_packing against the definition, checked pair by pair."""
+
+    @given(packing_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_bfs(self, case):
+        inst, p = case
+        assert oracles.check_xy_packing(inst, p) == _reference_is_packing(inst, p)
+
+    def test_seeded_disconnected_graphs(self):
+        verdicts = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.choice((0.05, 0.12, 0.25)), seed)
+            for mode in Mode:
+                x, y = random_xy(g, seed, px=0 if mode is Mode.BLACK else 0.1, py=0.1)
+                inst = XYInstance(g, x, y, mode)
+                p = {v for v in g.vertices() if rng.random() < 0.3}
+                verdict = oracles.check_xy_packing(inst, p)
+                assert verdict == _reference_is_packing(inst, p)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_isolated_vertices_pack_together(self):
+        g = Graph.from_edges(5, [(0, 1)])
+        assert oracles.check_xy_packing(plain(g), {0, 2, 3, 4})
+        assert not oracles.check_xy_packing(plain(g), {0, 1, 2})
+        assert not oracles.check_xy_packing(plain(g, y={4}), {0, 4})
+
+    @pytest.mark.parametrize("bad", [-1, 5, 99])
+    def test_out_of_range_ids_raise(self, bad):
+        inst = plain(families.gen_path(5))
+        with pytest.raises(GraphError):
+            oracles.check_xy_packing(inst, {0, bad})
+        with pytest.raises(GraphError):
+            oracles.check_xy_packing(inst, {bad})
 
 
 class TestExactValues:
