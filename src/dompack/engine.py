@@ -116,13 +116,20 @@ def _ratio(d, p) -> Fraction | None:
 class _State:
     """Mutable sub-instance over original vertex ids (plus gadget ids)."""
 
-    __slots__ = ("adj", "x", "y", "red")
+    __slots__ = ("adj", "x", "y", "red", "red_deg")
 
     def __init__(self, adj, x, y, red=None):
         self.adj = adj
         self.x = x
         self.y = y
         self.red = red
+        # With red edges tracked, the number of red edges at each vertex.
+        self.red_deg = None
+        if red is not None:
+            self.red_deg = dict.fromkeys(adj, 0)
+            for e in red:
+                for v in e:
+                    self.red_deg[v] += 1
 
     @classmethod
     def from_graph(cls, g: Graph, x=(), y=(), track_red=False):
@@ -141,22 +148,34 @@ class _State:
         red = tuple(sorted(tuple(sorted(e)) for e in self.red)) if self.red is not None else None
         return (tuple(sorted(self.adj)), edges, tuple(sorted(self.x)), tuple(sorted(self.y)), red)
 
+    def _drop_red(self, u, v) -> None:
+        e = frozenset((u, v))
+        if e in self.red:
+            self.red.remove(e)
+            self.red_deg[u] -= 1
+            self.red_deg[v] -= 1
+
     def apply(self, app: RuleApplication) -> None:
+        tracked = self.red is not None
         for u, v in app.removed_edges:
             self.adj[u].discard(v)
             self.adj[v].discard(u)
-            if self.red is not None:
-                self.red.discard(frozenset((u, v)))
+            if tracked:
+                self._drop_red(u, v)
         for v in app.removed_vertices:
             for w in self.adj[v]:
                 self.adj[w].discard(v)
-                if self.red is not None:
-                    self.red.discard(frozenset((v, w)))
+                if tracked and self.red_deg[v]:
+                    self._drop_red(v, w)
             del self.adj[v]
+            if tracked:
+                del self.red_deg[v]
             self.x.discard(v)
             self.y.discard(v)
         for v in app.added_vertices:
             self.adj[v] = set()
+            if tracked:
+                self.red_deg[v] = 0
         for u, v in app.added_edges:
             self.adj[u].add(v)
             self.adj[v].add(u)
@@ -164,6 +183,8 @@ class _State:
             self.adj[u].add(v)
             self.adj[v].add(u)
             self.red.add(frozenset((u, v)))
+            self.red_deg[u] += 1
+            self.red_deg[v] += 1
         for v in app.x_removed:
             self.x.discard(v)
         self.x.update(app.x_added)
@@ -191,44 +212,52 @@ def replay(g: Graph, trace, x=(), y=(), track_red=False):
 
 
 # ---------------------------------------------------------------------------
-# Shared rules.  Scanning is in ascending id order throughout; the priority
-# order (cost-free rules before cost-paying ones) is fixed by each driver.
+# Shared rules.  Each rule applies at the smallest id it fits (the smallest
+# edge, for edge rules); the priority order (cost-free rules before
+# cost-paying ones) is fixed by each driver.
 # ---------------------------------------------------------------------------
 
 
+def _first_edge_within(st: _State, s) -> tuple[int, int] | None:
+    """The smallest edge (u, v), u < v, with both ends in s, or None.
+
+    u is the smallest member of s with a neighbour in s: every such
+    neighbour of it is larger, else that neighbour would be smaller."""
+    u = min((u for u in s if not s.isdisjoint(st.adj[u])), default=None)
+    if u is None:
+        return None
+    return u, min(st.adj[u] & s)
+
+
 def rule_isolated(st: _State) -> RuleApplication | None:
-    for a in sorted(st.adj):
-        if st.adj[a]:
-            continue
-        if a in st.y:
-            case = "in_y"
-        elif a in st.x:
-            case = "in_x"
-        else:
-            case = "free"
-        return RuleApplication(
-            "isolated", removed_vertices=(a,), payload={"vertex": a, "case": case}
-        )
-    return None
+    a = min((v for v, nb in st.adj.items() if not nb), default=None)
+    if a is None:
+        return None
+    if a in st.y:
+        case = "in_y"
+    elif a in st.x:
+        case = "in_x"
+    else:
+        case = "free"
+    return RuleApplication(
+        "isolated", removed_vertices=(a,), payload={"vertex": a, "case": case}
+    )
 
 
 def rule_y_pendant(st: _State) -> RuleApplication | None:
     # Members of X are excluded: deleting one must route through x_elim so
     # its neighborhood is compensated into Y.
-    for a in sorted(st.y):
-        if st.deg(a) <= 1 and a not in st.x:
-            return RuleApplication("y_pendant", removed_vertices=(a,), payload={"vertex": a})
-    return None
+    a = min((a for a in st.y if len(st.adj[a]) <= 1 and a not in st.x), default=None)
+    if a is None:
+        return None
+    return RuleApplication("y_pendant", removed_vertices=(a,), payload={"vertex": a})
 
 
 def rule_y_edge(st: _State) -> RuleApplication | None:
-    for u in sorted(st.y):
-        for v in sorted(st.adj[u]):
-            if u < v and v in st.y:
-                return RuleApplication(
-                    "y_edge", removed_edges=((u, v),), payload={"edge": (u, v)}
-                )
-    return None
+    edge = _first_edge_within(st, st.y)
+    if edge is None:
+        return None
+    return RuleApplication("y_edge", removed_edges=(edge,), payload={"edge": edge})
 
 
 def rule_x_elim(st: _State) -> RuleApplication | None:
@@ -460,6 +489,8 @@ DH_CONSTANT = 2
 
 
 def _dh_y_prune(st: _State) -> RuleApplication | None:
+    # A sorted scan that stops at the first hit: the test builds a set per
+    # vertex, and a hit tends to come early, so this beats a min() over all Y.
     for a in sorted(st.y):
         if len(st.adj[a] - st.y) <= 1:
             return RuleApplication("dh_y_prune", removed_vertices=(a,), payload={"vertex": a})
@@ -467,18 +498,17 @@ def _dh_y_prune(st: _State) -> RuleApplication | None:
 
 
 def _dh_pendant(st: _State) -> RuleApplication | None:
-    for u in sorted(st.adj):
-        if u in st.y or st.deg(u) != 1:
-            continue
-        v = next(iter(st.adj[u]))
-        fresh_y = tuple(sorted((st.adj[v] - {u}) - st.y))
-        return RuleApplication(
-            "dh_pendant",
-            removed_vertices=(u, v),
-            y_added=fresh_y,
-            payload={"pendant": u, "support": v},
-        )
-    return None
+    u = min((u for u, nb in st.adj.items() if len(nb) == 1 and u not in st.y), default=None)
+    if u is None:
+        return None
+    v = next(iter(st.adj[u]))
+    fresh_y = tuple(sorted((st.adj[v] - {u}) - st.y))
+    return RuleApplication(
+        "dh_pendant",
+        removed_vertices=(u, v),
+        y_added=fresh_y,
+        payload={"pendant": u, "support": v},
+    )
 
 
 def _dh_twins(st: _State) -> RuleApplication | None:

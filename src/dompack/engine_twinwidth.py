@@ -30,18 +30,19 @@ from .graph import Graph, Mode, XYInstance
 
 
 def _black_neighbors(st: _State, v: int) -> set[int]:
+    if not st.red_deg[v]:
+        return set(st.adj[v])
     return {u for u in st.adj[v] if frozenset((u, v)) not in st.red}
 
 
 def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
-    pick = None
-    for u in sorted(st.adj):
-        if u not in st.y and len(_black_neighbors(st, u)) <= k:
-            pick = u
-            break
-    if pick is None:
+    red_deg = st.red_deg
+    u = min(
+        (v for v, nb in st.adj.items() if v not in st.y and len(nb) - red_deg[v] <= k),
+        default=None,
+    )
+    if u is None:
         return None
-    u = pick
     blacks = tuple(sorted(_black_neighbors(st, u)))
     reds = tuple(sorted(st.adj[u] - set(blacks)))
     ring = st.adj[u]
@@ -53,7 +54,7 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
     s_black = []
     s_red = []
     for s in sorted(second):
-        if any(frozenset((s, t)) not in st.red for t in st.adj[s] & ring):
+        if not st.red_deg[s] or any(frozenset((s, t)) not in st.red for t in st.adj[s] & ring):
             s_black.append(s)
         else:
             s_red.append(s)
@@ -85,11 +86,9 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
 def _contraction_step(st: _State, a: int, b: int, w: int) -> RuleApplication:
     black_edges = []
     red_edges = []
-    for x in sorted(st.adj.keys() - {a, b}):
+    for x in sorted((st.adj[a] | st.adj[b]) - {a, b}):
         xa = x in st.adj[a]
         xb = x in st.adj[b]
-        if not (xa or xb):
-            continue
         black_a = xa and frozenset((x, a)) not in st.red
         black_b = xb and frozenset((x, b)) not in st.red
         if black_a and black_b:
@@ -132,7 +131,7 @@ def run_twinwidth(g: Graph, seq, k: int, y=()) -> WitnessPair:
             v = alias[v]
         return v
 
-    while set(st.adj) - st.y:
+    while not st.y.issuperset(st.adj):
         app = _lowblack_step(st, k)
         if app is None:
             while True:

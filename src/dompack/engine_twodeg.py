@@ -2,8 +2,9 @@
 
 Y is forbidden here; the induction instead tracks a free-dominator set X
 whose cost enters the budget through the degree-split terms
-X2+ = {x in X : deg >= 2} and X1 = {x in X : deg = 1}, both recomputed in the
-current graph at every step.
+X2+ = {x in X : deg >= 2} and X1 = {x in X : deg = 1}, both taken in the
+current graph at every step (kept up to date from the vertices each step
+touches).
 
 The local rules delete low-degree vertices around X.  When they are
 exhausted, layered peeling (A1 = degree <= 2, A2 and A3 the next two peels)
@@ -35,6 +36,7 @@ from .engine import (
     RuleApplication,
     Stalled,
     WitnessPair,
+    _first_edge_within,
     _ratio,
     _State,
     _validate_witness,
@@ -45,10 +47,28 @@ from .graph import Graph, XYInstance, degeneracy_ordering
 TWODEG_CONSTANT = 7
 
 
-def _budget_terms(st: _State) -> tuple[int, int]:
-    x2p = sum(1 for x in st.x if st.deg(x) >= 2)
-    x1 = sum(1 for x in st.x if st.deg(x) == 1)
+def _budget_terms(st: _State, vs) -> tuple[int, int]:
+    """(|X2+|, |X1|) counted over the members of X among vs."""
+    x2p = x1 = 0
+    for v in vs:
+        if v in st.x:
+            d = len(st.adj[v])
+            if d >= 2:
+                x2p += 1
+            elif d == 1:
+                x1 += 1
     return x2p, x1
+
+
+def _touched(st: _State, app: RuleApplication) -> set[int]:
+    """Vertices whose degree or X membership ``app`` can change."""
+    out = set(app.removed_vertices)
+    for v in app.removed_vertices:
+        out |= st.adj[v]
+    for e in app.removed_edges + app.added_edges:
+        out.update(e)
+    out.update(app.added_vertices, app.x_added, app.x_removed)
+    return out
 
 
 def _nx_closed(st: _State) -> set[int]:
@@ -58,77 +78,77 @@ def _nx_closed(st: _State) -> set[int]:
     return out
 
 
+# The anchored-leaf, dominated-fringe and extra-X-edge rules apply only at
+# vertices outside X with a neighbour in X, so they scan just those.
+
+
 def _rule_anchored_leaf(st: _State) -> RuleApplication | None:
-    for u in sorted(st.adj):
-        if u in st.x:
-            continue
-        outside = st.adj[u] - st.x
-        if len(outside) <= 1 and len(st.adj[u]) > len(outside):
-            return RuleApplication("2deg_anchored_leaf", removed_vertices=(u,), payload={"vertex": u})
-    return None
+    x = st.x
+    u = min((u for u in _nx_closed(st) - x if len(st.adj[u] - x) <= 1), default=None)
+    if u is None:
+        return None
+    return RuleApplication("2deg_anchored_leaf", removed_vertices=(u,), payload={"vertex": u})
 
 
 def _rule_pendant_support(st: _State) -> RuleApplication | None:
-    for u in sorted(st.adj):
-        if u in st.x or st.deg(u) != 1:
-            continue
-        if st.adj[u] & st.x:
-            continue
-        v = next(iter(st.adj[u]))
-        return RuleApplication(
-            "2deg_pendant_support",
-            removed_vertices=(u,),
-            x_added=(v,),
-            payload={"vertex": u, "support": v},
-        )
-    return None
+    x = st.x
+    u = min(
+        (u for u, nb in st.adj.items() if len(nb) == 1 and u not in x and x.isdisjoint(nb)),
+        default=None,
+    )
+    if u is None:
+        return None
+    v = next(iter(st.adj[u]))
+    return RuleApplication(
+        "2deg_pendant_support",
+        removed_vertices=(u,),
+        x_added=(v,),
+        payload={"vertex": u, "support": v},
+    )
 
 
 def _rule_dominated_fringe(st: _State) -> RuleApplication | None:
     nx_ = _nx_closed(st)
-    for u in sorted(st.adj):
-        if u in st.x or not (st.adj[u] & st.x):
-            continue
-        if len(st.adj[u] - nx_) <= 1:
-            return RuleApplication("2deg_dominated_fringe", removed_vertices=(u,), payload={"vertex": u})
-    return None
+    u = min((u for u in nx_ - st.x if len(st.adj[u] - nx_) <= 1), default=None)
+    if u is None:
+        return None
+    return RuleApplication("2deg_dominated_fringe", removed_vertices=(u,), payload={"vertex": u})
 
 
 def _rule_extra_x_edge(st: _State) -> RuleApplication | None:
-    for u in sorted(st.adj):
-        if u in st.x:
-            continue
-        xn = sorted(st.adj[u] & st.x)
-        if len(xn) >= 2:
-            return RuleApplication(
-                "2deg_extra_x_edge", removed_edges=((u, xn[0]) if u < xn[0] else (xn[0], u),),
-                payload={"vertex": u, "x_neighbor": xn[0]},
-            )
-    return None
+    x = st.x
+    u = min((u for u in _nx_closed(st) - x if len(st.adj[u] & x) >= 2), default=None)
+    if u is None:
+        return None
+    a = min(st.adj[u] & x)
+    return RuleApplication(
+        "2deg_extra_x_edge", removed_edges=((u, a) if u < a else (a, u),),
+        payload={"vertex": u, "x_neighbor": a},
+    )
 
 
 def _rule_x_x_edge(st: _State) -> RuleApplication | None:
-    for u in sorted(st.x):
-        for v in sorted(st.adj[u] & st.x):
-            if u < v:
-                return RuleApplication(
-                    "2deg_x_x_edge", removed_edges=((u, v),), payload={"edge": (u, v)}
-                )
-    return None
+    edge = _first_edge_within(st, st.x)
+    if edge is None:
+        return None
+    return RuleApplication("2deg_x_x_edge", removed_edges=(edge,), payload={"edge": edge})
 
 
 def _rule_free_degree2(st: _State) -> RuleApplication | None:
-    for u in sorted(st.adj):
-        if u in st.x or st.deg(u) != 2 or (st.adj[u] & st.x):
-            continue
-        nbrs = tuple(sorted(st.adj[u]))
-        return RuleApplication(
-            "2deg_free_degree2",
-            removed_vertices=(u,),
-            x_added=nbrs,
-            payload={"vertex": u, "neighbors": nbrs},
-        )
-    return None
+    x = st.x
+    u = min(
+        (u for u, nb in st.adj.items() if len(nb) == 2 and u not in x and x.isdisjoint(nb)),
+        default=None,
+    )
+    if u is None:
+        return None
+    nbrs = tuple(sorted(st.adj[u]))
+    return RuleApplication(
+        "2deg_free_degree2",
+        removed_vertices=(u,),
+        x_added=nbrs,
+        payload={"vertex": u, "neighbors": nbrs},
+    )
 
 
 def _peel_layers(st: _State) -> tuple[set[int], set[int], set[int]]:
@@ -151,7 +171,7 @@ def _a2_profile(st: _State, z: int, nx_: set[int], trace) -> tuple[int, int]:
     return anchors[0], outside
 
 
-def _main_step(st: _State, fresh: int, trace) -> RuleApplication:
+def _main_step(st: _State, fresh: int, terms, trace) -> RuleApplication:
     a1, a2, a3 = _peel_layers(st)
     bad = sorted(a1 - st.x)
     if bad:
@@ -184,8 +204,6 @@ def _main_step(st: _State, fresh: int, trace) -> RuleApplication:
             raise Stalled(f"vertex {u} not among the outside pair of {z}", st.describe(), trace)
         anchors.append(anchor)
         others.append(next(t for t in outside if t != u))
-    x2p, x1 = _budget_terms(st)
-
     if len(w_out) <= 1:
         return RuleApplication(
             "2deg_low_out",
@@ -194,7 +212,7 @@ def _main_step(st: _State, fresh: int, trace) -> RuleApplication:
                 "vertex": u,
                 "layer2": z_nbrs,
                 "anchors": tuple(anchors),
-                "budget_terms": (x2p, x1),
+                "budget_terms": terms,
             },
         )
 
@@ -230,7 +248,7 @@ def _main_step(st: _State, fresh: int, trace) -> RuleApplication:
             "cover_nbrs": {t: cover_nbrs[t] for t in wired},
             "backstop": backstop,
             "x_at_step": tuple(sorted(st.x)),
-            "budget_terms": (x2p, x1),
+            "budget_terms": terms,
         },
     )
 
@@ -255,8 +273,8 @@ def run_twodeg(g: Graph) -> WitnessPair:
     fresh = g.n
     trace: list[RuleApplication] = []
     terms_per_step: list[tuple[int, int]] = []
+    terms = _budget_terms(st, st.x)
     while st.adj:
-        terms = _budget_terms(st)
         app = (
             rule_isolated(st)
             or _rule_anchored_leaf(st)
@@ -265,12 +283,16 @@ def run_twodeg(g: Graph) -> WitnessPair:
             or _rule_extra_x_edge(st)
             or _rule_x_x_edge(st)
             or _rule_free_degree2(st)
-            or _main_step(st, fresh, trace)
+            or _main_step(st, fresh, terms, trace)
         )
         fresh += len(app.added_vertices)
+        touched = _touched(st, app)
+        x2p, x1 = _budget_terms(st, touched)
         st.apply(app)
         trace.append(app)
         terms_per_step.append(terms)
+        new_x2p, new_x1 = _budget_terms(st, touched)
+        terms = (terms[0] - x2p + new_x2p, terms[1] - x1 + new_x1)
 
     d: set[int] = set()
     p: set[int] = set()

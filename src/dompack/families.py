@@ -329,28 +329,58 @@ def recognize_distance_hereditary(g: Graph) -> bool:
 
 
 def recognize_chordal(g: Graph):
-    """Perfect elimination order by repeated simplicial removal, or None."""
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-    peo = []
-    while adj:
-        pick = None
-        for v in sorted(adj):
-            nb = sorted(adj[v])
-            if all(b in adj[a] for i, a in enumerate(nb) for b in nb[i + 1 :]):
-                pick = v
+    """A perfect elimination order, or None when the graph is not chordal.
+
+    Maximum cardinality search (Tarjan and Yannakakis, 1984) visits every
+    vertex once, each time taking an unvisited vertex with the most visited
+    neighbours from weight buckets (entries left behind by a weight increase
+    are skipped when popped).  The reverse of the visit order is a perfect
+    elimination order exactly when the graph is chordal, which is checked
+    during the same search: the neighbours of v visited before it, less the
+    last of them (its parent), must all be neighbours of the parent.  O(n+m).
+    The order returned is that reversed visit order; it need not be the one
+    that eliminates the smallest simplicial vertex first.
+    """
+    n = g.n
+    adj = g.adj
+    visit = [-1] * n  # visit index, -1 while unvisited
+    weight = [0] * n
+    buckets = [list(range(n - 1, -1, -1))]
+    top = 0
+    order = []
+    for i in range(n):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = bucket.pop()
+            if visit[v] < 0 and weight[v] == top:
                 break
-        if pick is None:
-            return None
-        peo.append(pick)
-        for w in adj[pick]:
-            adj[w].discard(pick)
-        del adj[pick]
-    return peo
+        visit[v] = i
+        order.append(v)
+        earlier = [u for u in adj[v] if visit[u] >= 0]
+        if len(earlier) > 1:
+            parent = max(earlier, key=visit.__getitem__)
+            pnb = adj[parent]
+            if any(u != parent and u not in pnb for u in earlier):
+                return None
+        for u in adj[v]:
+            if visit[u] < 0:
+                w = weight[u] = weight[u] + 1
+                if w == len(buckets):
+                    buckets.append([])
+                buckets[w].append(u)
+        if top + 1 < len(buckets):
+            top += 1
+    order.reverse()
+    return order
 
 
 def chordal_width(g: Graph) -> int | None:
     """Clique number minus one of a chordal graph (-1 when empty), or None
-    when the graph is not chordal."""
+    when the graph is not chordal.  Every maximal clique is some vertex with
+    its neighbours later in the perfect elimination order."""
     peo = recognize_chordal(g)
     if peo is None:
         return None
@@ -412,19 +442,18 @@ def validate_tw_certificate(g: Graph, completion: Graph, k: int) -> bool:
 
 def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None) -> bool:
     """Replay the merges with the recoloring rule; red degree must stay within
-    the width at every step and the trigraph must shrink to one vertex."""
+    the width at every step and the trigraph must shrink to one vertex.
+
+    Red degrees are kept per vertex.  A merge only lowers them, except at the
+    merged vertex and its red neighbours, so only those are re-checked."""
     w = seq.declared_width if width is None else width
     adj = {v: set(g.adj[v]) for v in g.vertices()}
     red = {frozenset(e) for e in g.red}
-
-    def red_deg_ok():
-        count = {v: 0 for v in adj}
-        for e in red:
-            for v in e:
-                count[v] += 1
-        return all(c <= w for c in count.values())
-
-    if not red_deg_ok():
+    red_deg = dict.fromkeys(adj, 0)
+    for e in red:
+        for v in e:
+            red_deg[v] += 1
+    if any(d > w for d in red_deg.values()):
         return False
     used = set(adj)
     for a, b, c in seq.merges:
@@ -439,14 +468,22 @@ def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None
         for v in (a, b):
             for x in adj[v]:
                 adj[x].discard(v)
-                red.discard(frozenset((v, x)))
-            del adj[v]
+                e = frozenset((v, x))
+                if e in red:
+                    red.remove(e)
+                    red_deg[x] -= 1
+            del adj[v], red_deg[v]
         adj[c] = set(nbrs)
+        red_deg[c] = 0
         for x, color in nbrs.items():
             adj[x].add(c)
             if color == "red":
                 red.add(frozenset((c, x)))
-        if not red_deg_ok():
+                red_deg[x] += 1
+                red_deg[c] += 1
+                if red_deg[x] > w:
+                    return False
+        if red_deg[c] > w:
             return False
     return len(adj) <= 1
 

@@ -11,6 +11,7 @@ oracles and the scan work on it directly.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -243,22 +244,30 @@ def degeneracy_ordering(g: Graph) -> tuple[list[int], int]:
     """Repeatedly remove a minimum-degree vertex (ties by id).
 
     Returns the removal order and the largest degree seen at removal time,
-    which equals the degeneracy of the graph.
+    which equals the degeneracy of the graph.  A lazy heap of (degree, id)
+    entries picks each vertex: a removal pushes a fresh entry for every
+    remaining neighbour, so a vertex's current entry pops before its stale
+    ones, which are skipped.  The order is exactly the one above, in
+    O(m log n).
     """
-    deg = {v: g.degree(v) for v in range(g.n)}
-    live_adj = {v: set(g.adj[v]) for v in range(g.n)}
+    deg = [len(s) for s in g.adj]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    removed = [False] * g.n
     order: list[int] = []
     degeneracy = 0
-    remaining = set(range(g.n))
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
-        degeneracy = max(degeneracy, deg[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
+        removed[v] = True
         order.append(v)
-        remaining.discard(v)
-        for w in live_adj[v]:
-            live_adj[w].discard(v)
-            deg[w] -= 1
-        del live_adj[v], deg[v]
+        if d > degeneracy:
+            degeneracy = d
+        for w in g.adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return order, degeneracy
 
 

@@ -129,15 +129,24 @@ def random_interval_graph(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_cograph(n: int, seed: int) -> tuple[Graph, families.ContractionSequence]:
+def random_cograph(
+    n: int, seed: int, flip: float = 0.0
+) -> tuple[Graph, families.ContractionSequence]:
     """A cograph grown by adding twins, and the contraction sequence that
-    undoes the growth: merging a vertex into its twin makes no red edge."""
+    undoes the growth: merging a vertex into its twin makes no red edge.
+
+    With ``flip`` > 0, each new vertex after the second, with that
+    probability, toggles its edge to one random older vertex other than its
+    anchor, so undoing it makes a red edge; the sequence then declares the
+    smallest width at which it is valid."""
     rng = random.Random(seed)
     adj = {0: set()}
     anchors = []
     for v in range(1, n):
         a = rng.randrange(v)
         nbrs = set(adj[a]) if rng.random() < 0.5 else adj[a] | {a}
+        if flip and v > 1 and rng.random() < flip:
+            nbrs ^= {rng.choice([u for u in range(v) if u != a])}
         adj[v] = set(nbrs)
         for u in nbrs:
             adj[u].add(v)
@@ -149,7 +158,12 @@ def random_cograph(n: int, seed: int) -> tuple[Graph, families.ContractionSequen
         merges.append((current[a], current[v], fresh))
         current[a] = fresh
     g = Graph.from_edges(n, [(u, v) for u in adj for v in adj[u] if u < v])
-    return g, families.ContractionSequence(tuple(merges), 0)
+    width = 0
+    while not families.validate_contraction_sequence(
+        g, families.ContractionSequence(tuple(merges), width)
+    ):
+        width += 1
+    return g, families.ContractionSequence(tuple(merges), width)
 
 
 def random_xy(g: Graph, seed: int, px=0.2, py=0.2):

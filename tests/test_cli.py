@@ -164,6 +164,28 @@ class TestConstruct:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_golden_stdout_twinwidth_red_edges(self, tmp_path, capsys):
+        # The cographs above contract without red edges; this sequence has
+        # width 6, and the run takes low-black steps with red neighbours and
+        # contractions that make red edges.
+        import conftest
+        from dompack.graph import to_edge_json
+
+        g, seq = conftest.random_cograph(120, 4, flip=0.1)
+        assert seq.declared_width == 6
+        gf = write(tmp_path, "g.json", to_edge_json(g))
+        sf = write(tmp_path, "seq.json", seq.to_json())
+        code, out, _ = run_cli(
+            ["construct", "--class", "twinwidth", gf, "--certificate", sf], capsys
+        )
+        assert code == 0
+        trace = json.loads(out)["trace"]
+        lowblack = [s["payload"] for s in trace if s["rule"] == "tww_lowblack"]
+        assert any(p["reds"] for p in lowblack) and any(p["s_red"] for p in lowblack)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "51c469d5c1f8f70b39bcd937f9f7b6d473d03779edc09a30a0847dbc2e8d1f23"
+        )
+
 
 def _golden_argv(cls, tmp_path):
     """`construct` arguments for one seeded in-class input of up to 200

@@ -9,6 +9,7 @@ from dompack.engine import (
     Stalled,
     _State,
     _dist2_set,
+    _tw_class_step,
     replay,
     rule_isolated,
     rule_low_degree,
@@ -210,6 +211,30 @@ class TestTreewidthDriver:
                 dist = distances_from(rest, v - 1)
                 expect = {c for c in targets if dist.get(c - 1) == 2}
                 assert _dist2_set(st, v, targets) == expect
+
+    def test_driver_takes_the_class_step(self):
+        # When the step comes, every vertex outside Y has degree above k = 3.
+        g = Graph.from_edges(7, [
+            (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),
+            (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
+        ])
+        w = run_treewidth(g, families.brute_force_tw_certificate(g, 3), 3)
+        steps = [app.payload for app in w.trace if app.rule_id == "tw_class_step"]
+        assert steps == [{"vertex": 5, "c1": (6,), "c2": (), "c2_cover": (), "k": 3}]
+        # The unwind packs the vertex and pays its graph neighbours in C.
+        assert 5 in w.p_set and 6 in w.d_set
+        assert len(w.d_set) <= 3 * len(w.p_set)
+
+    def test_class_step_covers_distance_two(self):
+        # C4 1-0-2-3 with 0 and 3 in Y; the completion adds the chord 12.
+        # 0 and 3 are the simplicial layer, 1 is first in the second layer,
+        # and its completion neighbour 2 lies at distance 2, through 0 or 3.
+        st = status(Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), y=[0, 3])
+        compl = {0: {1, 2}, 1: {0, 2, 3}, 2: {0, 1, 3}, 3: {1, 2}}
+        app = _tw_class_step(st, compl, 2, [])
+        assert app.removed_vertices == (1,)
+        assert app.x_added == () and app.y_added == (2,)
+        assert app.payload == {"vertex": 1, "c1": (), "c2": (2,), "c2_cover": (0,), "k": 2}
 
     def test_trace_replay_matches(self):
         g, compl = random_partial_ktree(12, 2, 5)

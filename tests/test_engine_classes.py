@@ -2,14 +2,15 @@
 
 import pytest
 
-from dompack import engine, families, oracles
-from dompack.engine import Stalled, SequenceInvalid, replay
+from dompack import engine, engine_twodeg, families, oracles
+from dompack.engine import Stalled, SequenceInvalid, _State, replay
 from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance
 from conftest import (
     complete,
     named,
+    random_cograph,
     random_dh,
     random_graph,
     random_twodeg,
@@ -103,6 +104,34 @@ class TestTwodeg:
         w = run_twodeg(g)
         assert max(w.d_set | w.p_set) < g.n
 
+    def test_budget_terms_match_a_recount(self, monkeypatch):
+        # The driver keeps (|X2+|, |X1|) up to date step by step; every
+        # unwind check must see the terms recounted on the replayed parent.
+        seen = []
+        check = engine_twodeg._check_twodeg_budget
+
+        def spy(d, p, terms, trace):
+            seen.append(terms)
+            check(d, p, terms, trace)
+
+        monkeypatch.setattr(engine_twodeg, "_check_twodeg_budget", spy)
+        graphs = [twodeg_wall_graph(), twodeg_wall_graph_m3()]
+        graphs += [random_twodeg(40 + seed, seed) for seed in range(12)]
+        nonzero = 0
+        for g in graphs:
+            seen.clear()
+            w = run_twodeg(g)
+            expect = []
+            for alive, edges, x, _, _ in list(replay(g, w.trace))[:-1]:
+                deg = dict.fromkeys(alive, 0)
+                for u, v in edges:
+                    deg[u] += 1
+                    deg[v] += 1
+                expect.append((sum(deg[v] >= 2 for v in x), sum(deg[v] == 1 for v in x)))
+            assert seen[::-1] == expect
+            nonzero += sum(t != (0, 0) for t in expect)
+        assert nonzero
+
 
 class TestTwinwidth:
     def test_p4_width_sequence(self):
@@ -162,6 +191,24 @@ class TestTwinwidth:
         inst = XYInstance(g, mode=Mode.BLACK)
         assert oracles.check_xy_dominating(inst, w.d_set)
         assert oracles.check_xy_packing(inst, w.p_set)
+
+    def test_red_degrees_match_a_recount(self):
+        cases = [random_cograph(40, seed, flip=0.2) for seed in range(4)]
+        g = Graph.from_edges(4, [(0, 1), (2, 3)], red_edges=[(1, 2)])
+        cases.append((g, families.brute_force_tww_sequence(g, 2)))
+        red_seen = 0
+        for g, seq in cases:
+            w = run_twinwidth(g, seq, max(2, seq.declared_width))
+            st = _State.from_graph(g, track_red=True)
+            for app in w.trace:
+                st.apply(app)
+                count = dict.fromkeys(st.adj, 0)
+                for e in st.red:
+                    for v in e:
+                        count[v] += 1
+                assert st.red_deg == count
+                red_seen += len(st.red)
+        assert red_seen
 
     def test_random_small_graphs(self):
         done = 0

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -11,6 +12,7 @@ from dompack.families import (
     at_free_masks,
     brute_force_tw_certificate,
     brute_force_tww_sequence,
+    chordal_width,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
@@ -29,8 +31,21 @@ from dompack.families import (
     validate_rotation_planarity,
     validate_tw_certificate,
 )
-from dompack.graph import Graph, XYInstance, is_connected, masks_connected, to_graph6
-from conftest import complete, named, random_graph
+from dompack.graph import (
+    Graph,
+    XYInstance,
+    degeneracy_ordering,
+    is_connected,
+    masks_connected,
+    to_graph6,
+)
+from conftest import (
+    complete,
+    named,
+    random_graph,
+    random_partial_ktree,
+    random_twodeg,
+)
 
 
 def gamma_rho(g):
@@ -163,6 +178,22 @@ class TestRecognizers:
         peo = recognize_chordal(complete(4))
         assert peo is not None and len(peo) == 4
 
+    def test_chordal_matches_simplicial_removal(self):
+        cases = [0, 0]
+        for g in _chordal_corpus():
+            peo = recognize_chordal(g)
+            ref = _reference_peo(g)
+            assert (peo is None) == (ref is None)
+            assert chordal_width(g) == _reference_width(g, ref)
+            if peo is not None:
+                assert sorted(peo) == list(g.vertices())
+                pos = {v: i for i, v in enumerate(peo)}
+                for v in peo:
+                    later = [u for u in g.adj[v] if pos[u] > pos[v]]
+                    assert all(b in g.adj[a] for a, b in itertools.combinations(later, 2))
+            cases[peo is None] += 1
+        assert min(cases) > 40
+
     def test_split_rejects(self):
         assert recognize_split(named("c4")) is None
         assert recognize_split(named("c5")) is None
@@ -211,7 +242,141 @@ class TestRecognizers:
             assert got == expect, to_graph6(g)
 
 
+def _reference_peo(g):
+    """Repeated removal of the smallest simplicial vertex: the quadratic
+    algorithm that maximum cardinality search replaced, kept as the oracle."""
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
+    peo = []
+    while adj:
+        pick = None
+        for v in sorted(adj):
+            nb = sorted(adj[v])
+            if all(b in adj[a] for i, a in enumerate(nb) for b in nb[i + 1 :]):
+                pick = v
+                break
+        if pick is None:
+            return None
+        peo.append(pick)
+        for w in adj[pick]:
+            adj[w].discard(pick)
+        del adj[pick]
+    return peo
+
+
+def _reference_width(g, peo):
+    if peo is None:
+        return None
+    seen = set()
+    omega = 0
+    for v in peo:
+        omega = max(omega, 1 + len(g.adj[v] - seen))
+        seen.add(v)
+    return omega - 1
+
+
+def _filled(g, seed):
+    """g made chordal by the fill edges of a random elimination order."""
+    order = list(g.vertices())
+    random.Random(seed).shuffle(order)
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
+    edges = set(g.edges())
+    for v in order:
+        for a, b in itertools.combinations(sorted(adj[v]), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+            edges.add((a, b))
+        for w in adj[v]:
+            adj[w].discard(v)
+        del adj[v]
+    return Graph.from_edges(g.n, edges)
+
+
+def _disjoint_union(a, b):
+    return Graph.from_edges(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
+def _chordal_corpus():
+    yield Graph.from_edges(0)
+    yield Graph.from_edges(1)
+    yield Graph.from_edges(5)
+    for n in range(4, 8):
+        yield gen_cycle(n)
+    for seed in range(80):
+        g = random_graph(2 + seed % 13, 0.1 + 0.05 * (seed % 9), seed)
+        yield g
+        yield _filled(g, seed)
+    for seed in range(30):
+        _, tree = random_partial_ktree(3 + seed % 20, 1 + seed % 4, seed)
+        yield tree
+        yield _disjoint_union(tree, _filled(random_graph(6, 0.4, seed), seed))
+        yield _disjoint_union(tree, gen_cycle(4 + seed % 3))
+
+
+def _reference_validate_sequence(g, seq, w):
+    """The contraction-sequence check that recounted every red edge after
+    each merge, kept as the oracle for the per-vertex red degrees."""
+    adj = {v: set(g.adj[v]) for v in g.vertices()}
+    red = {frozenset(e) for e in g.red}
+
+    def red_deg_ok():
+        count = {v: 0 for v in adj}
+        for e in red:
+            for v in e:
+                count[v] += 1
+        return all(c <= w for c in count.values())
+
+    if not red_deg_ok():
+        return False
+    used = set(adj)
+    for a, b, c in seq.merges:
+        if a not in adj or b not in adj or a == b or c in used:
+            return False
+        used.add(c)
+        nbrs = {}
+        for x in (adj[a] | adj[b]) - {a, b}:
+            black_a = x in adj[a] and frozenset((x, a)) not in red
+            black_b = x in adj[b] and frozenset((x, b)) not in red
+            nbrs[x] = "black" if (black_a and black_b) else "red"
+        for v in (a, b):
+            for x in adj[v]:
+                adj[x].discard(v)
+                red.discard(frozenset((v, x)))
+            del adj[v]
+        adj[c] = set(nbrs)
+        for x, color in nbrs.items():
+            adj[x].add(c)
+            if color == "red":
+                red.add(frozenset((c, x)))
+        if not red_deg_ok():
+            return False
+    return len(adj) <= 1
+
+
 class TestValidators:
+    def test_tww_sequence_matches_recount(self):
+        verdicts = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            n = 2 + seed % 9
+            pairs = list(itertools.combinations(range(n), 2))
+            kept = [e for e in pairs if rng.random() < 0.5]
+            red = [e for e in kept if rng.random() < 0.2]
+            g = Graph.from_edges(n, [e for e in kept if e not in red], red_edges=red)
+            alive = list(range(n))
+            merges = []
+            for fresh in range(n, 2 * n - 1 - seed % 2):
+                a, b = rng.sample(alive, 2)
+                if rng.random() < 0.03:
+                    b = a if rng.random() < 0.5 else fresh + 5  # malformed merge
+                merges.append((a, b, fresh))
+                alive = [v for v in alive if v not in (a, b)] + [fresh]
+            seq = ContractionSequence(tuple(merges), 0)
+            for w in range(5):
+                want = _reference_validate_sequence(g, seq, w)
+                assert validate_contraction_sequence(g, seq, width=w) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
     def test_tw_certificate(self):
         c4 = named("c4")
         chordal = Graph.from_edges(4, c4.edges() + [(0, 2)])
@@ -358,3 +523,10 @@ class TestEnumeration:
         for g in enumerate_connected_bounded_degree(6, 3):
             assert is_connected(g)
             assert g.max_degree() <= 3
+
+
+@pytest.mark.slow
+def test_chordal_and_degeneracy_reach_1e5_vertices():
+    _, three_tree = random_partial_ktree(100_000, 3, 1)
+    assert chordal_width(three_tree) == 3
+    assert degeneracy_ordering(random_twodeg(100_000, 1))[1] == 2

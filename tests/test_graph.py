@@ -113,7 +113,31 @@ class TestDistance:
                     assert distance(g, u, w) <= distance(g, u, v) + distance(g, v, w)
 
 
+def reference_degeneracy_ordering(g):
+    """The quadratic min-over-all-remaining loop that the lazy heap replaced."""
+    deg = {v: g.degree(v) for v in range(g.n)}
+    live_adj = {v: set(g.adj[v]) for v in range(g.n)}
+    order = []
+    degeneracy = 0
+    remaining = set(range(g.n))
+    while remaining:
+        v = min(remaining, key=lambda x: (deg[x], x))
+        degeneracy = max(degeneracy, deg[v])
+        order.append(v)
+        remaining.discard(v)
+        for w in live_adj[v]:
+            live_adj[w].discard(v)
+            deg[w] -= 1
+        del live_adj[v], deg[v]
+    return order, degeneracy
+
+
 class TestDegeneracy:
+    @given(graphs(max_n=14))
+    @settings(max_examples=150, deadline=None)
+    def test_order_matches_reference(self, g):
+        assert degeneracy_ordering(g) == reference_degeneracy_ordering(g)
+
     def test_tree(self):
         assert degeneracy_ordering(families.gen_random_tree(5, 1))[1] == 1
 
