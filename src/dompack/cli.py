@@ -8,9 +8,12 @@ All JSON output is one record per line with exact "p/q" rationals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
@@ -140,54 +143,76 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_rotation_system(path: str):
+    return families.RotationSystem.from_json(_read_text(path))
+
+
+def _read_contraction_sequence(path: str):
+    return families.ContractionSequence.from_json(_read_text(path))
+
+
+def _read_convex_encoding(path: str):
+    return constructions.ConvexEncoding.from_json(_read_text(path))
+
+
+def _read_disks(path: str):
+    return constructions.DiskConfiguration.from_csv(_read_text(path))
+
+
+def _run_treewidth(g: Graph, completion: Graph):
+    width = families.chordal_width(completion)
+    if width is None:
+        raise CliError("certificate is not chordal", EXIT_CONSTRUCTION)
+    return engine.run_treewidth(g, completion, width)
+
+
+@dataclass(frozen=True)
+class ConstructClass:
+    """What `construct --class NAME` reads and runs: ``run(input,
+    certificate)``, the certificate None when the class reads none or an
+    optional one is not given."""
+
+    run: Callable
+    read_certificate: Callable | None = None
+    required: str | None = None  # what --certificate holds, when it must be given
+    read_input: Callable = _load_graph
+
+
+# The drivers are looked up on their modules at each call, not bound here,
+# so that wrappers installed on those modules (perfbench's tracer) see them.
+CONSTRUCT_CLASSES = {
+    "planar": ConstructClass(lambda g, rs: engine.run_planar(g, rs), _read_rotation_system),
+    "treewidth": ConstructClass(_run_treewidth, _load_graph, "chordal completion"),
+    "twodeg": ConstructClass(lambda g, _: engine_twodeg.run_twodeg(g)),
+    "twinwidth": ConstructClass(
+        lambda g, seq: engine_twinwidth.run_twinwidth(g, seq, max(2, seq.declared_width)),
+        _read_contraction_sequence,
+        "contraction sequence",
+    ),
+    "dh": ConstructClass(lambda g, _: engine.run_distance_hereditary(g)),
+    "atfree": ConstructClass(lambda g, _: constructions.construct_atfree(g)),
+    "convex": ConstructClass(
+        lambda g, enc: constructions.construct_convex(g, enc),
+        _read_convex_encoding,
+        "convex encoding JSON",
+    ),
+    "unitdisk": ConstructClass(
+        lambda cfg, _: constructions.construct_unitdisk(cfg), read_input=_read_disks
+    ),
+    "generic": ConstructClass(lambda g, _: constructions.construct_generic(g)),
+}
+
+
 def cmd_construct(args) -> int:
-    cls = args.cls
+    spec = CONSTRUCT_CLASSES[args.cls]
+    if spec.required and not args.certificate:
+        raise CliError(f"--certificate ({spec.required}) required", EXIT_PARSE)
     try:
-        if cls == "unitdisk":
-            cfg = constructions.DiskConfiguration.from_csv(_read_text(args.input))
-            witness = constructions.construct_unitdisk(cfg)
-        elif cls == "convex":
-            if not args.certificate:
-                raise CliError("--certificate (convex encoding JSON) required", EXIT_PARSE)
-            g = _load_graph(args.input)
-            enc = constructions.ConvexEncoding.from_json(_read_text(args.certificate))
-            witness = constructions.construct_convex(g, enc)
-        elif cls == "treewidth":
-            if not args.certificate:
-                raise CliError("--certificate (chordal completion) required", EXIT_PARSE)
-            g = _load_graph(args.input)
-            completion = _load_graph(args.certificate)
-            width = families.chordal_width(completion)
-            if width is None:
-                raise CliError("certificate is not chordal", EXIT_CONSTRUCTION)
-            witness = engine.run_treewidth(g, completion, width)
-        elif cls == "twinwidth":
-            if not args.certificate:
-                raise CliError("--certificate (contraction sequence) required", EXIT_PARSE)
-            g = _load_graph(args.input)
-            try:
-                seq = families.ContractionSequence.from_json(_read_text(args.certificate))
-            except GraphError as exc:
-                raise CliError(str(exc), EXIT_PARSE) from exc
-            k = max(2, seq.declared_width)
-            witness = engine_twinwidth.run_twinwidth(g, seq, k)
-        elif cls == "planar":
-            g = _load_graph(args.input)
-            rs = None
-            if args.certificate:
-                try:
-                    rs = families.RotationSystem.from_json(_read_text(args.certificate))
-                except GraphError as exc:
-                    raise CliError(str(exc), EXIT_PARSE) from exc
-            witness = engine.run_planar(g, rs)
-        elif cls == "twodeg":
-            witness = engine_twodeg.run_twodeg(_load_graph(args.input))
-        elif cls == "dh":
-            witness = engine.run_distance_hereditary(_load_graph(args.input))
-        elif cls == "atfree":
-            witness = constructions.construct_atfree(_load_graph(args.input))
-        else:  # generic
-            witness = constructions.construct_generic(_load_graph(args.input))
+        source = spec.read_input(args.input)
+        cert = None
+        if spec.read_certificate is not None and args.certificate:
+            cert = spec.read_certificate(args.certificate)
+        witness = spec.run(source, cert)
     except GraphError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     except engine.EngineError as exc:
@@ -221,55 +246,44 @@ def _parse_params(spec: str | None) -> dict[str, str]:
 
 def cmd_generate(args) -> int:
     params = _parse_params(args.params)
-
-    def want_int(name, default=None):
+    family = families.FAMILIES.get(args.family)
+    if family is None:
+        raise CliError(f"unknown family {args.family!r}", EXIT_PARSE)
+    values = []
+    for name, (_, default) in family.parameters.items():
         if name not in params:
             if default is None:
                 raise CliError(f"family {args.family} needs parameter {name}", EXIT_PARSE)
-            return default
+            values.append(default)
+            continue
+        kind = float if isinstance(default, float) else int
         try:
-            return int(params[name])
+            values.append(kind(params[name]))
         except ValueError as exc:
-            raise CliError(f"parameter {name} must be an integer", EXIT_PARSE) from exc
-
+            noun = "a number" if kind is float else "an integer"
+            raise CliError(f"parameter {name} must be {noun}", EXIT_PARSE) from exc
     try:
-        fam = args.family
-        if fam == "chained-blocks":
-            print(to_graph6(families.gen_chained_blocks(want_int("i"))))
-        elif fam == "split":
-            print(to_graph6(families.gen_split(want_int("k"))))
-        elif fam == "threedeg":
-            print(to_graph6(families.gen_threedeg(want_int("k"))))
-        elif fam == "rook":
-            print(to_graph6(families.gen_rook(want_int("n"))))
-        elif fam == "cycle":
-            print(to_graph6(families.gen_cycle(want_int("n"))))
-        elif fam == "path":
-            print(to_graph6(families.gen_path(want_int("n"))))
-        elif fam == "petersen":
-            print(to_graph6(families.gen_petersen()))
-        elif fam == "random-tree":
-            print(to_graph6(families.gen_random_tree(want_int("n"), want_int("seed", 0))))
-        elif fam == "random-unitdisk":
-            box = float(params.get("box", "10"))
-            cfg = families.gen_random_unitdisk(want_int("n"), box, want_int("seed", 0))
-            sys.stdout.write(cfg.to_csv())
-        elif fam == "random-convex":
-            enc = families.gen_random_convex(
-                want_int("nx"), want_int("ny"), want_int("seed", 0)
-            )
-            print(enc.to_json())
-        else:
-            raise CliError(f"unknown family {fam!r}", EXIT_PARSE)
+        made = family.generate(*values)
     except families.OversizeFamilyError as exc:
         raise CliError(str(exc), EXIT_OVERSIZE) from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
+    if isinstance(made, Graph):
+        print(to_graph6(made))
+    elif isinstance(made, constructions.DiskConfiguration):
+        sys.stdout.write(made.to_csv())
+    else:
+        print(made.to_json())
     return EXIT_OK
 
 
 def cmd_list_families(_args) -> int:
-    for entry in families.family_metadata():
+    for name, family in families.FAMILIES.items():
+        entry = {
+            "name": name,
+            "parameters": {key: text for key, (text, _) in family.parameters.items()},
+            "guarantees": family.guarantees,
+        }
         print(json.dumps(entry, separators=(",", ":")))
     return EXIT_OK
 
@@ -277,17 +291,6 @@ def cmd_list_families(_args) -> int:
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
-
-_CLASS_MODES = {
-    "distance-hereditary": Mode.TOTAL,
-    "twin-width": Mode.BLACK,
-}
-
-# Additive slack in the class's budget inequality |D| <= c|P| + offset.
-_CLASS_BUDGET_OFFSETS = {
-    "at-free": 2,
-}
-
 
 def _id_set(ids, key: str) -> frozenset[int]:
     if not isinstance(ids, list) or not all(isinstance(v, int) for v in ids):
@@ -318,25 +321,14 @@ def _validate_witness_doc(doc, g: Graph) -> str | None:
     if "class" in doc:
         if not isinstance(doc["class"], str):
             raise CliError("witness field 'class' must be a string", EXIT_PARSE)
-        mode = _CLASS_MODES.get(doc["class"], Mode.PLAIN)
-        inst = XYInstance(g, mode=mode)
         d = _id_set(doc["D"], "D")
         p = _id_set(doc["P"], "P")
-        if not oracles.check_xy_dominating(inst, d):
-            return "D fails the dominating checker"
-        if not oracles.check_xy_packing(inst, p):
-            return "P fails the packing checker"
         try:
             num, den = doc["constant"].split("/")
             constant = Fraction(int(num), int(den))
         except (AttributeError, ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad constant {doc['constant']!r}", EXIT_PARSE) from exc
-        offset = _CLASS_BUDGET_OFFSETS.get(doc["class"], 0)
-        if p and len(d) > constant * len(p) + offset:
-            return "size of D exceeds the certified budget"
-        if not p and d:
-            return "nonempty D with empty P"
-        return None
+        return engine.witness_problem(g, d, p, doc["class"], constant)
     return "unrecognized witness JSON (need 'variant' or 'class')"
 
 
@@ -546,7 +538,9 @@ def _emit_scan_record(record, summary, violations):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args returns a fresh namespace each call.
     ap = argparse.ArgumentParser(
         prog="dompack",
         description="Exact domination/packing oracles and certified constructions.",
@@ -568,10 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--class",
         dest="cls",
         required=True,
-        choices=[
-            "planar", "treewidth", "twodeg", "twinwidth",
-            "dh", "atfree", "convex", "unitdisk", "generic",
-        ],
+        choices=list(CONSTRUCT_CLASSES),
     )
     cp.add_argument("--certificate", default=None)
     cp.set_defaults(func=cmd_construct)

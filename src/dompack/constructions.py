@@ -9,11 +9,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .engine import EngineError, WitnessPair, _ratio, _validate_witness
+from .engine import EngineError, WitnessPair, certify
 from .graph import (
     Graph,
     GraphError,
-    XYInstance,
     ball2,
     closed_neighborhood,
     distances_from,
@@ -111,11 +110,7 @@ def construct_atfree(g: Graph) -> WitnessPair:
     d = set(path)
     k = len(path) // 3
     p = {path[3 * i] for i in range(k)} if k >= 1 else {path[0]}
-    if len(d) > 3 * len(p) + 2:
-        raise EngineError("AT-free budget violated")
-    inst = XYInstance(g)
-    _validate_witness(inst, d, p, "at-free", ())
-    return WitnessPair(frozenset(d), frozenset(p), "at-free", Fraction(3), (), _ratio(d, p))
+    return certify(g, d, p, "at-free", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +140,20 @@ class ConvexEncoding:
 
     @staticmethod
     def from_json(s: str) -> "ConvexEncoding":
+        def ids(xs) -> tuple[int, ...]:
+            xs = tuple(xs)
+            if not all(isinstance(x, int) for x in xs):
+                raise TypeError("vertex ids must be integers")
+            return xs
+
         try:
             doc = json.loads(s)
             return ConvexEncoding(
-                tuple(doc["x_order"]),
-                {int(y): tuple(ns) for y, ns in doc["y_neighbors"].items()},
+                ids(doc["x_order"]),
+                {int(y): ids(ns) for y, ns in doc["y_neighbors"].items()},
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise EncodingInvalid(f"bad convex encoding JSON: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"bad convex encoding JSON: {exc}") from exc
 
     def to_graph(self) -> Graph:
         n = len(self.x_order) + len(self.y_neighbors)
@@ -235,8 +236,6 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
         if containing:
             d.add(min(containing, key=lambda y: (intervals[y][0], y)))
             d.add(max(containing, key=lambda y: (intervals[y][1], -y)))
-    if len(d) > 3 * len(p):
-        raise EngineError("convex budget violated")
 
     # Direct checks of the two covering properties, then the plain checker.
     x_not_d = [pos[x] for x in pos if x not in d]
@@ -254,14 +253,17 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
         lo, hi = iv
         if not any(lo <= q <= hi for q in d_points):
             raise EngineError("convex property (points hit uncovered intervals) violated")
-    inst = XYInstance(g)
-    _validate_witness(inst, d, p, "convex", ())
-    return WitnessPair(frozenset(d), frozenset(p), "convex", Fraction(3), (), _ratio(d, p))
+    return certify(g, d, p, "convex", 3)
 
 
 # ---------------------------------------------------------------------------
 # Unit-disk graphs
 # ---------------------------------------------------------------------------
+
+
+# The cover search squares float differences of centres, which overflows
+# once a coordinate passes about 6.7e153.
+_MAX_COORDINATE = 10**150
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,10 @@ class DiskConfiguration:
                 continue
             try:
                 xs, ys = line.split(",")
-                pts.append((Fraction(xs.strip()), Fraction(ys.strip())))
+                pt = (Fraction(xs.strip()), Fraction(ys.strip()))
+                if max(abs(pt[0]), abs(pt[1])) > _MAX_COORDINATE:
+                    raise ValueError(f"coordinate beyond {_MAX_COORDINATE:.0e}")
+                pts.append(pt)
             except (ValueError, ZeroDivisionError) as exc:
                 raise GraphError(f"disk CSV line {lineno}: {exc}") from exc
         return DiskConfiguration(tuple(pts))
@@ -376,9 +381,6 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
     """Greedy maximal packing; each packed disk's double neighborhood is
     dominated by one input disk per covering point.  |D| <= c_cov * |P|."""
     g = cfg.intersection_graph()
-    if g.n == 0:
-        return WitnessPair(frozenset(), frozenset(), "unit-disk",
-                           Fraction(covering_constant()), (), None)
     p = _extend_packing(g, g.vertices(), set())
     cover = _covering_for(5.0)
     centers = [(float(x), float(y)) for x, y in cfg.centers]
@@ -394,12 +396,7 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
                     break
             if best is not None:
                 d.add(best)
-    if len(d) > covering_constant() * len(p):
-        raise EngineError("unit-disk budget violated")
-    inst = XYInstance(g)
-    _validate_witness(inst, d, p, "unit-disk", ())
-    return WitnessPair(frozenset(d), frozenset(p), "unit-disk",
-                       Fraction(covering_constant()), (), _ratio(d, p))
+    return certify(g, d, p, "unit-disk", covering_constant())
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +408,4 @@ def construct_generic(g: Graph) -> WitnessPair:
     """Greedy maximal packing P and D = N[P]; |D| <= (max degree + 1)|P|."""
     p = _extend_packing(g, sorted(g.vertices(), key=lambda v: (g.degree(v), v)), set())
     d = set(closed_neighborhood(g, p))
-    if g.n and len(d) > (g.max_degree() + 1) * max(len(p), 1):
-        raise EngineError("generic budget violated")
-    inst = XYInstance(g)
-    _validate_witness(inst, d, p, "generic", ())
-    return WitnessPair(frozenset(d), frozenset(p), "generic",
-                       Fraction(g.max_degree() + 1), (), _ratio(d, p))
+    return certify(g, d, p, "generic", g.max_degree() + 1)

@@ -104,8 +104,49 @@ class WitnessPair:
         return json.dumps(doc, separators=(",", ":"))
 
 
-def _ratio(d, p) -> Fraction | None:
-    return Fraction(len(d), len(p)) if p else None
+# The paper's bound per witness class: the domination mode D is checked in
+# and the additive slack in |D| <= c|P| + slack.  A tag not listed here is
+# checked in plain mode with no slack.
+WITNESS_CLASSES = {
+    "planar": (Mode.PLAIN, 0),
+    "treewidth": (Mode.PLAIN, 0),
+    "distance-hereditary": (Mode.TOTAL, 0),
+    "2-degenerate": (Mode.PLAIN, 0),
+    "twin-width": (Mode.BLACK, 0),
+    "at-free": (Mode.PLAIN, 2),
+    "convex": (Mode.PLAIN, 0),
+    "unit-disk": (Mode.PLAIN, 0),
+    "generic": (Mode.PLAIN, 0),
+}
+
+
+def witness_problem(g: Graph, d, p, tag: str, constant, y=()) -> str | None:
+    """Why (D, P) is not a witness of class ``tag`` on g with Y pre-dominated,
+    or None: D must dominate and P pack in the class's mode, and |D| stay
+    within c|P| plus the class's slack (a nonempty D needs a nonempty P)."""
+    mode, slack = WITNESS_CLASSES.get(tag, (Mode.PLAIN, 0))
+    inst = XYInstance(g, y_set=frozenset(y), mode=mode)
+    if not check_xy_dominating(inst, d):
+        return "D fails the dominating checker"
+    if not check_xy_packing(inst, p):
+        return "P fails the packing checker"
+    if d and not p:
+        return "nonempty D with empty P"
+    if len(d) > constant * len(p) + slack:
+        return "size of D exceeds the certified budget"
+    return None
+
+
+def certify(g: Graph, d, p, tag: str, constant, trace=(), y=()) -> WitnessPair:
+    """The witness pair for (D, P), once ``witness_problem`` finds nothing
+    wrong with it; raises EngineError otherwise."""
+    problem = witness_problem(g, d, p, tag, constant, y)
+    if problem is not None:
+        raise EngineError(f"{tag}: {problem}")
+    return WitnessPair(
+        frozenset(d), frozenset(p), tag, Fraction(constant), tuple(trace),
+        Fraction(len(d), len(p)) if p else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +360,6 @@ def _check_budget(d, p, constant, extra, trace, label):
         )
 
 
-def _validate_witness(inst: XYInstance, d, p, label, trace):
-    if not check_xy_dominating(inst, d):
-        raise EngineError(f"{label}: emitted D fails the dominating checker")
-    if not check_xy_packing(inst, p):
-        raise EngineError(f"{label}: emitted P fails the packing checker")
-
-
 # ---------------------------------------------------------------------------
 # Planar driver
 # ---------------------------------------------------------------------------
@@ -367,12 +401,7 @@ def run_planar(g: Graph, embedding=None) -> WitnessPair:
         if not _unwind_shared(app, d, p):
             raise EngineError(f"unknown rule {app.rule_id}")
         _check_budget(d, p, PLANAR_CONSTANT, 0, trace, "planar")
-    inst = XYInstance(g)
-    _validate_witness(inst, d, p, "planar", trace)
-    return WitnessPair(
-        frozenset(d), frozenset(p), "planar", Fraction(PLANAR_CONSTANT),
-        tuple(trace), _ratio(d, p),
-    )
+    return certify(g, d, p, "planar", PLANAR_CONSTANT, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +503,7 @@ def run_treewidth(g: Graph, chordal_completion: Graph, k: int) -> WitnessPair:
         elif not _unwind_shared(app, d, p):
             raise EngineError(f"unknown rule {app.rule_id}")
         _check_budget(d, p, k, 0, trace, "treewidth")
-    inst = XYInstance(g)
-    _validate_witness(inst, d, p, "treewidth", trace)
-    return WitnessPair(
-        frozenset(d), frozenset(p), "treewidth", Fraction(k), tuple(trace), _ratio(d, p)
-    )
+    return certify(g, d, p, "treewidth", k, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +585,4 @@ def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
         elif not _unwind_shared(app, d, p):
             raise EngineError(f"unknown rule {app.rule_id}")
         _check_budget(d, p, DH_CONSTANT, 0, trace, "distance-hereditary")
-    inst = XYInstance(g, y_set=y0, mode=Mode.TOTAL)
-    _validate_witness(inst, d, p, "distance-hereditary", trace)
-    return WitnessPair(
-        frozenset(d), frozenset(p), "distance-hereditary", Fraction(DH_CONSTANT),
-        tuple(trace), _ratio(d, p),
-    )
+    return certify(g, d, p, "distance-hereditary", DH_CONSTANT, trace, y0)

@@ -14,19 +14,16 @@ so merges whose endpoints died become aliases instead of contractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .engine import (
     EngineError,
     RuleApplication,
     SequenceInvalid,
     WitnessPair,
     _check_budget,
-    _ratio,
     _State,
-    _validate_witness,
+    certify,
 )
-from .graph import Graph, Mode, XYInstance
+from .graph import Graph
 
 
 def _black_neighbors(st: _State, v: int) -> set[int]:
@@ -175,9 +172,4 @@ def run_twinwidth(g: Graph, seq, k: int, y=()) -> WitnessPair:
 
     if not (d | p) <= set(g.vertices()):
         raise EngineError("merged vertex leaked into the witness")
-    inst = XYInstance(g, y_set=y0, mode=Mode.BLACK)
-    _validate_witness(inst, d, p, "twin-width", trace)
-    return WitnessPair(
-        frozenset(d), frozenset(p), "twin-width", Fraction(constant),
-        tuple(trace), _ratio(d, p),
-    )
+    return certify(g, d, p, "twin-width", constant, trace, y0)

@@ -28,8 +28,6 @@ of that step's parent instance.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .engine import (
     EngineError,
     GuaranteeViolated,
@@ -37,12 +35,11 @@ from .engine import (
     Stalled,
     WitnessPair,
     _first_edge_within,
-    _ratio,
     _State,
-    _validate_witness,
+    certify,
     rule_isolated,
 )
-from .graph import Graph, XYInstance, degeneracy_ordering
+from .graph import Graph, degeneracy_ordering
 
 TWODEG_CONSTANT = 7
 
@@ -332,9 +329,4 @@ def run_twodeg(g: Graph) -> WitnessPair:
     gadget_ids = {v for app in trace for v in app.added_vertices}
     if (d | p) & gadget_ids:
         raise GuaranteeViolated("gadget vertex leaked into the witness", trace)
-    inst = XYInstance(g)
-    _validate_witness(inst, d, p, "2-degenerate", trace)
-    return WitnessPair(
-        frozenset(d), frozenset(p), "2-degenerate", Fraction(TWODEG_CONSTANT),
-        tuple(trace), _ratio(d, p),
-    )
+    return certify(g, d, p, "2-degenerate", TWODEG_CONSTANT, trace)

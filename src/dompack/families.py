@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .constructions import ConvexEncoding, DiskConfiguration
-from .graph import Graph, GraphError, components, degeneracy_ordering
+from .graph import Graph, GraphError, components
 
 
 class OversizeFamilyError(ValueError):
@@ -65,7 +66,7 @@ class RotationSystem:
         try:
             doc = json.loads(s)
             return RotationSystem({int(v): tuple(r) for v, r in doc["rotations"].items()})
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad rotation-system JSON: {exc}") from exc
 
 
@@ -390,14 +391,6 @@ def chordal_width(g: Graph) -> int | None:
         omega = max(omega, 1 + len(g.adj[v] - seen))
         seen.add(v)
     return omega - 1
-
-
-def degeneracy(g: Graph) -> int:
-    return degeneracy_ordering(g)[1]
-
-
-def max_degree(g: Graph) -> int:
-    return g.max_degree()
 
 
 def is_convex_order(g: Graph, enc: ConvexEncoding) -> bool:
@@ -807,48 +800,49 @@ def enumerate_connected_bounded_degree(n_max: int, max_deg: int):
 
 
 # ---------------------------------------------------------------------------
-# Family metadata for the CLI
+# The family table behind `generate` and `list-families`
 # ---------------------------------------------------------------------------
 
 
-def family_metadata() -> list[dict]:
-    return [
-        {
-            "name": "chained-blocks",
-            "parameters": {"i": "number of blocks, >= 1"},
-            "guarantees": "max degree 3, connected; gamma = 2i+1, rho = i",
-        },
-        {
-            "name": "split",
-            "parameters": {"k": "1..5"},
-            "guarantees": "split graph; gamma = k, rho = 1",
-        },
-        {
-            "name": "threedeg",
-            "parameters": {"k": "1..4"},
-            "guarantees": "3-degenerate; rho <= 2, gamma >= k",
-        },
-        {
-            "name": "rook",
-            "parameters": {"n": ">= 1"},
-            "guarantees": "product of two n-cliques; gamma = n, rho = 1",
-        },
-        {"name": "cycle", "parameters": {"n": ">= 3"}, "guarantees": "gamma <= rho + 1"},
-        {"name": "path", "parameters": {"n": ">= 1"}, "guarantees": "tree: gamma = rho"},
-        {"name": "petersen", "parameters": {}, "guarantees": "gamma = 3 = 2*rho + 1"},
-        {
-            "name": "random-tree",
-            "parameters": {"n": ">= 1", "seed": "int"},
-            "guarantees": "uniform labeled tree; gamma = rho",
-        },
-        {
-            "name": "random-unitdisk",
-            "parameters": {"n": ">= 0", "box": "side length", "seed": "int"},
-            "guarantees": "unit-disk configuration (CSV output)",
-        },
-        {
-            "name": "random-convex",
-            "parameters": {"nx": ">= 1", "ny": ">= 0", "seed": "int"},
-            "guarantees": "convex bipartite encoding (JSON output)",
-        },
-    ]
+@dataclass(frozen=True)
+class Family:
+    """A named generator.  ``parameters`` maps each argument of ``generate``,
+    in order, to its description and default; a default of None makes the
+    parameter required.  Values are read as floats where the default is a
+    float and as integers otherwise."""
+
+    generate: Callable
+    parameters: dict[str, tuple[str, object]]
+    guarantees: str
+
+
+FAMILIES = {
+    "chained-blocks": Family(
+        gen_chained_blocks,
+        {"i": ("number of blocks, >= 1", None)},
+        "max degree 3, connected; gamma = 2i+1, rho = i",
+    ),
+    "split": Family(gen_split, {"k": ("1..5", None)}, "split graph; gamma = k, rho = 1"),
+    "threedeg": Family(gen_threedeg, {"k": ("1..4", None)}, "3-degenerate; rho <= 2, gamma >= k"),
+    "rook": Family(
+        gen_rook, {"n": (">= 1", None)}, "product of two n-cliques; gamma = n, rho = 1"
+    ),
+    "cycle": Family(gen_cycle, {"n": (">= 3", None)}, "gamma <= rho + 1"),
+    "path": Family(gen_path, {"n": (">= 1", None)}, "tree: gamma = rho"),
+    "petersen": Family(gen_petersen, {}, "gamma = 3 = 2*rho + 1"),
+    "random-tree": Family(
+        gen_random_tree,
+        {"n": (">= 1", None), "seed": ("int", 0)},
+        "uniform labeled tree; gamma = rho",
+    ),
+    "random-unitdisk": Family(
+        gen_random_unitdisk,
+        {"n": (">= 0", None), "box": ("side length", 10.0), "seed": ("int", 0)},
+        "unit-disk configuration (CSV output)",
+    ),
+    "random-convex": Family(
+        gen_random_convex,
+        {"nx": (">= 1", None), "ny": (">= 0", None), "seed": ("int", 0)},
+        "convex bipartite encoding (JSON output)",
+    ),
+}

@@ -39,10 +39,9 @@ class Graph:
     n: int
     adj: tuple[frozenset[int], ...]
     red: frozenset[Edge] = frozenset()
-    labels: tuple[str, ...] | None = None
 
     @staticmethod
-    def from_edges(n, edges=(), red_edges=(), labels=None) -> "Graph":
+    def from_edges(n, edges=(), red_edges=()) -> "Graph":
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -61,14 +60,7 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
             red.add(e)
-        if labels is not None and len(labels) != n:
-            raise GraphError("labels length must equal vertex count")
-        return Graph(
-            n,
-            tuple(frozenset(s) for s in nbrs),
-            frozenset(red),
-            tuple(labels) if labels is not None else None,
-        )
+        return Graph(n, tuple(frozenset(s) for s in nbrs), frozenset(red))
 
     @staticmethod
     def from_masks(masks) -> "Graph":
@@ -86,10 +78,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check(v)
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         self._check(v)
@@ -178,15 +166,6 @@ def closed_neighborhood(g: Graph, s) -> frozenset[int]:
     """N[s]: the members of s together with all their neighbors."""
     s = g.check_vertex_set(s)
     out = set(s)
-    for v in s:
-        out |= g.adj[v]
-    return frozenset(out)
-
-
-def open_neighborhood(g: Graph, s) -> frozenset[int]:
-    """N(s): all neighbors of members of s (members excluded unless adjacent)."""
-    s = g.check_vertex_set(s)
-    out = set()
     for v in s:
         out |= g.adj[v]
     return frozenset(out)
@@ -323,8 +302,7 @@ def induced(g: Graph, s) -> Graph:
         for v in g.adj[u]:
             if u < v and v in index:
                 (red if g.is_red(u, v) else edges).append((index[u], index[v]))
-    labels = tuple(g.labels[v] for v in keep) if g.labels is not None else None
-    return Graph.from_edges(len(keep), edges, red, labels)
+    return Graph.from_edges(len(keep), edges, red)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -338,17 +316,13 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     e = _norm(u, v)
     edges = [f for f in g.edges() if f != e]
     red = [f for f in g.red if f != e]
-    return Graph.from_edges(g.n, [f for f in edges if f not in g.red], red, g.labels)
+    return Graph.from_edges(g.n, [f for f in edges if f not in g.red], red)
 
 
-def add_vertex(g: Graph, label: str | None = None) -> tuple[Graph, int]:
+def add_vertex(g: Graph) -> tuple[Graph, int]:
     """Append a fresh isolated vertex; returns the new graph and its id."""
-    labels = None
-    if g.labels is not None or label is not None:
-        old = g.labels if g.labels is not None else ("",) * g.n
-        labels = old + (label if label is not None else "",)
     black = [e for e in g.edges() if e not in g.red]
-    return Graph.from_edges(g.n + 1, black, g.red, labels), g.n
+    return Graph.from_edges(g.n + 1, black, g.red), g.n
 
 
 def add_edge(g: Graph, u: int, v: int, color: str = "black") -> Graph:
@@ -366,7 +340,7 @@ def add_edge(g: Graph, u: int, v: int, color: str = "black") -> Graph:
         black.append(_norm(u, v))
     else:
         raise GraphError(f"unknown edge color {color!r}")
-    return Graph.from_edges(g.n, black, red, g.labels)
+    return Graph.from_edges(g.n, black, red)
 
 
 # ---------------------------------------------------------------------------
@@ -475,5 +449,5 @@ def from_edge_json(s: str) -> Graph:
     try:
         doc = json.loads(s)
         return Graph.from_edges(doc["n"], doc["edges"], doc.get("red_edges", ()))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"bad edge-list JSON: {exc}") from exc

@@ -250,11 +250,3 @@ def exact_result_json(variant: str, inst: XYInstance, res: ExactResult) -> str:
         "y": sorted(inst.y_set),
     }
     return json.dumps(doc, separators=(",", ":"))
-
-
-def exact_result_from_json(s: str) -> dict:
-    doc = json.loads(s)
-    for key in ("variant", "value", "witness", "mode", "x", "y"):
-        if key not in doc:
-            raise ValueError(f"witness JSON missing key {key!r}")
-    return doc

@@ -3,6 +3,7 @@ import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +247,28 @@ class TestGenerateValidate:
         names = [json.loads(line)["name"] for line in out.splitlines()]
         assert "chained-blocks" in names and "petersen" in names
 
+    @pytest.mark.parametrize(
+        "graph, witness, code",
+        [
+            # Plain- but not total-dominating: the class is checked in total mode.
+            ('{"n":2,"edges":[[0,1]]}',
+             {"class": "distance-hereditary", "constant": "2/1", "D": [0], "P": [0]}, 5),
+            # Vertex 2 sees D only over a red edge: the class is checked in black mode.
+            ('{"n":3,"edges":[[0,1]],"red_edges":[[1,2]]}',
+             {"class": "twin-width", "constant": "16/1", "D": [1], "P": [1]}, 5),
+            # The AT-free budget is 3|P| + 2.
+            ('{"n":6,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5]]}',
+             {"class": "at-free", "constant": "3/1", "D": [0, 1, 2, 3, 4], "P": [0]}, 0),
+            ('{"n":6,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5]]}',
+             {"class": "at-free", "constant": "3/1", "D": [0, 1, 2, 3, 4, 5], "P": [0]}, 5),
+        ],
+        ids=["dh-total", "twinwidth-black", "atfree-slack", "atfree-over-slack"],
+    )
+    def test_validate_class_rules(self, graph, witness, code, tmp_path, capsys):
+        gf = write(tmp_path, "g.json", graph)
+        wf = write(tmp_path, "w.json", json.dumps(witness))
+        assert run_cli(["validate", "--what", "witness", wf, gf], capsys)[0] == code
+
     def test_validate_witness_roundtrip(self, tmp_path, capsys):
         gf = write(tmp_path, "c6.g6", to_graph6(families.gen_cycle(6)) + "\n")
         code, out, _ = run_cli(["solve", "--variant", "gamma", gf], capsys)
@@ -454,6 +477,30 @@ class TestMalformedInputs:
         code, _, err = run_cli(["scan", "--enumerate-n", "8", "--jobs", "2"], capsys)
         assert code == 3 and "capped" in err
 
+    def test_generate_infinite_box(self, capsys):
+        argv = ["generate", "--family", "random-unitdisk", "--params", "n=3,box=inf"]
+        self.assert_parse_error(run_cli(argv, capsys))
+
+    @pytest.mark.parametrize(
+        "cls, graph, certificate",
+        [
+            ("generic", '{"n":3,"edges":[[0,1,2]]}', None),
+            ("generic", '{"n":3,"edges":[[0,1]],"red_edges":[[0]]}', None),
+            ("planar", '{"n":2,"edges":[[0,1]]}', '{"rotations":[1]}'),
+            ("convex", '{"n":2,"edges":[[0,1]]}', '{"x_order":[[0]],"y_neighbors":{}}'),
+            ("convex", '{"n":2,"edges":[[0,1]]}', '{"x_order":'),
+            ("unitdisk", "0,0\n1e400,0\n", None),
+            ("unitdisk", "0,0\n1e300,0\n", None),
+        ],
+        ids=["edge-triple", "red-edge-single", "rotations-list", "convex-list-id",
+             "convex-truncated", "disk-float-overflow", "disk-square-overflow"],
+    )
+    def test_construct_inputs(self, cls, graph, certificate, tmp_path, capsys):
+        argv = ["construct", "--class", cls, write(tmp_path, "in.txt", graph)]
+        if certificate is not None:
+            argv += ["--certificate", write(tmp_path, "cert.json", certificate)]
+        self.assert_parse_error(run_cli(argv, capsys))
+
 
 def test_cli_error_pickles():
     # Pool workers send exceptions back pickled.
@@ -510,12 +557,23 @@ class TestRoundTrips:
         cf = write(tmp_path, "conv.json", to_edge_json(enc.to_graph()))
         ef = write(tmp_path, "enc.json", enc.to_json())
         specs.append((["construct", "--class", "convex", "--certificate", ef, cf], cf))
+        cfg = families.gen_random_unitdisk(12, 5.0, 3)
+        df = write(tmp_path, "disks.csv", cfg.to_csv())
+        uf = write(tmp_path, "disks.json", to_edge_json(cfg.intersection_graph()))
+        specs.append((["construct", "--class", "unitdisk", df], uf))
         for args, gf in specs:
             code, out, _ = run_cli(args, capsys)
             assert code == 0, args
             wf = write(tmp_path, "w.json", out)
             code, _, err = run_cli(["validate", "--what", "witness", wf, gf], capsys)
             assert code == 0, (args, err)
+
+
+def test_readme_lists_the_construct_classes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(ln for ln in readme.splitlines() if ln.startswith("dompack construct "))
+    listed = line.split("--class ", 1)[1].split()[0].split("|")
+    assert listed == list(cli.CONSTRUCT_CLASSES)
 
 
 class TestDeterminism:

@@ -100,7 +100,7 @@ class TestThreedeg:
         assert gamma >= k
 
     def test_degeneracy(self):
-        assert families.degeneracy(gen_threedeg(2)) == 3
+        assert degeneracy_ordering(gen_threedeg(2))[1] == 3
 
     def test_guardrail(self):
         with pytest.raises(OversizeFamilyError):

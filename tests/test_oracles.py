@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import random
 import shutil
@@ -488,10 +489,6 @@ class TestWitnessJson:
     def test_roundtrip(self):
         inst = plain(named("c4"))
         res = oracles.exact_domination(inst)
-        doc = oracles.exact_result_from_json(oracles.exact_result_json("gamma", inst, res))
+        doc = json.loads(oracles.exact_result_json("gamma", inst, res))
         assert doc["value"] == 2 and doc["variant"] == "gamma"
         assert doc["mode"] == "plain"
-
-    def test_missing_key(self):
-        with pytest.raises(ValueError):
-            oracles.exact_result_from_json("{}")
