@@ -2,61 +2,58 @@
 
 Both kernels are deterministic: fixed preprocessing order, fixed branch
 order, and incumbents replaced only on strict improvement.  The compiled
-kernel in _bbkernel.c implements the same algorithms step for step; the
-two must return identical witnesses.
+kernel in _bbkernel.c implements the same algorithms and the two must
+return identical (size, mask, nodes) triples.
+
+The hitting-set search differs in representation only.  The C kernel
+copies the unsatisfied requirement rows into a fresh array at every
+level; here the prepared rows are fixed, the search state is one int with
+a bit per unsatisfied row, and ``cols[v]`` (the rows that contain vertex
+v, as a row mask) turns each step into a mask operation: picking v leaves
+``unsat & ~cols[v]``, and v hits ``(cols[v] & unsat).bit_count()`` rows.
+Rows keep their prepared order, so both kernels make identical decisions.
 """
 
 from __future__ import annotations
 
 
 def _prepare(reqs: list[int], owners: list[int]) -> tuple[list[int], list[int]]:
-    # Sort by (popcount, owner) and drop requirements that are supersets of
-    # another: hitting the subset hits them for free.
-    order = sorted(range(len(reqs)), key=lambda i: (reqs[i].bit_count(), owners[i]))
-    kept_r: list[int] = []
-    kept_o: list[int] = []
-    for i in order:
-        r = reqs[i]
-        if not any((s & r) == s for s in kept_r):
-            kept_r.append(r)
-            kept_o.append(owners[i])
-    return kept_r, kept_o
+    """The search rows and their column masks.
+
+    Rows are the requirements sorted by (popcount, owner, input index), the
+    order of req_cmp in _bbkernel.c, without those that are supersets of
+    another: hitting the subset hits them for free.  cols[v] is the set of
+    rows that contain vertex v, as a mask over row indices.
+    """
+    keyed = sorted(zip(map(int.bit_count, reqs), owners, range(len(reqs)), reqs))
+    rows: list[int] = []
+    cols = [0] * max(reqs).bit_length()
+    for _, _, _, r in keyed:
+        for s in rows:
+            if s & r == s:
+                break
+        else:
+            bit = 1 << len(rows)
+            rows.append(r)
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= bit
+                r ^= low
+    return rows, cols
 
 
-def _greedy_hitting(reqs: list[int]) -> tuple[int, int]:
-    unsat = list(reqs)
+def _greedy_hitting(cols: list[int], unsat: int) -> tuple[int, int]:
+    # Repeatedly take the vertex hitting most unsatisfied rows, ties by
+    # lowest id.
     chosen = 0
     size = 0
     while unsat:
-        universe = 0
-        for r in unsat:
-            universe |= r
-        best_v = -1
-        best_c = -1
-        v = 0
-        u = universe
-        while u:
-            if u & 1:
-                c = sum(1 for r in unsat if (r >> v) & 1)
-                if c > best_c:
-                    best_c = c
-                    best_v = v
-            u >>= 1
-            v += 1
-        chosen |= 1 << best_v
+        counts = [(c & unsat).bit_count() for c in cols]
+        v = counts.index(max(counts))
+        chosen |= 1 << v
         size += 1
-        unsat = [r for r in unsat if not (r >> best_v) & 1]
+        unsat &= ~cols[v]
     return size, chosen
-
-
-def _disjoint_lb(unsat: list[int]) -> int:
-    used = 0
-    count = 0
-    for r in unsat:
-        if not (r & used):
-            count += 1
-            used |= r
-    return count
 
 
 def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
@@ -65,43 +62,45 @@ def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
     Returns (size, chosen_mask, nodes_explored); size -1 if some requirement
     is empty (unsatisfiable).
     """
-    if any(r == 0 for r in reqs):
+    if 0 in reqs:
         return -1, 0, 0
     if not reqs:
         return 0, 0, 1
-    core, core_owners = _prepare(reqs, owners)
-    best_size, best_mask = _greedy_hitting(core)
+    rows, cols = _prepare(reqs, owners)
+    everything = (1 << len(rows)) - 1
+    best_size, best_mask = _greedy_hitting(cols, everything)
     nodes = 0
 
-    def dfs(chosen: int, count: int, unsat: list[int], unsat_owners: list[int]):
+    def dfs(chosen: int, count: int, unsat: int):
         nonlocal nodes, best_size, best_mask
         nodes += 1
         if not unsat:
             if count < best_size:
                 best_size, best_mask = count, chosen
             return
-        if count + _disjoint_lb(unsat) >= best_size:
+        # Disjoint lower bound: pairwise disjoint unsatisfied rows, taken
+        # greedily in row order, each need their own vertex.
+        bound = count
+        used = 0
+        u = unsat
+        while u:
+            low = u & -u
+            r = rows[low.bit_length() - 1]
+            if not r & used:
+                bound += 1
+                used |= r
+            u ^= low
+        if bound >= best_size:
             return
-        # Branch on the requirement with fewest candidates, ties by owner id.
-        bi = 0
-        bkey = (unsat[0].bit_count(), unsat_owners[0])
-        for i in range(1, len(unsat)):
-            key = (unsat[i].bit_count(), unsat_owners[i])
-            if key < bkey:
-                bkey = key
-                bi = i
-        r = unsat[bi]
-        v = 0
+        # Branch on the first unsatisfied row: rows are sorted by
+        # (popcount, owner), so it has fewest candidates, ties by owner id.
+        r = rows[(unsat & -unsat).bit_length() - 1]
         while r:
-            if r & 1:
-                bit = 1 << v
-                nxt = [x for x in unsat if not (x & bit)]
-                nxt_o = [unsat_owners[i] for i, x in enumerate(unsat) if not (x & bit)]
-                dfs(chosen | bit, count + 1, nxt, nxt_o)
-            r >>= 1
-            v += 1
+            low = r & -r
+            dfs(chosen | low, count + 1, unsat & ~cols[low.bit_length() - 1])
+            r ^= low
 
-    dfs(0, 0, core, core_owners)
+    dfs(0, 0, everything)
     return best_size, best_mask, nodes
 
 
@@ -125,18 +124,18 @@ def _clique_cover_bound(cand: int, adj: list[int]) -> int:
 
 
 def _greedy_independent(cand: int, adj: list[int]) -> tuple[int, int]:
-    verts = []
+    # Lowest degree within cand first, ties by id.
+    keyed = []
     u = cand
-    v = 0
     while u:
-        if u & 1:
-            verts.append(v)
-        u >>= 1
-        v += 1
-    verts.sort(key=lambda x: ((adj[x] & cand).bit_count(), x))
+        low = u & -u
+        v = low.bit_length() - 1
+        keyed.append(((adj[v] & cand).bit_count(), v))
+        u ^= low
+    keyed.sort()
     chosen = 0
     size = 0
-    for v in verts:
+    for _, v in keyed:
         if not (adj[v] & chosen):
             chosen |= 1 << v
             size += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -108,10 +109,6 @@ def _parse_ids(arg: str | None, g: Graph) -> frozenset[int]:
         if not (0 <= v < g.n):
             raise CliError(f"vertex {v} out of range", EXIT_PARSE)
     return ids
-
-
-def _frac_str(f: Fraction | None):
-    return None if f is None else f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +397,9 @@ def _is_tree(masks) -> bool:
     return _edge_count(masks) == len(masks) - 1 and masks_connected(masks)
 
 
-def _class_flags(masks, m: int) -> int:
+def _class_flags(masks, m: int, subcubic: bool) -> int:
     flags = 0
-    if _subcubic(masks):
+    if subcubic:
         flags |= FLAG_SUBCUBIC
     if masks_connected(masks):
         flags |= FLAG_CONNECTED
@@ -418,8 +415,9 @@ def _scan_one(task):
     oracles.check_size(len(masks), max_n)
     gamma = oracles.domination_kernel(masks)[0]
     rho = oracles.packing_kernel(masks)[0]
-    m = _edge_count(masks)
-    flags = _class_flags(masks, m)
+    degs = [mask.bit_count() for mask in masks]
+    m = sum(degs) // 2
+    flags = _class_flags(masks, m, max(degs, default=0) <= 3)
     violation = False
     equality = False
     applicable = True
@@ -436,13 +434,18 @@ def _scan_one(task):
         if applicable:
             violation = gamma != rho
             equality = gamma == rho
+    if rho:
+        k = math.gcd(gamma, rho)
+        ratio = f"{gamma // k}/{rho // k}"
+    else:
+        ratio = None
     record = {
         "graph6": g6,
         "n": len(masks),
         "m": m,
         "gamma": gamma,
         "rho": rho,
-        "ratio": _frac_str(Fraction(gamma, rho)) if rho else None,
+        "ratio": ratio,
         "class_flags": flags,
         "check": check,
         "applicable": applicable,
@@ -471,6 +474,9 @@ def _scan_sources(enumerate_n, text, counters):
             continue
         yield line, masks
 
+
+# One encoder for every scan line: json.dumps would build one per record.
+_SCAN_JSON = json.JSONEncoder(separators=(",", ":"))
 
 _SCAN_FILTERS = {"all": lambda masks: True, "subcubic": _subcubic, "tree": _is_tree}
 
@@ -511,13 +517,10 @@ def cmd_scan(args) -> int:
         for task in tasks:
             _emit_scan_record(_scan_one(task), summary, violations)
     summary["malformed"] = counters["malformed"]
-    print(json.dumps({"summary": summary}, separators=(",", ":")))
+    print(_SCAN_JSON.encode({"summary": summary}))
     if violations:
         for record in violations[:10]:
-            print(
-                "counterexample: " + json.dumps(record, separators=(",", ":")),
-                file=sys.stderr,
-            )
+            print("counterexample: " + _SCAN_JSON.encode(record), file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -530,7 +533,7 @@ def _emit_scan_record(record, summary, violations):
         summary["equalities"] += bool(record["equality"])
     if record["violation"]:
         violations.append(record)
-    print(json.dumps(record, separators=(",", ":")))
+    print(_SCAN_JSON.encode(record))
 
 
 # ---------------------------------------------------------------------------

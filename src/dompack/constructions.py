@@ -113,6 +113,14 @@ def construct_atfree(g: Graph) -> WitnessPair:
     return certify(g, d, p, "at-free", 3)
 
 
+def _int_ids(xs) -> tuple[int, ...]:
+    """A JSON list of vertex ids as a tuple; TypeError unless all are ints."""
+    xs = tuple(xs)
+    if not all(isinstance(x, int) for x in xs):
+        raise TypeError("vertex ids must be integers")
+    return xs
+
+
 # ---------------------------------------------------------------------------
 # Convex bipartite graphs
 # ---------------------------------------------------------------------------
@@ -140,17 +148,11 @@ class ConvexEncoding:
 
     @staticmethod
     def from_json(s: str) -> "ConvexEncoding":
-        def ids(xs) -> tuple[int, ...]:
-            xs = tuple(xs)
-            if not all(isinstance(x, int) for x in xs):
-                raise TypeError("vertex ids must be integers")
-            return xs
-
         try:
             doc = json.loads(s)
             return ConvexEncoding(
-                ids(doc["x_order"]),
-                {int(y): ids(ns) for y, ns in doc["y_neighbors"].items()},
+                _int_ids(doc["x_order"]),
+                {int(y): _int_ids(ns) for y, ns in doc["y_neighbors"].items()},
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad convex encoding JSON: {exc}") from exc

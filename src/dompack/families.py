@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .constructions import ConvexEncoding, DiskConfiguration
+from .constructions import ConvexEncoding, DiskConfiguration, _int_ids
 from .graph import Graph, GraphError, components
 
 
@@ -65,7 +65,7 @@ class RotationSystem:
     def from_json(s: str) -> "RotationSystem":
         try:
             doc = json.loads(s)
-            return RotationSystem({int(v): tuple(r) for v, r in doc["rotations"].items()})
+            return RotationSystem({int(v): _int_ids(r) for v, r in doc["rotations"].items()})
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad rotation-system JSON: {exc}") from exc
 

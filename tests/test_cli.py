@@ -411,6 +411,14 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_golden_stdout_n6(self, capsys):
+        # The benchmarked sweep: all 32,768 labelled graphs on six vertices.
+        code, out, _ = run_cli(["scan", "--enumerate-n", "6", "--check", "duality"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0282d1be41039aa0b1a1c26e38dcf8bef730a884f6452890aaa368373af2f997"
+        )
+
     def test_parallel_enumeration_matches_serial(self, capsys):
         code1, out1, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "1"], capsys)
         code2, out2, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "2"], capsys)
@@ -438,6 +446,12 @@ class TestScan:
         code, out, _ = run_cli(["scan", "--enumerate-n", "3", "--jobs", "1000"], capsys)
         assert code == 0 and started == [3]
         assert json.loads(out.splitlines()[-1])["summary"]["graphs"] == 8
+
+
+# The path 0-1-2-3 and a rotation system whose entry for vertex 0 is the list
+# [1], not the id 1.
+P4_JSON = '{"n":4,"edges":[[0,1],[1,2],[2,3]]}'
+NESTED_ROTATION = '{"rotations":{"0":[[1]],"1":[0,2],"2":[1,3],"3":[2]}}'
 
 
 class TestMalformedInputs:
@@ -487,19 +501,26 @@ class TestMalformedInputs:
             ("generic", '{"n":3,"edges":[[0,1,2]]}', None),
             ("generic", '{"n":3,"edges":[[0,1]],"red_edges":[[0]]}', None),
             ("planar", '{"n":2,"edges":[[0,1]]}', '{"rotations":[1]}'),
+            ("planar", P4_JSON, NESTED_ROTATION),
             ("convex", '{"n":2,"edges":[[0,1]]}', '{"x_order":[[0]],"y_neighbors":{}}'),
             ("convex", '{"n":2,"edges":[[0,1]]}', '{"x_order":'),
             ("unitdisk", "0,0\n1e400,0\n", None),
             ("unitdisk", "0,0\n1e300,0\n", None),
         ],
-        ids=["edge-triple", "red-edge-single", "rotations-list", "convex-list-id",
-             "convex-truncated", "disk-float-overflow", "disk-square-overflow"],
+        ids=["edge-triple", "red-edge-single", "rotations-list", "rotations-list-id",
+             "convex-list-id", "convex-truncated", "disk-float-overflow",
+             "disk-square-overflow"],
     )
     def test_construct_inputs(self, cls, graph, certificate, tmp_path, capsys):
         argv = ["construct", "--class", cls, write(tmp_path, "in.txt", graph)]
         if certificate is not None:
             argv += ["--certificate", write(tmp_path, "cert.json", certificate)]
         self.assert_parse_error(run_cli(argv, capsys))
+
+    def test_validate_rotation_list_id(self, tmp_path, capsys):
+        rf = write(tmp_path, "rot.json", NESTED_ROTATION)
+        gf = write(tmp_path, "p4.json", P4_JSON)
+        self.assert_parse_error(run_cli(["validate", "--what", "rotation", rf, gf], capsys))
 
 
 def test_cli_error_pickles():

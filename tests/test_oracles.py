@@ -20,6 +20,7 @@ from dompack.graph import (
     power2_conflict_graph,
 )
 from dompack import _bb_py
+from _kernel_reference import min_hitting_set as reference_min_hitting_set
 from conftest import complete, named, random_graph, random_xy
 
 
@@ -424,6 +425,43 @@ class TestBackendParity:
             solvers.min_hitting_set(reqs, owners, 64),
             solvers.max_independent_set(path(64), full, 64),
         ) == expected
+
+
+class TestWideHittingSet:
+    """The row-mask pure kernel against a list-based reference past 64 bits.
+
+    The compiled kernel stops at 64-bit masks, so at these widths and row
+    counts the only check is the list-based search in _kernel_reference.
+    """
+
+    def test_random_rows(self):
+        rng = random.Random(2024)
+        searched = 0
+        for _ in range(16):
+            n = rng.randint(65, 128)
+            reqs = []
+            for _ in range(rng.randint(65, 130)):
+                size = rng.randint(1, rng.choice((2, 3, 4, 6)))
+                reqs.append(sum(1 << v for v in rng.sample(range(n), size)))
+            reqs[0] |= 1 << (n - 1)
+            # Few owners, so equal (popcount, owner) keys are common.
+            owners = [rng.randrange(len(reqs) // 3 + 1) for _ in reqs]
+            got = _bb_py.min_hitting_set(reqs, owners)
+            assert got == reference_min_hitting_set(reqs, owners)
+            searched += got[2] > 1
+        assert searched >= 3
+
+    def test_total_mode_repeated_owners(self):
+        for seed in range(6):
+            n = 65 + 12 * seed
+            g = random_graph(n, 3.0 / n, seed)
+            _, y = random_xy(g, seed + 100)
+            y_mask = sum(1 << v for v in y)
+            reqs, owners = oracles._domination_requirements(g.masks, 0, y_mask, Mode.TOTAL, None)
+            assert len(reqs) > 64 and len(set(owners)) < len(owners)
+            assert _bb_py.min_hitting_set(reqs, owners) == (
+                reference_min_hitting_set(reqs, owners)
+            )
 
 
 class TestInvariants:
