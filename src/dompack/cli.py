@@ -215,7 +215,7 @@ def cmd_construct(args) -> int:
     except engine.EngineError as exc:
         trace = getattr(exc, "trace", ())
         for app in trace:
-            print(json.dumps(app.to_json_obj(), separators=(",", ":")), file=sys.stderr)
+            print(app.to_json(), file=sys.stderr)
         raise CliError(f"construction failed: {exc}", EXIT_CONSTRUCTION) from exc
     print(witness.to_json())
     return EXIT_OK

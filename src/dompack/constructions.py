@@ -7,16 +7,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import floor, lcm
 
 from .engine import EngineError, WitnessPair, certify
 from .graph import (
     Graph,
     GraphError,
     ball2,
+    bits,
     closed_neighborhood,
     distances_from,
     is_connected,
+    reach_mask,
 )
 
 
@@ -52,39 +54,33 @@ def _extend_packing(g: Graph, order, p: set[int]) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def is_dominating_pair(g: Graph, u: int, v: int) -> bool:
-    """True iff every u-v path is a dominating set: whenever u and v both
-    avoid N[z], removing N[z] must disconnect them."""
-    for z in g.vertices():
-        ball = g.adj[z] | {z}
-        if u in ball or v in ball:
-            continue
-        reach = {u}
-        stack = [u]
-        while stack:
-            a = stack.pop()
-            for b in g.adj[a]:
-                if b not in ball and b not in reach:
-                    reach.add(b)
-                    stack.append(b)
-        if v in reach:
-            return False
-    return True
-
-
 def find_dominating_pair(g: Graph):
     """First pair (by id order) whose every connecting path dominates.
 
-    Exhaustive over pairs; any valid pair serves the construction.
+    (u, v) is such a pair iff no z has u and v both outside N[z] and in one
+    component of G - N[z].  The components of each G - N[z] are found once,
+    as vertex masks; ``together[u]`` collects every component u lies in, so
+    (u, v) is a dominating pair iff v is not in it.  Any valid pair serves
+    the construction.
     """
     if not is_connected(g) or g.n == 0:
         raise NotFoundError("dominating pair requires a connected nonempty graph")
     if g.n == 1:
         return (0, 0)
+    masks = g.masks
+    full = (1 << g.n) - 1
+    together = [0] * g.n
+    for z in g.vertices():
+        rest = full & ~(masks[z] | 1 << z)
+        while rest:
+            comp = reach_mask(masks, rest & -rest, rest)
+            rest &= ~comp
+            for u in bits(comp):
+                together[u] |= comp
     for u in g.vertices():
-        for v in range(u + 1, g.n):
-            if is_dominating_pair(g, u, v):
-                return (u, v)
+        free = full & ~together[u] & ~((2 << u) - 1)
+        if free:
+            return (u, (free & -free).bit_length() - 1)
     raise NotFoundError("no dominating pair (input not AT-free?)")
 
 
@@ -379,6 +375,39 @@ def covering_constant() -> int:
     return len(_covering_for(5.0))
 
 
+class _CentreGrid:
+    """Float disk centres bucketed by square cells of side 2.
+
+    ``first_within`` answers the cover lookup: the smallest index whose
+    centre lies within 1 (squared, with 1e-12 slack) of a target.  Such a
+    centre is within about 1 of the target, and halving and floor are exact
+    in floats, so its cell (floor(x/2), floor(y/2)) is the target's cell or
+    one of the eight around it.  Cells list their indices in increasing
+    order.
+    """
+
+    def __init__(self, centers):
+        self.centers = centers
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        for i, (x, y) in enumerate(centers):
+            self.cells.setdefault((floor(x / 2), floor(y / 2)), []).append(i)
+
+    def first_within(self, tx: float, ty: float) -> int | None:
+        centers, cells = self.centers, self.cells
+        cx, cy = floor(tx / 2), floor(ty / 2)
+        best = None
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for i in cells.get((gx, gy), ()):
+                    if best is not None and i > best:
+                        break
+                    xi, yi = centers[i]
+                    if (xi - tx) ** 2 + (yi - ty) ** 2 <= 1.0 + 1e-12:
+                        best = i
+                        break
+        return best
+
+
 def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
     """Greedy maximal packing; each packed disk's double neighborhood is
     dominated by one input disk per covering point.  |D| <= c_cov * |P|."""
@@ -386,16 +415,12 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
     p = _extend_packing(g, g.vertices(), set())
     cover = _covering_for(5.0)
     centers = [(float(x), float(y)) for x, y in cfg.centers]
+    grid = _CentreGrid(centers)
     d: set[int] = set()
     for v in sorted(p):
         cx, cy = centers[v]
         for px, py in cover:
-            tx, ty = cx + px, cy + py
-            best = None
-            for i, (xi, yi) in enumerate(centers):
-                if (xi - tx) ** 2 + (yi - ty) ** 2 <= 1.0 + 1e-12:
-                    best = i
-                    break
+            best = grid.first_within(cx + px, cy + py)
             if best is not None:
                 d.add(best)
     return certify(g, d, p, "unit-disk", covering_constant())

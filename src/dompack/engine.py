@@ -12,6 +12,7 @@ reindex, so witnesses refer to original ids directly.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,6 +50,17 @@ class SequenceInvalid(CertificateInvalid):
     pass
 
 
+def _sorted_set(v):
+    if isinstance(v, (set, frozenset)):
+        return sorted(v)
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
+
+
+# One encoder for witnesses and trace lines.  It writes what to_json_obj
+# builds: tuples come out as lists, int keys as strings, sets sorted.
+_TRACE_JSON = json.JSONEncoder(separators=(",", ":"), default=_sorted_set)
+
+
 @dataclass(frozen=True)
 class RuleApplication:
     """One rewrite step: deltas that turn the parent instance into the child,
@@ -78,6 +90,10 @@ class RuleApplication:
 
         return {"rule": self.rule_id, "payload": clean(dict(self.payload))}
 
+    def to_json(self) -> str:
+        """The JSON text of ``to_json_obj``, as one trace line."""
+        return _TRACE_JSON.encode({"rule": self.rule_id, "payload": self.payload})
+
 
 @dataclass(frozen=True)
 class WitnessPair:
@@ -99,9 +115,9 @@ class WitnessPair:
             "D": sorted(self.d_set),
             "P": sorted(self.p_set),
             "ratio": f"{r.numerator}/{r.denominator}" if r is not None else None,
-            "trace": [app.to_json_obj() for app in self.trace],
+            "trace": [{"rule": app.rule_id, "payload": app.payload} for app in self.trace],
         }
-        return json.dumps(doc, separators=(",", ":"))
+        return _TRACE_JSON.encode(doc)
 
 
 # The paper's bound per witness class: the domination mode D is checked in
@@ -155,9 +171,16 @@ def certify(g: Graph, d, p, tag: str, constant, trace=(), y=()) -> WitnessPair:
 
 
 class _State:
-    """Mutable sub-instance over original vertex ids (plus gadget ids)."""
+    """Mutable sub-instance over original vertex ids (plus gadget ids).
 
-    __slots__ = ("adj", "x", "y", "red", "red_deg")
+    ``by_deg`` maps each black degree to the live vertices that have it (a
+    vertex's black degree is its degree on plain graphs; a bucket may be
+    empty).  ``apply`` moves each vertex whose black degree a step changes,
+    so the degree-keyed rules read one bucket instead of scanning every
+    vertex.
+    """
+
+    __slots__ = ("adj", "x", "y", "red", "red_deg", "by_deg")
 
     def __init__(self, adj, x, y, red=None):
         self.adj = adj
@@ -171,6 +194,9 @@ class _State:
             for e in red:
                 for v in e:
                     self.red_deg[v] += 1
+        self.by_deg: defaultdict[int, set[int]] = defaultdict(set)
+        for v in adj:
+            self.by_deg[self._black_deg(v)].add(v)
 
     @classmethod
     def from_graph(cls, g: Graph, x=(), y=(), track_red=False):
@@ -184,48 +210,82 @@ class _State:
     def deg(self, v) -> int:
         return len(self.adj[v])
 
+    def _black_deg(self, v) -> int:
+        return len(self.adj[v]) - (self.red_deg[v] if self.red_deg is not None else 0)
+
+    def _shift(self, v, delta: int) -> None:
+        """Move v from the bucket of its black degree to the one ``delta``
+        above it; called just before the change."""
+        d = self._black_deg(v)
+        self.by_deg[d].discard(v)
+        self.by_deg[d + delta].add(v)
+
     def snapshot(self) -> tuple:
         edges = tuple(sorted((u, v) for u in self.adj for v in self.adj[u] if u < v))
         red = tuple(sorted(tuple(sorted(e)) for e in self.red)) if self.red is not None else None
         return (tuple(sorted(self.adj)), edges, tuple(sorted(self.x)), tuple(sorted(self.y)), red)
 
-    def _drop_red(self, u, v) -> None:
-        e = frozenset((u, v))
-        if e in self.red:
-            self.red.remove(e)
-            self.red_deg[u] -= 1
-            self.red_deg[v] -= 1
-
     def apply(self, app: RuleApplication) -> None:
-        tracked = self.red is not None
+        # Each change to a black degree moves the vertex to its new bucket
+        # at once (a red edge coming or going leaves it unchanged).
+        adj, by_deg, red, red_deg = self.adj, self.by_deg, self.red, self.red_deg
         for u, v in app.removed_edges:
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
-            if tracked:
-                self._drop_red(u, v)
+            e = frozenset((u, v))
+            if red is not None and e in red:
+                red.remove(e)
+                red_deg[u] -= 1
+                red_deg[v] -= 1
+            else:
+                self._shift(u, -1)
+                self._shift(v, -1)
+            adj[u].discard(v)
+            adj[v].discard(u)
         for v in app.removed_vertices:
-            for w in self.adj[v]:
-                self.adj[w].discard(v)
-                if tracked and self.red_deg[v]:
-                    self._drop_red(v, w)
-            del self.adj[v]
-            if tracked:
-                del self.red_deg[v]
+            nbrs = adj.pop(v)
+            if red is None:
+                by_deg[len(nbrs)].discard(v)
+                for w in nbrs:
+                    nw = adj[w]
+                    d = len(nw)
+                    by_deg[d].discard(w)
+                    by_deg[d - 1].add(w)
+                    nw.discard(v)
+            else:
+                reds = red_deg.pop(v)
+                by_deg[len(nbrs) - reds].discard(v)
+                for w in nbrs:
+                    if reds and frozenset((v, w)) in red:
+                        red.remove(frozenset((v, w)))
+                        red_deg[w] -= 1
+                        reds -= 1
+                    else:
+                        d = len(adj[w]) - red_deg[w]
+                        by_deg[d].discard(w)
+                        by_deg[d - 1].add(w)
+                    adj[w].discard(v)
             self.x.discard(v)
             self.y.discard(v)
-        for v in app.added_vertices:
-            self.adj[v] = set()
-            if tracked:
-                self.red_deg[v] = 0
+        # Added vertices take their bucket once their edges are in.
+        fresh = app.added_vertices
+        for v in fresh:
+            adj[v] = set()
+            if red is not None:
+                red_deg[v] = 0
         for u, v in app.added_edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+            if u not in fresh:
+                self._shift(u, 1)
+            if v not in fresh:
+                self._shift(v, 1)
+            adj[u].add(v)
+            adj[v].add(u)
         for u, v in app.added_red_edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-            self.red.add(frozenset((u, v)))
-            self.red_deg[u] += 1
-            self.red_deg[v] += 1
+            adj[u].add(v)
+            adj[v].add(u)
+            red.add(frozenset((u, v)))
+            red_deg[u] += 1
+            red_deg[v] += 1
+        for v in fresh:
+            by_deg[self._black_deg(v)].add(v)
         for v in app.x_removed:
             self.x.discard(v)
         self.x.update(app.x_added)
@@ -271,7 +331,8 @@ def _first_edge_within(st: _State, s) -> tuple[int, int] | None:
 
 
 def rule_isolated(st: _State) -> RuleApplication | None:
-    a = min((v for v, nb in st.adj.items() if not nb), default=None)
+    # On plain graphs bucket 0 holds exactly the isolated vertices.
+    a = min(st.by_deg.get(0, ()), default=None)
     if a is None:
         return None
     if a in st.y:
@@ -285,10 +346,25 @@ def rule_isolated(st: _State) -> RuleApplication | None:
     )
 
 
+def _min_in_buckets(st: _State, degrees, skip, within=None) -> int | None:
+    """The smallest vertex outside ``skip`` (and inside ``within``, when
+    given) whose black degree is in ``degrees``, or None."""
+    best = None
+    for d in degrees:
+        bucket = st.by_deg.get(d)
+        if bucket:
+            rest = (bucket if within is None else bucket & within) - skip
+            if rest:
+                a = min(rest)
+                if best is None or a < best:
+                    best = a
+    return best
+
+
 def rule_y_pendant(st: _State) -> RuleApplication | None:
     # Members of X are excluded: deleting one must route through x_elim so
     # its neighborhood is compensated into Y.
-    a = min((a for a in st.y if len(st.adj[a]) <= 1 and a not in st.x), default=None)
+    a = _min_in_buckets(st, (0, 1), st.x, st.y)
     if a is None:
         return None
     return RuleApplication("y_pendant", removed_vertices=(a,), payload={"vertex": a})
@@ -315,16 +391,12 @@ def rule_low_degree(st: _State, c: int) -> RuleApplication | None:
     """Delete a non-Y vertex of degree 1..c; its neighborhood becomes X and is
     paid into D while the vertex itself joins P."""
     assert not st.x, "low-degree rule requires X exhausted first"
-    best = None
-    for a in st.adj:
-        d = st.deg(a)
-        if a not in st.y and 1 <= d <= c:
-            key = (d, a)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    for d in range(1, c + 1):
+        a = _min_in_buckets(st, (d,), st.y)
+        if a is not None:
+            break
+    else:
         return None
-    a = best[1]
     nbrs = tuple(sorted(st.adj[a]))
     return RuleApplication(
         "low_degree",
@@ -523,7 +595,7 @@ def _dh_y_prune(st: _State) -> RuleApplication | None:
 
 
 def _dh_pendant(st: _State) -> RuleApplication | None:
-    u = min((u for u, nb in st.adj.items() if len(nb) == 1 and u not in st.y), default=None)
+    u = _min_in_buckets(st, (1,), st.y)
     if u is None:
         return None
     v = next(iter(st.adj[u]))

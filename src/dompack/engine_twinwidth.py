@@ -20,6 +20,7 @@ from .engine import (
     SequenceInvalid,
     WitnessPair,
     _check_budget,
+    _min_in_buckets,
     _State,
     certify,
 )
@@ -33,11 +34,7 @@ def _black_neighbors(st: _State, v: int) -> set[int]:
 
 
 def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
-    red_deg = st.red_deg
-    u = min(
-        (v for v, nb in st.adj.items() if v not in st.y and len(nb) - red_deg[v] <= k),
-        default=None,
-    )
+    u = _min_in_buckets(st, range(k + 1), st.y)
     if u is None:
         return None
     blacks = tuple(sorted(_black_neighbors(st, u)))

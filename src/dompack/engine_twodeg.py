@@ -75,6 +75,15 @@ def _nx_closed(st: _State) -> set[int]:
     return out
 
 
+def _free_in_bucket(st: _State, d: int) -> int | None:
+    """The smallest vertex of degree d outside N[X], or None."""
+    x, adj = st.x, st.adj
+    bucket = st.by_deg.get(d)
+    if not bucket:
+        return None
+    return min((u for u in bucket - x if x.isdisjoint(adj[u])), default=None)
+
+
 # The anchored-leaf, dominated-fringe and extra-X-edge rules apply only at
 # vertices outside X with a neighbour in X, so they scan just those.
 
@@ -88,11 +97,7 @@ def _rule_anchored_leaf(st: _State) -> RuleApplication | None:
 
 
 def _rule_pendant_support(st: _State) -> RuleApplication | None:
-    x = st.x
-    u = min(
-        (u for u, nb in st.adj.items() if len(nb) == 1 and u not in x and x.isdisjoint(nb)),
-        default=None,
-    )
+    u = _free_in_bucket(st, 1)
     if u is None:
         return None
     v = next(iter(st.adj[u]))
@@ -132,11 +137,7 @@ def _rule_x_x_edge(st: _State) -> RuleApplication | None:
 
 
 def _rule_free_degree2(st: _State) -> RuleApplication | None:
-    x = st.x
-    u = min(
-        (u for u, nb in st.adj.items() if len(nb) == 2 and u not in x and x.isdisjoint(nb)),
-        default=None,
-    )
+    u = _free_in_bucket(st, 2)
     if u is None:
         return None
     nbrs = tuple(sorted(st.adj[u]))

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructions import ConvexEncoding, DiskConfiguration, _int_ids
-from .graph import Graph, GraphError, components
+from .graph import Graph, GraphError, components, reach_mask
 
 
 class OversizeFamilyError(ValueError):
@@ -256,17 +256,7 @@ def at_free_masks(adj) -> bool:
 
     def linked_avoiding(a: int, b: int, z: int) -> bool:
         # a and b lie outside N[z]: the triple is independent.
-        allowed = full & ~(adj[z] | 1 << z)
-        reach = frontier = 1 << a
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = nxt & allowed & ~reach
-            reach |= frontier
-        return bool((reach >> b) & 1)
+        return bool(reach_mask(adj, 1 << a, full & ~(adj[z] | 1 << z)) >> b & 1)
 
     for u, v, w in combinations(range(n), 3):
         if (adj[u] >> v) & 1 or (adj[u] >> w) & 1 or (adj[v] >> w) & 1:

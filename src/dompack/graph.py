@@ -267,24 +267,28 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(distances_from(g, 0)) == g.n
 
 
-def masks_connected(masks) -> bool:
-    """``is_connected`` on the bitmask form, by BFS over whole frontiers.
-
-    For small graphs; ``is_connected`` stays linear in the edges for big ones.
-    """
-    n = len(masks)
-    if n <= 1:
-        return True
-    reach = frontier = 1
+def reach_mask(masks, seed: int, allowed: int) -> int:
+    """The vertices reachable from the vertex mask ``seed`` through
+    ``allowed`` (seed included), by BFS over whole frontiers."""
+    reach = frontier = seed
     while frontier:
         nxt = 0
         while frontier:
             low = frontier & -frontier
             nxt |= masks[low.bit_length() - 1]
             frontier ^= low
-        frontier = nxt & ~reach
+        frontier = nxt & allowed & ~reach
         reach |= frontier
-    return reach == (1 << n) - 1
+    return reach
+
+
+def masks_connected(masks) -> bool:
+    """``is_connected`` on the bitmask form.
+
+    For small graphs; ``is_connected`` stays linear in the edges for big ones.
+    """
+    full = (1 << len(masks)) - 1
+    return len(masks) <= 1 or reach_mask(masks, 1, full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,9 @@ def masks_to_graph6(masks) -> str:
     return head + "".join([_G6_CHARS[col[i : i + 6]] for i in range(0, len(col), 6)])
 
 
-def graph6_to_masks(s: str) -> tuple[int, ...]:
-    """Open-neighbourhood bitmasks of a graph6 string (header optional)."""
+def _g6_columns(s: str) -> tuple[int, str]:
+    """The order of a graph6 string (header optional) and its stream bits,
+    column by column, once the length and every byte are checked."""
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
@@ -409,9 +414,14 @@ def graph6_to_masks(s: str) -> tuple[int, ...]:
     if n < 0:
         raise Graph6Error(f"order byte {s[0]!r} out of graph6 range")
     try:
-        col = "".join([_G6_BITS[c] for c in body])
+        return n, "".join([_G6_BITS[c] for c in body])
     except KeyError as exc:
         raise Graph6Error(f"byte {exc.args[0]!r} out of graph6 range") from None
+
+
+def graph6_to_masks(s: str) -> tuple[int, ...]:
+    """Open-neighbourhood bitmasks of a graph6 string (header optional)."""
+    n, col = _g6_columns(s)
     masks = [0] * n
     start = 0
     for v in range(1, n):
@@ -433,7 +443,21 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(s: str) -> Graph:
-    return Graph.from_masks(graph6_to_masks(s))
+    """The plain graph of a graph6 string, built straight from the stream:
+    each "1" in column v is an edge from v to its offset in the column."""
+    n, col = _g6_columns(s)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    start = 0
+    for v in range(1, n):
+        end = start + v
+        i = col.find("1", start, end)
+        while i >= 0:
+            u = i - start
+            nbrs[v].append(u)
+            nbrs[u].append(v)
+            i = col.find("1", i + 1, end)
+        start = end
+    return Graph(n, tuple(map(frozenset, nbrs)))
 
 
 def to_edge_json(g: Graph) -> str:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dompack import constructions, families, oracles
+from dompack import families, oracles
 from dompack.constructions import (
     ConvexEncoding,
     DiskConfiguration,
@@ -18,6 +18,7 @@ from dompack.constructions import (
     verify_covering,
 )
 from dompack.graph import Graph, XYInstance, distances_from
+from _rule_reference import is_dominating_pair
 from conftest import complete, named, random_graph, random_interval_graph, random_planar
 
 
@@ -76,19 +77,19 @@ def bfs_convex_packing(g, enc):
 class TestDominatingPair:
     def test_p5_endpoints_qualify(self):
         g = families.gen_path(5)
-        assert constructions.is_dominating_pair(g, 0, 4)
+        assert is_dominating_pair(g, 0, 4)
         u, v = find_dominating_pair(g)
-        assert constructions.is_dominating_pair(g, u, v)
+        assert is_dominating_pair(g, u, v)
 
     def test_c4_antipodal(self):
         g = named("c4")
-        assert constructions.is_dominating_pair(g, 0, 2)
+        assert is_dominating_pair(g, 0, 2)
         u, v = find_dominating_pair(g)
-        assert constructions.is_dominating_pair(g, u, v)
+        assert is_dominating_pair(g, u, v)
 
     def test_c6_has_pair(self):
         u, v = find_dominating_pair(named("c6"))
-        assert constructions.is_dominating_pair(named("c6"), u, v)
+        assert is_dominating_pair(named("c6"), u, v)
 
     def test_disconnected_rejected(self):
         with pytest.raises(NotFoundError):
@@ -102,7 +103,7 @@ class TestDominatingPair:
             if not is_connected(g):
                 continue
             u, v = find_dominating_pair(g)
-            assert constructions.is_dominating_pair(g, u, v)
+            assert is_dominating_pair(g, u, v)
 
 
 class TestAtFree:

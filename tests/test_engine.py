@@ -247,3 +247,27 @@ class TestRuleApplicationJson:
         app = RuleApplication("demo", payload={"set": {3, 1}, "pair": (2, 4)})
         obj = app.to_json_obj()
         assert obj == {"rule": "demo", "payload": {"set": [1, 3], "pair": [2, 4]}}
+
+    def test_json_text_matches_json_obj(self):
+        # Every rule's payload, twin-width and the 2-degenerate pack step
+        # (int-keyed dicts) included, encodes to the text of to_json_obj.
+        import json
+
+        from dompack.engine import run_distance_hereditary
+        from dompack.engine_twinwidth import run_twinwidth
+        from dompack.engine_twodeg import run_twodeg
+        from conftest import random_cograph, random_dh, twodeg_wall_graph_m3
+
+        g, seq = random_cograph(30, 4, 0.3)
+        traces = [
+            run_planar(random_planar(40, 1)).trace,
+            run_treewidth(*random_partial_ktree(30, 3, 2), 3).trace,
+            run_distance_hereditary(random_dh(30, 3)).trace,
+            run_twodeg(twodeg_wall_graph_m3()).trace,
+            run_twinwidth(g, seq, max(2, seq.declared_width)).trace,
+        ]
+        apps = [app for trace in traces for app in trace]
+        apps.append(RuleApplication("demo", payload={"set": {3, 1}, 7: {2: (1,)}}))
+        assert "2deg_pack" in {app.rule_id for app in apps}
+        for app in apps:
+            assert app.to_json() == json.dumps(app.to_json_obj(), separators=(",", ":"))
