@@ -156,13 +156,6 @@ def _read_disks(path: str):
     return constructions.DiskConfiguration.from_csv(_read_text(path))
 
 
-def _run_treewidth(g: Graph, completion: Graph):
-    width = families.chordal_width(completion)
-    if width is None:
-        raise CliError("certificate is not chordal", EXIT_CONSTRUCTION)
-    return engine.run_treewidth(g, completion, width)
-
-
 @dataclass(frozen=True)
 class ConstructClass:
     """What `construct --class NAME` reads and runs: ``run(input,
@@ -179,7 +172,9 @@ class ConstructClass:
 # so that wrappers installed on those modules (perfbench's tracer) see them.
 CONSTRUCT_CLASSES = {
     "planar": ConstructClass(lambda g, rs: engine.run_planar(g, rs), _read_rotation_system),
-    "treewidth": ConstructClass(_run_treewidth, _load_graph, "chordal completion"),
+    "treewidth": ConstructClass(
+        lambda g, compl: engine.run_treewidth(g, compl), _load_graph, "chordal completion"
+    ),
     "twodeg": ConstructClass(lambda g, _: engine_twodeg.run_twodeg(g)),
     "twinwidth": ConstructClass(
         lambda g, seq: engine_twinwidth.run_twinwidth(g, seq, max(2, seq.declared_width)),
@@ -339,15 +334,13 @@ def cmd_validate(args) -> int:
         elif what == "tw-cert":
             completion = _load_graph(args.files[0])
             g = _load_graph(args.files[1])
-            k = args.k if args.k is not None else families.chordal_width(completion)
-            if k is None:
-                problem = "certificate is not chordal"
+            width = families.completion_width(g, completion)
+            if width is None:
+                problem = "not a chordal supergraph on the same vertices"
+            elif args.k is not None and width > args.k:
+                problem = f"width {width} exceeds {args.k}"
             else:
-                problem = (
-                    None
-                    if families.validate_tw_certificate(g, completion, k)
-                    else f"not a chordal supergraph of width <= {k}"
-                )
+                problem = None
         elif what == "tww-seq":
             seq = families.ContractionSequence.from_json(_read_text(args.files[0]))
             g = _load_graph(args.files[1])

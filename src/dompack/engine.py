@@ -173,45 +173,39 @@ def certify(g: Graph, d, p, tag: str, constant, trace=(), y=()) -> WitnessPair:
 class _State:
     """Mutable sub-instance over original vertex ids (plus gadget ids).
 
-    ``by_deg`` maps each black degree to the live vertices that have it (a
-    vertex's black degree is its degree on plain graphs; a bucket may be
-    empty).  ``apply`` moves each vertex whose black degree a step changes,
-    so the degree-keyed rules read one bucket instead of scanning every
-    vertex.
+    ``red[v]`` is the set of v's red neighbours, a subset of ``adj[v]``; on
+    plain graphs every such set is empty.  ``by_deg`` maps each black degree
+    (``len(adj[v]) - len(red[v])``) to the live vertices that have it (a
+    bucket may be empty).  ``apply`` moves each vertex whose black degree a
+    step changes, so the degree-keyed rules read one bucket instead of
+    scanning every vertex.
     """
 
-    __slots__ = ("adj", "x", "y", "red", "red_deg", "by_deg")
+    __slots__ = ("adj", "red", "x", "y", "by_deg")
 
-    def __init__(self, adj, x, y, red=None):
+    def __init__(self, adj, red, x, y):
         self.adj = adj
+        self.red = red
         self.x = x
         self.y = y
-        self.red = red
-        # With red edges tracked, the number of red edges at each vertex.
-        self.red_deg = None
-        if red is not None:
-            self.red_deg = dict.fromkeys(adj, 0)
-            for e in red:
-                for v in e:
-                    self.red_deg[v] += 1
         self.by_deg: defaultdict[int, set[int]] = defaultdict(set)
         for v in adj:
             self.by_deg[self._black_deg(v)].add(v)
 
     @classmethod
-    def from_graph(cls, g: Graph, x=(), y=(), track_red=False):
+    def from_graph(cls, g: Graph, x=(), y=()):
         adj = {v: set(g.adj[v]) for v in g.vertices()}
-        red = {frozenset(e) for e in g.red} if track_red else None
-        return cls(adj, set(x), set(y), red)
-
-    def alive(self):
-        return self.adj.keys()
+        red = {v: set() for v in adj}
+        for u, v in g.red:
+            red[u].add(v)
+            red[v].add(u)
+        return cls(adj, red, set(x), set(y))
 
     def deg(self, v) -> int:
         return len(self.adj[v])
 
     def _black_deg(self, v) -> int:
-        return len(self.adj[v]) - (self.red_deg[v] if self.red_deg is not None else 0)
+        return len(self.adj[v]) - len(self.red[v])
 
     def _shift(self, v, delta: int) -> None:
         """Move v from the bucket of its black degree to the one ``delta``
@@ -222,19 +216,17 @@ class _State:
 
     def snapshot(self) -> tuple:
         edges = tuple(sorted((u, v) for u in self.adj for v in self.adj[u] if u < v))
-        red = tuple(sorted(tuple(sorted(e)) for e in self.red)) if self.red is not None else None
+        red = tuple(sorted((u, v) for u in self.red for v in self.red[u] if u < v))
         return (tuple(sorted(self.adj)), edges, tuple(sorted(self.x)), tuple(sorted(self.y)), red)
 
     def apply(self, app: RuleApplication) -> None:
         # Each change to a black degree moves the vertex to its new bucket
         # at once (a red edge coming or going leaves it unchanged).
-        adj, by_deg, red, red_deg = self.adj, self.by_deg, self.red, self.red_deg
+        adj, red, by_deg = self.adj, self.red, self.by_deg
         for u, v in app.removed_edges:
-            e = frozenset((u, v))
-            if red is not None and e in red:
-                red.remove(e)
-                red_deg[u] -= 1
-                red_deg[v] -= 1
+            if v in red[u]:
+                red[u].remove(v)
+                red[v].remove(u)
             else:
                 self._shift(u, -1)
                 self._shift(v, -1)
@@ -242,35 +234,23 @@ class _State:
             adj[v].discard(u)
         for v in app.removed_vertices:
             nbrs = adj.pop(v)
-            if red is None:
-                by_deg[len(nbrs)].discard(v)
-                for w in nbrs:
-                    nw = adj[w]
-                    d = len(nw)
+            reds = red.pop(v)
+            by_deg[len(nbrs) - len(reds)].discard(v)
+            for w in nbrs:
+                if w in reds:
+                    red[w].remove(v)
+                else:
+                    d = len(adj[w]) - len(red[w])
                     by_deg[d].discard(w)
                     by_deg[d - 1].add(w)
-                    nw.discard(v)
-            else:
-                reds = red_deg.pop(v)
-                by_deg[len(nbrs) - reds].discard(v)
-                for w in nbrs:
-                    if reds and frozenset((v, w)) in red:
-                        red.remove(frozenset((v, w)))
-                        red_deg[w] -= 1
-                        reds -= 1
-                    else:
-                        d = len(adj[w]) - red_deg[w]
-                        by_deg[d].discard(w)
-                        by_deg[d - 1].add(w)
-                    adj[w].discard(v)
+                adj[w].discard(v)
             self.x.discard(v)
             self.y.discard(v)
         # Added vertices take their bucket once their edges are in.
         fresh = app.added_vertices
         for v in fresh:
             adj[v] = set()
-            if red is not None:
-                red_deg[v] = 0
+            red[v] = set()
         for u, v in app.added_edges:
             if u not in fresh:
                 self._shift(u, 1)
@@ -281,9 +261,8 @@ class _State:
         for u, v in app.added_red_edges:
             adj[u].add(v)
             adj[v].add(u)
-            red.add(frozenset((u, v)))
-            red_deg[u] += 1
-            red_deg[v] += 1
+            red[u].add(v)
+            red[v].add(u)
         for v in fresh:
             by_deg[self._black_deg(v)].add(v)
         for v in app.x_removed:
@@ -302,10 +281,10 @@ class _State:
         }
 
 
-def replay(g: Graph, trace, x=(), y=(), track_red=False):
+def replay(g: Graph, trace, x=(), y=()):
     """Re-apply a trace's deltas from the original instance; yields the state
     snapshot after every step (the first yield is the initial instance)."""
-    st = _State.from_graph(g, x, y, track_red)
+    st = _State.from_graph(g, x, y)
     yield st.snapshot()
     for app in trace:
         st.apply(app)
@@ -529,16 +508,17 @@ def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int, trace) -> Rul
     )
 
 
-def run_treewidth(g: Graph, chordal_completion: Graph, k: int) -> WitnessPair:
-    """Certified gamma <= k*rho via a validated chordal completion of width k."""
-    from .families import validate_tw_certificate
+def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
+    """Certified gamma <= k*rho, k the width of a validated chordal completion
+    lifted to at least 1 (an isolated vertex pays one for one)."""
+    from .families import completion_width
 
     if not g.is_plain():
         raise EngineError("treewidth driver expects a plain graph")
-    if not validate_tw_certificate(g, chordal_completion, k):
-        raise CertificateInvalid(
-            "completion is not a chordal supergraph on the same vertices with clique number <= k+1"
-        )
+    width = completion_width(g, chordal_completion)
+    if width is None:
+        raise CertificateInvalid("completion is not a chordal supergraph on the same vertices")
+    k = max(1, width)
     st = _State.from_graph(g)
     compl = {v: set(chordal_completion.adj[v]) for v in chordal_completion.vertices()}
     trace: list[RuleApplication] = []
@@ -628,8 +608,11 @@ def _dh_twins(st: _State) -> RuleApplication | None:
 def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
     """Total-domination witness with |D| <= 2|P| via pendant/twin pruning.
 
-    Stalls exactly when the pruning characterization fails, i.e. the input is
-    not distance-hereditary.
+    On distance-hereditary input it does not stall (checked on every labelled
+    graph with n <= 6).  A stall is therefore a sign the input is outside the
+    class, but finishing is no proof it is inside: a pendant step deletes the
+    support with the pendant, which can break every cycle of a graph that is
+    not distance-hereditary.  Each witness is certified either way.
     """
     if not g.is_plain():
         raise EngineError("distance-hereditary driver expects a plain graph")

@@ -28,9 +28,7 @@ from .graph import Graph
 
 
 def _black_neighbors(st: _State, v: int) -> set[int]:
-    if not st.red_deg[v]:
-        return set(st.adj[v])
-    return {u for u in st.adj[v] if frozenset((u, v)) not in st.red}
+    return st.adj[v] - st.red[v]
 
 
 def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
@@ -38,7 +36,7 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
     if u is None:
         return None
     blacks = tuple(sorted(_black_neighbors(st, u)))
-    reds = tuple(sorted(st.adj[u] - set(blacks)))
+    reds = tuple(sorted(st.red[u]))
     ring = st.adj[u]
     second = set()
     for w in ring:
@@ -48,7 +46,7 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
     s_black = []
     s_red = []
     for s in sorted(second):
-        if not st.red_deg[s] or any(frozenset((s, t)) not in st.red for t in st.adj[s] & ring):
+        if (st.adj[s] & ring) - st.red[s]:
             s_black.append(s)
         else:
             s_red.append(s)
@@ -80,12 +78,9 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
 def _contraction_step(st: _State, a: int, b: int, w: int) -> RuleApplication:
     black_edges = []
     red_edges = []
+    both_black = _black_neighbors(st, a) & _black_neighbors(st, b)
     for x in sorted((st.adj[a] | st.adj[b]) - {a, b}):
-        xa = x in st.adj[a]
-        xb = x in st.adj[b]
-        black_a = xa and frozenset((x, a)) not in st.red
-        black_b = xb and frozenset((x, b)) not in st.red
-        if black_a and black_b:
+        if x in both_black:
             black_edges.append((w, x) if w < x else (x, w))
         else:
             red_edges.append((w, x) if w < x else (x, w))
@@ -114,7 +109,7 @@ def run_twinwidth(g: Graph, seq, k: int, y=()) -> WitnessPair:
     if not validate_contraction_sequence(g, seq, width=k):
         raise SequenceInvalid("contraction sequence is not valid at width k")
     y0 = g.check_vertex_set(y)
-    st = _State.from_graph(g, y=y0, track_red=True)
+    st = _State.from_graph(g, y=y0)
     trace: list[RuleApplication] = []
     alias: dict[int, int] = {}
     merge_idx = 0

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructions import ConvexEncoding, DiskConfiguration, _int_ids
+from .engine import _State
+from .engine_twinwidth import _contraction_step
 from .graph import Graph, GraphError, components, reach_mask
 
 
@@ -411,64 +413,44 @@ def is_convex_order(g: Graph, enc: ConvexEncoding) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def completion_width(g: Graph, completion: Graph) -> int | None:
+    """The width (clique number minus one) of ``completion`` when it is a
+    chordal supergraph of g on the same vertices, else None."""
+    if completion.n != g.n or not completion.is_plain():
+        return None
+    if any(not nb <= big for nb, big in zip(g.adj, completion.adj)):
+        return None
+    return chordal_width(completion)
+
+
 def validate_tw_certificate(g: Graph, completion: Graph, k: int) -> bool:
     """Chordal supergraph on the same vertices with clique number <= k+1."""
-    if completion.n != g.n or not completion.is_plain():
-        return False
-    gedges = set(g.edges())
-    cedges = set(completion.edges())
-    if not gedges <= cedges:
-        return False
-    width = chordal_width(completion)
+    width = completion_width(g, completion)
     return width is not None and width <= k
 
 
 def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None) -> bool:
-    """Replay the merges with the recoloring rule; red degree must stay within
-    the width at every step and the trigraph must shrink to one vertex.
+    """Replay the merges on the twin-width driver's working state, each one
+    through the driver's own contraction step (and so its recolouring rule);
+    red degree must stay within the width at every step and the trigraph
+    must shrink to one vertex.
 
-    Red degrees are kept per vertex.  A merge only lowers them, except at the
-    merged vertex and its red neighbours, so only those are re-checked."""
+    A merge only lowers red degrees, except at the merged vertex and its red
+    neighbours, so only those are re-checked."""
     w = seq.declared_width if width is None else width
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-    red = {frozenset(e) for e in g.red}
-    red_deg = dict.fromkeys(adj, 0)
-    for e in red:
-        for v in e:
-            red_deg[v] += 1
-    if any(d > w for d in red_deg.values()):
+    st = _State.from_graph(g)
+    red = st.red
+    if any(len(r) > w for r in red.values()):
         return False
-    used = set(adj)
+    used = set(st.adj)
     for a, b, c in seq.merges:
-        if a not in adj or b not in adj or a == b or c in used:
+        if a not in st.adj or b not in st.adj or a == b or c in used:
             return False
         used.add(c)
-        nbrs = {}
-        for x in (adj[a] | adj[b]) - {a, b}:
-            black_a = x in adj[a] and frozenset((x, a)) not in red
-            black_b = x in adj[b] and frozenset((x, b)) not in red
-            nbrs[x] = "black" if (black_a and black_b) else "red"
-        for v in (a, b):
-            for x in adj[v]:
-                adj[x].discard(v)
-                e = frozenset((v, x))
-                if e in red:
-                    red.remove(e)
-                    red_deg[x] -= 1
-            del adj[v], red_deg[v]
-        adj[c] = set(nbrs)
-        red_deg[c] = 0
-        for x, color in nbrs.items():
-            adj[x].add(c)
-            if color == "red":
-                red.add(frozenset((c, x)))
-                red_deg[x] += 1
-                red_deg[c] += 1
-                if red_deg[x] > w:
-                    return False
-        if red_deg[c] > w:
+        st.apply(_contraction_step(st, a, b, c))
+        if len(red[c]) > w or any(len(red[x]) > w for x in red[c]):
             return False
-    return len(adj) <= 1
+    return len(st.adj) <= 1
 
 
 def validate_rotation_planarity(g: Graph, rs: RotationSystem) -> bool:
@@ -595,7 +577,7 @@ def brute_force_tww_sequence(g: Graph, k: int):
             for b in bag_b:
                 if b in base_adj[a]:
                     any_edge = True
-                    if frozenset((a, b)) in base_red:
+                    if (min(a, b), max(a, b)) in base_red:
                         all_black = False
                 else:
                     all_black = False

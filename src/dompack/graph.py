@@ -1,8 +1,8 @@
 """Immutable graph substrate: adjacency, distances, degeneracy, conflict graphs, I/O.
 
 Vertices are dense integers 0..n-1. Edges carry a color tag, black by default;
-a graph with no red edges is "plain". Graphs are immutable after construction:
-the builder-style mutators return new values.
+a graph with no red edges is "plain". Graphs are immutable after construction;
+the drivers copy the adjacency into a mutable working state of their own.
 
 Small graphs also have a bitmask form: a tuple of open-neighbourhood ints,
 bit u of ``masks[v]`` set iff uv is an edge.  The graph6 codec, the exact
@@ -17,11 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import inf
 
 Edge = tuple[int, int]
-
-INFINITY = inf
 
 
 class GraphError(ValueError):
@@ -82,14 +79,6 @@ class Graph:
     def degree(self, v: int) -> int:
         self._check(v)
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check(u)
-        self._check(v)
-        return v in self.adj[u]
-
-    def is_red(self, u: int, v: int) -> bool:
-        return _norm(u, v) in self.red
 
     def edges(self) -> list[Edge]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -200,12 +189,6 @@ def ball2(g, v: int) -> set[int]:
     return ball
 
 
-def distance(g: Graph, u: int, v: int):
-    """Shortest-path distance; INFINITY when disconnected. Edge colors are ignored."""
-    g._check(v)
-    return distances_from(g, u).get(v, INFINITY)
-
-
 def power2_conflict_graph(g: Graph) -> Graph:
     """Same vertices; edge uv iff 1 <= dist(u,v) <= 2.
 
@@ -289,62 +272,6 @@ def masks_connected(masks) -> bool:
     """
     full = (1 << len(masks)) - 1
     return len(masks) <= 1 or reach_mask(masks, 1, full) == full
-
-
-# ---------------------------------------------------------------------------
-# Builder-mode mutators (each returns a new Graph value)
-# ---------------------------------------------------------------------------
-
-
-def induced(g: Graph, s) -> Graph:
-    """Induced subgraph on s, reindexed to 0..|s|-1 in sorted id order."""
-    keep = sorted(g.check_vertex_set(s))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = []
-    red = []
-    for u in keep:
-        for v in g.adj[u]:
-            if u < v and v in index:
-                (red if g.is_red(u, v) else edges).append((index[u], index[v]))
-    return Graph.from_edges(len(keep), edges, red)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    g._check(v)
-    return induced(g, set(range(g.n)) - {v})
-
-
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
-        raise GraphError(f"no edge ({u},{v})")
-    e = _norm(u, v)
-    edges = [f for f in g.edges() if f != e]
-    red = [f for f in g.red if f != e]
-    return Graph.from_edges(g.n, [f for f in edges if f not in g.red], red)
-
-
-def add_vertex(g: Graph) -> tuple[Graph, int]:
-    """Append a fresh isolated vertex; returns the new graph and its id."""
-    black = [e for e in g.edges() if e not in g.red]
-    return Graph.from_edges(g.n + 1, black, g.red), g.n
-
-
-def add_edge(g: Graph, u: int, v: int, color: str = "black") -> Graph:
-    g._check(u)
-    g._check(v)
-    if u == v:
-        raise GraphError("self-loop")
-    if g.has_edge(u, v):
-        raise GraphError(f"edge ({u},{v}) already present")
-    black = [e for e in g.edges() if e not in g.red]
-    red = list(g.red)
-    if color == "red":
-        red.append(_norm(u, v))
-    elif color == "black":
-        black.append(_norm(u, v))
-    else:
-        raise GraphError(f"unknown edge color {color!r}")
-    return Graph.from_edges(g.n, black, red)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ are the references for ``find_dominating_pair`` and the unit-disk grid.
 from __future__ import annotations
 
 from dompack.engine import RuleApplication
-from dompack.engine_twinwidth import _black_neighbors
 
 
 def rule_isolated(st) -> RuleApplication | None:
@@ -105,15 +104,14 @@ def rule_free_degree2(st) -> RuleApplication | None:
 
 
 def lowblack_step(st, k: int) -> RuleApplication | None:
-    red_deg = st.red_deg
     u = min(
-        (v for v, nb in st.adj.items() if v not in st.y and len(nb) - red_deg[v] <= k),
+        (v for v, nb in st.adj.items() if v not in st.y and len(nb) - len(st.red[v]) <= k),
         default=None,
     )
     if u is None:
         return None
-    blacks = tuple(sorted(_black_neighbors(st, u)))
-    reds = tuple(sorted(st.adj[u] - set(blacks)))
+    blacks = tuple(sorted(st.adj[u] - st.red[u]))
+    reds = tuple(sorted(st.red[u]))
     ring = st.adj[u]
     second = set()
     for w in ring:
@@ -123,17 +121,17 @@ def lowblack_step(st, k: int) -> RuleApplication | None:
     s_black = []
     s_red = []
     for s in sorted(second):
-        if not st.red_deg[s] or any(frozenset((s, t)) not in st.red for t in st.adj[s] & ring):
+        if any(t not in st.red[s] for t in st.adj[s] & ring):
             s_black.append(s)
         else:
             s_red.append(s)
     s_cover = []
     for s in s_red:
-        bn = _black_neighbors(st, s)
+        bn = st.adj[s] - st.red[s]
         s_cover.append(min(bn) if bn else s)
     r_cover = []
     for r in reds:
-        bn = _black_neighbors(st, r)
+        bn = st.adj[r] - st.red[r]
         if bn:
             r_cover.append(min(bn))
     return RuleApplication(
@@ -154,13 +152,10 @@ def lowblack_step(st, k: int) -> RuleApplication | None:
 
 def black_degree_buckets(st) -> dict[int, set[int]]:
     """The nonempty buckets of ``by_deg``, recounted from the adjacency and
-    the red edge set (not from the state's red degrees)."""
+    the red neighbour sets."""
     out: dict[int, set[int]] = {}
     for v, nb in st.adj.items():
-        if st.red is None:
-            d = len(nb)
-        else:
-            d = sum(1 for w in nb if frozenset((v, w)) not in st.red)
+        d = len(nb - st.red[v])
         out.setdefault(d, set()).add(v)
     return out
 

@@ -159,7 +159,7 @@ def test_criterion_6_driver_soundness():
             if compl is None:
                 continue
             brute_ct += 1
-        _soundness(g, engine.run_treewidth(g, compl, k), k)
+        _soundness(g, engine.run_treewidth(g, compl), k)
     assert brute_ct >= 100
 
     fired = set()

@@ -332,6 +332,16 @@ class TestGenerateValidate:
         )
         assert code == 4  # a path is not a supergraph of the cycle
 
+    def test_construct_treewidth_edgeless(self, tmp_path, capsys):
+        # Width 0 is lifted to 1: each isolated vertex pays one for one.
+        ef = write(tmp_path, "e3.g6", "B?\n")  # three vertices, no edges
+        code, out, _ = run_cli(
+            ["construct", "--class", "treewidth", "--certificate", ef, ef], capsys
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["constant"] == "1/1" and doc["D"] == doc["P"] == [0, 1, 2]
+
 
 class TestScan:
     def test_duality_enumerate_5(self, capsys):

@@ -19,7 +19,7 @@ from dompack.engine import (
     run_planar,
     run_treewidth,
 )
-from dompack.graph import Graph, XYInstance, delete_vertex, distances_from
+from dompack.graph import Graph, XYInstance, distances_from
 from conftest import complete, named, random_partial_ktree, random_planar
 
 
@@ -159,7 +159,7 @@ class TestPlanarDriver:
 class TestTreewidthDriver:
     def test_tree_constant_one(self):
         g = families.gen_random_tree(9, 4)
-        w = run_treewidth(g, g, 1)
+        w = run_treewidth(g, g)
         inst = XYInstance(g)
         assert oracles.check_xy_dominating(inst, w.d_set)
         assert oracles.check_xy_packing(inst, w.p_set)
@@ -169,7 +169,7 @@ class TestTreewidthDriver:
     def test_c4_with_chord(self):
         g = named("c4")
         compl = Graph.from_edges(4, g.edges() + [(0, 2)])
-        w = run_treewidth(g, compl, 2)
+        w = run_treewidth(g, compl)
         assert len(w.d_set) <= 2 * len(w.p_set)
         inst = XYInstance(g)
         assert oracles.exact_domination(inst).value == 2
@@ -177,21 +177,21 @@ class TestTreewidthDriver:
 
     def test_clique(self):
         g = complete(4)
-        w = run_treewidth(g, g, 3)
+        w = run_treewidth(g, g)
         assert len(w.p_set) >= 1
         assert w.achieved_ratio <= 3
 
     def test_certificate_rejected(self):
         with pytest.raises(CertificateInvalid):
-            run_treewidth(named("c4"), named("c4"), 2)  # C4 itself is not chordal
+            run_treewidth(named("c4"), named("c4"))  # C4 itself is not chordal
         with pytest.raises(CertificateInvalid):
-            run_treewidth(complete(4), complete(4), 2)  # clique number too big
+            run_treewidth(complete(4), named("star3"))  # not a supergraph
 
     def test_random_partial_ktrees(self):
         for seed in range(90):
             k = 2 + seed % 3
             g, compl = random_partial_ktree(6 + seed % 14, k, seed)
-            w = run_treewidth(g, compl, k)
+            w = run_treewidth(g, compl)
             inst = XYInstance(g)
             assert oracles.check_xy_dominating(inst, w.d_set)
             assert oracles.check_xy_packing(inst, w.p_set)
@@ -205,11 +205,11 @@ class TestTreewidthDriver:
             g = random_planar(10 + seed, seed)
             st = status(g)
             st.apply(RuleApplication("demo", removed_vertices=(0,)))
-            rest = delete_vertex(g, 0)  # vertex v of g is v - 1 here
+            rest = Graph.from_edges(g.n, [e for e in g.edges() if 0 not in e])
             targets = set(range(1, g.n, 2))
             for v in st.adj:
-                dist = distances_from(rest, v - 1)
-                expect = {c for c in targets if dist.get(c - 1) == 2}
+                dist = distances_from(rest, v)
+                expect = {c for c in targets if dist.get(c) == 2}
                 assert _dist2_set(st, v, targets) == expect
 
     def test_driver_takes_the_class_step(self):
@@ -218,7 +218,7 @@ class TestTreewidthDriver:
             (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),
             (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
         ])
-        w = run_treewidth(g, families.brute_force_tw_certificate(g, 3), 3)
+        w = run_treewidth(g, families.brute_force_tw_certificate(g, 3))
         steps = [app.payload for app in w.trace if app.rule_id == "tw_class_step"]
         assert steps == [{"vertex": 5, "c1": (6,), "c2": (), "c2_cover": (), "k": 3}]
         # The unwind packs the vertex and pays its graph neighbours in C.
@@ -238,7 +238,7 @@ class TestTreewidthDriver:
 
     def test_trace_replay_matches(self):
         g, compl = random_partial_ktree(12, 2, 5)
-        w = run_treewidth(g, compl, 2)
+        w = run_treewidth(g, compl)
         assert list(replay(g, w.trace))[-1][0] == ()
 
 
@@ -261,7 +261,7 @@ class TestRuleApplicationJson:
         g, seq = random_cograph(30, 4, 0.3)
         traces = [
             run_planar(random_planar(40, 1)).trace,
-            run_treewidth(*random_partial_ktree(30, 3, 2), 3).trace,
+            run_treewidth(*random_partial_ktree(30, 3, 2)).trace,
             run_distance_hereditary(random_dh(30, 3)).trace,
             run_twodeg(twodeg_wall_graph_m3()).trace,
             run_twinwidth(g, seq, max(2, seq.declared_width)).trace,

@@ -193,21 +193,33 @@ class TestTwinwidth:
         assert oracles.check_xy_packing(inst, w.p_set)
 
     def test_red_degrees_match_a_recount(self):
+        # After every step the red neighbour sets are symmetric, lie within
+        # adj, and hold the red edges of a replay of the trace's deltas that
+        # keys each edge by its frozenset.
         cases = [random_cograph(40, seed, flip=0.2) for seed in range(4)]
         g = Graph.from_edges(4, [(0, 1), (2, 3)], red_edges=[(1, 2)])
         cases.append((g, families.brute_force_tww_sequence(g, 2)))
         red_seen = 0
         for g, seq in cases:
             w = run_twinwidth(g, seq, max(2, seq.declared_width))
-            st = _State.from_graph(g, track_red=True)
+            st = _State.from_graph(g)
+            edges = {frozenset(e) for e in g.edges()}
+            red = {frozenset(e) for e in g.red}
             for app in w.trace:
                 st.apply(app)
-                count = dict.fromkeys(st.adj, 0)
-                for e in st.red:
-                    for v in e:
-                        count[v] += 1
-                assert st.red_deg == count
-                red_seen += len(st.red)
+                gone = {frozenset(e) for e in app.removed_edges}
+                dead = set(app.removed_vertices)
+                edges = {e for e in edges if e not in gone and dead.isdisjoint(e)}
+                red = {e for e in red if e not in gone and dead.isdisjoint(e)}
+                edges |= {frozenset(e) for e in app.added_edges + app.added_red_edges}
+                red |= {frozenset(e) for e in app.added_red_edges}
+                assert st.red.keys() == st.adj.keys()
+                for v, reds in st.red.items():
+                    assert reds <= st.adj[v]
+                    assert all(v in st.red[u] for u in reds)
+                assert {frozenset((u, v)) for u in st.adj for v in st.adj[u]} == edges
+                assert {frozenset((u, v)) for u in st.red for v in st.red[u]} == red
+                red_seen += len(red)
         assert red_seen
 
     def test_random_small_graphs(self):
@@ -263,6 +275,28 @@ class TestDistanceHereditary:
     def test_c5_stalls(self):
         with pytest.raises(Stalled):
             engine.run_distance_hereditary(named("c5"))
+
+    def test_never_stalls_on_distance_hereditary_graphs(self):
+        # Every labelled graph with n <= 6: the recognizer's yes means the
+        # driver finishes.  It finishes on some others too (see below).
+        accepted = 0
+        for n in range(1, 7):
+            for g in families.enumerate_labeled_graphs(n):
+                if families.recognize_distance_hereditary(g):
+                    accepted += 1
+                    engine.run_distance_hereditary(g)
+        assert accepted == 19311
+
+    def test_finishes_on_c5_plus_pendant(self):
+        # The pendant step at 5 deletes its support 0 too, which breaks the
+        # C5 0-3-2-1-4; the witness is still certified.
+        g = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3)])
+        assert not families.recognize_distance_hereditary(g)
+        w = engine.run_distance_hereditary(g)
+        assert w.trace[0].payload == {"pendant": 5, "support": 0}
+        inst = XYInstance(g, mode=Mode.TOTAL)
+        assert oracles.check_xy_dominating(inst, w.d_set)
+        assert oracles.check_xy_packing(inst, w.p_set)
 
     def test_random_corpus(self):
         for seed in range(120):

@@ -42,6 +42,7 @@ from dompack.graph import (
 from conftest import (
     complete,
     named,
+    random_cograph,
     random_graph,
     random_partial_ktree,
     random_twodeg,
@@ -377,6 +378,35 @@ class TestValidators:
                 verdicts.add(want)
         assert verdicts == {True, False}
 
+        # Cographs with flipped edges, each with its valid sequence and with
+        # one merge mutated: two merges swapped, a fresh id reused, or a
+        # merge moved earlier.  The declared width is the smallest valid one.
+        mutated = []
+        for n in range(40, 97, 8):
+            rng = random.Random(n)
+            g, seq = random_cograph(n, n, flip=0.2)
+            d = seq.declared_width
+            merges = list(seq.merges)
+            i = rng.randrange(1, len(merges))
+            swapped = merges[:]
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            reused = merges[:]
+            reused[i] = merges[i][:2] + (merges[i - 1][2],)
+            earlier = merges[:]
+            earlier.insert(rng.randrange(i), earlier.pop(i))
+            for ms in (merges, swapped, reused, earlier):
+                cand = ContractionSequence(tuple(ms), d)
+                got = []
+                for w in (d - 1, d, d + 1):
+                    want = _reference_validate_sequence(g, cand, w)
+                    assert validate_contraction_sequence(g, cand, width=w) == want
+                    got.append(want)
+                if ms is merges:
+                    assert got == [False, True, True]
+                else:
+                    mutated.append(got[1])
+        assert True in mutated and False in mutated
+
     def test_tw_certificate(self):
         c4 = named("c4")
         chordal = Graph.from_edges(4, c4.edges() + [(0, 2)])
@@ -455,6 +485,12 @@ class TestBruteForceFinders:
         # The 7-vertex paw-free graph C7 has twin-width 2 but not 1.
         assert brute_force_tww_sequence(gen_cycle(7), 1) is None
         assert brute_force_tww_sequence(gen_cycle(7), 2) is not None
+
+    def test_tww_reads_red_input_edges(self):
+        # A star of red edges starts at red degree 3.
+        g = Graph.from_edges(4, red_edges=[(0, 1), (0, 2), (0, 3)])
+        assert brute_force_tww_sequence(g, 2) is None
+        assert validate_contraction_sequence(g, brute_force_tww_sequence(g, 3))
 
     def test_oversize(self):
         with pytest.raises(OversizeFamilyError):

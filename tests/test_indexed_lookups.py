@@ -46,34 +46,44 @@ def _nonempty_buckets(st: _State) -> dict[int, set[int]]:
     return {d: vs for d, vs in st.by_deg.items() if vs}
 
 
-def _check_rules(st: _State) -> None:
-    if st.red is None:
-        for rule, reference in PLAIN_RULES:
-            assert rule(st) == reference(st), rule.__name__
-        if not st.x:
-            for c in (1, 2, 3, 10):
-                assert engine.rule_low_degree(st, c) == ref.rule_low_degree(st, c)
-    else:
-        for k in (0, 1, 2, 3):
-            assert engine_twinwidth._lowblack_step(st, k) == ref.lowblack_step(st, k)
+def _check_plain_rules(st: _State) -> None:
+    for rule, reference in PLAIN_RULES:
+        assert rule(st) == reference(st), rule.__name__
+    if not st.x:
+        for c in (1, 2, 3, 10):
+            assert engine.rule_low_degree(st, c) == ref.rule_low_degree(st, c)
 
 
-@pytest.fixture
-def checked_steps(monkeypatch):
+def _check_lowblack(st: _State) -> None:
+    for k in (0, 1, 2, 3):
+        assert engine_twinwidth._lowblack_step(st, k) == ref.lowblack_step(st, k)
+
+
+def _checked(monkeypatch, check_rules):
     """Checks the rules before, and the buckets before and after, every
-    ``_State.apply``; yields a list that counts the steps checked."""
+    ``_State.apply``; returns a list that counts the steps checked."""
     steps = []
     apply = _State.apply
 
     def checked_apply(st, app):
         assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
-        _check_rules(st)
+        check_rules(st)
         apply(st, app)
         assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
         steps.append(app.rule_id)
 
     monkeypatch.setattr(_State, "apply", checked_apply)
     return steps
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    return _checked(monkeypatch, _check_plain_rules)
+
+
+@pytest.fixture
+def checked_tww_steps(monkeypatch):
+    return _checked(monkeypatch, _check_lowblack)
 
 
 # Each step rescans the whole state, so the 2000-vertex runs take seconds
@@ -92,7 +102,7 @@ def test_planar_buckets(checked_steps, n):
 def test_treewidth_buckets(checked_steps, n):
     for seed in range(3 if n < 700 else 1):
         g, completion = random_partial_ktree(n, 3, 200 + seed)
-        engine.run_treewidth(g, completion, 3)
+        engine.run_treewidth(g, completion)
     assert "low_degree" in checked_steps and "y_pendant" in checked_steps
 
 
@@ -123,13 +133,13 @@ def test_dh_buckets(checked_steps, n):
 
 
 @pytest.mark.parametrize("n,flip", [(10, 0.0), (40, 0.3), (120, 0.15)])
-def test_twinwidth_buckets(checked_steps, n, flip):
+def test_twinwidth_buckets(checked_tww_steps, n, flip):
     for seed in range(3):
         g, seq = random_cograph(n, 500 + seed, flip)
         rng = random.Random(seed)
         y = {v for v in g.vertices() if rng.random() < 0.2}
         engine_twinwidth.run_twinwidth(g, seq, max(2, seq.declared_width), y)
-    assert "tww_lowblack" in checked_steps and "tww_contract" in checked_steps
+    assert "tww_lowblack" in checked_tww_steps and "tww_contract" in checked_tww_steps
 
 
 def test_buckets_track_isolated_additions():
