@@ -296,66 +296,131 @@ class DiskConfiguration:
     def intersection_graph(self) -> Graph:
         # Exact test on integers: every centre scaled by the lcm of the
         # denominators, so |c_i - c_j| <= 2 becomes a bound of 4 * den**2.
+        # Centres are bucketed in square cells of side 2 (2 * den scaled):
+        # two centres within 2 differ by at most one side in each coordinate,
+        # so their cells are equal or adjacent.  Cells list their indices in
+        # increasing order, and each vertex's later neighbours are sorted, so
+        # the edges come out in the order of the all-pairs loop.
         n = len(self.centers)
         den = lcm(*(q.denominator for c in self.centers for q in c))
         pts = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
                for x, y in self.centers]
-        bound = 4 * den * den
+        side = 2 * den
+        bound = side * side
+        keys = [(x // side, y // side) for x, y in pts]
+        cells: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(keys):
+            cells.setdefault(key, []).append(i)
         edges = []
-        for i in range(n):
-            xi, yi = pts[i]
-            for j in range(i + 1, n):
-                xj, yj = pts[j]
-                if (xi - xj) ** 2 + (yi - yj) ** 2 <= bound:
-                    edges.append((i, j))
+        for i, (xi, yi) in enumerate(pts):
+            cx, cy = keys[i]
+            near = []
+            for gx in (cx - 1, cx, cx + 1):
+                for gy in (cy - 1, cy, cy + 1):
+                    for j in cells.get((gx, gy), ()):
+                        if j > i:
+                            xj, yj = pts[j]
+                            if (xi - xj) ** 2 + (yi - yj) ** 2 <= bound:
+                                near.append(j)
+            near.sort()
+            edges.extend((i, j) for j in near)
         return Graph.from_edges(n, edges)
 
 
+# The covering lattice: p(a, b) = (sqrt(3) a + (sqrt(3)/2) b, 3b/2) over
+# integer pairs (a, b), nearest-neighbour spacing sqrt(3).  |p(a, b)|**2 is
+# exactly 3(a**2 + ab + b**2), so membership tests run on integers; only the
+# returned centres are floats.
 _SQRT3 = 1.7320508075688772
+
+
+def _lattice_point(a: int, b: int) -> tuple[float, float]:
+    return (_SQRT3 * a + (_SQRT3 / 2.0) * b, 1.5 * b)
+
+
+def _lattice_pairs(radius: float) -> set[tuple[int, int]]:
+    """Every pair (a, b) with |p(a, b)| <= radius + 1, exactly.
+
+    a**2 + ab + b**2 >= 3/4 max(a**2, b**2), so both |a| and |b| are at
+    most 2/3 (radius + 1), inside the box |a|, |b| <= floor(radius) + 2.
+    """
+    reach2 = (Fraction(radius) + 1) ** 2
+    num, den = reach2.numerator, reach2.denominator
+    k = floor(radius) + 2
+    return {
+        (a, b)
+        for a in range(-k, k + 1)
+        for b in range(-k, k + 1)
+        if 3 * (a * a + a * b + b * b) * den <= num
+    }
 
 
 def covering_points(radius: float) -> list[tuple[float, float]]:
     """Centers of unit disks covering the radius-`radius` disk at the origin.
 
-    Hexagonal lattice with nearest-neighbor spacing sqrt(3): each Voronoi
-    cell has circumradius 1, so the cells of the returned points cover the
-    target disk.  Points whose cell cannot meet the target are dropped.
+    The lattice points within radius + 1 of the origin, sorted: each
+    Voronoi cell has circumradius 1, so the cells of the returned points
+    cover the target disk (see ``check_covering``).
     """
-    pts = []
-    reach = radius + 1.0
-    span = int(reach / _SQRT3) + 2
-    for a in range(-span, span + 1):
-        for b in range(-2 * span, 2 * span + 1):
-            x = _SQRT3 * a + (_SQRT3 / 2.0) * b
-            y = 1.5 * b
-            if x * x + y * y <= reach * reach + 1e-12:
-                pts.append((x, y))
-    pts.sort()
-    return pts
+    return sorted(_lattice_point(a, b) for a, b in _lattice_pairs(radius))
 
 
-def verify_covering(points, radius: float, step: float = 0.01, tol: float = 1e-9) -> bool:
-    """Dense-grid check that every sampled point of the target disk lies
-    within distance 1 of some covering point (squared-distance tolerance)."""
-    import numpy as np
+# The six lattice neighbours of the origin, in angular order.
+_NEIGHBOURS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
-    if radius == 0:
-        px = np.array([p[0] for p in points])
-        py = np.array([p[1] for p in points])
-        return bool(np.min(px * px + py * py) <= 1.0 + tol)
-    xs = np.arange(-radius, radius + step / 2, step)
-    pts = np.array(points)
-    for x in xs:
-        span = (radius * radius - x * x)
-        if span < 0:
-            continue
-        h = span ** 0.5
-        ys = np.arange(-h, h + step / 2, step)
-        dx = x - pts[:, 0]
-        d2 = dx[None, :] * dx[None, :] + (ys[:, None] - pts[None, :, 1]) ** 2
-        if not np.all(d2.min(axis=1) <= 1.0 + tol):
+
+def _uy(a: int, b: int) -> tuple[Fraction, Fraction]:
+    """p(a, b) with x scaled to u = x / sqrt(3): rational, squared length
+    3 u**2 + y**2."""
+    return Fraction(2 * a + b, 2), Fraction(3 * b, 2)
+
+
+def _cell_circumradius_is_one() -> bool:
+    """Each vertex of the origin's Voronoi hexagon lies at distance exactly 1
+    from the origin and from the two neighbours it separates it from.
+
+    The vertex between consecutive neighbours n1, n2 is the centre
+    (n1 + n2) / 3 of the equilateral triangle (0, n1, n2).  Lying on both
+    bisectors, these six points are the corners of the hexagon cut out by
+    the six half-planes nearer the origin, which contains the cell; so
+    every point of the cell lies within 1 of the origin.
+    """
+    def sq(u, y):
+        return 3 * u * u + y * y
+
+    for i, pair in enumerate(_NEIGHBOURS):
+        (u1, y1), (u2, y2) = _uy(*pair), _uy(*_NEIGHBOURS[(i + 1) % 6])
+        u, y = (u1 + u2) / 3, (y1 + y2) / 3
+        if not sq(u, y) == sq(u - u1, y - y1) == sq(u - u2, y - y2) == 1:
             return False
     return True
+
+
+def _lattice_pair(x: float, y: float) -> tuple[int, int] | None:
+    """The pair whose float image is exactly (x, y), or None."""
+    b = round(y / 1.5)
+    a = round((x - (_SQRT3 / 2.0) * b) / _SQRT3)
+    return (a, b) if _lattice_point(a, b) == (x, y) else None
+
+
+def check_covering(points, radius: float) -> bool:
+    """Exact certificate that the unit disks at ``points`` cover the disk of
+    radius ``radius`` at the origin.
+
+    ``points`` must be the float images of distinct lattice pairs, exactly
+    the pairs with |p(a, b)| <= radius + 1, and the lattice cell must have
+    circumradius 1.  Proof: the cells tile the plane, so any q with
+    |q| <= radius lies in the cell of some lattice point p, with
+    |q - p| <= 1; then |p| <= radius + 1, so p is one of the points.  The
+    float centres are the exact ones up to rounding.
+    """
+    pairs = [_lattice_pair(x, y) for x, y in points]
+    return (
+        None not in pairs
+        and len(set(pairs)) == len(pairs)
+        and set(pairs) == _lattice_pairs(radius)
+        and _cell_circumradius_is_one()
+    )
 
 
 _VERIFIED_COVERINGS: dict[float, list[tuple[float, float]]] = {}
@@ -364,8 +429,8 @@ _VERIFIED_COVERINGS: dict[float, list[tuple[float, float]]] = {}
 def _covering_for(radius: float) -> list[tuple[float, float]]:
     if radius not in _VERIFIED_COVERINGS:
         pts = covering_points(radius)
-        if not verify_covering(pts, radius):
-            raise EngineError(f"lattice covering failed grid verification at radius {radius}")
+        if not check_covering(pts, radius):
+            raise EngineError(f"lattice covering failed its exact check at radius {radius}")
         _VERIFIED_COVERINGS[radius] = pts
     return _VERIFIED_COVERINGS[radius]
 

@@ -284,12 +284,21 @@ class Graph6Error(ValueError):
     pass
 
 
+# The largest order that graph6 writes in its four-byte form; the
+# edge-list reader refuses larger orders before it allocates anything.
+MAX_ORDER = 258047
+
+
+class OrderTooLarge(GraphError):
+    """Edge-list JSON declaring an order above ``MAX_ORDER``."""
+
+
 def _g6_encode_n(n: int) -> str:
     if n < 0:
         raise Graph6Error("negative order")
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= MAX_ORDER:
         return chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     raise Graph6Error("order too large for this encoder")
 
@@ -399,6 +408,10 @@ def to_edge_json(g: Graph) -> str:
 def from_edge_json(s: str) -> Graph:
     try:
         doc = json.loads(s)
+        if doc["n"] > MAX_ORDER:
+            raise OrderTooLarge(f"order {doc['n']} above the cap of {MAX_ORDER}")
         return Graph.from_edges(doc["n"], doc["edges"], doc.get("red_edges", ()))
+    except OrderTooLarge:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"bad edge-list JSON: {exc}") from exc

@@ -14,6 +14,7 @@ from dompack import constructions, engine, families, oracles
 from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance, is_connected, to_graph6
+from _geometry_reference import verify_covering
 from conftest import (
     random_dh,
     random_graph,
@@ -264,7 +265,7 @@ def test_criterion_7_theorem_ratios_by_oracle():
 
 def test_criterion_8_unit_disk_geometry():
     pts = constructions.covering_points(5)
-    assert constructions.verify_covering(pts, 5, step=0.01, tol=1e-9)
+    assert verify_covering(pts, 5, step=0.01, tol=1e-9)
     c_cov = constructions.covering_constant()
     assert c_cov == len(pts) >= 32
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from dompack import cli, families
 from dompack.cli import CliError, main
-from dompack.graph import to_graph6
+from dompack.graph import MAX_ORDER, Graph, Graph6Error, _g6_encode_n, masks_to_graph6, to_graph6
 
 
 def run_cli(args, capsys):
@@ -429,6 +430,18 @@ class TestScan:
             "0282d1be41039aa0b1a1c26e38dcf8bef730a884f6452890aaa368373af2f997"
         )
 
+    def test_record_lines_are_compact_json(self, capsys):
+        # Records with a backslash in their graph6, a null ratio and each
+        # flag value, against json.dumps.
+        records = [cli._scan_one((masks_to_graph6(m), m, check, 64))
+                   for m in families.enumerate_labeled_masks(4)
+                   for check in ("duality", "henning", "treeeq")]
+        records.append(dict(records[0], graph6='"\\', ratio=None, violation=True))
+        assert any("\\" in r["graph6"] for r in records)
+        assert any(r["ratio"] is None for r in records)
+        for r in records:
+            assert cli._scan_line(r) == json.dumps(r, separators=(",", ":"))
+
     def test_parallel_enumeration_matches_serial(self, capsys):
         code1, out1, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "1"], capsys)
         code2, out2, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "2"], capsys)
@@ -451,7 +464,7 @@ class TestScan:
             def imap(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         code, out, _ = run_cli(["scan", "--enumerate-n", "3", "--jobs", "1000"], capsys)
         assert code == 0 and started == [3]
@@ -531,6 +544,51 @@ class TestMalformedInputs:
         rf = write(tmp_path, "rot.json", NESTED_ROTATION)
         gf = write(tmp_path, "p4.json", P4_JSON)
         self.assert_parse_error(run_cli(["validate", "--what", "rotation", rf, gf], capsys))
+
+
+class TestOrderCap:
+    """Edge-list JSON above the graph6 order cap exits 3 before any
+    allocation: Graph.from_edges is never reached."""
+
+    @pytest.fixture(autouse=True)
+    def no_graph_build(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Graph.from_edges reached")
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+
+    @pytest.mark.parametrize("n", [MAX_ORDER + 1, 10**9])
+    def test_oversize_order_exits_3(self, n, tmp_path, capsys):
+        gf = write(tmp_path, "big.json", json.dumps({"n": n, "edges": []}))
+        k2 = write(tmp_path, "k2.g6", "A_\n")
+        wf = write(tmp_path, "w.json", '{"class":"generic","constant":"1/1","D":[],"P":[]}')
+        for argv in (
+            ["solve", "--variant", "gamma", gf],
+            ["construct", "--class", "generic", gf],
+            ["validate", "--what", "witness", wf, gf],
+            ["validate", "--what", "tw-cert", gf, k2],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 3 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert f"order {n} above the cap of {MAX_ORDER}" in err
+
+    def test_graph6_encoder_shares_the_cap(self):
+        assert _g6_encode_n(MAX_ORDER) == "~}~~"
+        with pytest.raises(Graph6Error):
+            _g6_encode_n(MAX_ORDER + 1)
+
+
+def test_unitdisk_startup_loads_neither_numpy_nor_multiprocessing():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; import dompack.cli; from dompack import constructions; "
+        "assert constructions.covering_constant() == 43; "
+        "print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_error_pickles():

@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from dompack import families, oracles
+from dompack import constructions, families, oracles
 from dompack.constructions import (
     ConvexEncoding,
     DiskConfiguration,
     EncodingInvalid,
     NotFoundError,
+    check_covering,
     construct_atfree,
     construct_convex,
     construct_generic,
@@ -15,9 +17,10 @@ from dompack.constructions import (
     covering_constant,
     covering_points,
     find_dominating_pair,
-    verify_covering,
 )
+from dompack.engine import EngineError
 from dompack.graph import Graph, XYInstance, distances_from
+from _geometry_reference import intersection_edges, verify_covering
 from _rule_reference import is_dominating_pair
 from conftest import complete, named, random_graph, random_interval_graph, random_planar
 
@@ -217,6 +220,28 @@ class TestConvex:
         }
 
 
+# The radii of the covering tests: whole radii 0 to 12 and fractional ones.
+RADII = list(range(13)) + [0.1, 0.5, 1.25, 2.5, 5.0]
+
+
+def float_filter_points(radius):
+    """The lattice points kept by a float distance test with 1e-12 slack,
+    over a window of about (radius + 1) / sqrt(3) (wide enough up to
+    radius 20, not beyond)."""
+    sqrt3 = 1.7320508075688772
+    pts = []
+    reach = radius + 1.0
+    span = int(reach / sqrt3) + 2
+    for a in range(-span, span + 1):
+        for b in range(-2 * span, 2 * span + 1):
+            x = sqrt3 * a + (sqrt3 / 2.0) * b
+            y = 1.5 * b
+            if x * x + y * y <= reach * reach + 1e-12:
+                pts.append((x, y))
+    pts.sort()
+    return pts
+
+
 class TestCovering:
     def test_radius_zero(self):
         assert len(covering_points(0)) == 1
@@ -235,6 +260,77 @@ class TestCovering:
     def test_broken_covering_detected(self):
         pts = [p for p in covering_points(2) if p != (0.0, 0.0)]
         assert not verify_covering(pts, 2)
+        assert not check_covering(pts, 2)
+
+    def test_points_match_the_float_filter(self):
+        for r in RADII + [20]:
+            assert covering_points(r) == float_filter_points(r), r
+
+    def test_exact_check_agrees_with_the_sampler(self):
+        # A coarser grid than the acceptance test's 0.01, which runs at R = 5.
+        for r in RADII:
+            pts = covering_points(r)
+            assert check_covering(pts, r), r
+            assert verify_covering(pts, r, step=0.05), r
+
+    def test_exact_check_rejects_mutations(self):
+        def moved(pts, i, dx, dy):
+            return pts[:i] + [(pts[i][0] + dx, pts[i][1] + dy)] + pts[i + 1 :]
+
+        cases = []
+        for r in (1, 2, 5, 2.5):
+            pts = covering_points(r)
+            cases += [(pts[:i] + pts[i + 1 :], r) for i in range(len(pts))]
+            cases += [(moved(pts, i, d, 0), r) for i in range(len(pts)) for d in (1e-6, -1e-6)]
+            cases += [(moved(pts, i, 0, d), r) for i in range(len(pts)) for d in (1e-6, -1e-6)]
+            cases += [
+                ([(1.01 * x, 1.01 * y) for x, y in pts], r),
+                (pts + [(0.5, 0.5)], r),
+                (pts + [pts[0]], r),  # a repeat would inflate c_cov
+                (covering_points(r + 2), r),
+            ]
+        cases.append((covering_points(4), 5))
+        for pts, r in cases:
+            assert not check_covering(pts, r)
+        # The only passing cases are the canonical sets, which the sampler
+        # accepts too.
+        for r in (1, 2, 5, 2.5):
+            pts = covering_points(r)
+            assert check_covering(pts, r) and verify_covering(pts, r)
+
+    def test_failed_check_raises(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_VERIFIED_COVERINGS", {})
+        monkeypatch.setattr(constructions, "covering_points", lambda r: [(0.0, 0.0)])
+        with pytest.raises(EngineError):
+            covering_constant()
+
+
+def border_heavy_centres(n, seed):
+    """Centres in [-12, 12]^2 that stress side-2 cells: negative
+    coordinates, centres on cell borders (even integers), centres exactly 2
+    (and just over 2) from an earlier one, across a border or not, and
+    mixed denominators."""
+    rng = random.Random(seed)
+    offsets = [(2, 0), (0, 2), (-2, 0), (0, -2), (Fraction(6, 5), Fraction(8, 5)),
+               (Fraction(-8, 5), Fraction(6, 5)), (Fraction(2000001, 1000000), 0)]
+    pts = []
+    while len(pts) < n:
+        kind = rng.randrange(4)
+        if kind == 0:
+            p = (Fraction(2 * rng.randint(-6, 6)), Fraction(rng.randint(-24, 24), 2))
+        elif kind == 1 and pts:
+            (x, y), (dx, dy) = rng.choice(pts), rng.choice(offsets)
+            p = (x + dx, y + dy)
+        elif kind == 2:
+            p = (Fraction(2 * rng.randint(-6, 5) + 1), Fraction(rng.randint(-12, 12)))
+            pts.append(p)
+            p = (p[0] + 2, p[1])  # the pair straddles the border between them
+        else:
+            den = rng.choice([1, 3, 7, 10, 1000])
+            p = (Fraction(rng.randint(-12 * den, 12 * den), den),
+                 Fraction(rng.randint(-12 * den, 12 * den), den))
+        pts.append(p)
+    return pts[:n]
 
 
 class TestUnitDisk:
@@ -280,6 +376,15 @@ class TestUnitDisk:
         edges = set(cfg.intersection_graph().edges())
         assert {(0, 1), (0, 2), (1, 2), (1, 5), (0, 6)} <= edges
         assert (5, 6) not in edges
+
+    def test_cell_grid_matches_all_pairs(self):
+        for n, seed in ((0, 0), (1, 1), (13, 2), (60, 3), (200, 4), (600, 5)):
+            cfg = DiskConfiguration(tuple(border_heavy_centres(n, seed)))
+            g = cfg.intersection_graph()
+            ref = Graph.from_edges(n, intersection_edges(cfg.centers))
+            assert g == ref, (n, seed)
+            # Same edge order, so the same neighbour-set iteration order.
+            assert [list(s) for s in g.adj] == [list(s) for s in ref.adj]
 
     def test_csv_roundtrip(self):
         cfg = families.gen_random_unitdisk(6, 5.0, 2)
