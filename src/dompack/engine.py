@@ -28,9 +28,8 @@ class Stalled(EngineError):
     """No rule applies to a nonempty instance: the input is outside the
     driver's class (or a rule-coverage bug)."""
 
-    def __init__(self, message, instance=None, trace=()):
+    def __init__(self, message, trace=()):
         super().__init__(message)
-        self.instance = instance
         self.trace = tuple(trace)
 
 
@@ -56,8 +55,8 @@ def _sorted_set(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-# One encoder for witnesses and trace lines.  It writes what to_json_obj
-# builds: tuples come out as lists, int keys as strings, sets sorted.
+# One encoder for witnesses and trace lines: tuples come out as lists, int
+# keys as strings, sets sorted.
 _TRACE_JSON = json.JSONEncoder(separators=(",", ":"), default=_sorted_set)
 
 
@@ -73,25 +72,11 @@ class RuleApplication:
     added_edges: tuple = ()
     added_red_edges: tuple = ()
     x_added: tuple = ()
-    x_removed: tuple = ()
     y_added: tuple = ()
-    y_removed: tuple = ()
     payload: dict = field(default_factory=dict)
 
-    def to_json_obj(self) -> dict:
-        def clean(v):
-            if isinstance(v, (set, frozenset)):
-                return sorted(v)
-            if isinstance(v, tuple):
-                return list(v)
-            if isinstance(v, dict):
-                return {str(k): clean(x) for k, x in v.items()}
-            return v
-
-        return {"rule": self.rule_id, "payload": clean(dict(self.payload))}
-
     def to_json(self) -> str:
-        """The JSON text of ``to_json_obj``, as one trace line."""
+        """The rule and its payload as one trace line."""
         return _TRACE_JSON.encode({"rule": self.rule_id, "payload": self.payload})
 
 
@@ -214,11 +199,6 @@ class _State:
         self.by_deg[d].discard(v)
         self.by_deg[d + delta].add(v)
 
-    def snapshot(self) -> tuple:
-        edges = tuple(sorted((u, v) for u in self.adj for v in self.adj[u] if u < v))
-        red = tuple(sorted((u, v) for u in self.red for v in self.red[u] if u < v))
-        return (tuple(sorted(self.adj)), edges, tuple(sorted(self.x)), tuple(sorted(self.y)), red)
-
     def apply(self, app: RuleApplication) -> None:
         # Each change to a black degree moves the vertex to its new bucket
         # at once (a red edge coming or going leaves it unchanged).
@@ -265,30 +245,8 @@ class _State:
             red[v].add(u)
         for v in fresh:
             by_deg[self._black_deg(v)].add(v)
-        for v in app.x_removed:
-            self.x.discard(v)
         self.x.update(app.x_added)
-        for v in app.y_removed:
-            self.y.discard(v)
         self.y.update(app.y_added)
-
-    def describe(self) -> dict:
-        return {
-            "vertices": sorted(self.adj),
-            "edges": sorted((u, v) for u in self.adj for v in self.adj[u] if u < v),
-            "x": sorted(self.x),
-            "y": sorted(self.y),
-        }
-
-
-def replay(g: Graph, trace, x=(), y=()):
-    """Re-apply a trace's deltas from the original instance; yields the state
-    snapshot after every step (the first yield is the initial instance)."""
-    st = _State.from_graph(g, x, y)
-    yield st.snapshot()
-    for app in trace:
-        st.apply(app)
-        yield st.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +401,7 @@ def run_planar(g: Graph, embedding=None) -> WitnessPair:
             or rule_low_degree(st, PLANAR_CONSTANT)
         )
         if app is None:
-            raise Stalled("planar rules stalled (non-planar input?)", st.describe(), trace)
+            raise Stalled("planar rules stalled (non-planar input?)", trace)
         st.apply(app)
         trace.append(app)
     d: set[int] = set()
@@ -482,17 +440,17 @@ def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int, trace) -> Rul
     a1 = _simplicial(compl)
     bad = [v for v in a1 if v not in st.y]
     if bad:
-        raise Stalled(f"simplicial vertices {bad} escaped Y", st.describe(), trace)
+        raise Stalled(f"simplicial vertices {bad} escaped Y", trace)
     rest = set(compl) - set(a1)
     if not rest:
-        raise Stalled("completion exhausted with instance nonempty", st.describe(), trace)
+        raise Stalled("completion exhausted with instance nonempty", trace)
     a2 = _simplicial(compl, rest)
     if not a2:
-        raise Stalled("no second-layer simplicial vertex", st.describe(), trace)
+        raise Stalled("no second-layer simplicial vertex", trace)
     v = a2[0]
     b = compl[v] & set(a1)
     if not b:
-        raise Stalled(f"class-step vertex {v} has no first-layer neighbor", st.describe(), trace)
+        raise Stalled(f"class-step vertex {v} has no first-layer neighbor", trace)
     c = compl[v] - set(a1)
     c1 = tuple(sorted(c & st.adj[v]))
     c2 = tuple(sorted(_dist2_set(st, v, c - st.adj[v])))
@@ -625,7 +583,7 @@ def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
         # total-domination obligation.
         app = rule_isolated(st) or _dh_pendant(st) or _dh_y_prune(st) or _dh_twins(st)
         if app is None:
-            raise Stalled("pruning stalled (not distance-hereditary?)", st.describe(), trace)
+            raise Stalled("pruning stalled (not distance-hereditary?)", trace)
         st.apply(app)
         trace.append(app)
     d: set[int] = set()

@@ -64,7 +64,7 @@ def _touched(st: _State, app: RuleApplication) -> set[int]:
         out |= st.adj[v]
     for e in app.removed_edges + app.added_edges:
         out.update(e)
-    out.update(app.added_vertices, app.x_added, app.x_removed)
+    out.update(app.added_vertices, app.x_added)
     return out
 
 
@@ -165,7 +165,7 @@ def _a2_profile(st: _State, z: int, nx_: set[int], trace) -> tuple[int, int]:
     anchors = sorted(nbrs & st.x)
     outside = sorted(nbrs - nx_)
     if st.deg(z) != 3 or len(anchors) != 1 or len(outside) != 2 or st.deg(anchors[0]) > 2:
-        raise Stalled(f"second-layer vertex {z} lacks the expected shape", st.describe(), trace)
+        raise Stalled(f"second-layer vertex {z} lacks the expected shape", trace)
     return anchors[0], outside
 
 
@@ -173,21 +173,19 @@ def _main_step(st: _State, fresh: int, terms, trace) -> RuleApplication:
     a1, a2, a3 = _peel_layers(st)
     bad = sorted(a1 - st.x)
     if bad:
-        raise Stalled(f"low-degree vertices {bad} escaped the local rules", st.describe(), trace)
+        raise Stalled(f"low-degree vertices {bad} escaped the local rules", trace)
     if not a3:
-        raise Stalled("third peel empty on a nonempty instance (not 2-degenerate?)",
-                      st.describe(), trace)
+        raise Stalled("third peel empty on a nonempty instance (not 2-degenerate?)", trace)
     nx_ = _nx_closed(st)
     profiles = {}
     choices = []
     for u in sorted(a3):
         if u in nx_:
-            raise Stalled(f"third-layer vertex {u} inside N[X]", st.describe(), trace)
+            raise Stalled(f"third-layer vertex {u} inside N[X]", trace)
         z_nbrs = tuple(sorted(st.adj[u] & a2))
         w = st.adj[u] - a1 - a2
         if not z_nbrs or len(w) > 2:
-            raise Stalled(f"third-layer vertex {u} lacks the expected shape",
-                          st.describe(), trace)
+            raise Stalled(f"third-layer vertex {u} lacks the expected shape", trace)
         w_out = tuple(sorted(w - nx_))
         profiles[u] = (z_nbrs, w_out)
         choices.append((len(w_out), len(z_nbrs), u))
@@ -199,7 +197,7 @@ def _main_step(st: _State, fresh: int, terms, trace) -> RuleApplication:
     for z in z_nbrs:
         anchor, outside = _a2_profile(st, z, nx_, trace)
         if u not in outside:
-            raise Stalled(f"vertex {u} not among the outside pair of {z}", st.describe(), trace)
+            raise Stalled(f"vertex {u} not among the outside pair of {z}", trace)
         anchors.append(anchor)
         others.append(next(t for t in outside if t != u))
     if len(w_out) <= 1:
@@ -266,7 +264,7 @@ def run_twodeg(g: Graph) -> WitnessPair:
         raise EngineError("2-degenerate driver expects a plain graph")
     _, degen = degeneracy_ordering(g)
     if degen > 2:
-        raise Stalled(f"input has degeneracy {degen} > 2", None, ())
+        raise Stalled(f"input has degeneracy {degen} > 2")
     st = _State.from_graph(g)
     fresh = g.n
     trace: list[RuleApplication] = []

@@ -1,8 +1,9 @@
 """Named graph families, class recognizers, certificate validators, and
-desk-scale brute-force certificate finders."""
+graph enumeration."""
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from collections.abc import Callable
@@ -13,11 +14,17 @@ from itertools import combinations
 from .constructions import ConvexEncoding, DiskConfiguration, _int_ids
 from .engine import _State
 from .engine_twinwidth import _contraction_step
-from .graph import Graph, GraphError, components, reach_mask
+from .graph import MAX_ORDER, Graph, GraphError, components, reach_mask
 
 
 class OversizeFamilyError(ValueError):
     pass
+
+
+def _check_order(n: int) -> None:
+    """Refuse, before anything is built, an order that graph6 cannot write."""
+    if n > MAX_ORDER:
+        raise OversizeFamilyError(f"order {n} above the cap of {MAX_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,7 @@ def gen_chained_blocks(i: int) -> Graph:
     """
     if i < 1:
         raise ValueError("need at least one block")
+    _check_order(6 * i + 2)
 
     def block(base):
         vs = list(range(base, base + 6))
@@ -148,6 +156,7 @@ def gen_rook(n: int) -> Graph:
     """Cartesian product of two n-cliques."""
     if n < 1:
         raise ValueError("n >= 1")
+    _check_order(n * n)
     vid = lambda r, c: r * n + c
     edges = []
     for r in range(n):
@@ -164,12 +173,14 @@ def gen_rook(n: int) -> Graph:
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need n >= 3")
+    _check_order(n)
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ValueError("n >= 1")
+    _check_order(n)
     return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
@@ -181,9 +192,12 @@ def gen_petersen() -> Graph:
 
 
 def gen_random_tree(n: int, seed: int) -> Graph:
-    """Uniform labeled tree from a random Pruefer sequence."""
+    """Uniform labeled tree from a random Pruefer sequence, decoded with
+    the current leaves in a heap: each step joins the smallest leaf to the
+    next entry, which becomes a leaf once its last entry is used."""
     if n < 1:
         raise ValueError("n >= 1")
+    _check_order(n)
     if n == 1:
         return Graph.from_edges(1)
     if n == 2:
@@ -193,12 +207,15 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     deg = [1] * n
     for v in seq:
         deg[v] += 1
+    leaves = [u for u in range(n) if deg[u] == 1]
     edges = []
     for v in seq:
-        leaf = min(u for u in range(n) if deg[u] == 1)
+        leaf = heapq.heappop(leaves)
         edges.append((leaf, v))
         deg[leaf] -= 1
         deg[v] -= 1
+        if deg[v] == 1:
+            heapq.heappush(leaves, v)
     last = [u for u in range(n) if deg[u] == 1]
     edges.append((last[0], last[1]))
     return Graph.from_edges(n, edges)
@@ -269,55 +286,6 @@ def at_free_masks(adj) -> bool:
             and linked_avoiding(v, w, u)
         ):
             return False
-    return True
-
-
-def recognize_split(g: Graph):
-    """Degree-sequence split test; returns (clique, independent) or None."""
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
-    m = 0
-    for i, d in enumerate(degs, start=1):
-        if d >= i - 1:
-            m = i
-    lhs = sum(degs[:m])
-    rhs = m * (m - 1) + sum(degs[m:])
-    if lhs != rhs:
-        return None
-    clique = set(order[:m])
-    indep = set(order[m:])
-    for a, b in combinations(sorted(clique), 2):
-        if b not in g.adj[a]:
-            return None
-    for a, b in combinations(sorted(indep), 2):
-        if b in g.adj[a]:
-            return None
-    return frozenset(clique), frozenset(indep)
-
-
-def recognize_distance_hereditary(g: Graph) -> bool:
-    """Iterated isolated/pendant/twin pruning down to nothing."""
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-
-    def drop(v):
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
-
-    while len(adj) > 1:
-        victim = None
-        for v in sorted(adj):
-            if len(adj[v]) <= 1:
-                victim = v
-                break
-        if victim is None:
-            for u, v in combinations(sorted(adj), 2):
-                if adj[u] == adj[v] or (v in adj[u] and adj[u] - {v} == adj[v] - {u}):
-                    victim = u
-                    break
-        if victim is None:
-            return False
-        drop(victim)
     return True
 
 
@@ -481,152 +449,6 @@ def validate_rotation_planarity(g: Graph, rs: RotationSystem) -> bool:
         if len(comp) - e + faces != 2:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Brute-force certificate finders (desk scale)
-# ---------------------------------------------------------------------------
-
-
-def brute_force_tw_certificate(g: Graph, k: int):
-    """Chordal completion of width <= k via elimination-order DP, or None."""
-    if g.n > 10:
-        raise OversizeFamilyError("treewidth finder capped at n = 10")
-    if g.n == 0:
-        return Graph.from_edges(0)
-    n = g.n
-    full = (1 << n) - 1
-
-    def reach_degree(v: int, inside: int) -> int:
-        # Neighbors of v outside `inside` plus those reachable through it.
-        seen = 1 << v
-        stack = [v]
-        out = set()
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                bit = 1 << y
-                if seen & bit:
-                    continue
-                seen |= bit
-                if inside & bit:
-                    stack.append(y)
-                else:
-                    out.add(y)
-        return len(out)
-
-    INF = n + 1
-    width = [INF] * (1 << n)
-    choice = [-1] * (1 << n)
-    width[0] = 0
-    for s in range(1, 1 << n):
-        best = INF
-        pick = -1
-        t = s
-        while t:
-            v = (t & -t).bit_length() - 1
-            t &= t - 1
-            rest = s & ~(1 << v)
-            cand = max(width[rest], reach_degree(v, rest))
-            if cand < best:
-                best = cand
-                pick = v
-        width[s] = best
-        choice[s] = pick
-    if width[full] > k:
-        return None
-    order = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s &= ~(1 << v)
-    order.reverse()  # elimination order: order[0] eliminated first
-    adj = {v: set(g.adj[v]) for v in g.vertices()}
-    fill = set(g.edges())
-    for v in order:
-        nb = sorted(adj[v])
-        for i, a in enumerate(nb):
-            for b in nb[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                fill.add((a, b) if a < b else (b, a))
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
-    completion = Graph.from_edges(n, sorted(fill))
-    assert validate_tw_certificate(g, completion, k)
-    return completion
-
-
-def brute_force_tww_sequence(g: Graph, k: int):
-    """Width-k contraction sequence by DFS over partitions, or None."""
-    if g.n > 8:
-        raise OversizeFamilyError("twin-width finder capped at n = 8")
-    if g.n <= 1:
-        return ContractionSequence((), k)
-
-    base_adj = g.adj
-    base_red = g.red
-
-    def relation(bag_a, bag_b):
-        any_edge = False
-        all_black = True
-        for a in bag_a:
-            for b in bag_b:
-                if b in base_adj[a]:
-                    any_edge = True
-                    if (min(a, b), max(a, b)) in base_red:
-                        all_black = False
-                else:
-                    all_black = False
-        if not any_edge:
-            return None
-        return "black" if all_black else "red"
-
-    def red_ok(bags):
-        for x in bags:
-            deg = sum(1 for y in bags if y != x and relation(x, y) == "red")
-            if deg > k:
-                return False
-        return True
-
-    start = tuple(frozenset((v,)) for v in range(g.n))
-    if not red_ok(start):
-        return None
-    failed = set()
-
-    def dfs(bags):
-        if len(bags) == 1:
-            return []
-        key = frozenset(bags)
-        if key in failed:
-            return None
-        for i, j in combinations(range(len(bags)), 2):
-            merged = bags[i] | bags[j]
-            nxt = tuple(b for t, b in enumerate(bags) if t not in (i, j)) + (merged,)
-            if not red_ok(nxt):
-                continue
-            sub = dfs(nxt)
-            if sub is not None:
-                return [(bags[i], bags[j], merged)] + sub
-        failed.add(key)
-        return None
-
-    plan = dfs(start)
-    if plan is None:
-        return None
-    names = {frozenset((v,)): v for v in range(g.n)}
-    fresh = g.n
-    merges = []
-    for a, b, c in plan:
-        merges.append((names[a], names[b], fresh))
-        names[c] = fresh
-        fresh += 1
-    seq = ContractionSequence(tuple(merges), k)
-    assert validate_contraction_sequence(g, seq)
-    return seq
 
 
 # ---------------------------------------------------------------------------

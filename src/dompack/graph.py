@@ -276,7 +276,7 @@ def masks_connected(masks) -> bool:
 
 # ---------------------------------------------------------------------------
 # graph6 codec (bit-exact: 6-bit chunks, 63-offset bytes, column-major upper
-# triangle) and the JSON edge-list format.
+# triangle) and the JSON edge-list reader.
 # ---------------------------------------------------------------------------
 
 
@@ -304,14 +304,20 @@ def _g6_encode_n(n: int) -> str:
 
 
 def _g6_decode_n(s: str) -> tuple[int, str]:
+    """The order and the rest of the string.  A one-byte order is one of
+    ``?``..``}`` (0..62); after ``~`` come three bytes of ``?``..``~``."""
     if not s:
         raise Graph6Error("empty graph6 string")
     if s[0] != "~":
+        if not "?" <= s[0] <= "}":
+            raise Graph6Error(f"order byte {s[0]!r} out of graph6 range")
         return ord(s[0]) - 63, s[1:]
     if len(s) < 4 or s[1] == "~":
         raise Graph6Error("unsupported graph6 order prefix")
     n = 0
     for c in s[1:4]:
+        if not "?" <= c <= "~":
+            raise Graph6Error(f"order byte {c!r} out of graph6 range")
         n = (n << 6) | (ord(c) - 63)
     return n, s[4:]
 
@@ -347,8 +353,6 @@ def _g6_columns(s: str) -> tuple[int, str]:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(body)}")
-    if n < 0:
-        raise Graph6Error(f"order byte {s[0]!r} out of graph6 range")
     try:
         return n, "".join([_G6_BITS[c] for c in body])
     except KeyError as exc:
@@ -394,15 +398,6 @@ def from_graph6(s: str) -> Graph:
             i = col.find("1", i + 1, end)
         start = end
     return Graph(n, tuple(map(frozenset, nbrs)))
-
-
-def to_edge_json(g: Graph) -> str:
-    doc = {
-        "n": g.n,
-        "edges": sorted(e for e in g.edges() if e not in g.red),
-        "red_edges": sorted(g.red),
-    }
-    return json.dumps(doc, separators=(",", ":"))
 
 
 def from_edge_json(s: str) -> Graph:

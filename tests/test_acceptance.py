@@ -15,6 +15,7 @@ from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance, is_connected, to_graph6
 from _geometry_reference import verify_covering
+from _reference import brute_force_tw_certificate, brute_force_tww_sequence, convex_graph
 from conftest import (
     random_dh,
     random_graph,
@@ -154,7 +155,7 @@ def test_criterion_6_driver_soundness():
             g = random_graph(4 + trial % 7, 0.4, SEED + trial)
             compl = None
             for k in range(1, 5):
-                compl = families.brute_force_tw_certificate(g, k)
+                compl = brute_force_tw_certificate(g, k)
                 if compl is not None:
                     break
             if compl is None:
@@ -182,7 +183,7 @@ def test_criterion_6_driver_soundness():
     while done < 500:
         g = random_graph(3 + trial % 6, rng.choice((0.3, 0.5, 0.7)), SEED + trial)
         trial += 1
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         if seq is None:
             continue
         _soundness(g, run_twinwidth(g, seq, 2), 16, mode=Mode.BLACK)
@@ -240,7 +241,7 @@ def test_criterion_7_theorem_ratios_by_oracle():
     for trial in range(120):
         # nx + ny + (at most nx singleton fills) stays within the n <= 16 cap
         enc = families.gen_random_convex(3 + trial % 3, 2 + trial % 4, SEED + trial)
-        g = enc.to_graph()
+        g = convex_graph(enc)
         assert g.n <= 16
         gamma, rho = values(g)
         assert gamma <= 3 * rho
@@ -250,7 +251,7 @@ def test_criterion_7_theorem_ratios_by_oracle():
     while checked["tww"] < 120:
         g = random_graph(3 + trial % 6, 0.45, SEED + trial)
         trial += 1
-        if families.brute_force_tww_sequence(g, 2) is None:
+        if brute_force_tww_sequence(g, 2) is None:
             continue
         gamma_b, _ = values(g, mode=Mode.BLACK)
         _, rho = values(g)

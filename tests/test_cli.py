@@ -11,6 +11,7 @@ import pytest
 from dompack import cli, families
 from dompack.cli import CliError, main
 from dompack.graph import MAX_ORDER, Graph, Graph6Error, _g6_encode_n, masks_to_graph6, to_graph6
+from _reference import brute_force_tww_sequence, convex_graph, to_edge_json
 
 
 def run_cli(args, capsys):
@@ -104,10 +105,46 @@ class TestConstruct:
         k12 = write(tmp_path, "k12.g6", to_graph6(complete(12)) + "\n")
         code, _, err = run_cli(["construct", "--class", "planar", k12], capsys)
         assert code == 4
+        # K12 beside a path of three: the path goes in three steps, each
+        # written to stderr as a trace line before the stall's error line.
+        g = Graph.from_edges(15, complete(12).edges() + [(12, 13), (13, 14)])
+        gf = write(tmp_path, "k12p3.g6", to_graph6(g) + "\n")
+        code, out, err = run_cli(["construct", "--class", "planar", gf], capsys)
+        assert code == 4 and out == ""
+        lines = err.splitlines()
+        assert [json.loads(line)["rule"] for line in lines[:-1]] == [
+            "low_degree", "x_elim", "isolated"
+        ]
+        assert lines[-1] == (
+            "error: construction failed: planar rules stalled (non-planar input?)"
+        )
+
+    def test_convex_uncovered_point_is_4(self, tmp_path, capsys, monkeypatch):
+        # The witness check is certify's dominating checker alone: a D that
+        # loses the left endpoint of a packed interval leaves a vertex
+        # undominated on this encoding, and construct exits 4.
+        from dompack import constructions
+
+        enc = families.gen_random_convex(4, 3, 7)
+        real = constructions.certify
+
+        def drop_endpoint(g, d, p, tag, constant, *rest):
+            y = min(v for v in p if v in enc.y_neighbors)
+            lo, _ = enc.interval(y)
+            return real(g, set(d) - {enc.x_order[lo]}, p, tag, constant, *rest)
+
+        monkeypatch.setattr(constructions, "certify", drop_endpoint)
+        gf = write(tmp_path, "g.json", to_edge_json(convex_graph(enc)))
+        ef = write(tmp_path, "enc.json", enc.to_json())
+        code, out, err = run_cli(
+            ["construct", "--class", "convex", "--certificate", ef, gf], capsys
+        )
+        assert code == 4 and out == ""
+        assert err == "error: construction failed: convex: D fails the dominating checker\n"
 
     def test_twinwidth_via_files(self, tmp_path, capsys):
         g = families.gen_path(4)
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         gf = write(tmp_path, "p4.g6", to_graph6(g) + "\n")
         sf = write(tmp_path, "seq.json", seq.to_json())
         code, out, _ = run_cli(
@@ -123,10 +160,8 @@ class TestConstruct:
         assert code == 0
 
     def test_convex_needs_certificate(self, tmp_path, capsys):
-        from dompack.graph import to_edge_json
-
         enc = families.gen_random_convex(4, 3, 1)
-        gf = write(tmp_path, "g.json", to_edge_json(enc.to_graph()))
+        gf = write(tmp_path, "g.json", to_edge_json(convex_graph(enc)))
         code, _, _ = run_cli(["construct", "--class", "convex", gf], capsys)
         assert code == 2
         ef = write(tmp_path, "enc.json", enc.to_json())
@@ -171,7 +206,6 @@ class TestConstruct:
         # width 6, and the run takes low-black steps with red neighbours and
         # contractions that make red edges.
         import conftest
-        from dompack.graph import to_edge_json
 
         g, seq = conftest.random_cograph(120, 4, flip=0.1)
         assert seq.declared_width == 6
@@ -193,7 +227,7 @@ def _golden_argv(cls, tmp_path):
     """`construct` arguments for one seeded in-class input of up to 200
     vertices (the AT-free pair search is exhaustive, so that one is smaller)."""
     import conftest
-    from dompack.graph import is_connected, to_edge_json
+    from dompack.graph import is_connected
 
     cert = None
     if cls == "planar":
@@ -215,7 +249,7 @@ def _golden_argv(cls, tmp_path):
         assert is_connected(g)
     elif cls == "convex":
         enc = families.gen_random_convex(100, 80, 8)
-        g = enc.to_graph()
+        g = convex_graph(enc)
         cert = write(tmp_path, "enc.json", enc.to_json())
     else:
         cfg = families.gen_random_unitdisk(150, 16.0, 9)
@@ -237,6 +271,42 @@ class TestGenerateValidate:
     def test_generate_oversize(self, capsys):
         code, _, _ = run_cli(["generate", "--family", "split", "--params", "k=6"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "family, params, order",
+        [
+            ("chained-blocks", "i=43008", 6 * 43008 + 2),
+            ("rook", "n=508", 508 * 508),
+            ("cycle", f"n={MAX_ORDER + 1}", MAX_ORDER + 1),
+            ("path", f"n={MAX_ORDER + 1}", MAX_ORDER + 1),
+            ("random-tree", f"n={MAX_ORDER + 1},seed=3", MAX_ORDER + 1),
+        ],
+    )
+    def test_generate_above_the_order_cap_is_3(self, family, params, order):
+        # Refused before any graph is built or encoded.  The run is a child
+        # with 1 GB of address space and 30 s of CPU: without the guard, rook
+        # builds about n**3 edges before any other check.
+        import resource
+
+        code = (
+            "import sys; from dompack import cli; from dompack.graph import Graph\n"
+            "def refuse(*args, **kwargs): raise AssertionError('graph built or encoded')\n"
+            "Graph.from_edges = staticmethod(refuse); cli.to_graph6 = refuse\n"
+            "sys.exit(cli.main(sys.argv[1:]))"
+        )
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", code, "generate", "--family", family, "--params", params],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit,
+        )
+        assert run.returncode == 3 and run.stdout == ""
+        assert run.stderr == f"error: order {order} above the cap of {MAX_ORDER}\n"
 
     def test_generate_unknown(self, capsys):
         code, _, _ = run_cli(["generate", "--family", "nope"], capsys)
@@ -295,7 +365,7 @@ class TestGenerateValidate:
 
     def test_validate_tww_rejects_overwidth(self, tmp_path, capsys):
         g = families.gen_cycle(7)
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         lying = families.ContractionSequence(seq.merges, 1)
         gf = write(tmp_path, "c7.g6", to_graph6(g) + "\n")
         sf = write(tmp_path, "seq.json", lying.to_json())
@@ -382,6 +452,15 @@ class TestScan:
         records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
         assert records[0]["equality"] is True  # Petersen: gamma = 2 rho + 1
         assert records[0]["gamma"] == 3 and records[0]["rho"] == 1
+
+    def test_order_byte_out_of_range_is_malformed(self, tmp_path, capsys):
+        bad = chr(127) + "?" * 336
+        sf = write(tmp_path, "bad.g6", "A_\n" + bad + "\n")
+        code, out, err = run_cli(["scan", "--file", sf, "--check", "duality"], capsys)
+        assert code == 0
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert summary["malformed"] == 1 and summary["graphs"] == 1
+        assert "line 2: skipped malformed graph6" in err
 
     def test_malformed_lines_counted(self, tmp_path, capsys):
         sf = write(tmp_path, "mixed.g6", "A_\nbroken\x02line\nA?\n")
@@ -636,14 +715,12 @@ class TestRoundTrips:
             (["construct", "--class", "generic", tf], tf),
         ]
         g = families.gen_path(5)
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         pf = write(tmp_path, "p5.g6", to_graph6(g) + "\n")
         sf = write(tmp_path, "seq.json", seq.to_json())
         specs.append((["construct", "--class", "twinwidth", "--certificate", sf, pf], pf))
         enc = families.gen_random_convex(4, 3, 8)
-        from dompack.graph import to_edge_json
-
-        cf = write(tmp_path, "conv.json", to_edge_json(enc.to_graph()))
+        cf = write(tmp_path, "conv.json", to_edge_json(convex_graph(enc)))
         ef = write(tmp_path, "enc.json", enc.to_json())
         specs.append((["construct", "--class", "convex", "--certificate", ef, cf], cf))
         cfg = families.gen_random_unitdisk(12, 5.0, 3)

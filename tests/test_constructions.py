@@ -21,6 +21,7 @@ from dompack.constructions import (
 from dompack.engine import EngineError
 from dompack.graph import Graph, XYInstance, distances_from
 from _geometry_reference import intersection_edges, verify_covering
+from _reference import convex_graph
 from _rule_reference import is_dominating_pair
 from conftest import complete, named, random_graph, random_interval_graph, random_planar
 
@@ -141,7 +142,7 @@ class TestAtFree:
 class TestConvex:
     def test_k23(self):
         enc = ConvexEncoding((0, 1), {2: (0, 1), 3: (0, 1), 4: (0, 1)})
-        g = enc.to_graph()
+        g = convex_graph(enc)
         w = construct_convex(g, enc)
         check_plain(g, w)
         assert len(w.d_set) <= 3 * len(w.p_set)
@@ -150,7 +151,7 @@ class TestConvex:
 
     def test_single_edge(self):
         enc = ConvexEncoding((0,), {1: (0,)})
-        w = construct_convex(enc.to_graph(), enc)
+        w = construct_convex(convex_graph(enc), enc)
         assert len(w.d_set) <= 2
 
     def test_improvement_loop_fires(self):
@@ -167,7 +168,7 @@ class TestConvex:
                 4: (10,),
             },
         )
-        g = enc.to_graph()
+        g = convex_graph(enc)
         w = construct_convex(g, enc)
         check_plain(g, w)
         assert 0 not in w.p_set
@@ -177,7 +178,7 @@ class TestConvex:
     def test_rejects_isolated(self):
         enc = ConvexEncoding((0, 1), {2: (0,)})
         with pytest.raises(EncodingInvalid):
-            construct_convex(enc.to_graph(), enc)
+            construct_convex(convex_graph(enc), enc)
 
     def test_rejects_mismatched_encoding(self):
         enc = ConvexEncoding((0, 1), {2: (0, 1)})
@@ -188,7 +189,7 @@ class TestConvex:
     def test_random_corpus(self):
         for seed in range(60):
             enc = families.gen_random_convex(3 + seed % 6, 2 + seed % 5, seed)
-            g = enc.to_graph()
+            g = convex_graph(enc)
             w = construct_convex(g, enc)
             check_plain(g, w)
             assert len(w.d_set) <= 3 * len(w.p_set)
@@ -196,13 +197,13 @@ class TestConvex:
     def test_packing_matches_bfs_greedy(self):
         for seed in range(40):
             enc = families.gen_random_convex(4 + seed % 17, 3 + seed % 13, seed)
-            g = enc.to_graph()
+            g = convex_graph(enc)
             assert construct_convex(g, enc).p_set == bfs_convex_packing(g, enc)
         enc = ConvexEncoding(
             (5, 6, 7, 8, 9, 10),
             {0: (5, 6, 7, 8, 9, 10), 1: (6, 7), 2: (8, 9), 3: (5,), 4: (10,)},
         )
-        g = enc.to_graph()
+        g = convex_graph(enc)
         assert construct_convex(g, enc).p_set == bfs_convex_packing(g, enc)
 
     def test_intervals_use_the_order(self):

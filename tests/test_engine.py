@@ -10,7 +10,6 @@ from dompack.engine import (
     _State,
     _dist2_set,
     _tw_class_step,
-    replay,
     rule_isolated,
     rule_low_degree,
     rule_x_elim,
@@ -20,6 +19,7 @@ from dompack.engine import (
     run_treewidth,
 )
 from dompack.graph import Graph, XYInstance, distances_from
+from _reference import brute_force_tw_certificate, replay, trace_json_obj
 from conftest import complete, named, random_partial_ktree, random_planar
 
 
@@ -218,7 +218,7 @@ class TestTreewidthDriver:
             (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),
             (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
         ])
-        w = run_treewidth(g, families.brute_force_tw_certificate(g, 3))
+        w = run_treewidth(g, brute_force_tw_certificate(g, 3))
         steps = [app.payload for app in w.trace if app.rule_id == "tw_class_step"]
         assert steps == [{"vertex": 5, "c1": (6,), "c2": (), "c2_cover": (), "k": 3}]
         # The unwind packs the vertex and pays its graph neighbours in C.
@@ -245,12 +245,12 @@ class TestTreewidthDriver:
 class TestRuleApplicationJson:
     def test_payload_serializes(self):
         app = RuleApplication("demo", payload={"set": {3, 1}, "pair": (2, 4)})
-        obj = app.to_json_obj()
+        obj = trace_json_obj(app)
         assert obj == {"rule": "demo", "payload": {"set": [1, 3], "pair": [2, 4]}}
 
     def test_json_text_matches_json_obj(self):
         # Every rule's payload, twin-width and the 2-degenerate pack step
-        # (int-keyed dicts) included, encodes to the text of to_json_obj.
+        # (int-keyed dicts) included, encodes to the text of trace_json_obj.
         import json
 
         from dompack.engine import run_distance_hereditary
@@ -270,4 +270,4 @@ class TestRuleApplicationJson:
         apps.append(RuleApplication("demo", payload={"set": {3, 1}, 7: {2: (1,)}}))
         assert "2deg_pack" in {app.rule_id for app in apps}
         for app in apps:
-            assert app.to_json() == json.dumps(app.to_json_obj(), separators=(",", ":"))
+            assert app.to_json() == json.dumps(trace_json_obj(app), separators=(",", ":"))

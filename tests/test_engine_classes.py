@@ -3,10 +3,11 @@
 import pytest
 
 from dompack import engine, engine_twodeg, families, oracles
-from dompack.engine import Stalled, SequenceInvalid, _State, replay
+from dompack.engine import Stalled, SequenceInvalid, _State
 from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance
+from _reference import brute_force_tww_sequence, recognize_distance_hereditary, replay
 from conftest import (
     complete,
     named,
@@ -136,7 +137,7 @@ class TestTwodeg:
 class TestTwinwidth:
     def test_p4_width_sequence(self):
         g = families.gen_path(4)
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         w = run_twinwidth(g, seq, 2)
         check_blk = XYInstance(g, mode=Mode.BLACK)
         assert oracles.check_xy_dominating(check_blk, w.d_set)
@@ -166,14 +167,14 @@ class TestTwinwidth:
 
     def test_edgeless_all_predominated(self):
         g = Graph.from_edges(4)
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         w = run_twinwidth(g, seq, 2, y=range(4))
         assert w.d_set == frozenset() and w.p_set == frozenset()
         assert w.achieved_ratio is None
 
     def test_rejects_small_k(self):
         g = families.gen_path(4)
-        seq = families.brute_force_tww_sequence(g, 1)
+        seq = brute_force_tww_sequence(g, 1)
         with pytest.raises(SequenceInvalid):
             run_twinwidth(g, seq, 1)
 
@@ -185,7 +186,7 @@ class TestTwinwidth:
 
     def test_red_input_graph(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)], red_edges=[(1, 2)])
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         assert seq is not None
         w = run_twinwidth(g, seq, 2)
         inst = XYInstance(g, mode=Mode.BLACK)
@@ -198,7 +199,7 @@ class TestTwinwidth:
         # keys each edge by its frozenset.
         cases = [random_cograph(40, seed, flip=0.2) for seed in range(4)]
         g = Graph.from_edges(4, [(0, 1), (2, 3)], red_edges=[(1, 2)])
-        cases.append((g, families.brute_force_tww_sequence(g, 2)))
+        cases.append((g, brute_force_tww_sequence(g, 2)))
         red_seen = 0
         for g, seq in cases:
             w = run_twinwidth(g, seq, max(2, seq.declared_width))
@@ -228,7 +229,7 @@ class TestTwinwidth:
             if done >= 60:
                 break
             g = random_graph(4 + seed % 5, 0.45, seed)
-            seq = families.brute_force_tww_sequence(g, 2)
+            seq = brute_force_tww_sequence(g, 2)
             if seq is None:
                 continue
             done += 1
@@ -244,7 +245,7 @@ class TestTwinwidth:
 
     def test_determinism(self):
         g = random_graph(7, 0.4, 3)
-        seq = families.brute_force_tww_sequence(g, 2)
+        seq = brute_force_tww_sequence(g, 2)
         assert run_twinwidth(g, seq, 2) == run_twinwidth(g, seq, 2)
 
 
@@ -282,7 +283,7 @@ class TestDistanceHereditary:
         accepted = 0
         for n in range(1, 7):
             for g in families.enumerate_labeled_graphs(n):
-                if families.recognize_distance_hereditary(g):
+                if recognize_distance_hereditary(g):
                     accepted += 1
                     engine.run_distance_hereditary(g)
         assert accepted == 19311
@@ -291,7 +292,7 @@ class TestDistanceHereditary:
         # The pendant step at 5 deletes its support 0 too, which breaks the
         # C5 0-3-2-1-4; the witness is still certified.
         g = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3)])
-        assert not families.recognize_distance_hereditary(g)
+        assert not recognize_distance_hereditary(g)
         w = engine.run_distance_hereditary(g)
         assert w.trace[0].payload == {"pendant": 5, "support": 0}
         inst = XYInstance(g, mode=Mode.TOTAL)

@@ -10,8 +10,6 @@ from dompack.families import (
     OversizeFamilyError,
     RotationSystem,
     at_free_masks,
-    brute_force_tw_certificate,
-    brute_force_tww_sequence,
     chordal_width,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
@@ -25,8 +23,6 @@ from dompack.families import (
     gen_threedeg,
     recognize_at_free,
     recognize_chordal,
-    recognize_distance_hereditary,
-    recognize_split,
     validate_contraction_sequence,
     validate_rotation_planarity,
     validate_tw_certificate,
@@ -38,6 +34,12 @@ from dompack.graph import (
     is_connected,
     masks_connected,
     to_graph6,
+)
+from _reference import (
+    brute_force_tw_certificate,
+    brute_force_tww_sequence,
+    recognize_distance_hereditary,
+    recognize_split,
 )
 from conftest import (
     complete,
@@ -136,6 +138,29 @@ class TestSmallFamilies:
         b = gen_random_tree(9, 42)
         assert to_graph6(a) == to_graph6(b)
         assert a.edge_count == 8 and is_connected(a)
+
+    def test_random_tree_matches_scan_decode(self):
+        # The heap decode gives the trees of the decode that scans for the
+        # smallest leaf at every step.
+        def scan_decode(n, seed):
+            rng = random.Random(seed)
+            seq = [rng.randrange(n) for _ in range(n - 2)]
+            deg = [1] * n
+            for v in seq:
+                deg[v] += 1
+            edges = []
+            for v in seq:
+                leaf = min(u for u in range(n) if deg[u] == 1)
+                edges.append((leaf, v))
+                deg[leaf] -= 1
+                deg[v] -= 1
+            last = [u for u in range(n) if deg[u] == 1]
+            edges.append((last[0], last[1]))
+            return Graph.from_edges(n, edges)
+
+        cases = [(n, seed) for n in range(3, 120) for seed in range(3)]
+        for n, seed in cases + [(500, 0), (1000, 1)]:
+            assert gen_random_tree(n, seed) == scan_decode(n, seed), (n, seed)
 
     def test_random_generators_seeded(self):
         assert families.gen_random_unitdisk(5, 4.0, 1) == families.gen_random_unitdisk(5, 4.0, 1)

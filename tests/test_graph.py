@@ -19,9 +19,9 @@ from dompack.graph import (
     graph6_to_masks,
     masks_to_graph6,
     power2_conflict_graph,
-    to_edge_json,
     to_graph6,
 )
+from _reference import to_edge_json
 from conftest import complete, named
 
 from dompack import families
@@ -258,6 +258,14 @@ class TestGraph6:
             from_graph6("A" + chr(200))
         with pytest.raises(Graph6Error):
             from_graph6(">?")  # order byte below '?' with a body of matching length
+        for s in (
+            ">",
+            chr(127) + "?" * 336,  # one-byte order above '}', read as n = 64
+            "~?" + chr(200) + "?",  # read as n = 8768
+            "~??" + chr(127) + "?" * 336,  # three-byte order, last byte above '~'
+        ):
+            with pytest.raises(Graph6Error):
+                from_graph6(s)
 
     @pytest.mark.parametrize("n", [0, 1, 62, 63, 64])
     def test_mask_codec_roundtrip(self, n):
