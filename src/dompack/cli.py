@@ -77,7 +77,7 @@ def _load_graph(path: str) -> Graph:
         return from_graph6(line)
     except OrderTooLarge as exc:
         raise CliError(f"{path}: {exc}", EXIT_OVERSIZE) from exc
-    except (Graph6Error, GraphError) as exc:
+    except GraphError as exc:
         raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
@@ -127,13 +127,10 @@ def cmd_solve(args) -> int:
     except GraphError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     max_n = args.max_n if args.max_n is not None else _size_limit()
-    try:
-        if args.variant == "gamma":
-            res = oracles.exact_domination(inst, max_n=max_n)
-        else:
-            res = oracles.exact_packing(inst, max_n=max_n)
-    except oracles.OversizeError as exc:
-        raise CliError(str(exc), EXIT_OVERSIZE) from exc
+    if args.variant == "gamma":
+        res = oracles.exact_domination(inst, max_n=max_n)
+    else:
+        res = oracles.exact_packing(inst, max_n=max_n)
     print(oracles.exact_result_json(args.variant, inst, res))
     return EXIT_OK
 
@@ -144,11 +141,11 @@ def cmd_solve(args) -> int:
 
 
 def _read_rotation_system(path: str):
-    return families.RotationSystem.from_json(_read_text(path))
+    return engine.RotationSystem.from_json(_read_text(path))
 
 
 def _read_contraction_sequence(path: str):
-    return families.ContractionSequence.from_json(_read_text(path))
+    return engine_twinwidth.ContractionSequence.from_json(_read_text(path))
 
 
 def _read_convex_encoding(path: str):
@@ -337,7 +334,7 @@ def cmd_validate(args) -> int:
         elif what == "tw-cert":
             completion = _load_graph(args.files[0])
             g = _load_graph(args.files[1])
-            width = families.completion_width(g, completion)
+            width = engine.completion_width(g, completion)
             if width is None:
                 problem = "not a chordal supergraph on the same vertices"
             elif args.k is not None and width > args.k:
@@ -345,24 +342,22 @@ def cmd_validate(args) -> int:
             else:
                 problem = None
         elif what == "tww-seq":
-            seq = families.ContractionSequence.from_json(_read_text(args.files[0]))
+            seq = _read_contraction_sequence(args.files[0])
             g = _load_graph(args.files[1])
             problem = (
                 None
-                if families.validate_contraction_sequence(g, seq)
+                if engine_twinwidth.validate_contraction_sequence(g, seq)
                 else "sequence invalid (red degree above declared width, or malformed)"
             )
         else:  # rotation
-            rs = families.RotationSystem.from_json(_read_text(args.files[0]))
+            rs = _read_rotation_system(args.files[0])
             g = _load_graph(args.files[1])
             problem = (
                 None
-                if families.validate_rotation_planarity(g, rs)
+                if engine.validate_rotation_planarity(g, rs)
                 else "rotation system fails the genus-0 face count"
             )
-    except (GraphError, json.JSONDecodeError, KeyError, ValueError, IndexError) as exc:
-        if isinstance(exc, CliError):
-            raise
+    except (KeyError, ValueError, IndexError) as exc:
         raise CliError(f"cannot parse validation inputs: {exc}", EXIT_PARSE) from exc
     if problem is not None:
         print(f"invalid: {problem}", file=sys.stderr)

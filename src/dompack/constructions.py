@@ -19,6 +19,7 @@ from .graph import (
     distances_from,
     is_connected,
     reach_mask,
+    vertex_ids,
 )
 
 
@@ -109,14 +110,6 @@ def construct_atfree(g: Graph) -> WitnessPair:
     return certify(g, d, p, "at-free", 3)
 
 
-def _int_ids(xs) -> tuple[int, ...]:
-    """A JSON list of vertex ids as a tuple; TypeError unless all are ints."""
-    xs = tuple(xs)
-    if not all(isinstance(x, int) for x in xs):
-        raise TypeError("vertex ids must be integers")
-    return xs
-
-
 # ---------------------------------------------------------------------------
 # Convex bipartite graphs
 # ---------------------------------------------------------------------------
@@ -147,8 +140,8 @@ class ConvexEncoding:
         try:
             doc = json.loads(s)
             return ConvexEncoding(
-                _int_ids(doc["x_order"]),
-                {int(y): _int_ids(ns) for y, ns in doc["y_neighbors"].items()},
+                vertex_ids(doc["x_order"]),
+                {int(y): vertex_ids(ns) for y, ns in doc["y_neighbors"].items()},
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad convex encoding JSON: {exc}") from exc
@@ -158,27 +151,39 @@ class ConvexEncoding:
         """Index of each interval-side vertex in ``x_order``."""
         return {x: i for i, x in enumerate(self.x_order)}
 
-    def interval(self, y: int) -> tuple[int, int] | None:
-        ns = self.y_neighbors[y]
-        if not ns:
-            return None
-        pos = self.positions
-        ps = sorted(pos[x] for x in ns)
-        return ps[0], ps[-1]
-
 
 def _check_encoding(g: Graph, enc: ConvexEncoding) -> dict[int, tuple[int, int]]:
-    """Each right vertex's interval, once the encoding is known to be exactly
-    the graph with no isolated vertex.  Two vertices then lie within distance
-    2 iff two intervals overlap, a point lies in an interval, or two points
-    share an interval, so radius-2 balls of the graph decide packings."""
-    from .families import is_convex_order
+    """Each right vertex's interval (lo, hi) of positions in ``x_order``, once
+    the encoding is known to be exactly the graph with no isolated vertex:
+    the sides split the vertices, and each right vertex lists all its
+    neighbours, each once, on the left side at consecutive positions.
 
-    if not is_convex_order(g, enc):
-        raise EncodingInvalid("encoding does not match the graph or is not convex")
+    Two vertices then lie within distance 2 iff two intervals overlap, a
+    point lies in an interval, or two points share an interval, so radius-2
+    balls of the graph decide packings."""
+    pos = enc.positions
+    ys = enc.y_neighbors
+    not_convex = EncodingInvalid("encoding does not match the graph or is not convex")
+    if (
+        len(pos) != len(enc.x_order)
+        or not pos.keys().isdisjoint(ys)
+        or pos.keys() | ys.keys() != set(g.vertices())
+        or sum(map(len, ys.values())) != g.edge_count  # no edge inside the left side
+    ):
+        raise not_convex
+    intervals = {}
+    for y, ns in ys.items():
+        nb = g.adj[y]
+        if len(ns) != len(nb) or nb != set(ns) or not nb <= pos.keys():
+            raise not_convex
+        if ns:
+            ps = [pos[x] for x in ns]
+            intervals[y] = lo, hi = min(ps), max(ps)
+            if hi - lo + 1 != len(ns):
+                raise not_convex
     if any(not g.adj[v] for v in g.vertices()):
         raise EncodingInvalid("convex construction requires no isolated vertices")
-    return {y: enc.interval(y) for y in enc.y_neighbors}
+    return intervals
 
 
 def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
@@ -201,7 +206,7 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
             width = hi - lo
             rest = p - {y}
             for y2 in sorted(intervals):
-                if y2 in p or intervals[y2] is None:
+                if y2 in p:
                     continue
                 lo2, hi2 = intervals[y2]
                 if hi2 - lo2 >= width:
@@ -222,7 +227,7 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
         d.add(enc.x_order[hi])
     for x in sorted(v for v in p if v in pos):
         q = pos[x]
-        containing = [y for y, iv in intervals.items() if iv and iv[0] <= q <= iv[1]]
+        containing = [y for y, (lo, hi) in intervals.items() if lo <= q <= hi]
         if containing:
             d.add(min(containing, key=lambda y: (intervals[y][0], y)))
             d.add(max(containing, key=lambda y: (intervals[y][1], -y)))
@@ -240,7 +245,19 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
 
 # The cover search squares float differences of centres, which overflows
 # once a coordinate passes about 6.7e153.
-_MAX_COORDINATE = 10**150
+MAX_COORDINATE = 10**150
+
+# Fraction computes 10**exponent, so a short line could ask for billions of
+# digits: an exponent reaches no further than int() reads digits (4300).
+_MAX_EXPONENT = 4300
+
+
+def _coordinate(text: str) -> Fraction:
+    exponent = text.lower().partition("e")[2]
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    if digits.isdecimal() and int(digits) > _MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -258,9 +275,9 @@ class DiskConfiguration:
                 continue
             try:
                 xs, ys = line.split(",")
-                pt = (Fraction(xs.strip()), Fraction(ys.strip()))
-                if max(abs(pt[0]), abs(pt[1])) > _MAX_COORDINATE:
-                    raise ValueError(f"coordinate beyond {_MAX_COORDINATE:.0e}")
+                pt = (_coordinate(xs.strip()), _coordinate(ys.strip()))
+                if max(abs(pt[0]), abs(pt[1])) > MAX_COORDINATE:
+                    raise ValueError(f"coordinate beyond {MAX_COORDINATE:.0e}")
                 pts.append(pt)
             except (ValueError, ZeroDivisionError) as exc:
                 raise GraphError(f"disk CSV line {lineno}: {exc}") from exc

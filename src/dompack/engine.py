@@ -16,7 +16,16 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, Mode, XYInstance, ball2
+from .graph import (
+    Graph,
+    GraphError,
+    Mode,
+    XYInstance,
+    ball2,
+    chordal_width,
+    components,
+    vertex_ids,
+)
 from .oracles import check_xy_dominating, check_xy_packing
 
 
@@ -376,6 +385,57 @@ def _check_budget(d, p, constant, extra, trace, label):
 PLANAR_CONSTANT = 10
 
 
+@dataclass(frozen=True)
+class RotationSystem:
+    """Per-vertex cyclic order of neighbors (a combinatorial embedding)."""
+
+    rotations: dict[int, tuple[int, ...]]
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"rotations": {str(v): list(r) for v, r in sorted(self.rotations.items())}},
+            separators=(",", ":"),
+        )
+
+    @staticmethod
+    def from_json(s: str) -> "RotationSystem":
+        try:
+            doc = json.loads(s)
+            return RotationSystem({int(v): vertex_ids(r) for v, r in doc["rotations"].items()})
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"bad rotation-system JSON: {exc}") from exc
+
+
+def validate_rotation_planarity(g: Graph, rs: RotationSystem) -> bool:
+    """Face-trace the embedding; genus 0 means V - E + F = 2 per component."""
+    if set(rs.rotations) != set(g.vertices()):
+        return False
+    for v, rot in rs.rotations.items():
+        if sorted(rot) != sorted(g.adj[v]):
+            return False
+    succ = {}
+    for v, rot in rs.rotations.items():
+        for i, u in enumerate(rot):
+            succ[(v, u)] = rot[(i + 1) % len(rot)]
+    for comp in components(g):
+        darts = [(u, v) for u in comp for v in g.adj[u]]
+        faces = 0
+        unseen = set(darts)
+        while unseen:
+            dart = min(unseen)
+            faces += 1
+            u, v = dart
+            while (u, v) in unseen:
+                unseen.discard((u, v))
+                u, v = v, succ[(v, u)]
+        if not darts:
+            faces = 1
+        e = sum(len(g.adj[u]) for u in comp) // 2
+        if len(comp) - e + faces != 2:
+            return False
+    return True
+
+
 def run_planar(g: Graph, embedding=None) -> WitnessPair:
     """Reduce with the generic rules, paying at most 10 per packed vertex.
 
@@ -385,11 +445,8 @@ def run_planar(g: Graph, embedding=None) -> WitnessPair:
     """
     if not g.is_plain():
         raise EngineError("planar driver expects a plain graph")
-    if embedding is not None:
-        from .families import validate_rotation_planarity
-
-        if not validate_rotation_planarity(g, embedding):
-            raise CertificateInvalid("rotation system fails the genus-0 face count")
+    if embedding is not None and not validate_rotation_planarity(g, embedding):
+        raise CertificateInvalid("rotation system fails the genus-0 face count")
     st = _State.from_graph(g)
     trace: list[RuleApplication] = []
     while st.adj:
@@ -416,6 +473,22 @@ def run_planar(g: Graph, embedding=None) -> WitnessPair:
 # ---------------------------------------------------------------------------
 # Treewidth driver
 # ---------------------------------------------------------------------------
+
+
+def completion_width(g: Graph, completion: Graph) -> int | None:
+    """The width (clique number minus one) of ``completion`` when it is a
+    chordal supergraph of g on the same vertices, else None."""
+    if completion.n != g.n or not completion.is_plain():
+        return None
+    if any(not nb <= big for nb, big in zip(g.adj, completion.adj)):
+        return None
+    return chordal_width(completion)
+
+
+def validate_tw_certificate(g: Graph, completion: Graph, k: int) -> bool:
+    """Chordal supergraph on the same vertices with clique number <= k+1."""
+    width = completion_width(g, completion)
+    return width is not None and width <= k
 
 
 def _simplicial(compl_adj: dict[int, set[int]], within=None) -> list[int]:
@@ -469,8 +542,6 @@ def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int, trace) -> Rul
 def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
     """Certified gamma <= k*rho, k the width of a validated chordal completion
     lifted to at least 1 (an isolated vertex pays one for one)."""
-    from .families import completion_width
-
     if not g.is_plain():
         raise EngineError("treewidth driver expects a plain graph")
     width = completion_width(g, chordal_completion)

@@ -14,6 +14,9 @@ so merges whose endpoints died become aliases instead of contractions.
 
 from __future__ import annotations
 
+import json
+from dataclasses import dataclass
+
 from .engine import (
     EngineError,
     RuleApplication,
@@ -24,7 +27,32 @@ from .engine import (
     _State,
     certify,
 )
-from .graph import Graph
+from .graph import Graph, GraphError, vertex_ids
+
+
+@dataclass(frozen=True)
+class ContractionSequence:
+    """Ordered merges (u, v, w) with fresh ids w, ending at a single vertex,
+    keeping red degree at most declared_width throughout."""
+
+    merges: tuple[tuple[int, int, int], ...]
+    declared_width: int
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {"width": self.declared_width, "merges": [list(m) for m in self.merges]},
+            separators=(",", ":"),
+        )
+
+    @staticmethod
+    def from_json(s: str) -> "ContractionSequence":
+        try:
+            doc = json.loads(s)
+            merges = tuple((a, b, c) for a, b, c in map(vertex_ids, doc["merges"]))
+            (width,) = vertex_ids([doc["width"]])
+            return ContractionSequence(merges, width)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"bad contraction-sequence JSON: {exc}") from exc
 
 
 def _black_neighbors(st: _State, v: int) -> set[int]:
@@ -32,7 +60,9 @@ def _black_neighbors(st: _State, v: int) -> set[int]:
 
 
 def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
-    u = _min_in_buckets(st, range(k + 1), st.y)
+    # No black degree reaches the number of live vertices, so a declared
+    # width beyond it reads no more buckets.
+    u = _min_in_buckets(st, range(min(k, len(st.adj)) + 1), st.y)
     if u is None:
         return None
     blacks = tuple(sorted(_black_neighbors(st, u)))
@@ -100,10 +130,32 @@ def _contraction_step(st: _State, a: int, b: int, w: int) -> RuleApplication:
     )
 
 
-def run_twinwidth(g: Graph, seq, k: int, y=()) -> WitnessPair:
-    """Certified black-domination within 4k^2 of the packing, k >= 2."""
-    from .families import validate_contraction_sequence
+def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None) -> bool:
+    """Replay the merges on the driver's working state, each one through the
+    driver's own contraction step (and so its recolouring rule); red degree
+    must stay within the width at every step and the trigraph must shrink to
+    one vertex.
 
+    A merge only lowers red degrees, except at the merged vertex and its red
+    neighbours, so only those are re-checked."""
+    w = seq.declared_width if width is None else width
+    st = _State.from_graph(g)
+    red = st.red
+    if any(len(r) > w for r in red.values()):
+        return False
+    used = set(st.adj)
+    for a, b, c in seq.merges:
+        if a not in st.adj or b not in st.adj or a == b or c in used:
+            return False
+        used.add(c)
+        st.apply(_contraction_step(st, a, b, c))
+        if len(red[c]) > w or any(len(red[x]) > w for x in red[c]):
+            return False
+    return len(st.adj) <= 1
+
+
+def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPair:
+    """Certified black-domination within 4k^2 of the packing, k >= 2."""
     if k < 2:
         raise SequenceInvalid("twin-width driver requires k >= 2")
     if not validate_contraction_sequence(g, seq, width=k):

@@ -1,20 +1,16 @@
-"""Named graph families, class recognizers, certificate validators, and
-graph enumeration."""
+"""Named graph families, the AT-free recognizer, and graph enumeration."""
 
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .constructions import ConvexEncoding, DiskConfiguration, _int_ids
-from .engine import _State
-from .engine_twinwidth import _contraction_step
-from .graph import MAX_ORDER, Graph, GraphError, components, reach_mask
+from .constructions import MAX_COORDINATE, ConvexEncoding, DiskConfiguration
+from .graph import MAX_ORDER, Graph, GraphError, reach_mask
 
 
 class OversizeFamilyError(ValueError):
@@ -25,58 +21,6 @@ def _check_order(n: int) -> None:
     """Refuse, before anything is built, an order that graph6 cannot write."""
     if n > MAX_ORDER:
         raise OversizeFamilyError(f"order {n} above the cap of {MAX_ORDER}")
-
-
-# ---------------------------------------------------------------------------
-# Certificate types
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractionSequence:
-    """Ordered merges (u, v, w) with fresh ids w, ending at a single vertex,
-    keeping red degree at most declared_width throughout."""
-
-    merges: tuple[tuple[int, int, int], ...]
-    declared_width: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"width": self.declared_width, "merges": [list(m) for m in self.merges]},
-            separators=(",", ":"),
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "ContractionSequence":
-        try:
-            doc = json.loads(s)
-            return ContractionSequence(
-                tuple((int(a), int(b), int(c)) for a, b, c in doc["merges"]),
-                int(doc["width"]),
-            )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise GraphError(f"bad contraction-sequence JSON: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class RotationSystem:
-    """Per-vertex cyclic order of neighbors (a combinatorial embedding)."""
-
-    rotations: dict[int, tuple[int, ...]]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"rotations": {str(v): list(r) for v, r in sorted(self.rotations.items())}},
-            separators=(",", ":"),
-        )
-
-    @staticmethod
-    def from_json(s: str) -> "RotationSystem":
-        try:
-            doc = json.loads(s)
-            return RotationSystem({int(v): _int_ids(r) for v, r in doc["rotations"].items()})
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"bad rotation-system JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +166,14 @@ def gen_random_tree(n: int, seed: int) -> Graph:
 
 
 def gen_random_unitdisk(n: int, box: float, seed: int) -> DiskConfiguration:
-    """n centers uniform in a box x box square, on a hundredth grid."""
-    rng = random.Random(seed)
+    """n centers uniform in a box x box square, on a hundredth grid.  The box
+    may reach no further than the disk CSV reader's coordinate bound."""
+    if n < 0 or box < 0:
+        raise ValueError("need n >= 0, box >= 0")
     grid = max(1, int(box * 100))
+    if grid > 100 * MAX_COORDINATE:
+        raise ValueError(f"box beyond the coordinate bound {MAX_COORDINATE:.0e}")
+    rng = random.Random(seed)
     pts = tuple(
         (Fraction(rng.randrange(grid + 1), 100), Fraction(rng.randrange(grid + 1), 100))
         for _ in range(n)
@@ -258,7 +207,7 @@ def gen_random_convex(nx: int, ny: int, seed: int) -> ConvexEncoding:
 
 
 # ---------------------------------------------------------------------------
-# Recognizers
+# AT-free recognition
 # ---------------------------------------------------------------------------
 
 
@@ -285,168 +234,6 @@ def at_free_masks(adj) -> bool:
             and linked_avoiding(u, w, v)
             and linked_avoiding(v, w, u)
         ):
-            return False
-    return True
-
-
-def recognize_chordal(g: Graph):
-    """A perfect elimination order, or None when the graph is not chordal.
-
-    Maximum cardinality search (Tarjan and Yannakakis, 1984) visits every
-    vertex once, each time taking an unvisited vertex with the most visited
-    neighbours from weight buckets (entries left behind by a weight increase
-    are skipped when popped).  The reverse of the visit order is a perfect
-    elimination order exactly when the graph is chordal, which is checked
-    during the same search: the neighbours of v visited before it, less the
-    last of them (its parent), must all be neighbours of the parent.  O(n+m).
-    The order returned is that reversed visit order; it need not be the one
-    that eliminates the smallest simplicial vertex first.
-    """
-    n = g.n
-    adj = g.adj
-    visit = [-1] * n  # visit index, -1 while unvisited
-    weight = [0] * n
-    buckets = [list(range(n - 1, -1, -1))]
-    top = 0
-    order = []
-    for i in range(n):
-        while True:
-            bucket = buckets[top]
-            if not bucket:
-                top -= 1
-                continue
-            v = bucket.pop()
-            if visit[v] < 0 and weight[v] == top:
-                break
-        visit[v] = i
-        order.append(v)
-        earlier = [u for u in adj[v] if visit[u] >= 0]
-        if len(earlier) > 1:
-            parent = max(earlier, key=visit.__getitem__)
-            pnb = adj[parent]
-            if any(u != parent and u not in pnb for u in earlier):
-                return None
-        for u in adj[v]:
-            if visit[u] < 0:
-                w = weight[u] = weight[u] + 1
-                if w == len(buckets):
-                    buckets.append([])
-                buckets[w].append(u)
-        if top + 1 < len(buckets):
-            top += 1
-    order.reverse()
-    return order
-
-
-def chordal_width(g: Graph) -> int | None:
-    """Clique number minus one of a chordal graph (-1 when empty), or None
-    when the graph is not chordal.  Every maximal clique is some vertex with
-    its neighbours later in the perfect elimination order."""
-    peo = recognize_chordal(g)
-    if peo is None:
-        return None
-    seen: set[int] = set()
-    omega = 0
-    for v in peo:
-        omega = max(omega, 1 + len(g.adj[v] - seen))
-        seen.add(v)
-    return omega - 1
-
-
-def is_convex_order(g: Graph, enc: ConvexEncoding) -> bool:
-    """Encoding matches the graph and every right neighborhood is an interval."""
-    xs = set(enc.x_order)
-    ys = set(enc.y_neighbors)
-    if len(xs) != len(enc.x_order) or xs & ys:
-        return False
-    if xs | ys != set(g.vertices()):
-        return False
-    edges = {(min(x, y), max(x, y)) for y, ns in enc.y_neighbors.items() for x in ns}
-    if any(x not in xs for _, ns in enc.y_neighbors.items() for x in ns):
-        return False
-    if edges != set(g.edges()):
-        return False
-    pos = enc.positions
-    for ns in enc.y_neighbors.values():
-        if not ns:
-            continue
-        ps = sorted(pos[x] for x in ns)
-        if ps[-1] - ps[0] + 1 != len(ps):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Certificate validators
-# ---------------------------------------------------------------------------
-
-
-def completion_width(g: Graph, completion: Graph) -> int | None:
-    """The width (clique number minus one) of ``completion`` when it is a
-    chordal supergraph of g on the same vertices, else None."""
-    if completion.n != g.n or not completion.is_plain():
-        return None
-    if any(not nb <= big for nb, big in zip(g.adj, completion.adj)):
-        return None
-    return chordal_width(completion)
-
-
-def validate_tw_certificate(g: Graph, completion: Graph, k: int) -> bool:
-    """Chordal supergraph on the same vertices with clique number <= k+1."""
-    width = completion_width(g, completion)
-    return width is not None and width <= k
-
-
-def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None) -> bool:
-    """Replay the merges on the twin-width driver's working state, each one
-    through the driver's own contraction step (and so its recolouring rule);
-    red degree must stay within the width at every step and the trigraph
-    must shrink to one vertex.
-
-    A merge only lowers red degrees, except at the merged vertex and its red
-    neighbours, so only those are re-checked."""
-    w = seq.declared_width if width is None else width
-    st = _State.from_graph(g)
-    red = st.red
-    if any(len(r) > w for r in red.values()):
-        return False
-    used = set(st.adj)
-    for a, b, c in seq.merges:
-        if a not in st.adj or b not in st.adj or a == b or c in used:
-            return False
-        used.add(c)
-        st.apply(_contraction_step(st, a, b, c))
-        if len(red[c]) > w or any(len(red[x]) > w for x in red[c]):
-            return False
-    return len(st.adj) <= 1
-
-
-def validate_rotation_planarity(g: Graph, rs: RotationSystem) -> bool:
-    """Face-trace the embedding; genus 0 means V - E + F = 2 per component."""
-    if set(rs.rotations) != set(g.vertices()):
-        return False
-    for v, rot in rs.rotations.items():
-        if sorted(rot) != sorted(g.adj[v]):
-            return False
-    succ = {}
-    for v, rot in rs.rotations.items():
-        for i, u in enumerate(rot):
-            succ[(v, u)] = rot[(i + 1) % len(rot)]
-    for comp in components(g):
-        darts = [(u, v) for u in comp for v in g.adj[u]]
-        faces = 0
-        unseen = set(darts)
-        while unseen:
-            dart = min(unseen)
-            faces += 1
-            u, v = dart
-            while (u, v) in unseen:
-                unseen.discard((u, v))
-                u, v = v, succ[(v, u)]
-        if not darts:
-            faces = 1
-        e = sum(len(g.adj[u]) for u in comp) // 2
-        if len(comp) - e + faces != 2:
             return False
     return True
 

@@ -1,4 +1,5 @@
-"""Immutable graph substrate: adjacency, distances, degeneracy, conflict graphs, I/O.
+"""Immutable graph substrate: adjacency, distances, degeneracy, chordality,
+conflict graphs, I/O.
 
 Vertices are dense integers 0..n-1. Edges carry a color tag, black by default;
 a graph with no red edges is "plain". Graphs are immutable after construction;
@@ -233,6 +234,70 @@ def degeneracy_ordering(g: Graph) -> tuple[list[int], int]:
     return order, degeneracy
 
 
+def recognize_chordal(g: Graph):
+    """A perfect elimination order, or None when the graph is not chordal.
+
+    Maximum cardinality search (Tarjan and Yannakakis, 1984) visits every
+    vertex once, each time taking an unvisited vertex with the most visited
+    neighbours from weight buckets (entries left behind by a weight increase
+    are skipped when popped).  The reverse of the visit order is a perfect
+    elimination order exactly when the graph is chordal, which is checked
+    during the same search: the neighbours of v visited before it, less the
+    last of them (its parent), must all be neighbours of the parent.  O(n+m).
+    The order returned is that reversed visit order; it need not be the one
+    that eliminates the smallest simplicial vertex first.
+    """
+    n = g.n
+    adj = g.adj
+    visit = [-1] * n  # visit index, -1 while unvisited
+    weight = [0] * n
+    buckets = [list(range(n - 1, -1, -1))]
+    top = 0
+    order = []
+    for i in range(n):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = bucket.pop()
+            if visit[v] < 0 and weight[v] == top:
+                break
+        visit[v] = i
+        order.append(v)
+        earlier = [u for u in adj[v] if visit[u] >= 0]
+        if len(earlier) > 1:
+            parent = max(earlier, key=visit.__getitem__)
+            pnb = adj[parent]
+            if any(u != parent and u not in pnb for u in earlier):
+                return None
+        for u in adj[v]:
+            if visit[u] < 0:
+                w = weight[u] = weight[u] + 1
+                if w == len(buckets):
+                    buckets.append([])
+                buckets[w].append(u)
+        if top + 1 < len(buckets):
+            top += 1
+    order.reverse()
+    return order
+
+
+def chordal_width(g: Graph) -> int | None:
+    """Clique number minus one of a chordal graph (-1 when empty), or None
+    when the graph is not chordal.  Every maximal clique is some vertex with
+    its neighbours later in the perfect elimination order."""
+    peo = recognize_chordal(g)
+    if peo is None:
+        return None
+    seen: set[int] = set()
+    omega = 0
+    for v in peo:
+        omega = max(omega, 1 + len(g.adj[v] - seen))
+        seen.add(v)
+    return omega - 1
+
+
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
     seen: set[int] = set()
@@ -276,11 +341,12 @@ def masks_connected(masks) -> bool:
 
 # ---------------------------------------------------------------------------
 # graph6 codec (bit-exact: 6-bit chunks, 63-offset bytes, column-major upper
-# triangle) and the JSON edge-list reader.
+# triangle), the JSON edge-list reader and the vertex-id check of every
+# certificate reader.
 # ---------------------------------------------------------------------------
 
 
-class Graph6Error(ValueError):
+class Graph6Error(GraphError):
     pass
 
 
@@ -410,3 +476,12 @@ def from_edge_json(s: str) -> Graph:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"bad edge-list JSON: {exc}") from exc
+
+
+def vertex_ids(xs) -> tuple[int, ...]:
+    """A JSON list of vertex ids as a tuple; TypeError unless all are ints.
+    Every certificate reader checks its id lists with it."""
+    xs = tuple(xs)
+    if not all(isinstance(x, int) for x in xs):
+        raise TypeError("vertex ids must be integers")
+    return xs

@@ -13,13 +13,9 @@ import json
 from itertools import combinations
 
 from dompack.constructions import ConvexEncoding, EncodingInvalid
-from dompack.engine import RuleApplication, _State
-from dompack.families import (
-    ContractionSequence,
-    OversizeFamilyError,
-    validate_contraction_sequence,
-    validate_tw_certificate,
-)
+from dompack.engine import RuleApplication, _State, validate_tw_certificate
+from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
+from dompack.families import OversizeFamilyError
 from dompack.graph import Graph
 
 

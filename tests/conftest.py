@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dompack import families
+from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.graph import Graph
 
 
@@ -131,7 +132,7 @@ def random_interval_graph(n: int, seed: int) -> Graph:
 
 def random_cograph(
     n: int, seed: int, flip: float = 0.0
-) -> tuple[Graph, families.ContractionSequence]:
+) -> tuple[Graph, ContractionSequence]:
     """A cograph grown by adding twins, and the contraction sequence that
     undoes the growth: merging a vertex into its twin makes no red edge.
 
@@ -159,11 +160,9 @@ def random_cograph(
         current[a] = fresh
     g = Graph.from_edges(n, [(u, v) for u in adj for v in adj[u] if u < v])
     width = 0
-    while not families.validate_contraction_sequence(
-        g, families.ContractionSequence(tuple(merges), width)
-    ):
+    while not validate_contraction_sequence(g, ContractionSequence(tuple(merges), width)):
         width += 1
-    return g, families.ContractionSequence(tuple(merges), width)
+    return g, ContractionSequence(tuple(merges), width)
 
 
 def random_xy(g: Graph, seed: int, px=0.2, py=0.2):

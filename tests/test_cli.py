@@ -10,6 +10,8 @@ import pytest
 
 from dompack import cli, families
 from dompack.cli import CliError, main
+from dompack.engine import RotationSystem
+from dompack.engine_twinwidth import ContractionSequence
 from dompack.graph import MAX_ORDER, Graph, Graph6Error, _g6_encode_n, masks_to_graph6, to_graph6
 from _reference import brute_force_tww_sequence, convex_graph, to_edge_json
 
@@ -130,7 +132,7 @@ class TestConstruct:
 
         def drop_endpoint(g, d, p, tag, constant, *rest):
             y = min(v for v in p if v in enc.y_neighbors)
-            lo, _ = enc.interval(y)
+            lo, _ = constructions._check_encoding(g, enc)[y]
             return real(g, set(d) - {enc.x_order[lo]}, p, tag, constant, *rest)
 
         monkeypatch.setattr(constructions, "certify", drop_endpoint)
@@ -308,6 +310,14 @@ class TestGenerateValidate:
         assert run.returncode == 3 and run.stdout == ""
         assert run.stderr == f"error: order {order} above the cap of {MAX_ORDER}\n"
 
+    def test_generate_unitdisk_wide_box_reads_back(self, tmp_path, capsys):
+        argv = ["generate", "--family", "random-unitdisk", "--params", "n=4,box=1e149,seed=2"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 4
+        df = write(tmp_path, "disks.csv", out)
+        code, _, _ = run_cli(["construct", "--class", "unitdisk", df], capsys)
+        assert code == 0
+
     def test_generate_unknown(self, capsys):
         code, _, _ = run_cli(["generate", "--family", "nope"], capsys)
         assert code == 2
@@ -366,7 +376,7 @@ class TestGenerateValidate:
     def test_validate_tww_rejects_overwidth(self, tmp_path, capsys):
         g = families.gen_cycle(7)
         seq = brute_force_tww_sequence(g, 2)
-        lying = families.ContractionSequence(seq.merges, 1)
+        lying = ContractionSequence(seq.merges, 1)
         gf = write(tmp_path, "c7.g6", to_graph6(g) + "\n")
         sf = write(tmp_path, "seq.json", lying.to_json())
         code, _, err = run_cli(["validate", "--what", "tww-seq", sf, gf], capsys)
@@ -374,7 +384,7 @@ class TestGenerateValidate:
 
     def test_validate_rotation(self, tmp_path, capsys):
         g = families.gen_cycle(5)
-        rs = families.RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
+        rs = RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
         gf = write(tmp_path, "c5.g6", to_graph6(g) + "\n")
         rf = write(tmp_path, "rot.json", rs.to_json())
         code, _, _ = run_cli(["validate", "--what", "rotation", rf, gf], capsys)
@@ -554,6 +564,14 @@ class TestScan:
 # [1], not the id 1.
 P4_JSON = '{"n":4,"edges":[[0,1],[1,2],[2,3]]}'
 NESTED_ROTATION = '{"rotations":{"0":[[1]],"1":[0,2],"2":[1,3],"3":[2]}}'
+# Contraction sequences on K2 whose ids or width are not integers; int()
+# used to read each of them as the valid sequence [[0,1,2]] at width 2.
+K2_JSON = '{"n":2,"edges":[[0,1]]}'
+NON_INTEGER_SEQUENCES = [
+    '{"width":2,"merges":[["0","1",2]]}',
+    '{"width":2,"merges":[[0.0,1,2]]}',
+    '{"width":2.0,"merges":[[0,1,2]]}',
+]
 
 
 class TestMalformedInputs:
@@ -597,6 +615,22 @@ class TestMalformedInputs:
         argv = ["generate", "--family", "random-unitdisk", "--params", "n=3,box=inf"]
         self.assert_parse_error(run_cli(argv, capsys))
 
+    @pytest.mark.parametrize("params", ["n=-3", "n=3,box=-5", "n=3,box=1e200"])
+    def test_generate_unitdisk_out_of_range(self, params, capsys):
+        # n=-3 printed nothing, box=-5 drew from a 0.01 box, and box=1e200
+        # wrote centres that construct --class unitdisk refuses.
+        argv = ["generate", "--family", "random-unitdisk", "--params", params]
+        self.assert_parse_error(run_cli(argv, capsys))
+
+    @pytest.mark.parametrize("sequence", NON_INTEGER_SEQUENCES, ids=["str", "float", "width"])
+    def test_sequence_ids_must_be_integers(self, sequence, tmp_path, capsys):
+        gf = write(tmp_path, "k2.json", K2_JSON)
+        sf = write(tmp_path, "seq.json", sequence)
+        self.assert_parse_error(run_cli(
+            ["construct", "--class", "twinwidth", "--certificate", sf, gf], capsys
+        ))
+        self.assert_parse_error(run_cli(["validate", "--what", "tww-seq", sf, gf], capsys))
+
     @pytest.mark.parametrize(
         "cls, graph, certificate",
         [
@@ -608,10 +642,12 @@ class TestMalformedInputs:
             ("convex", '{"n":2,"edges":[[0,1]]}', '{"x_order":'),
             ("unitdisk", "0,0\n1e400,0\n", None),
             ("unitdisk", "0,0\n1e300,0\n", None),
+            ("unitdisk", "0,1e-999999999\n", None),
+            ("unitdisk", "0,0\n1E+4301,0\n", None),
         ],
         ids=["edge-triple", "red-edge-single", "rotations-list", "rotations-list-id",
              "convex-list-id", "convex-truncated", "disk-float-overflow",
-             "disk-square-overflow"],
+             "disk-square-overflow", "disk-huge-exponent", "disk-exponent-past-bound"],
     )
     def test_construct_inputs(self, cls, graph, certificate, tmp_path, capsys):
         argv = ["construct", "--class", cls, write(tmp_path, "in.txt", graph)]

@@ -9,6 +9,7 @@ from dompack.constructions import (
     DiskConfiguration,
     EncodingInvalid,
     NotFoundError,
+    _check_encoding,
     check_covering,
     construct_atfree,
     construct_convex,
@@ -139,6 +140,64 @@ class TestAtFree:
             assert len(w.d_set) <= 3 * len(w.p_set) + 2
 
 
+def _reference_intervals(g, enc):
+    """``_check_encoding`` from its definition: the intervals, or the
+    message of the first check that fails."""
+    xs, ys = list(enc.x_order), enc.y_neighbors
+    not_convex = "encoding does not match the graph or is not convex"
+    if len(set(xs)) != len(xs) or set(xs) & set(ys) or set(xs) | set(ys) != set(g.vertices()):
+        return not_convex
+    edges, out = set(), {}
+    for y, ns in ys.items():
+        if len(set(ns)) != len(ns) or not set(ns) <= set(xs):
+            return not_convex
+        edges |= {(min(x, y), max(x, y)) for x in ns}
+        ps = sorted(xs.index(x) for x in ns)
+        if ps and ps != list(range(ps[0], ps[-1] + 1)):
+            return not_convex
+        if ps:
+            out[y] = (ps[0], ps[-1])
+    if edges != set(g.edges()):
+        return not_convex
+    if any(not g.adj[v] for v in g.vertices()):
+        return "convex construction requires no isolated vertices"
+    return out
+
+
+def _mutate_encoding(enc, g, rng):
+    """The encoding and its graph with up to two defects, each in one place."""
+    xs, ys = list(enc.x_order), {y: list(ns) for y, ns in enc.y_neighbors.items()}
+    n, edges = g.n, set(g.edges())
+    for _ in range(rng.randrange(3)):
+        listed = [y for y in sorted(ys) if ys[y]]
+        if not listed:
+            break
+        y = rng.choice(listed)
+        kind = rng.randrange(9)
+        if kind == 0:
+            ys[y].append(rng.choice(ys[y]))  # a duplicate entry
+        elif kind == 1:
+            ys[y][0] = n + 3  # an unknown id
+        elif kind == 2:
+            rng.shuffle(xs)  # possibly no longer convex
+        elif kind == 3 and len(set(xs)) > 1:
+            edges.add(tuple(sorted(rng.sample(sorted(set(xs)), 2))))  # an edge inside the left side
+        elif kind == 4:
+            ys[y].pop(rng.randrange(len(ys[y])))  # a graph edge the encoding lacks
+        elif kind == 5:
+            ys[n] = []  # an isolated right vertex
+            n += 1
+        elif kind == 6:
+            xs.append(xs[0])  # a left vertex listed twice
+        elif kind == 7:
+            ys[xs[0]] = [xs[-1]]  # an id on both sides
+        elif len(ys) > 1:
+            other = rng.choice([v for v in sorted(ys) if v != y])
+            ys[y].append(other)  # an edge between two right vertices
+            edges.add((min(y, other), max(y, other)))
+    return ConvexEncoding(tuple(xs), ys), Graph.from_edges(n, edges)
+
+
 class TestConvex:
     def test_k23(self):
         enc = ConvexEncoding((0, 1), {2: (0, 1), 3: (0, 1), 4: (0, 1)})
@@ -186,6 +245,38 @@ class TestConvex:
         with pytest.raises(EncodingInvalid):
             construct_convex(other, enc)
 
+    def test_rejects_duplicate_that_hides_a_gap(self):
+        # Vertex 3 sees positions 0 and 2, not 1: listing 0 twice made the
+        # count fill the span, and the check once took it for an interval.
+        enc = ConvexEncoding((0, 1, 2), {3: (0, 0, 2), 4: (1,)})
+        g = Graph.from_edges(5, [(0, 3), (2, 3), (1, 4)])
+        with pytest.raises(EncodingInvalid, match="not convex"):
+            construct_convex(g, enc)
+        # With an edge inside the left side as well, the edges still add up.
+        g = Graph.from_edges(5, [(0, 3), (2, 3), (1, 4), (0, 1)])
+        with pytest.raises(EncodingInvalid, match="not convex"):
+            construct_convex(g, enc)
+
+    def test_check_matches_the_definition(self):
+        verdicts = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            enc = families.gen_random_convex(2 + seed % 7, 1 + seed % 5, seed)
+            g = convex_graph(enc)
+            enc, g = _mutate_encoding(enc, g, rng)
+            want = _reference_intervals(g, enc)
+            try:
+                got = _check_encoding(g, enc)
+            except EncodingInvalid as exc:
+                got = str(exc)
+            assert got == want, (seed, enc, g.edges())
+            verdicts.add(want if isinstance(want, str) else "ok")
+        assert verdicts == {
+            "ok",
+            "encoding does not match the graph or is not convex",
+            "convex construction requires no isolated vertices",
+        }
+
     def test_random_corpus(self):
         for seed in range(60):
             enc = families.gen_random_convex(3 + seed % 6, 2 + seed % 5, seed)
@@ -208,9 +299,11 @@ class TestConvex:
 
     def test_intervals_use_the_order(self):
         enc = families.gen_random_convex(12, 9, 4)
+        intervals = _check_encoding(convex_graph(enc), enc)
+        assert intervals.keys() == enc.y_neighbors.keys()
         for y, ns in enc.y_neighbors.items():
             ps = sorted(enc.x_order.index(x) for x in ns)
-            assert enc.interval(y) == (ps[0], ps[-1])
+            assert intervals[y] == (ps[0], ps[-1])
 
     def test_encoding_json_roundtrip(self):
         enc = families.gen_random_convex(5, 4, 9)

@@ -5,6 +5,7 @@ import pytest
 from dompack import families, oracles
 from dompack.engine import (
     CertificateInvalid,
+    RotationSystem,
     RuleApplication,
     Stalled,
     _State,
@@ -126,9 +127,9 @@ class TestPlanarDriver:
 
     def test_embedding_validated(self):
         g = named("c4")
-        rs = families.RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
+        rs = RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
         assert run_planar(g, rs).achieved_ratio <= 10
-        bad = families.RotationSystem(
+        bad = RotationSystem(
             {v: tuple(sorted(complete(5).adj[v])) for v in range(5)}
         )
         with pytest.raises(CertificateInvalid):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from dompack import engine, engine_twodeg, families, oracles
+from dompack import engine, engine_twinwidth, engine_twodeg, families, oracles
 from dompack.engine import Stalled, SequenceInvalid, _State
 from dompack.engine_twodeg import run_twodeg
-from dompack.engine_twinwidth import run_twinwidth
+from dompack.engine_twinwidth import ContractionSequence, run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance
 from _reference import brute_force_tww_sequence, recognize_distance_hereditary, replay
 from conftest import (
@@ -146,7 +146,7 @@ class TestTwinwidth:
 
     def test_clique_twins(self):
         g = complete(5)
-        seq = families.ContractionSequence(
+        seq = ContractionSequence(
             tuple((i, i + 1 if i == 0 else 4 + i, 5 + i) for i in range(4)), 0
         )
         # K5 contracts along twins with no red edges at all.
@@ -157,7 +157,7 @@ class TestTwinwidth:
             merges.append((cur, v, fresh))
             cur = fresh
             fresh += 1
-        seq = families.ContractionSequence(tuple(merges), 2)
+        seq = ContractionSequence(tuple(merges), 2)
         w = run_twinwidth(g, seq, 2)
         inst = XYInstance(g, mode=Mode.BLACK)
         assert oracles.check_xy_dominating(inst, w.d_set)
@@ -178,9 +178,28 @@ class TestTwinwidth:
         with pytest.raises(SequenceInvalid):
             run_twinwidth(g, seq, 1)
 
+    def test_wide_declared_width_reads_few_buckets(self, monkeypatch):
+        # The low-black step reads the buckets of black degrees 0..k, and no
+        # more than the live vertices allow: at width 10**8 it once read that
+        # many buckets per step (12 s for K2 on a 2-core host), and 10**18
+        # never finished.
+        real = engine_twinwidth._min_in_buckets
+
+        def bounded(st, degrees, *rest):
+            assert len(degrees) <= len(st.adj) + 1
+            return real(st, degrees, *rest)
+
+        monkeypatch.setattr(engine_twinwidth, "_min_in_buckets", bounded)
+        g = families.gen_path(4)
+        seq = brute_force_tww_sequence(g, 2)
+        w = run_twinwidth(g, ContractionSequence(seq.merges, 10**18), 10**18)
+        assert w.certified_constant == 4 * 10**36
+        narrow = run_twinwidth(g, seq, 5)
+        assert (w.d_set, w.p_set) == (narrow.d_set, narrow.p_set)
+
     def test_rejects_bad_sequence(self):
         g = families.gen_path(4)
-        seq = families.ContractionSequence(((0, 9, 10),), 2)
+        seq = ContractionSequence(((0, 9, 10),), 2)
         with pytest.raises(SequenceInvalid):
             run_twinwidth(g, seq, 2)
 

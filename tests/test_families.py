@@ -5,12 +5,11 @@ import networkx as nx
 import pytest
 
 from dompack import families, oracles
+from dompack.engine import RotationSystem, validate_rotation_planarity, validate_tw_certificate
+from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import (
-    ContractionSequence,
     OversizeFamilyError,
-    RotationSystem,
     at_free_masks,
-    chordal_width,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
@@ -22,17 +21,15 @@ from dompack.families import (
     gen_split,
     gen_threedeg,
     recognize_at_free,
-    recognize_chordal,
-    validate_contraction_sequence,
-    validate_rotation_planarity,
-    validate_tw_certificate,
 )
 from dompack.graph import (
     Graph,
     XYInstance,
+    chordal_width,
     degeneracy_ordering,
     is_connected,
     masks_connected,
+    recognize_chordal,
     to_graph6,
 )
 from _reference import (

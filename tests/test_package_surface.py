@@ -55,3 +55,59 @@ def test_every_definition_is_reached_outside_the_tests():
         if name not in referenced
     ]
     assert not unreached, f"reached only from the tests: {unreached}"
+
+
+def _relative_imports(tree: ast.Module):
+    """(imported module, enclosing function or None) per relative import;
+    ``from . import a, b`` imports a and b."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level:
+                for name in [child.module] if child.module else [a.name for a in child.names]:
+                    yield name, function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, function or child.name)
+            else:
+                yield from walk(child, function)
+
+    return walk(tree, None)
+
+
+def _import_graph():
+    graph, local = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph[path.stem] = set()
+        for name, function in _relative_imports(ast.parse(path.read_text(), str(path))):
+            if function:
+                local.append(f"{path.stem}.{function} imports {name}")
+            else:
+                graph[path.stem].add(name)
+    return graph, local
+
+
+def test_no_relative_import_inside_a_function():
+    # Absolute imports (``multiprocessing`` in ``cmd_scan``, which keeps
+    # start-up lean) stay allowed; a relative one hides an import cycle.
+    _, local = _import_graph()
+    assert not local, f"function-local package imports: {local}"
+
+
+def test_module_imports_form_a_dag():
+    graph, _ = _import_graph()
+    done, active = set(), []
+
+    def visit(module):
+        if module in active:
+            raise AssertionError("import cycle: " + " -> ".join(active + [module]))
+        if module not in done:
+            active.append(module)
+            for dep in sorted(graph.get(module, ())):
+                visit(dep)
+            active.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+    engines = {"engine", "engine_twodeg", "engine_twinwidth"}
+    assert not graph["families"] & engines
+    assert all("families" not in graph[m] for m in engines | {"constructions"})
