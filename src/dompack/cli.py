@@ -32,6 +32,7 @@ from .graph import (
     masks_connected,
     masks_to_graph6,
     to_graph6,
+    vertex_ids,
 )
 
 EXIT_OK = 0
@@ -285,9 +286,12 @@ def cmd_list_families(_args) -> int:
 # ---------------------------------------------------------------------------
 
 def _id_set(ids, key: str) -> frozenset[int]:
-    if not isinstance(ids, list) or not all(isinstance(v, int) for v in ids):
-        raise CliError(f"witness field {key!r} must be a list of vertex ids", EXIT_PARSE)
-    return frozenset(ids)
+    if isinstance(ids, list):
+        try:
+            return frozenset(vertex_ids(ids))
+        except TypeError:
+            pass
+    raise CliError(f"witness field {key!r} must be a list of vertex ids", EXIT_PARSE)
 
 
 def _validate_witness_doc(doc, g: Graph) -> str | None:
@@ -372,8 +376,10 @@ def cmd_validate(args) -> int:
 
 
 # The scan works on neighbourhood bitmasks (see ``dompack.graph``) and never
-# builds a Graph: the 32,768 graphs of ``--enumerate-n 6`` are each set up in
-# microseconds, so a Graph per graph would cost more than the kernels.
+# builds a Graph.  Every field of a record but its graph6 is an isomorphism
+# invariant, so ``--enumerate-n`` evaluates each isomorphism class once, on
+# its first labelled graph (156 classes for the 32,768 graphs at n = 6), and
+# each graph adds only its own graph6.
 
 
 def _edge_count(masks) -> int:
@@ -402,7 +408,9 @@ def _class_flags(masks, m: int, subcubic: bool) -> int:
 
 
 def _scan_one(task):
-    g6, masks, check, max_n = task
+    """The scan record of one graph but its graph6 field; every field is an
+    isomorphism invariant."""
+    masks, check, max_n = task
     oracles.check_size(len(masks), max_n)
     gamma = oracles.domination_kernel(masks)[0]
     rho = oracles.packing_kernel(masks)[0]
@@ -431,7 +439,6 @@ def _scan_one(task):
     else:
         ratio = None
     record = {
-        "graph6": g6,
         "n": len(masks),
         "m": m,
         "gamma": gamma,
@@ -446,13 +453,9 @@ def _scan_one(task):
     return record
 
 
-def _scan_sources(enumerate_n, text, counters):
-    """(graph6, masks) for each input graph, each decoded once; malformed
-    file lines are reported, counted and skipped."""
-    if enumerate_n is not None:
-        for masks in families.enumerate_labeled_masks(enumerate_n):
-            yield masks_to_graph6(masks), masks
-        return
+def _file_sources(text, summary):
+    """(graph6, masks) for each graph of a scan file, each decoded once;
+    malformed lines are reported, counted in the summary and skipped."""
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -461,37 +464,122 @@ def _scan_sources(enumerate_n, text, counters):
             masks = graph6_to_masks(line)
         except Graph6Error as exc:
             print(f"line {lineno}: skipped malformed graph6 ({exc})", file=sys.stderr)
-            counters["malformed"] += 1
+            summary["malformed"] += 1
             continue
         yield line, masks
 
 
-# One scan record as compact JSON, the bytes json.dumps would give with
-# separators=(",", ":"): a fixed-key format takes half the time, since even
-# a reused JSONEncoder builds a fresh C encoder on every encode call.
-_SCAN_LINE = (
-    '{"graph6":%s,"n":%d,"m":%d,"gamma":%d,"rho":%d,"ratio":%s,"class_flags":%d,'
+# A record's line is its graph6 field and then its tail, the bytes json.dumps
+# would give with separators=(",", ":"): a fixed-key format takes half the
+# time, since even a reused JSONEncoder builds a fresh C encoder on every
+# encode call.
+_SCAN_TAIL = (
+    ',"n":%d,"m":%d,"gamma":%d,"rho":%d,"ratio":%s,"class_flags":%d,'
     '"check":%s,"applicable":%s,"violation":%s,"equality":%s}'
 )
 _JSON_BOOL = ("false", "true")
 
 
-def _scan_line(r) -> str:
-    return _SCAN_LINE % (
-        encode_basestring_ascii(r["graph6"]), r["n"], r["m"], r["gamma"], r["rho"],
+def _scan_tail(r) -> str:
+    return _SCAN_TAIL % (
+        r["n"], r["m"], r["gamma"], r["rho"],
         "null" if r["ratio"] is None else encode_basestring_ascii(r["ratio"]),
         r["class_flags"], encode_basestring_ascii(r["check"]),
         _JSON_BOOL[r["applicable"]], _JSON_BOOL[r["violation"]], _JSON_BOOL[r["equality"]],
     )
 
 
+def _scan_line(graph6: str, tail: str) -> str:
+    return '{"graph6":' + encode_basestring_ascii(graph6) + tail
+
+
 _SCAN_FILTERS = {"all": lambda masks: True, "subcubic": _subcubic, "tree": _is_tree}
+# Records go to stdout this many lines per write, not one write per graph:
+# whatever wraps stdout pays per write.
+_SCAN_BLOCK_LINES = 1024
+
+
+class _ScanOutput:
+    """The record lines, written in blocks, with the summary and the first
+    ten counterexamples."""
+
+    def __init__(self):
+        self.summary = {"graphs": 0, "checked": 0, "violations": 0, "equalities": 0, "malformed": 0}
+        self.counterexamples = []
+        self.lines = []
+
+    def add(self, graph6: str, record, tail: str) -> None:
+        summary = self.summary
+        summary["graphs"] += 1
+        if record["applicable"]:
+            summary["checked"] += 1
+            summary["violations"] += record["violation"]
+            summary["equalities"] += record["equality"]
+        if record["violation"] and len(self.counterexamples) < 10:
+            self.counterexamples.append({"graph6": graph6, **record})
+        self.lines.append(_scan_line(graph6, tail))
+        if len(self.lines) == _SCAN_BLOCK_LINES:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.lines:
+            sys.stdout.write("\n".join(self.lines) + "\n")
+            self.lines.clear()
+
+
+def _pool_records(jobs: int, tasks: list, chunksize: int):
+    """``_scan_one`` over the tasks in a pool of ``jobs`` processes, in order."""
+    from multiprocessing import Pool
+
+    with Pool(jobs) as pool:
+        yield from pool.imap(_scan_one, tasks, chunksize=chunksize)
+
+
+def _scan_entry(record):
+    return record, _scan_tail(record)
+
+
+def _scan_enumeration(n: int, check: str, max_n: int, keep, jobs: int, out: _ScanOutput) -> None:
+    """Every labelled graph on n vertices, in code order, each with the
+    record of its isomorphism class.  A class is evaluated on its first
+    graph; with ``jobs`` > 1 the pool evaluates the first graphs up front."""
+    ids = families.labeled_orbit_ids(n)
+    classes = []  # per class: (record, tail), or None if the filter drops it
+    if jobs > 1:
+        firsts = []
+        for k, masks in enumerate(families.enumerate_labeled_masks(n)):
+            if ids[k] == len(firsts):
+                firsts.append(masks)
+        tasks = [(masks, check, max_n) for masks in firsts if keep(masks)]
+        entries = iter([_scan_entry(r) for r in _pool_records(jobs, tasks, 8)])
+        classes = [next(entries) if keep(masks) else None for masks in firsts]
+    for k, masks in enumerate(families.enumerate_labeled_masks(n)):
+        c = ids[k]
+        if c == len(classes):
+            classes.append(_scan_entry(_scan_one((masks, check, max_n))) if keep(masks) else None)
+        entry = classes[c]
+        if entry is not None:
+            out.add(masks_to_graph6(masks), *entry)
+
+
+def _scan_file(text: str, check: str, max_n: int, keep, jobs: int, out: _ScanOutput) -> None:
+    """Every well-formed line of a scan file, each evaluated on its own."""
+    sources = (src for src in _file_sources(text, out.summary) if keep(src[1]))
+    if jobs > 1:
+        sources = list(sources)
+        tasks = [(masks, check, max_n) for _, masks in sources]
+        for record, (graph6, _) in zip(_pool_records(jobs, tasks, 64), sources):
+            out.add(graph6, record, _scan_tail(record))
+    else:
+        for graph6, masks in sources:
+            record = _scan_one((masks, check, max_n))
+            out.add(graph6, record, _scan_tail(record))
 
 
 def cmd_scan(args) -> int:
     _normalize_scan_source(args)
     # Every input error is raised here, before streaming: with --jobs > 1 the
-    # sources are drained in a pool thread, where an error would hang the pool.
+    # tasks are drained in a pool thread, where an error would hang the pool.
     n = args.enumerate_n
     if n is not None and n < 0:
         raise CliError(f"bad enumeration size {n}", EXIT_PARSE)
@@ -500,49 +588,21 @@ def cmd_scan(args) -> int:
     text = _read_text(args.file) if n is None else None
     max_n = _size_limit()
     keep = _SCAN_FILTERS[args.filter]
-    counters = {"malformed": 0}
-    tasks = (
-        (g6, masks, args.check, max_n)
-        for g6, masks in _scan_sources(n, text, counters)
-        if keep(masks)
-    )
-    summary = {
-        "graphs": 0,
-        "checked": 0,
-        "violations": 0,
-        "equalities": 0,
-        "malformed": 0,
-    }
-    violations = []
     jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            records = pool.imap(_scan_one, tasks, chunksize=64)
-            for record in records:
-                _emit_scan_record(record, summary, violations)
-    else:
-        for task in tasks:
-            _emit_scan_record(_scan_one(task), summary, violations)
-    summary["malformed"] = counters["malformed"]
-    print(json.dumps({"summary": summary}, separators=(",", ":")))
-    if violations:
-        for record in violations[:10]:
+    out = _ScanOutput()
+    try:
+        if n is not None:
+            _scan_enumeration(n, args.check, max_n, keep, jobs, out)
+        else:
+            _scan_file(text, args.check, max_n, keep, jobs, out)
+    finally:
+        out.flush()
+    print(json.dumps({"summary": out.summary}, separators=(",", ":")))
+    if out.counterexamples:
+        for record in out.counterexamples:
             print("counterexample: " + json.dumps(record, separators=(",", ":")), file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _emit_scan_record(record, summary, violations):
-    summary["graphs"] += 1
-    if record["applicable"]:
-        summary["checked"] += 1
-        summary["violations"] += bool(record["violation"])
-        summary["equalities"] += bool(record["equality"])
-    if record["violation"]:
-        violations.append(record)
-    print(_scan_line(record))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import heapq
 import json
+from binascii import b2a_base64
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 Edge = tuple[int, int]
 
@@ -388,25 +390,45 @@ def _g6_decode_n(s: str) -> tuple[int, str]:
     return n, s[4:]
 
 
-# Six stream bits, first bit most significant, <-> their graph6 byte.
-_G6_CHARS = {format(w, "06b"): chr(w + 63) for w in range(64)}
-_G6_BITS = {c: b for b, c in _G6_CHARS.items()}
+# Six stream bits, first bit most significant -> their graph6 byte.
+_G6_BITS = {chr(w + 63): format(w, "06b") for w in range(64)}
+# The graph6 bytes of a stream are its 6-bit groups, first bit most
+# significant, plus 63: base64 with the alphabet "?".."~".  The encoder keeps
+# the stream as an int, first bit lowest, so each of its little-endian bytes
+# is bit-reversed before base64 reads it: byte b's reverse has the reversed
+# low nibble of b high and the reversed high nibble low.
+_NIBBLE_REVERSED = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
+_REVERSED_BYTE = bytes([lo << 4 | hi for hi in _NIBBLE_REVERSED for lo in _NIBBLE_REVERSED])
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+# The encoder moves the stream out of its int in whole bytes once it holds
+# this many bits, so that no shift or OR copies more than about this much.
+_G6_FLUSH_BITS = 1 << 12
 
 
 def masks_to_graph6(masks) -> str:
-    """graph6 of the graph with the given open-neighbourhood bitmasks."""
+    """graph6 of the graph with the given open-neighbourhood bitmasks, in
+    time linear in its length."""
     n = len(masks)
-    head = _g6_encode_n(n)
-    # Pair (u, v), u < v, is bit v(v-1)/2 + u of the stream.
     total = n * (n - 1) // 2
-    if not total:
-        return head
-    stream = 0
+    # Column v lists u = 0..v-1, first bit first.
+    parts = []
+    written = 0
+    stream = width = 0
     for v in range(1, n):
-        stream |= (masks[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
-    col = format(stream, f"0{total}b")[::-1]
-    col += "0" * (-total % 6)
-    return head + "".join([_G6_CHARS[col[i : i + 6]] for i in range(0, len(col), 6)])
+        stream |= (masks[v] & ((1 << v) - 1)) << width
+        width += v
+        if width >= _G6_FLUSH_BITS:
+            whole = width >> 3
+            parts.append((stream & ((1 << (whole << 3)) - 1)).to_bytes(whole, "little"))
+            written += whole
+            stream >>= whole << 3
+            width &= 7
+    # Padded to whole base64 groups of 24 bits; the spare bytes are cut off.
+    parts.append(stream.to_bytes(-(-total // 24) * 3 - written, "little"))
+    data = b2a_base64(b"".join(parts).translate(_REVERSED_BYTE), newline=False)
+    return _g6_encode_n(n) + data.translate(_BASE64_TO_G6)[: -(-total // 6)].decode()
 
 
 def _g6_columns(s: str) -> tuple[int, str]:
@@ -469,9 +491,12 @@ def from_graph6(s: str) -> Graph:
 def from_edge_json(s: str) -> Graph:
     try:
         doc = json.loads(s)
-        if doc["n"] > MAX_ORDER:
-            raise OrderTooLarge(f"order {doc['n']} above the cap of {MAX_ORDER}")
-        return Graph.from_edges(doc["n"], doc["edges"], doc.get("red_edges", ()))
+        (n,) = vertex_ids([doc["n"]])
+        if n > MAX_ORDER:
+            raise OrderTooLarge(f"order {n} above the cap of {MAX_ORDER}")
+        edges, red_edges = doc["edges"], doc.get("red_edges", ())
+        vertex_ids(chain(*edges, *red_edges))
+        return Graph.from_edges(n, edges, red_edges)
     except OrderTooLarge:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -480,8 +505,9 @@ def from_edge_json(s: str) -> Graph:
 
 def vertex_ids(xs) -> tuple[int, ...]:
     """A JSON list of vertex ids as a tuple; TypeError unless all are ints.
-    Every certificate reader checks its id lists with it."""
+    JSON true and false are refused too: Python reads them as the ints 1
+    and 0.  Every reader of vertex ids checks its lists with it."""
     xs = tuple(xs)
-    if not all(isinstance(x, int) for x in xs):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in xs):
         raise TypeError("vertex ids must be integers")
     return xs

@@ -3,8 +3,9 @@
 The brute-force certificate finders and the split and distance-hereditary
 recognizers supply certificates and class membership for small test
 graphs.  ``replay`` re-applies a driver trace's deltas, ``to_edge_json`` and
-``convex_graph`` write test inputs, and ``trace_json_obj`` builds the object
-whose JSON text ``RuleApplication.to_json`` must write.
+``convex_graph`` write test inputs, ``trace_json_obj`` builds the object
+whose JSON text ``RuleApplication.to_json`` must write, and
+``masks_to_graph6_one_int`` is the graph6 encoder the linear one replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dompack.constructions import ConvexEncoding, EncodingInvalid
 from dompack.engine import RuleApplication, _State, validate_tw_certificate
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import OversizeFamilyError
-from dompack.graph import Graph
+from dompack.graph import Graph, _g6_encode_n
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,21 @@ def to_edge_json(g: Graph) -> str:
         "red_edges": sorted(g.red),
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+def masks_to_graph6_one_int(masks) -> str:
+    """graph6 from the whole stream ORed into one int, first bit lowest, then
+    written out as one string of bits: the encoder before the linear one,
+    whose every OR copies the growing int."""
+    n = len(masks)
+    total = n * (n - 1) // 2
+    if not total:
+        return _g6_encode_n(n)
+    stream = 0
+    for v in range(1, n):
+        stream |= (masks[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
+    col = format(stream, f"0{total}b")[::-1] + "0" * (-total % 6)
+    return _g6_encode_n(n) + "".join(chr(int(col[i : i + 6], 2) + 63) for i in range(0, len(col), 6))
 
 
 def convex_graph(enc: ConvexEncoding) -> Graph:

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,15 @@ from dompack import cli, families
 from dompack.cli import CliError, main
 from dompack.engine import RotationSystem
 from dompack.engine_twinwidth import ContractionSequence
-from dompack.graph import MAX_ORDER, Graph, Graph6Error, _g6_encode_n, masks_to_graph6, to_graph6
+from dompack.graph import (
+    MAX_ORDER,
+    Graph,
+    Graph6Error,
+    _g6_encode_n,
+    graph6_to_masks,
+    masks_to_graph6,
+    to_graph6,
+)
 from _reference import brute_force_tww_sequence, convex_graph, to_edge_json
 
 
@@ -310,6 +319,14 @@ class TestGenerateValidate:
         assert run.returncode == 3 and run.stdout == ""
         assert run.stderr == f"error: order {order} above the cap of {MAX_ORDER}\n"
 
+    def test_generate_long_path_in_linear_time(self, capsys):
+        # An encoder whose time grows as n^3 takes about 8 s on this path.
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(["generate", "--family", "path", "--params", "n=6000"], capsys)
+        elapsed = time.perf_counter() - t0
+        assert code == 0 and elapsed < 1.0
+        assert graph6_to_masks(out.strip()) == families.gen_path(6000).masks
+
     def test_generate_unitdisk_wide_box_reads_back(self, tmp_path, capsys):
         argv = ["generate", "--family", "random-unitdisk", "--params", "n=4,box=1e149,seed=2"]
         code, out, _ = run_cli(argv, capsys)
@@ -519,17 +536,53 @@ class TestScan:
             "0282d1be41039aa0b1a1c26e38dcf8bef730a884f6452890aaa368373af2f997"
         )
 
+    # The same sweep under the other two checks, recorded before the scan
+    # evaluated one graph per isomorphism class.
+    @pytest.mark.parametrize(
+        "check, digest",
+        [("henning", "dbfac9453b3e66a949ecc210a8e3e56dd5d1766062cbf4f7084adf471df56cde"),
+         ("treeeq", "26ef4b2679dbd65dd54cdf8e1207a9d45f7d2e715891309453cc5fb290736dd1")],
+    )
+    def test_golden_stdout_n6_checks(self, check, digest, capsys):
+        code, out, _ = run_cli(["scan", "--enumerate-n", "6", "--check", check], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("check", ["duality", "henning", "treeeq"])
+    def test_class_records_match_each_graph(self, check, capsys):
+        # Each record is its class's, computed on another labelled graph:
+        # it must equal the record of the graph itself.
+        code, out, _ = run_cli(["scan", "--enumerate-n", "5", "--check", check], capsys)
+        assert code == 0
+        lines = out.splitlines()[:-1]
+        graphs = list(families.enumerate_labeled_masks(5))
+        assert len(lines) == len(graphs) == 1024
+        for line, masks in zip(lines, graphs):
+            own = {"graph6": masks_to_graph6(masks), **cli._scan_one((masks, check, 64))}
+            assert json.loads(line) == own
+
+    def test_violations_exit_1_with_ten_counterexamples(self, monkeypatch, capsys):
+        # A domination kernel that answers 0 makes every graph with a vertex
+        # violate duality: gamma = 0 < rho.
+        monkeypatch.setattr(cli.oracles, "domination_kernel", lambda masks: (0,))
+        code, out, err = run_cli(["scan", "--enumerate-n", "4", "--check", "duality"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert json.loads(lines[-1])["summary"]["violations"] == 64
+        assert err.splitlines() == ["counterexample: " + line for line in lines[:10]]
+
     def test_record_lines_are_compact_json(self, capsys):
         # Records with a backslash in their graph6, a null ratio and each
         # flag value, against json.dumps.
-        records = [cli._scan_one((masks_to_graph6(m), m, check, 64))
+        records = [{"graph6": masks_to_graph6(m), **cli._scan_one((m, check, 64))}
                    for m in families.enumerate_labeled_masks(4)
                    for check in ("duality", "henning", "treeeq")]
         records.append(dict(records[0], graph6='"\\', ratio=None, violation=True))
         assert any("\\" in r["graph6"] for r in records)
         assert any(r["ratio"] is None for r in records)
         for r in records:
-            assert cli._scan_line(r) == json.dumps(r, separators=(",", ":"))
+            line = cli._scan_line(r["graph6"], cli._scan_tail(r))
+            assert line == json.dumps(r, separators=(",", ":"))
 
     def test_parallel_enumeration_matches_serial(self, capsys):
         code1, out1, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "1"], capsys)
@@ -659,6 +712,34 @@ class TestMalformedInputs:
         rf = write(tmp_path, "rot.json", NESTED_ROTATION)
         gf = write(tmp_path, "p4.json", P4_JSON)
         self.assert_parse_error(run_cli(["validate", "--what", "rotation", rf, gf], capsys))
+
+    # JSON true and false are not vertex ids, though Python reads them as 1
+    # and 0: each of these exited 0, the first printing "D":[0,true].
+    @pytest.mark.parametrize(
+        "graph", ['{"n":2,"edges":[[false,true]]}', '{"n":true,"edges":[]}',
+                  '{"n":2,"edges":[],"red_edges":[[0,true]]}'],
+        ids=["edge", "order", "red-edge"],
+    )
+    def test_edge_list_bool_ids(self, graph, tmp_path, capsys):
+        gf = write(tmp_path, "g.json", graph)
+        self.assert_parse_error(run_cli(["construct", "--class", "generic", gf], capsys))
+
+    def test_rotation_bool_ids(self, tmp_path, capsys):
+        rf = write(tmp_path, "rot.json", '{"rotations":{"0":[true],"1":[false]}}')
+        gf = write(tmp_path, "k2.json", K2_JSON)
+        self.assert_parse_error(run_cli(["validate", "--what", "rotation", rf, gf], capsys))
+
+    def test_sequence_bool_ids(self, tmp_path, capsys):
+        sf = write(tmp_path, "seq.json", '{"width":true,"merges":[[false,true,2]]}')
+        gf = write(tmp_path, "k2.json", K2_JSON)
+        self.assert_parse_error(run_cli(
+            ["construct", "--class", "twinwidth", "--certificate", sf, gf], capsys
+        ))
+
+    def test_witness_bool_ids(self, tmp_path, capsys):
+        wf = write(tmp_path, "w.json", '{"class":"generic","constant":"2/1","D":[true],"P":[0]}')
+        gf = write(tmp_path, "k2.json", K2_JSON)
+        self.assert_parse_error(run_cli(["validate", "--what", "witness", wf, gf], capsys))
 
 
 class TestOrderCap:

@@ -20,6 +20,7 @@ from dompack.families import (
     gen_rook,
     gen_split,
     gen_threedeg,
+    labeled_orbit_ids,
     recognize_at_free,
 )
 from dompack.graph import (
@@ -559,6 +560,40 @@ class TestEnumeration:
             assert at_free_masks(masks) == at_free(g)
             count += 1
         assert count == 1 << 15
+
+    # Graphs on n unlabelled vertices, n = 0..6 (OEIS A000088).
+    @pytest.mark.parametrize("n, classes", enumerate([1, 1, 2, 4, 11, 34, 156]))
+    def test_orbit_class_counts(self, n, classes):
+        ids = labeled_orbit_ids(n)
+        assert len(ids) == 1 << (n * (n - 1) // 2)
+        assert max(ids) + 1 == classes
+
+    @pytest.mark.slow
+    def test_orbit_class_count_seven(self):
+        assert max(labeled_orbit_ids(7)) + 1 == 1044
+
+    def test_orbit_cap(self):
+        with pytest.raises(OversizeFamilyError):
+            labeled_orbit_ids(8)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_orbit_ids_match_brute_force_isomorphism(self, n):
+        # Two codes share an id iff some vertex permutation maps one onto the
+        # other: each code against the smallest code of its image under all n!
+        # permutations.
+        pairs = list(itertools.combinations(range(n), 2))
+        index = {pair: i for i, pair in enumerate(pairs)}
+        perms = list(itertools.permutations(range(n)))
+        smallest = []
+        for k in range(1 << len(pairs)):
+            edges = [pair for i, pair in enumerate(pairs) if k >> i & 1]
+            smallest.append(min(
+                sum(1 << index[tuple(sorted((p[u], p[v])))] for u, v in edges) for p in perms
+            ))
+        ids = labeled_orbit_ids(n)
+        assert len(set(zip(ids, smallest))) == len(set(ids)) == len(set(smallest))
+        # Numbered by first appearance: in the order of their smallest codes.
+        assert [ids[k] for k in sorted(set(smallest))] == list(range(len(set(smallest))))
 
     def test_bounded_degree_counts_match_networkx(self):
         # Independent count: dedupe the labeled enumeration with networkx

@@ -21,7 +21,7 @@ from dompack.graph import (
     power2_conflict_graph,
     to_graph6,
 )
-from _reference import to_edge_json
+from _reference import masks_to_graph6_one_int, to_edge_json
 from conftest import complete, named
 
 from dompack import families
@@ -280,6 +280,17 @@ class TestGraph6:
         h.add_nodes_from(g.vertices())
         h.add_edges_from(g.edges())
         assert nx.to_graph6_bytes(h, header=False).decode().strip() == s
+
+    def test_encoder_matches_the_one_int_encoder(self):
+        # Seeded orders up to 200, past the encoder's flush size (n = 92),
+        # at densities from empty to complete.
+        rng = random.Random(2026)
+        for n in [*range(40), *(rng.randint(40, 200) for _ in range(60)), 199, 200]:
+            p = rng.choice((0.0, 0.05, 0.5, 0.95, 1.0, rng.random()))
+            g = Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            assert masks_to_graph6(g.masks) == masks_to_graph6_one_int(g.masks), n
 
     def test_large_order_prefix(self):
         g = Graph.from_edges(63, [(0, 62)])

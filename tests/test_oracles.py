@@ -523,6 +523,55 @@ class TestInvariants:
         assert a.witness == b.witness and a.nodes_explored == b.nodes_explored
 
 
+def _gamma_rho(g):
+    inst = plain(g)
+    return oracles.exact_domination(inst).value, oracles.exact_packing(inst).value
+
+
+def _sparse_graph(n, rng):
+    return random_graph(n, rng.uniform(0.5, 8.0) / n, rng.randrange(1 << 30))
+
+
+class TestMetamorphic:
+    """Oracle properties that need no brute-force reference, so they reach
+    the widths of the compiled kernel: gamma and rho do not change when the
+    vertices are relabelled (``scan --enumerate-n`` evaluates one labelled
+    graph per isomorphism class on this), and both add up over disjoint
+    unions."""
+
+    @staticmethod
+    def check_relabelling(n_max, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            g = _sparse_graph(rng.randint(n_max // 2, n_max), rng)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert _gamma_rho(h) == _gamma_rho(g)
+
+    @staticmethod
+    def check_disjoint_unions(n_max, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            g = _sparse_graph(rng.randint(1, n_max - 1), rng)
+            h = _sparse_graph(rng.randint(1, n_max - g.n), rng)
+            union = Graph.from_edges(
+                g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
+            )
+            (gamma_g, rho_g), (gamma_h, rho_h) = _gamma_rho(g), _gamma_rho(h)
+            assert _gamma_rho(union) == (gamma_g + gamma_h, rho_g + rho_h)
+
+    def test_pure_kernel(self, monkeypatch):
+        monkeypatch.setenv("DOMPACK_FORCE_PY", "1")
+        assert solvers.backend_name() == "python"
+        self.check_relabelling(20, 1)
+        self.check_disjoint_unions(20, 2)
+
+    def test_compiled_kernel(self, use_compiled):
+        self.check_relabelling(64, 3)
+        self.check_disjoint_unions(64, 4)
+
+
 class TestWitnessJson:
     def test_roundtrip(self):
         inst = plain(named("c4"))
