@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -381,76 +382,54 @@ def cmd_validate(args) -> int:
 # its first labelled graph (156 classes for the 32,768 graphs at n = 6), and
 # each graph adds only its own graph6.
 
-
-def _edge_count(masks) -> int:
-    return sum(m.bit_count() for m in masks) // 2
-
-
-def _subcubic(masks) -> bool:
-    return all(m.bit_count() <= 3 for m in masks)
-
-
-def _is_tree(masks) -> bool:
-    return _edge_count(masks) == len(masks) - 1 and masks_connected(masks)
-
-
-def _class_flags(masks, m: int, subcubic: bool) -> int:
-    flags = 0
-    if subcubic:
-        flags |= FLAG_SUBCUBIC
-    if masks_connected(masks):
-        flags |= FLAG_CONNECTED
-        if m == len(masks) - 1:
-            flags |= FLAG_TREE
-    if len(masks) <= ATFREE_FLAG_MAX_N and families.at_free_masks(masks):
-        flags |= FLAG_ATFREE
-    return flags
+# check name -> (the class flags it applies to, violation and equality tests
+# on (gamma, rho)); a graph without those flags is not checked.
+_SCAN_CHECKS = {
+    "duality": (0, lambda g, r: g < r, lambda g, r: g == r),
+    "henning": (FLAG_SUBCUBIC | FLAG_CONNECTED, lambda g, r: g > 2 * r + 1,
+                lambda g, r: g == 2 * r + 1),
+    "treeeq": (FLAG_TREE, lambda g, r: g != r, lambda g, r: g == r),
+}
+# --filter NAME keeps the graphs with all of these class flags.
+_SCAN_FILTERS = {"all": 0, "subcubic": FLAG_SUBCUBIC, "tree": FLAG_TREE}
 
 
 def _scan_one(task):
-    """The scan record of one graph but its graph6 field; every field is an
-    isomorphism invariant."""
-    masks, check, max_n = task
-    oracles.check_size(len(masks), max_n)
+    """The scan record of one graph but its graph6 field, all isomorphism
+    invariants, or None if the graph lacks the filter's flags ``keep``."""
+    masks, check, keep, max_n = task
+    n = len(masks)
+    degs = list(map(int.bit_count, masks))
+    m = sum(degs) // 2
+    flags = (FLAG_SUBCUBIC if not degs or max(degs) <= 3 else 0) | (FLAG_TREE if m == n - 1 else 0)
+    # FLAG_TREE means m = n - 1 until the connectivity test, which is dear
+    # and so runs only on graphs the filter may keep.
+    if flags & keep == keep and masks_connected(masks):
+        flags |= FLAG_CONNECTED
+    else:
+        flags &= ~FLAG_TREE
+    if flags & keep != keep:
+        return None
+    oracles.check_size(n, max_n)
+    if n <= ATFREE_FLAG_MAX_N and families.at_free_masks(masks):
+        flags |= FLAG_ATFREE
     gamma = oracles.domination_kernel(masks)[0]
     rho = oracles.packing_kernel(masks)[0]
-    degs = [mask.bit_count() for mask in masks]
-    m = sum(degs) // 2
-    flags = _class_flags(masks, m, max(degs, default=0) <= 3)
-    violation = False
-    equality = False
-    applicable = True
-    if check == "duality":
-        violation = gamma < rho
-        equality = gamma == rho
-    elif check == "henning":
-        applicable = bool(flags & FLAG_SUBCUBIC) and bool(flags & FLAG_CONNECTED)
-        if applicable:
-            violation = gamma > 2 * rho + 1
-            equality = gamma == 2 * rho + 1
-    else:  # treeeq
-        applicable = bool(flags & FLAG_TREE)
-        if applicable:
-            violation = gamma != rho
-            equality = gamma == rho
-    if rho:
-        k = math.gcd(gamma, rho)
-        ratio = f"{gamma // k}/{rho // k}"
-    else:
-        ratio = None
-    record = {
-        "n": len(masks),
+    needs, violates, meets = _SCAN_CHECKS[check]
+    applicable = flags & needs == needs
+    k = math.gcd(gamma, rho)
+    return {
+        "n": n,
         "m": m,
         "gamma": gamma,
         "rho": rho,
-        "ratio": ratio,
+        "ratio": f"{gamma // k}/{rho // k}" if rho else None,
         "class_flags": flags,
         "check": check,
         "applicable": applicable,
-        "violation": violation,
-        "equality": equality,
+        "violation": applicable and violates(gamma, rho),
+        "equality": applicable and meets(gamma, rho),
     }
-    return record
 
 
 def _file_sources(text, summary):
@@ -493,7 +472,6 @@ def _scan_line(graph6: str, tail: str) -> str:
     return '{"graph6":' + encode_basestring_ascii(graph6) + tail
 
 
-_SCAN_FILTERS = {"all": lambda masks: True, "subcubic": _subcubic, "tree": _is_tree}
 # Records go to stdout this many lines per write, not one write per graph:
 # whatever wraps stdout pays per write.
 _SCAN_BLOCK_LINES = 1024
@@ -527,52 +505,39 @@ class _ScanOutput:
             self.lines.clear()
 
 
-def _pool_records(jobs: int, tasks: list, chunksize: int):
+def _pool_records(jobs: int, tasks: list):
     """``_scan_one`` over the tasks in a pool of ``jobs`` processes, in order."""
     from multiprocessing import Pool
 
     with Pool(jobs) as pool:
-        yield from pool.imap(_scan_one, tasks, chunksize=chunksize)
+        yield from pool.imap(_scan_one, tasks, chunksize=64)
 
 
-def _scan_entry(record):
-    return record, _scan_tail(record)
-
-
-def _scan_enumeration(n: int, check: str, max_n: int, keep, jobs: int, out: _ScanOutput) -> None:
+def _scan_enumeration(n: int, check: str, keep: int, max_n: int, out: _ScanOutput) -> None:
     """Every labelled graph on n vertices, in code order, each with the
-    record of its isomorphism class.  A class is evaluated on its first
-    graph; with ``jobs`` > 1 the pool evaluates the first graphs up front."""
-    ids = families.labeled_orbit_ids(n)
+    record of its isomorphism class, evaluated on the class's first graph."""
     classes = []  # per class: (record, tail), or None if the filter drops it
-    if jobs > 1:
-        firsts = []
-        for k, masks in enumerate(families.enumerate_labeled_masks(n)):
-            if ids[k] == len(firsts):
-                firsts.append(masks)
-        tasks = [(masks, check, max_n) for masks in firsts if keep(masks)]
-        entries = iter([_scan_entry(r) for r in _pool_records(jobs, tasks, 8)])
-        classes = [next(entries) if keep(masks) else None for masks in firsts]
-    for k, masks in enumerate(families.enumerate_labeled_masks(n)):
-        c = ids[k]
+    for masks, c in zip(families.enumerate_labeled_masks(n), families.labeled_orbit_ids(n)):
         if c == len(classes):
-            classes.append(_scan_entry(_scan_one((masks, check, max_n))) if keep(masks) else None)
+            record = _scan_one((masks, check, keep, max_n))
+            classes.append(None if record is None else (record, _scan_tail(record)))
         entry = classes[c]
         if entry is not None:
             out.add(masks_to_graph6(masks), *entry)
 
 
-def _scan_file(text: str, check: str, max_n: int, keep, jobs: int, out: _ScanOutput) -> None:
-    """Every well-formed line of a scan file, each evaluated on its own."""
-    sources = (src for src in _file_sources(text, out.summary) if keep(src[1]))
+def _scan_file(text: str, check: str, keep: int, max_n: int, jobs: int, out: _ScanOutput) -> None:
+    """Every well-formed line of a scan file, each evaluated on its own: in
+    a pool of ``jobs`` processes, or line by line as the file is read."""
+    sources = _file_sources(text, out.summary)
     if jobs > 1:
         sources = list(sources)
-        tasks = [(masks, check, max_n) for _, masks in sources]
-        for record, (graph6, _) in zip(_pool_records(jobs, tasks, 64), sources):
-            out.add(graph6, record, _scan_tail(record))
+        records = _pool_records(jobs, [(masks, check, keep, max_n) for _, masks in sources])
     else:
-        for graph6, masks in sources:
-            record = _scan_one((masks, check, max_n))
+        sources, mine = itertools.tee(sources)
+        records = map(_scan_one, ((masks, check, keep, max_n) for _, masks in mine))
+    for (graph6, _), record in zip(sources, records):
+        if record is not None:
             out.add(graph6, record, _scan_tail(record))
 
 
@@ -588,13 +553,12 @@ def cmd_scan(args) -> int:
     text = _read_text(args.file) if n is None else None
     max_n = _size_limit()
     keep = _SCAN_FILTERS[args.filter]
-    jobs = min(args.jobs, os.cpu_count() or 1)
     out = _ScanOutput()
     try:
         if n is not None:
-            _scan_enumeration(n, args.check, max_n, keep, jobs, out)
+            _scan_enumeration(n, args.check, keep, max_n, out)
         else:
-            _scan_file(text, args.check, max_n, keep, jobs, out)
+            _scan_file(text, args.check, keep, max_n, min(args.jobs, os.cpu_count() or 1), out)
     finally:
         out.flush()
     print(json.dumps({"summary": out.summary}, separators=(",", ":")))
@@ -661,9 +625,10 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--enumerate-n", type=int, default=None, metavar="N",
                      help="shorthand for --source enumerate-n N")
     src.add_argument("--file", default=None, help="shorthand for --source file PATH")
-    scp.add_argument("--filter", choices=["all", "subcubic", "tree"], default="all")
-    scp.add_argument("--check", choices=["duality", "henning", "treeeq"], default="duality")
-    scp.add_argument("--jobs", type=int, default=1)
+    scp.add_argument("--filter", choices=list(_SCAN_FILTERS), default="all")
+    scp.add_argument("--check", choices=list(_SCAN_CHECKS), default="duality")
+    scp.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for --file input (enumeration runs in-process)")
     scp.set_defaults(func=cmd_scan)
     return ap
 

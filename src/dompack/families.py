@@ -101,6 +101,8 @@ def gen_rook(n: int) -> Graph:
     if n < 1:
         raise ValueError("n >= 1")
     _check_order(n * n)
+    if n > 64:
+        raise OversizeFamilyError("rook family has n^2 (n-1) edges; capped at n=64")
     vid = lambda r, c: r * n + c
     edges = []
     for r in range(n):
@@ -463,7 +465,7 @@ FAMILIES = {
     "split": Family(gen_split, {"k": ("1..5", None)}, "split graph; gamma = k, rho = 1"),
     "threedeg": Family(gen_threedeg, {"k": ("1..4", None)}, "3-degenerate; rho <= 2, gamma >= k"),
     "rook": Family(
-        gen_rook, {"n": (">= 1", None)}, "product of two n-cliques; gamma = n, rho = 1"
+        gen_rook, {"n": ("1..64", None)}, "product of two n-cliques; gamma = n, rho = 1"
     ),
     "cycle": Family(gen_cycle, {"n": (">= 3", None)}, "gamma <= rho + 1"),
     "path": Family(gen_path, {"n": (">= 1", None)}, "tree: gamma = rho"),

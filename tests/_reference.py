@@ -6,6 +6,8 @@ graphs.  ``replay`` re-applies a driver trace's deltas, ``to_edge_json`` and
 ``convex_graph`` write test inputs, ``trace_json_obj`` builds the object
 whose JSON text ``RuleApplication.to_json`` must write, and
 ``masks_to_graph6_one_int`` is the graph6 encoder the linear one replaced.
+The scan's filter predicates, class flags and check chain are kept as
+they were before the scan read them from flag tables.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from itertools import combinations
 from dompack.constructions import ConvexEncoding, EncodingInvalid
 from dompack.engine import RuleApplication, _State, validate_tw_certificate
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
-from dompack.families import OversizeFamilyError
-from dompack.graph import Graph, _g6_encode_n
+from dompack.families import OversizeFamilyError, at_free_masks
+from dompack.graph import Graph, _g6_encode_n, masks_connected
+
+FLAG_SUBCUBIC, FLAG_TREE, FLAG_CONNECTED, FLAG_ATFREE = 1, 2, 4, 8
+ATFREE_FLAG_MAX_N = 12
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +290,57 @@ def convex_graph(enc: ConvexEncoding) -> Graph:
         raise EncodingInvalid("vertex ids must be dense 0..n-1")
     edges = [(x, y) for y, ns in enc.y_neighbors.items() for x in ns]
     return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# Scan filters, class flags and checks, one predicate each
+# ---------------------------------------------------------------------------
+
+
+def _edge_count(masks) -> int:
+    return sum(m.bit_count() for m in masks) // 2
+
+
+def scan_subcubic(masks) -> bool:
+    return all(m.bit_count() <= 3 for m in masks)
+
+
+def scan_is_tree(masks) -> bool:
+    return _edge_count(masks) == len(masks) - 1 and masks_connected(masks)
+
+
+SCAN_FILTERS = {"all": lambda masks: True, "subcubic": scan_subcubic, "tree": scan_is_tree}
+
+
+def scan_class_flags(masks, m: int, subcubic: bool) -> int:
+    flags = 0
+    if subcubic:
+        flags |= FLAG_SUBCUBIC
+    if masks_connected(masks):
+        flags |= FLAG_CONNECTED
+        if m == len(masks) - 1:
+            flags |= FLAG_TREE
+    if len(masks) <= ATFREE_FLAG_MAX_N and at_free_masks(masks):
+        flags |= FLAG_ATFREE
+    return flags
+
+
+def scan_check(check: str, gamma: int, rho: int, flags: int) -> tuple[bool, bool, bool]:
+    """(applicable, violation, equality) of a scan check."""
+    violation = False
+    equality = False
+    applicable = True
+    if check == "duality":
+        violation = gamma < rho
+        equality = gamma == rho
+    elif check == "henning":
+        applicable = bool(flags & FLAG_SUBCUBIC) and bool(flags & FLAG_CONNECTED)
+        if applicable:
+            violation = gamma > 2 * rho + 1
+            equality = gamma == 2 * rho + 1
+    else:  # treeeq
+        applicable = bool(flags & FLAG_TREE)
+        if applicable:
+            violation = gamma != rho
+            equality = gamma == rho
+    return applicable, violation, equality

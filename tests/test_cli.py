@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -22,7 +24,15 @@ from dompack.graph import (
     masks_to_graph6,
     to_graph6,
 )
-from _reference import brute_force_tww_sequence, convex_graph, to_edge_json
+from _reference import (
+    SCAN_FILTERS,
+    brute_force_tww_sequence,
+    convex_graph,
+    scan_check,
+    scan_class_flags,
+    to_edge_json,
+)
+from conftest import random_graph
 
 
 def run_cli(args, capsys):
@@ -271,6 +281,31 @@ def _golden_argv(cls, tmp_path):
     return argv + ["--certificate", cert] if cert else argv
 
 
+def _generate_in_child(family, params, refuse):
+    """`generate` in a child with 1 GB of address space and 30 s of CPU; with
+    ``refuse``, building or encoding a graph fails the run."""
+    import resource
+
+    code = "import sys; from dompack import cli; from dompack.graph import Graph\n"
+    if refuse:
+        code += (
+            "def refuse(*args, **kwargs): raise AssertionError('graph built or encoded')\n"
+            "Graph.from_edges = staticmethod(refuse); cli.to_graph6 = refuse\n"
+        )
+    code += "sys.exit(cli.main(sys.argv[1:]))"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, "generate", "--family", family, "--params", params],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit,
+    )
+
+
 class TestGenerateValidate:
     def test_generate_chained_blocks(self, capsys):
         code, out, _ = run_cli(["generate", "--family", "chained-blocks", "--params", "i=2"], capsys)
@@ -294,30 +329,21 @@ class TestGenerateValidate:
         ],
     )
     def test_generate_above_the_order_cap_is_3(self, family, params, order):
-        # Refused before any graph is built or encoded.  The run is a child
-        # with 1 GB of address space and 30 s of CPU: without the guard, rook
-        # builds about n**3 edges before any other check.
-        import resource
-
-        code = (
-            "import sys; from dompack import cli; from dompack.graph import Graph\n"
-            "def refuse(*args, **kwargs): raise AssertionError('graph built or encoded')\n"
-            "Graph.from_edges = staticmethod(refuse); cli.to_graph6 = refuse\n"
-            "sys.exit(cli.main(sys.argv[1:]))"
-        )
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-            resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-c", code, "generate", "--family", family, "--params", params],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-            preexec_fn=limit,
-        )
+        # Refused before any graph is built or encoded.  Without the guard,
+        # rook builds about n**3 edges before any other check.
+        run = _generate_in_child(family, params, refuse=True)
         assert run.returncode == 3 and run.stdout == ""
         assert run.stderr == f"error: order {order} above the cap of {MAX_ORDER}\n"
+
+    def test_generate_rook_capped_at_64(self):
+        # Below the order cap, rook's edge list still grows as n**3: n=100
+        # peaks at about 300 MB.  n=65 is refused before any graph is built.
+        run = _generate_in_child("rook", "n=65", refuse=True)
+        assert run.returncode == 3 and run.stdout == ""
+        assert run.stderr == "error: rook family has n^2 (n-1) edges; capped at n=64\n"
+        run = _generate_in_child("rook", "n=64", refuse=False)
+        assert run.returncode == 0 and run.stderr == ""
+        assert graph6_to_masks(run.stdout.strip()) == families.gen_rook(64).masks
 
     def test_generate_long_path_in_linear_time(self, capsys):
         # An encoder whose time grows as n^3 takes about 8 s on this path.
@@ -441,6 +467,23 @@ class TestGenerateValidate:
         assert doc["constant"] == "1/1" and doc["D"] == doc["P"] == [0, 1, 2]
 
 
+def _scan_file_text(oversize: bool) -> str:
+    """The 1,024 labelled graphs on five vertices, one graph6 line each, with
+    a malformed line 501 and a blank line; with ``oversize``, a 70-vertex
+    cycle after the first 599 graphs."""
+    lines = [masks_to_graph6(m) for m in families.enumerate_labeled_masks(5)]
+    lines.insert(800, "")
+    lines.insert(500, "bad!line")
+    if oversize:
+        lines.insert(600, to_graph6(families.gen_cycle(70)))
+    return "\n".join(lines) + "\n"
+
+
+SCAN_MALFORMED_ERR = (
+    "line 501: skipped malformed graph6 (expected 100 data bytes for n=35, got 7)\n"
+)
+
+
 class TestScan:
     def test_duality_enumerate_5(self, capsys):
         code, out, _ = run_cli(["scan", "--enumerate-n", "5", "--check", "duality"], capsys)
@@ -548,6 +591,103 @@ class TestScan:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the stdout of `scan --file` on `_scan_file_text(False)`, with
+    # --jobs 1 and 2, recorded before the filters became class-flag masks.
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "check, filt, digest",
+        [("duality", "all", "ccd34c5a8c76604cd79ccdbd566b7e6e666323e461bc4351ef17546e9a77013d"),
+         ("treeeq", "tree", "e33036ba05bb5ebf22e3e5cf9b07ee1fa25b7aaf5d1c2b8bd35c381c12bba432"),
+         ("henning", "subcubic",
+          "5648d96f1e67270e67b006950cc2ec27683a2f1163babf456d037ada6a9c5590")],
+    )
+    def test_file_golden(self, check, filt, digest, jobs, tmp_path, capsys):
+        sf = write(tmp_path, "five.g6", _scan_file_text(False))
+        argv = ["scan", "--file", sf, "--check", check, "--filter", filt, "--jobs", jobs]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == SCAN_MALFORMED_ERR
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # A 70-vertex cycle after the first 599 graphs: the records before it are
+    # written, then the size guard exits 3.  A pool hands back whole chunks
+    # of 64 lines, so --jobs 2 stops at the chunk that holds the cycle.
+    @pytest.mark.parametrize(
+        "jobs, digest, lines",
+        [("1", "4f2ecdf796392bc9e905a3007598f39963e6b4028ec30c0e30de59fe24183f04", 599),
+         ("2", "a4fcfeb5282f3a16f4fe98803734ec2f2d253b551a7fee6ff467c2eb6f52f5bd", 576)],
+    )
+    def test_file_oversize_mid_file(self, jobs, digest, lines, tmp_path, capsys):
+        sf = write(tmp_path, "five.g6", _scan_file_text(True))
+        code, out, err = run_cli(["scan", "--file", sf, "--jobs", jobs], capsys)
+        assert code == 3
+        assert err == SCAN_MALFORMED_ERR + "error: n=70 exceeds limit 64\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert len(out.splitlines()) == lines
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_file_filter_runs_before_the_size_guard(self, jobs, tmp_path, capsys):
+        # The cycle is no tree: the tree filter drops it before the guard.
+        sf = write(tmp_path, "five.g6", _scan_file_text(True))
+        argv = ["scan", "--file", sf, "--check", "treeeq", "--filter", "tree", "--jobs", jobs]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == SCAN_MALFORMED_ERR
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e33036ba05bb5ebf22e3e5cf9b07ee1fa25b7aaf5d1c2b8bd35c381c12bba432"
+        )
+
+    def test_file_filtered_oversize(self, tmp_path, capsys):
+        # The cycle is subcubic, so it reaches the guard.  A pool's output
+        # stops at a chunk boundary, before the serial run's.
+        sf = write(tmp_path, "five.g6", _scan_file_text(True))
+        argv = ["scan", "--file", sf, "--check", "henning", "--filter", "subcubic"]
+        code, serial, err = run_cli(argv + ["--jobs", "1"], capsys)
+        assert code == 3
+        assert err == SCAN_MALFORMED_ERR + "error: n=70 exceeds limit 64\n"
+        assert hashlib.sha256(serial.encode()).hexdigest() == (
+            "b334f2038e7a49035b72bb726ff4c42a70bf41d5243d7dfa78f034b30260240f"
+        )
+        code, pooled, err = run_cli(argv + ["--jobs", "2"], capsys)
+        assert code == 3
+        assert err == SCAN_MALFORMED_ERR + "error: n=70 exceeds limit 64\n"
+        assert pooled and serial.startswith(pooled) and pooled.endswith("\n")
+
+    @pytest.mark.parametrize("check", ["duality", "henning", "treeeq"])
+    def test_tables_match_the_old_predicates(self, check, monkeypatch):
+        # The filter masks and the check table against the predicates and
+        # the check chain they replaced (tests/_reference.py), on every
+        # labelled graph with n <= 5 and seeded random graphs with n <= 12.
+        rng = random.Random(15)
+        graphs = [m for n in range(6) for m in families.enumerate_labeled_masks(n)]
+        graphs += [random_graph(rng.randint(1, 12), rng.choice([0.1, 0.2, 0.3, 0.5]), seed).masks
+                   for seed in range(300)]
+        graphs += [families.gen_random_tree(n, n).masks for n in range(1, 13)]
+        # C6 and a spider with four legs of length 2 have asteroidal triples.
+        spider = Graph.from_edges(9, [(0, v) for v in range(1, 5)] + [(v, v + 4) for v in range(1, 5)])
+        graphs += [families.gen_cycle(6).masks, spider.masks]
+        by_flags = {}
+        for masks in graphs:
+            degs = [mask.bit_count() for mask in masks]
+            flags = scan_class_flags(masks, sum(degs) // 2, max(degs, default=0) <= 3)
+            record = cli._scan_one((masks, check, 0, 64))
+            assert record["class_flags"] == flags
+            outcome = (record["applicable"], record["violation"], record["equality"])
+            assert outcome == scan_check(check, record["gamma"], record["rho"], flags)
+            for name, keep in cli._SCAN_FILTERS.items():
+                kept = cli._scan_one((masks, check, keep, 64))
+                assert kept == (record if SCAN_FILTERS[name](masks) else None)
+            by_flags.setdefault(flags, masks)
+        # Each combination a graph can have: a tree is connected.
+        assert sorted(by_flags) == [0, 1, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15]
+        # Every (gamma, rho) outcome of the check on each flag combination,
+        # violations included: the kernels are replaced by fixed answers.
+        for gamma, rho in itertools.product(range(5), repeat=2):
+            monkeypatch.setattr(cli.oracles, "domination_kernel", lambda masks: (gamma,))
+            monkeypatch.setattr(cli.oracles, "packing_kernel", lambda masks: (rho,))
+            for flags, masks in by_flags.items():
+                record = cli._scan_one((masks, check, 0, 64))
+                outcome = (record["applicable"], record["violation"], record["equality"])
+                assert outcome == scan_check(check, gamma, rho, flags)
+
     @pytest.mark.parametrize("check", ["duality", "henning", "treeeq"])
     def test_class_records_match_each_graph(self, check, capsys):
         # Each record is its class's, computed on another labelled graph:
@@ -558,7 +698,7 @@ class TestScan:
         graphs = list(families.enumerate_labeled_masks(5))
         assert len(lines) == len(graphs) == 1024
         for line, masks in zip(lines, graphs):
-            own = {"graph6": masks_to_graph6(masks), **cli._scan_one((masks, check, 64))}
+            own = {"graph6": masks_to_graph6(masks), **cli._scan_one((masks, check, 0, 64))}
             assert json.loads(line) == own
 
     def test_violations_exit_1_with_ten_counterexamples(self, monkeypatch, capsys):
@@ -574,7 +714,7 @@ class TestScan:
     def test_record_lines_are_compact_json(self, capsys):
         # Records with a backslash in their graph6, a null ratio and each
         # flag value, against json.dumps.
-        records = [{"graph6": masks_to_graph6(m), **cli._scan_one((m, check, 64))}
+        records = [{"graph6": masks_to_graph6(m), **cli._scan_one((m, check, 0, 64))}
                    for m in families.enumerate_labeled_masks(4)
                    for check in ("duality", "henning", "treeeq")]
         records.append(dict(records[0], graph6='"\\', ratio=None, violation=True))
@@ -590,7 +730,20 @@ class TestScan:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch, capsys):
+    def test_enumeration_starts_no_pool(self):
+        # The enumeration evaluates its classes in-process, whatever --jobs.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys; from dompack import cli\n"
+            "rc = cli.main(['scan', '--enumerate-n', '4', '--jobs', '2'])\n"
+            "print('multiprocessing' in sys.modules, file=sys.stderr); sys.exit(rc)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0 and run.stderr == "False\n"
+        assert json.loads(run.stdout.splitlines()[-1])["summary"]["graphs"] == 64
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch, tmp_path, capsys):
         started = []
 
         class RecordingPool:
@@ -608,7 +761,9 @@ class TestScan:
 
         monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        code, out, _ = run_cli(["scan", "--enumerate-n", "3", "--jobs", "1000"], capsys)
+        stream = "".join(masks_to_graph6(m) + "\n" for m in families.enumerate_labeled_masks(3))
+        sf = write(tmp_path, "three.g6", stream)
+        code, out, _ = run_cli(["scan", "--file", sf, "--jobs", "1000"], capsys)
         assert code == 0 and started == [3]
         assert json.loads(out.splitlines()[-1])["summary"]["graphs"] == 8
 
