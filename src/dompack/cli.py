@@ -55,11 +55,6 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
 
-    def __reduce__(self):
-        # Pool workers send exceptions back pickled; the default reduction
-        # would call __init__ without the code.
-        return (CliError, (str(self), self.code))
-
 
 def _read_text(path: str) -> str:
     try:
@@ -210,8 +205,7 @@ def cmd_construct(args) -> int:
     except GraphError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     except engine.EngineError as exc:
-        trace = getattr(exc, "trace", ())
-        for app in trace:
+        for app in exc.trace:
             print(app.to_json(), file=sys.stderr)
         raise CliError(f"construction failed: {exc}", EXIT_CONSTRUCTION) from exc
     print(witness.to_json())
@@ -505,12 +499,25 @@ class _ScanOutput:
             self.lines.clear()
 
 
+def _scan_one_or_oversize(task):
+    """``_scan_one``, with an oversize graph's error returned, not raised: a
+    pool hands back a chunk of results only once every task in it is done."""
+    try:
+        return _scan_one(task)
+    except oracles.OversizeError as exc:
+        return exc
+
+
 def _pool_records(jobs: int, tasks: list):
-    """``_scan_one`` over the tasks in a pool of ``jobs`` processes, in order."""
+    """``_scan_one`` over the tasks in a pool of ``jobs`` processes, in
+    order, raising an oversize graph's error in its place."""
     from multiprocessing import Pool
 
     with Pool(jobs) as pool:
-        yield from pool.imap(_scan_one, tasks, chunksize=64)
+        for record in pool.imap(_scan_one_or_oversize, tasks, chunksize=64):
+            if isinstance(record, oracles.OversizeError):
+                raise record
+            yield record
 
 
 def _scan_enumeration(n: int, check: str, keep: int, max_n: int, out: _ScanOutput) -> None:

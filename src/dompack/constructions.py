@@ -18,7 +18,7 @@ from .graph import (
     closed_neighborhood,
     distances_from,
     is_connected,
-    reach_mask,
+    nonneighbour_components,
     vertex_ids,
 )
 
@@ -68,16 +68,11 @@ def find_dominating_pair(g: Graph):
         raise NotFoundError("dominating pair requires a connected nonempty graph")
     if g.n == 1:
         return (0, 0)
-    masks = g.masks
     full = (1 << g.n) - 1
     together = [0] * g.n
-    for z in g.vertices():
-        rest = full & ~(masks[z] | 1 << z)
-        while rest:
-            comp = reach_mask(masks, rest & -rest, rest)
-            rest &= ~comp
-            for u in bits(comp):
-                together[u] |= comp
+    for _, comp in nonneighbour_components(g.masks):
+        for u in bits(comp):
+            together[u] |= comp
     for u in g.vertices():
         free = full & ~together[u] & ~((2 << u) - 1)
         if free:

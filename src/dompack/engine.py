@@ -30,24 +30,21 @@ from .oracles import check_xy_dominating, check_xy_packing
 
 
 class EngineError(Exception):
-    pass
+    """A construction failed; ``trace`` holds the rule applications made
+    before it stopped, when the driver passes them."""
+
+    def __init__(self, message, trace=()):
+        super().__init__(message)
+        self.trace = tuple(trace)
 
 
 class Stalled(EngineError):
     """No rule applies to a nonempty instance: the input is outside the
     driver's class (or a rule-coverage bug)."""
 
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
-
 
 class GuaranteeViolated(EngineError):
     """An unwind step would break the driver's budget inequality."""
-
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
 
 
 class CertificateInvalid(EngineError):
@@ -483,12 +480,6 @@ def completion_width(g: Graph, completion: Graph) -> int | None:
     if any(not nb <= big for nb, big in zip(g.adj, completion.adj)):
         return None
     return chordal_width(completion)
-
-
-def validate_tw_certificate(g: Graph, completion: Graph, k: int) -> bool:
-    """Chordal supergraph on the same vertices with clique number <= k+1."""
-    width = completion_width(g, completion)
-    return width is not None and width <= k
 
 
 def _simplicial(compl_adj: dict[int, set[int]], within=None) -> list[int]:

@@ -27,7 +27,7 @@ from .engine import (
     _State,
     certify,
 )
-from .graph import Graph, GraphError, vertex_ids
+from .graph import Graph, GraphError, ball2, vertex_ids
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,7 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
     blacks = tuple(sorted(_black_neighbors(st, u)))
     reds = tuple(sorted(st.red[u]))
     ring = st.adj[u]
-    second = set()
-    for w in ring:
-        second |= st.adj[w]
-    second -= ring
-    second.discard(u)
+    second = ball2(st, u) - ring - {u}
     s_black = []
     s_red = []
     for s in sorted(second):

@@ -1,4 +1,4 @@
-"""Named graph families, the AT-free recognizer, and graph enumeration."""
+"""Named graph families, the AT-free test, and labeled graph enumeration."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructions import MAX_COORDINATE, ConvexEncoding, DiskConfiguration
-from .graph import MAX_ORDER, Graph, GraphError, reach_mask
+from .graph import MAX_ORDER, Graph, GraphError, bits, nonneighbour_components
 
 
 class OversizeFamilyError(ValueError):
@@ -213,46 +213,38 @@ def gen_random_convex(nx: int, ny: int, seed: int) -> ConvexEncoding:
 # ---------------------------------------------------------------------------
 
 
-def recognize_at_free(g: Graph) -> bool:
-    """No independent triple where each pair connects outside the third's
-    closed neighborhood (exhaustive over triples)."""
-    return at_free_masks(g.masks)
-
-
 def at_free_masks(adj) -> bool:
-    """``recognize_at_free`` on open-neighbourhood bitmasks."""
+    """No asteroidal triple in the graph with these open-neighbourhood
+    bitmasks: no three vertices each two of which lie in one component of
+    G - N[third].  Such a triple is independent, since a vertex of N[z] lies
+    in no component of G - N[z].
+
+    ``comp[z][u]`` is the component of G - N[z] holding u (0 for u in N[z]).
+    """
     n = len(adj)
-    full = (1 << n) - 1
-
-    def linked_avoiding(a: int, b: int, z: int) -> bool:
-        # a and b lie outside N[z]: the triple is independent.
-        return bool(reach_mask(adj, 1 << a, full & ~(adj[z] | 1 << z)) >> b & 1)
-
-    for u, v, w in combinations(range(n), 3):
-        if (adj[u] >> v) & 1 or (adj[u] >> w) & 1 or (adj[v] >> w) & 1:
-            continue
-        if (
-            linked_avoiding(u, v, w)
-            and linked_avoiding(u, w, v)
-            and linked_avoiding(v, w, u)
-        ):
-            return False
+    comp = [[0] * n for _ in range(n)]
+    for z, c in nonneighbour_components(adj):
+        row = comp[z]
+        for u in bits(c):
+            row[u] = c
+    for u in range(n):
+        for v in range(u + 1, n):
+            # Third vertices w > v, with v and w together off N[u], u and w
+            # together off N[v].
+            for w in bits(comp[u][v] & comp[v][u] & -(2 << v)):
+                if comp[w][u] >> v & 1:
+                    return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# Enumeration (labeled, and unlabeled with bounded degree)
+# Enumeration of labeled graphs and their isomorphism classes
 # ---------------------------------------------------------------------------
 
 
-def enumerate_labeled_graphs(n: int):
-    """All labeled graphs on n vertices (no isomorphism rejection), n <= 7."""
-    for adj in enumerate_labeled_masks(n):
-        yield Graph.from_masks(adj)
-
-
 def enumerate_labeled_masks(n: int):
-    """``enumerate_labeled_graphs`` as open-neighbourhood bitmasks.
+    """All labeled graphs on n vertices (no isomorphism rejection), n <= 7,
+    as open-neighbourhood bitmasks.
 
     Graph k has edge i of ``combinations(range(n), 2)`` iff bit i of k is
     set.  Counting k up flips the trailing ones and one zero, so each step
@@ -333,110 +325,6 @@ def labeled_orbit_ids(n: int) -> "array":
                     stack.append(other)
         classes += 1
     return ids
-
-
-def _refine_masks(adj: tuple[int, ...]) -> tuple[tuple, tuple]:
-    n = len(adj)
-    colors = tuple(adj[v].bit_count() for v in range(n))
-    for _ in range(n):
-        raw = []
-        for v in range(n):
-            m = adj[v]
-            around = []
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                around.append(colors[u])
-            around.sort()
-            raw.append((colors[v], tuple(around)))
-        ranks = {val: i for i, val in enumerate(sorted(set(raw)))}
-        new = tuple(ranks[r] for r in raw)
-        if new == colors:
-            break
-        colors = new
-    return tuple(sorted(colors)), colors
-
-
-def _masks_isomorphic(a1: tuple[int, ...], a2: tuple[int, ...], col1, col2) -> bool:
-    n = len(a1)
-    order = sorted(range(n), key=lambda v: (col1[v], -a1[v].bit_count(), v))
-    targets: dict[int, list[int]] = {}
-    for v in range(n):
-        targets.setdefault(col2[v], []).append(v)
-    mapping = [-1] * n
-    mapped_src = 0
-    mapped_img = 0
-
-    def extend(idx: int) -> bool:
-        nonlocal mapped_src, mapped_img
-        if idx == n:
-            return True
-        v = order[idx]
-        want = a1[v] & mapped_src
-        for w in targets.get(col1[v], ()):
-            bw = 1 << w
-            if mapped_img & bw:
-                continue
-            # Edges from v to mapped vertices must map onto edges at w.
-            img = 0
-            m = want
-            good = True
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                img |= 1 << mapping[u]
-            if (a2[w] & mapped_img) != img:
-                good = False
-            if good:
-                mapping[v] = w
-                mapped_src |= 1 << v
-                mapped_img |= bw
-                if extend(idx + 1):
-                    return True
-                mapped_src &= ~(1 << v)
-                mapped_img &= ~bw
-                mapping[v] = -1
-        return False
-
-    return extend(0)
-
-
-def enumerate_connected_bounded_degree(n_max: int, max_deg: int):
-    """One representative per isomorphism class of connected graphs with the
-    degree bound, for every order up to n_max.  Grown by vertex augmentation
-    (every connected graph has a non-cut vertex), deduplicated by a
-    refinement certificate plus exact isomorphism."""
-    reps: list[tuple[int, ...]] = [(0,)]
-    yield Graph.from_edges(1)
-    for n in range(2, n_max + 1):
-        buckets: dict[tuple, list[tuple]] = {}
-        out: list[tuple[int, ...]] = []
-        new_bit = 1 << (n - 1)
-        for adj in reps:
-            low = [v for v in range(n - 1) if adj[v].bit_count() < max_deg]
-            for size in range(1, max_deg + 1):
-                for sub in combinations(low, size):
-                    grown = list(adj) + [0]
-                    for v in sub:
-                        grown[v] |= new_bit
-                        grown[n - 1] |= 1 << v
-                    cand = tuple(grown)
-                    sig, colors = _refine_masks(cand)
-                    edge_count = sum(m.bit_count() for m in cand) // 2
-                    key = (edge_count, sig)
-                    bucket = buckets.setdefault(key, [])
-                    clash = False
-                    for other, other_colors in bucket:
-                        if _masks_isomorphic(cand, other, colors, other_colors):
-                            clash = True
-                            break
-                    if clash:
-                        continue
-                    bucket.append((cand, colors))
-                    out.append(cand)
-        for cand in out:
-            yield Graph.from_masks(cand)
-        reps = out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Immutable graph substrate: adjacency, distances, degeneracy, chordality,
-conflict graphs, I/O.
+I/O.
 
 Vertices are dense integers 0..n-1. Edges carry a color tag, black by default;
 a graph with no red edges is "plain". Graphs are immutable after construction;
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from binascii import b2a_base64
+import re
+from binascii import a2b_base64, b2a_base64
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -61,14 +62,6 @@ class Graph:
             nbrs[v].add(u)
             red.add(e)
         return Graph(n, tuple(frozenset(s) for s in nbrs), frozenset(red))
-
-    @staticmethod
-    def from_masks(masks) -> "Graph":
-        """Plain graph from symmetric open-neighbourhood bitmasks (see
-        ``masks``); each edge is read once, from its larger endpoint."""
-        return Graph.from_edges(
-            len(masks), [(u, v) for v, m in enumerate(masks) for u in bits(m & ((1 << v) - 1))]
-        )
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -190,19 +183,6 @@ def ball2(g, v: int) -> set[int]:
     for u in adj[v]:
         ball |= adj[u]
     return ball
-
-
-def power2_conflict_graph(g: Graph) -> Graph:
-    """Same vertices; edge uv iff 1 <= dist(u,v) <= 2.
-
-    Independent sets of this graph are exactly the packings of g.  The
-    oracles build the same rows from bitmasks (``oracles.packing_kernel``);
-    this set-based form is their reference.
-    """
-    edges = []
-    for u in range(g.n):
-        edges.extend((u, v) for v in ball2(g, u) if u < v)
-    return Graph.from_edges(g.n, edges)
 
 
 def degeneracy_ordering(g: Graph) -> tuple[list[int], int]:
@@ -332,6 +312,21 @@ def reach_mask(masks, seed: int, allowed: int) -> int:
     return reach
 
 
+def nonneighbour_components(masks):
+    """Each vertex z with each component of G - N[z], as (z, component
+    mask) pairs: z in order, its components by smallest member.
+
+    These components decide both asteroidal triples and dominating pairs
+    (Corneil, Olariu and Stewart, 1997)."""
+    full = (1 << len(masks)) - 1
+    for z, m in enumerate(masks):
+        rest = full & ~(m | 1 << z)
+        while rest:
+            comp = reach_mask(masks, rest & -rest, rest)
+            rest &= ~comp
+            yield z, comp
+
+
 def masks_connected(masks) -> bool:
     """``is_connected`` on the bitmask form.
 
@@ -390,18 +385,17 @@ def _g6_decode_n(s: str) -> tuple[int, str]:
     return n, s[4:]
 
 
-# Six stream bits, first bit most significant -> their graph6 byte.
-_G6_BITS = {chr(w + 63): format(w, "06b") for w in range(64)}
 # The graph6 bytes of a stream are its 6-bit groups, first bit most
-# significant, plus 63: base64 with the alphabet "?".."~".  The encoder keeps
-# the stream as an int, first bit lowest, so each of its little-endian bytes
-# is bit-reversed before base64 reads it: byte b's reverse has the reversed
-# low nibble of b high and the reversed high nibble low.
+# significant, plus 63: base64 with the alphabet "?".."~".  The codec keeps
+# the stream first bit lowest, as an int or as little-endian bytes, so each
+# byte is bit-reversed on the way to and from base64: byte b's reverse has
+# the reversed low nibble of b high and the reversed high nibble low.
 _NIBBLE_REVERSED = (0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15)
 _REVERSED_BYTE = bytes([lo << 4 | hi for hi in _NIBBLE_REVERSED for lo in _NIBBLE_REVERSED])
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_G6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_G6_BAD_BYTE = re.compile("[^?-~]")
 # The encoder moves the stream out of its int in whole bytes once it holds
 # this many bits, so that no shift or OR copies more than about this much.
 _G6_FLUSH_BITS = 1 << 12
@@ -431,9 +425,10 @@ def masks_to_graph6(masks) -> str:
     return _g6_encode_n(n) + data.translate(_BASE64_TO_G6)[: -(-total // 6)].decode()
 
 
-def _g6_columns(s: str) -> tuple[int, str]:
-    """The order of a graph6 string (header optional) and its stream bits,
-    column by column, once the length and every byte are checked."""
+def _g6_columns(s: str) -> tuple[int, list[int]]:
+    """The order of a graph6 string (header optional) and, once the length
+    and every byte are checked, its columns: for v = 1..n-1, the mask of
+    the vertices u < v adjacent to v."""
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
@@ -441,27 +436,30 @@ def _g6_columns(s: str) -> tuple[int, str]:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(body)}")
-    try:
-        return n, "".join([_G6_BITS[c] for c in body])
-    except KeyError as exc:
-        raise Graph6Error(f"byte {exc.args[0]!r} out of graph6 range") from None
+    bad = _G6_BAD_BYTE.search(body)
+    if bad:
+        raise Graph6Error(f"byte {bad.group()!r} out of graph6 range")
+    # Zero groups pad the body to whole base64 quads; stream bit i is then
+    # bit i % 8 of byte i // 8.
+    data = a2b_base64((body.encode() + b"?" * (-need % 4)).translate(_G6_TO_BASE64))
+    data = data.translate(_REVERSED_BYTE)
+    columns = []
+    start = 0
+    for v in range(1, n):
+        window = int.from_bytes(data[start >> 3 : (start + v + 7) >> 3], "little")
+        columns.append(window >> (start & 7) & ((1 << v) - 1))
+        start += v
+    return n, columns
 
 
 def graph6_to_masks(s: str) -> tuple[int, ...]:
     """Open-neighbourhood bitmasks of a graph6 string (header optional)."""
-    n, col = _g6_columns(s)
+    n, columns = _g6_columns(s)
     masks = [0] * n
-    start = 0
-    for v in range(1, n):
-        # Column v lists u = 0..v-1, first bit first.
-        low = int(col[start : start + v][::-1], 2)
-        start += v
+    for v, low in enumerate(columns, 1):
         masks[v] |= low
-        bit_v = 1 << v
-        while low:
-            b = low & -low
-            masks[b.bit_length() - 1] |= bit_v
-            low ^= b
+        for u in bits(low):
+            masks[u] |= 1 << v
     return tuple(masks)
 
 
@@ -471,20 +469,14 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(s: str) -> Graph:
-    """The plain graph of a graph6 string, built straight from the stream:
-    each "1" in column v is an edge from v to its offset in the column."""
-    n, col = _g6_columns(s)
+    """The plain graph of a graph6 string, built straight from its columns:
+    each set bit u of column v is an edge uv."""
+    n, columns = _g6_columns(s)
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    start = 0
-    for v in range(1, n):
-        end = start + v
-        i = col.find("1", start, end)
-        while i >= 0:
-            u = i - start
+    for v, low in enumerate(columns, 1):
+        for u in bits(low):
             nbrs[v].append(u)
             nbrs[u].append(v)
-            i = col.find("1", i + 1, end)
-        start = end
     return Graph(n, tuple(map(frozenset, nbrs)))
 
 

@@ -166,15 +166,7 @@ def packing_kernel(masks, x: int = 0, y: int = 0):
     A vertex conflicts with everything within distance two: N[N[v]] - v.
     """
     n = len(masks)
-    closed = [m | 1 << v for v, m in enumerate(masks)]
-    conflict = []
-    for v, m in enumerate(masks):
-        row = 0
-        while m:
-            low = m & -m
-            row |= closed[low.bit_length() - 1]
-            m ^= low
-        conflict.append(row & ~(1 << v))
+    conflict = [_closed_mask(masks, m) & ~(1 << v) for v, m in enumerate(masks)]
     cand = ((1 << n) - 1) & ~(_closed_mask(masks, x) | y)
     return solvers.max_independent_set(conflict, cand, n)
 

@@ -2,12 +2,15 @@
 
 The brute-force certificate finders and the split and distance-hereditary
 recognizers supply certificates and class membership for small test
-graphs.  ``replay`` re-applies a driver trace's deltas, ``to_edge_json`` and
-``convex_graph`` write test inputs, ``trace_json_obj`` builds the object
-whose JSON text ``RuleApplication.to_json`` must write, and
-``masks_to_graph6_one_int`` is the graph6 encoder the linear one replaced.
-The scan's filter predicates, class flags and check chain are kept as
-they were before the scan read them from flag tables.
+graphs, and the enumerators supply the graphs.  ``replay`` re-applies a
+driver trace's deltas, ``to_edge_json`` and ``convex_graph`` write test
+inputs, ``trace_json_obj`` builds the object whose JSON text
+``RuleApplication.to_json`` must write.  ``masks_to_graph6_one_int`` and
+``graph6_to_masks_by_string`` are the graph6 encoder and decoder the
+byte-level ones replaced, and ``at_free_per_triple`` the AT-free test
+before it read a table of the components of each G - N[z].  The scan's
+filter predicates, class flags and check chain are kept as they were
+before the scan read them from flag tables.
 """
 
 from __future__ import annotations
@@ -16,10 +19,26 @@ import json
 from itertools import combinations
 
 from dompack.constructions import ConvexEncoding, EncodingInvalid
-from dompack.engine import RuleApplication, _State, validate_tw_certificate
+from dompack.engine import RuleApplication, _State, completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
-from dompack.families import OversizeFamilyError, at_free_masks
-from dompack.graph import Graph, _g6_encode_n, masks_connected
+from dompack.families import OversizeFamilyError, at_free_masks, enumerate_labeled_masks
+from dompack.graph import (
+    Graph,
+    Graph6Error,
+    _g6_decode_n,
+    _g6_encode_n,
+    bits,
+    masks_connected,
+    reach_mask,
+)
+
+
+def graph_from_masks(masks) -> Graph:
+    """Plain graph from symmetric open-neighbourhood bitmasks; each edge is
+    read once, from its larger endpoint."""
+    return Graph.from_edges(
+        len(masks), [(u, v) for v, m in enumerate(masks) for u in bits(m & ((1 << v) - 1))]
+    )
 
 FLAG_SUBCUBIC, FLAG_TREE, FLAG_CONNECTED, FLAG_ATFREE = 1, 2, 4, 8
 ATFREE_FLAG_MAX_N = 12
@@ -152,7 +171,8 @@ def brute_force_tw_certificate(g: Graph, k: int):
             adj[w].discard(v)
         del adj[v]
     completion = Graph.from_edges(n, sorted(fill))
-    assert validate_tw_certificate(g, completion, k)
+    width = completion_width(g, completion)
+    assert width is not None and width <= k
     return completion
 
 
@@ -283,6 +303,37 @@ def masks_to_graph6_one_int(masks) -> str:
     return _g6_encode_n(n) + "".join(chr(int(col[i : i + 6], 2) + 63) for i in range(0, len(col), 6))
 
 
+# Six stream bits, first bit most significant -> their graph6 byte.
+_G6_BITS = {chr(w + 63): format(w, "06b") for w in range(64)}
+
+
+def graph6_to_masks_by_string(s: str) -> tuple[int, ...]:
+    """``graph6_to_masks`` as it was before it decoded through base64: every
+    data byte is expanded to six characters of one string of the stream
+    bits, n(n-1)/2 of them and the padding, and each column is read back
+    with int(..., 2)."""
+    s = s.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[10:]
+    n, body = _g6_decode_n(s)
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(body)}")
+    try:
+        col = "".join([_G6_BITS[c] for c in body])
+    except KeyError as exc:
+        raise Graph6Error(f"byte {exc.args[0]!r} out of graph6 range") from None
+    masks = [0] * n
+    start = 0
+    for v in range(1, n):
+        low = int(col[start : start + v][::-1], 2)
+        start += v
+        masks[v] |= low
+        for u in bits(low):
+            masks[u] |= 1 << v
+    return tuple(masks)
+
+
 def convex_graph(enc: ConvexEncoding) -> Graph:
     n = len(enc.x_order) + len(enc.y_neighbors)
     ids = sorted(enc.x_order) + sorted(enc.y_neighbors)
@@ -290,6 +341,148 @@ def convex_graph(enc: ConvexEncoding) -> Graph:
         raise EncodingInvalid("vertex ids must be dense 0..n-1")
     edges = [(x, y) for y, ns in enc.y_neighbors.items() for x in ns]
     return Graph.from_edges(n, edges)
+
+
+# ---------------------------------------------------------------------------
+# AT-free test, one BFS per independent triple
+# ---------------------------------------------------------------------------
+
+
+def at_free_per_triple(adj) -> bool:
+    """``at_free_masks`` as a search over the independent triples, with a
+    BFS off N[z] for each pair of a triple."""
+    n = len(adj)
+    full = (1 << n) - 1
+
+    def linked_avoiding(a: int, b: int, z: int) -> bool:
+        # a and b lie outside N[z]: the triple is independent.
+        return bool(reach_mask(adj, 1 << a, full & ~(adj[z] | 1 << z)) >> b & 1)
+
+    for u, v, w in combinations(range(n), 3):
+        if (adj[u] >> v) & 1 or (adj[u] >> w) & 1 or (adj[v] >> w) & 1:
+            continue
+        if (
+            linked_avoiding(u, v, w)
+            and linked_avoiding(u, w, v)
+            and linked_avoiding(v, w, u)
+        ):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Enumeration (labeled, and unlabeled with bounded degree)
+# ---------------------------------------------------------------------------
+
+
+def enumerate_labeled_graphs(n: int):
+    """All labeled graphs on n vertices (no isomorphism rejection), n <= 7."""
+    for adj in enumerate_labeled_masks(n):
+        yield graph_from_masks(adj)
+
+
+def _refine_masks(adj: tuple[int, ...]) -> tuple[tuple, tuple]:
+    n = len(adj)
+    colors = tuple(adj[v].bit_count() for v in range(n))
+    for _ in range(n):
+        raw = []
+        for v in range(n):
+            m = adj[v]
+            around = []
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                around.append(colors[u])
+            around.sort()
+            raw.append((colors[v], tuple(around)))
+        ranks = {val: i for i, val in enumerate(sorted(set(raw)))}
+        new = tuple(ranks[r] for r in raw)
+        if new == colors:
+            break
+        colors = new
+    return tuple(sorted(colors)), colors
+
+
+def _masks_isomorphic(a1: tuple[int, ...], a2: tuple[int, ...], col1, col2) -> bool:
+    n = len(a1)
+    order = sorted(range(n), key=lambda v: (col1[v], -a1[v].bit_count(), v))
+    targets: dict[int, list[int]] = {}
+    for v in range(n):
+        targets.setdefault(col2[v], []).append(v)
+    mapping = [-1] * n
+    mapped_src = 0
+    mapped_img = 0
+
+    def extend(idx: int) -> bool:
+        nonlocal mapped_src, mapped_img
+        if idx == n:
+            return True
+        v = order[idx]
+        want = a1[v] & mapped_src
+        for w in targets.get(col1[v], ()):
+            bw = 1 << w
+            if mapped_img & bw:
+                continue
+            # Edges from v to mapped vertices must map onto edges at w.
+            img = 0
+            m = want
+            good = True
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                img |= 1 << mapping[u]
+            if (a2[w] & mapped_img) != img:
+                good = False
+            if good:
+                mapping[v] = w
+                mapped_src |= 1 << v
+                mapped_img |= bw
+                if extend(idx + 1):
+                    return True
+                mapped_src &= ~(1 << v)
+                mapped_img &= ~bw
+                mapping[v] = -1
+        return False
+
+    return extend(0)
+
+
+def enumerate_connected_bounded_degree(n_max: int, max_deg: int):
+    """One representative per isomorphism class of connected graphs with the
+    degree bound, for every order up to n_max.  Grown by vertex augmentation
+    (every connected graph has a non-cut vertex), deduplicated by a
+    refinement certificate plus exact isomorphism."""
+    reps: list[tuple[int, ...]] = [(0,)]
+    yield Graph.from_edges(1)
+    for n in range(2, n_max + 1):
+        buckets: dict[tuple, list[tuple]] = {}
+        out: list[tuple[int, ...]] = []
+        new_bit = 1 << (n - 1)
+        for adj in reps:
+            low = [v for v in range(n - 1) if adj[v].bit_count() < max_deg]
+            for size in range(1, max_deg + 1):
+                for sub in combinations(low, size):
+                    grown = list(adj) + [0]
+                    for v in sub:
+                        grown[v] |= new_bit
+                        grown[n - 1] |= 1 << v
+                    cand = tuple(grown)
+                    sig, colors = _refine_masks(cand)
+                    edge_count = sum(m.bit_count() for m in cand) // 2
+                    key = (edge_count, sig)
+                    bucket = buckets.setdefault(key, [])
+                    clash = False
+                    for other, other_colors in bucket:
+                        if _masks_isomorphic(cand, other, colors, other_colors):
+                            clash = True
+                            break
+                    if clash:
+                        continue
+                    bucket.append((cand, colors))
+                    out.append(cand)
+        for cand in out:
+            yield graph_from_masks(cand)
+        reps = out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ graph6 lines through ``solve`` and ``scan --file``.  No exception may
 escape, the exit code must be one the command documents, and stderr never
 holds a traceback.  The documents are mostly near the real formats, so that
 they get past ``json.loads`` and reach the checks behind it; every graph
-stays small.
+stays small.  The graph6 lines are also decoded directly, against the
+string-based decoder the byte-level one replaced.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dompack import cli
+from dompack.graph import Graph6Error, from_graph6, graph6_to_masks
+from _reference import graph6_to_masks_by_string
 
 EXIT_CODES = {
     "solve": {0, 2, 3},
@@ -236,3 +239,23 @@ def test_graph6_solve(write, line, variant, mode):
 @given(st.lists(graph6_lines(), max_size=6), st.sampled_from(["duality", "henning", "treeeq"]))
 def test_graph6_scan(write, lines, check):
     run(["scan", "--check", check, "--file", write("stream.g6", "\n".join(lines) + "\n")])
+
+
+def _decoded(decode, line):
+    try:
+        return decode(line)
+    except Graph6Error as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph6_lines())
+@example("D?\u00e9")  # a data byte beyond ASCII
+@example("C\x7f")
+@example(">>graph6<<Bw\n")
+def test_graph6_decoder_matches_the_string_decoder(line):
+    # The same masks, or the same error message.
+    want = _decoded(graph6_to_masks_by_string, line)
+    assert _decoded(graph6_to_masks, line) == want
+    g = _decoded(from_graph6, line)
+    assert g == want if isinstance(want, str) else g.masks == want

@@ -7,7 +7,12 @@ from dompack.engine import Stalled, SequenceInvalid, _State
 from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import ContractionSequence, run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance
-from _reference import brute_force_tww_sequence, recognize_distance_hereditary, replay
+from _reference import (
+    brute_force_tww_sequence,
+    enumerate_labeled_graphs,
+    recognize_distance_hereditary,
+    replay,
+)
 from conftest import (
     complete,
     named,
@@ -301,7 +306,7 @@ class TestDistanceHereditary:
         # driver finishes.  It finishes on some others too (see below).
         accepted = 0
         for n in range(1, 7):
-            for g in families.enumerate_labeled_graphs(n):
+            for g in enumerate_labeled_graphs(n):
                 if recognize_distance_hereditary(g):
                     accepted += 1
                     engine.run_distance_hereditary(g)

@@ -5,13 +5,11 @@ import networkx as nx
 import pytest
 
 from dompack import families, oracles
-from dompack.engine import RotationSystem, validate_rotation_planarity, validate_tw_certificate
+from dompack.engine import RotationSystem, completion_width, validate_rotation_planarity
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import (
     OversizeFamilyError,
     at_free_masks,
-    enumerate_connected_bounded_degree,
-    enumerate_labeled_graphs,
     enumerate_labeled_masks,
     gen_chained_blocks,
     gen_cycle,
@@ -21,7 +19,6 @@ from dompack.families import (
     gen_split,
     gen_threedeg,
     labeled_orbit_ids,
-    recognize_at_free,
 )
 from dompack.graph import (
     Graph,
@@ -34,8 +31,11 @@ from dompack.graph import (
     to_graph6,
 )
 from _reference import (
+    at_free_per_triple,
     brute_force_tw_certificate,
     brute_force_tww_sequence,
+    enumerate_connected_bounded_degree,
+    enumerate_labeled_graphs,
     recognize_distance_hereditary,
     recognize_split,
 )
@@ -171,10 +171,25 @@ class TestRecognizers:
     def test_at_free(self):
         # Cycles of length >= 6 carry the classic asteroidal triple of
         # alternating vertices; shorter cycles have no independent triple.
-        assert recognize_at_free(named("c5"))
-        assert recognize_at_free(families.gen_path(8))
-        assert not recognize_at_free(named("c6"))
-        assert not recognize_at_free(gen_cycle(7))
+        assert at_free_masks(named("c5").masks)
+        assert at_free_masks(families.gen_path(8).masks)
+        assert not at_free_masks(named("c6").masks)
+        assert not at_free_masks(gen_cycle(7).masks)
+
+    def test_at_free_matches_the_per_triple_search(self):
+        # The component table against one BFS per pair of each independent
+        # triple: every labelled graph with n <= 6, C5-C7, and seeded graphs
+        # with n <= 12 from sparse to dense.
+        graphs = [m for n in range(7) for m in enumerate_labeled_masks(n)]
+        graphs += [gen_cycle(n).masks for n in (5, 6, 7)]
+        rng = random.Random(16)
+        for _ in range(400):
+            n = rng.randint(7, 12)
+            p = rng.choice((0.1, 0.2, 0.25, 0.35, 0.5, 0.7))
+            graphs.append(random_graph(n, p, rng.randrange(1 << 30)).masks)
+        flags = [at_free_masks(masks) for masks in graphs]
+        assert flags == [at_free_per_triple(masks) for masks in graphs]
+        assert True in flags[-400:] and False in flags[-400:]
 
     def test_at_free_c6_triple_explicit(self):
         g = named("c6")
@@ -433,10 +448,9 @@ class TestValidators:
     def test_tw_certificate(self):
         c4 = named("c4")
         chordal = Graph.from_edges(4, c4.edges() + [(0, 2)])
-        assert validate_tw_certificate(c4, chordal, 2)
-        assert not validate_tw_certificate(c4, c4, 2)          # not chordal
-        assert not validate_tw_certificate(c4, chordal, 1)     # clique too big
-        assert not validate_tw_certificate(complete(3), Graph.from_edges(3), 2)  # not a supergraph
+        assert completion_width(c4, chordal) == 2
+        assert completion_width(c4, c4) is None                # not chordal
+        assert completion_width(complete(3), Graph.from_edges(3)) is None  # not a supergraph
 
     def test_tww_sequence(self):
         g = families.gen_path(4)
@@ -479,7 +493,7 @@ class TestBruteForceFinders:
         for n in range(3, 9):
             compl = brute_force_tw_certificate(gen_cycle(n), 2)
             assert compl is not None
-            assert validate_tw_certificate(gen_cycle(n), compl, 2)
+            assert completion_width(gen_cycle(n), compl) <= 2
         assert brute_force_tw_certificate(gen_cycle(5), 1) is None
 
     def test_tw_on_cliques(self):

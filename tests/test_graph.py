@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import inf
 
 import networkx as nx
@@ -18,7 +19,6 @@ from dompack.graph import (
     from_graph6,
     graph6_to_masks,
     masks_to_graph6,
-    power2_conflict_graph,
     to_graph6,
 )
 from _reference import masks_to_graph6_one_int, to_edge_json
@@ -192,19 +192,22 @@ class TestBall2:
         assert g.adj[2] == {1, 3}
 
 
+def conflict_edges(g):
+    """The packing conflicts: pairs at distance 1 or 2, read off ``ball2``
+    rows as ``packing_kernel`` builds them (each ball less its centre)."""
+    return {(u, v) for u in g.vertices() for v in ball2(g, u) - {u} if u < v}
+
+
 class TestConflictGraph:
     def test_c6(self):
-        h = power2_conflict_graph(named("c6"))
         expect = set(named("c6").edges()) | {(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)}
-        assert set(h.edges()) == expect
+        assert conflict_edges(named("c6")) == expect
 
     def test_edgeless(self):
-        h = power2_conflict_graph(Graph.from_edges(4))
-        assert h.edge_count == 0
+        assert conflict_edges(Graph.from_edges(4)) == set()
 
     def test_star_becomes_clique(self):
-        h = power2_conflict_graph(named("star3"))
-        assert h.edge_count == 6
+        assert len(conflict_edges(named("star3"))) == 6
 
     @given(graphs(max_n=7))
     @settings(max_examples=30, deadline=None)
@@ -219,9 +222,9 @@ class TestConflictGraph:
         ]
         if not non_edges:
             return
-        before = set(power2_conflict_graph(g).edges())
+        before = conflict_edges(g)
         bigger = Graph.from_edges(g.n, g.edges() + non_edges[:1])
-        after = set(power2_conflict_graph(bigger).edges())
+        after = conflict_edges(bigger)
         assert before <= after
 
 
@@ -291,6 +294,19 @@ class TestGraph6:
                 n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             )
             assert masks_to_graph6(g.masks) == masks_to_graph6_one_int(g.masks), n
+
+    def test_decoder_memory_stays_near_the_input(self):
+        # The 6000-vertex path: 3 MB of graph6 text, a stream of 18 million
+        # bits.  Expanding it to one character per bit took 45 MB.
+        s = to_graph6(families.gen_path(6000))
+        tracemalloc.start()
+        try:
+            g = from_graph6(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count == 5999 and g.adj[0] == {1}
+        assert peak < 15 * 10**6
 
     def test_large_order_prefix(self):
         g = Graph.from_edges(63, [(0, 62)])

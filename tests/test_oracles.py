@@ -15,12 +15,13 @@ from dompack.graph import (
     GraphError,
     Mode,
     XYInstance,
+    ball2,
     closed_neighborhood,
     distances_from,
-    power2_conflict_graph,
 )
 from dompack import _bb_py
 from _kernel_reference import min_hitting_set as reference_min_hitting_set
+from _reference import enumerate_labeled_graphs
 from conftest import complete, named, random_graph, random_xy
 
 
@@ -175,7 +176,7 @@ class TestExactValues:
 class TestAgainstReference:
     def test_small_exhaustive(self):
         for n in range(5):
-            for g in families.enumerate_labeled_graphs(n):
+            for g in enumerate_labeled_graphs(n):
                 inst = plain(g)
                 assert oracles.exact_domination(inst).value == oracles.reference_domination_value(inst)
                 assert oracles.exact_packing(inst).value == oracles.reference_packing_value(inst)
@@ -214,7 +215,7 @@ class TestAgainstReference:
 def _set_based_results(inst):
     """exact_domination and exact_packing computed the set-based way:
     frozenset requirement rows turned into masks vertex by vertex, and the
-    packing conflicts read off power2_conflict_graph."""
+    packing conflicts read off ball2 (each vertex's ball less itself)."""
     g = inst.graph
 
     def mask(s):
@@ -236,10 +237,9 @@ def _set_based_results(inst):
         [mask(r) for _, r in rows], [v for v, _ in rows], g.n
     )
     gamma = oracles.ExactResult(size, oracles._unmask(chosen), nodes)
-    conflict = power2_conflict_graph(g)
     banned = closed_neighborhood(g, inst.x_set) | inst.y_set
     size, chosen, nodes = solvers.max_independent_set(
-        [mask(conflict.adj[v]) for v in g.vertices()],
+        [mask(ball2(g, v) - {v}) for v in g.vertices()],
         mask(v for v in g.vertices() if v not in banned),
         g.n,
     )
@@ -273,7 +273,7 @@ class TestMaskLayer:
 
     def test_all_small_labeled_graphs(self):
         for n in range(6):
-            for g in families.enumerate_labeled_graphs(n):
+            for g in enumerate_labeled_graphs(n):
                 self.assert_same(plain(g))
 
     @pytest.mark.parametrize("mode", [Mode.PLAIN, Mode.TOTAL])
@@ -286,6 +286,19 @@ class TestMaskLayer:
     def test_random_black_with_red_edges(self):
         for seed in range(60):
             self.assert_same(_random_black(seed))
+
+    def test_packing_rows_are_the_ball2_rows(self, monkeypatch):
+        # The rows themselves, not only the kernel's answer: a row that kept
+        # its own vertex gave the same results on the graphs above.
+        seen = []
+        monkeypatch.setattr(
+            solvers, "max_independent_set", lambda rows, cand, n: seen.append(rows) or (0, 0, 0)
+        )
+        graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
+        graphs += [random_graph(12, p, seed) for seed, p in enumerate((0.1, 0.3, 0.6))]
+        for g in graphs:
+            oracles.packing_kernel(g.masks)
+            assert seen.pop() == [sum(1 << u for u in ball2(g, v) - {v}) for v in g.vertices()]
 
 
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "dompack" / "_bbkernel.c"
@@ -467,14 +480,14 @@ class TestWideHittingSet:
 class TestInvariants:
     def test_duality_small(self):
         for n in range(6):
-            for g in families.enumerate_labeled_graphs(n):
+            for g in enumerate_labeled_graphs(n):
                 inst = plain(g)
                 assert oracles.exact_packing(inst).value <= oracles.exact_domination(inst).value
 
     @pytest.mark.slow
     def test_duality_full_seven_vertex_enumeration(self):
         count = 0
-        for g in families.enumerate_labeled_graphs(7):
+        for g in enumerate_labeled_graphs(7):
             inst = plain(g)
             rho = oracles.exact_packing(inst).value
             gamma = oracles.exact_domination(inst).value

@@ -2,9 +2,10 @@
 
 Every top-level function and class in ``src/dompack``, and every method of
 such a class that is not a dunder, must be named somewhere in the package or
-in perfbench: as a name, an attribute, an imported name, or a string that is
-an identifier (perfbench's tracer wraps functions by their names).  Code
-that only the tests reach belongs with the tests.
+in perfbench: as a name, an attribute or an imported name.  A string does
+not count: perfbench's tracer wraps the functions it names in strings and
+skips names it does not find, so naming a function there keeps nothing
+alive.  Code that only the tests reach belongs with the tests.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ def _references(tree: ast.AST) -> set[str]:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.update(node.name.split("."))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                out.add(node.value)
     return out
 
 
