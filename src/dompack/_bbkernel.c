@@ -97,7 +97,6 @@ req_cmp(const void *pa, const void *pb)
 
 typedef struct {
     u64 *masks;          /* rows x m requirement masks, one row per depth */
-    long long *owners;   /* parallel owner ids */
     Py_ssize_t m;
     int best_size;
     u64 best_mask;
@@ -122,9 +121,7 @@ static void
 hs_dfs(HS *st, int level, Py_ssize_t cnt, u64 chosen, int count)
 {
     const u64 *unsat = st->masks + level * st->m;
-    const long long *own = st->owners + level * st->m;
     u64 *nxt = st->masks + (level + 1) * st->m;
-    long long *nxt_own = st->owners + (level + 1) * st->m;
 
     st->nodes++;
     if (cnt == 0) {
@@ -136,28 +133,15 @@ hs_dfs(HS *st, int level, Py_ssize_t cnt, u64 chosen, int count)
     }
     if (count + disjoint_lb(unsat, cnt) >= st->best_size)
         return;
-    /* Branch on the requirement with fewest candidates, ties by owner id. */
-    Py_ssize_t bi = 0;
-    int bp = pop64(unsat[0]);
-    long long bo = own[0];
-    for (Py_ssize_t i = 1; i < cnt; i++) {
-        int p = pop64(unsat[i]);
-        if (p < bp || (p == bp && own[i] < bo)) {
-            bp = p;
-            bo = own[i];
-            bi = i;
-        }
-    }
-    for (u64 r = unsat[bi]; r; r &= r - 1) {
+    /* Branch on the first unsatisfied requirement: every row keeps the
+     * (popcount, owner) order of req_cmp, so it has fewest candidates, ties
+     * by owner id. */
+    for (u64 r = unsat[0]; r; r &= r - 1) {
         u64 bit = BIT(ctz64(r));
         Py_ssize_t nc = 0;
-        for (Py_ssize_t i = 0; i < cnt; i++) {
-            if (!(unsat[i] & bit)) {
-                nxt[nc] = unsat[i];
-                nxt_own[nc] = own[i];
-                nc++;
-            }
-        }
+        for (Py_ssize_t i = 0; i < cnt; i++)
+            if (!(unsat[i] & bit))
+                nxt[nc++] = unsat[i];
         hs_dfs(st, level + 1, nc, chosen | bit, count + 1);
     }
 }
@@ -204,7 +188,7 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
     Py_ssize_t n = 0, m = 0;
     u64 *masks = NULL;
     Req *order = NULL;
-    HS st = {NULL, NULL, 0, 0, 0, 0};
+    HS st = {NULL, 0, 0, 0, 0};
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO:min_hitting_set", kwlist,
                                      &reqs_obj, &owners_obj))
@@ -249,8 +233,7 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
      * incumbent has at most min(m, 64) vertices. */
     Py_ssize_t rows = (n < 64 ? n : 64) + 2;
     st.masks = PyMem_Malloc(sizeof(u64) * rows * n);
-    st.owners = PyMem_Malloc(sizeof(long long) * rows * n);
-    if (st.masks == NULL || st.owners == NULL) {
+    if (st.masks == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -266,9 +249,7 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
             }
         }
         if (!dominated) {
-            st.masks[m] = r;
-            st.owners[m] = order[k].owner;
-            m++;
+            st.masks[m++] = r;
         }
     }
     st.m = m;
@@ -282,7 +263,6 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
 
 done:
     PyMem_Free(st.masks);
-    PyMem_Free(st.owners);
     PyMem_Free(order);
     PyMem_Free(masks);
     Py_XDECREF(owners_fast);

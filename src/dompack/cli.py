@@ -8,8 +8,8 @@ All JSON output is one record per line with exact "p/q" rationals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -25,7 +25,7 @@ from .graph import (
     Graph6Error,
     GraphError,
     Mode,
-    OrderTooLarge,
+    OversizeError,
     XYInstance,
     from_edge_json,
     from_graph6,
@@ -51,9 +51,7 @@ ATFREE_FLAG_MAX_N = 12
 
 
 class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+    """Command-line input refused as malformed (exit 2)."""
 
 
 def _read_text(path: str) -> str:
@@ -61,7 +59,7 @@ def _read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> Graph:
@@ -72,10 +70,8 @@ def _load_graph(path: str) -> Graph:
             return from_edge_json(stripped)
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
         return from_graph6(line)
-    except OrderTooLarge as exc:
-        raise CliError(f"{path}: {exc}", EXIT_OVERSIZE) from exc
-    except GraphError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PARSE) from exc
+    except (GraphError, OversizeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _is_json_document(text: str) -> bool:
@@ -93,7 +89,7 @@ def _size_limit() -> int:
     try:
         return oracles.size_limit()
     except ValueError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+        raise CliError(str(exc)) from exc
 
 
 def _parse_ids(arg: str | None, g: Graph) -> frozenset[int]:
@@ -104,10 +100,7 @@ def _parse_ids(arg: str | None, g: Graph) -> frozenset[int]:
     try:
         ids = frozenset(int(tok) for tok in arg.split(",") if tok.strip())
     except ValueError as exc:
-        raise CliError(f"bad id list {arg!r}", EXIT_PARSE) from exc
-    for v in ids:
-        if not (0 <= v < g.n):
-            raise CliError(f"vertex {v} out of range", EXIT_PARSE)
+        raise CliError(f"bad id list {arg!r}") from exc
     return ids
 
 
@@ -118,11 +111,7 @@ def _parse_ids(arg: str | None, g: Graph) -> frozenset[int]:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.input)
-    mode = Mode(args.mode)
-    try:
-        inst = XYInstance(g, _parse_ids(args.x, g), _parse_ids(args.y, g), mode)
-    except GraphError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+    inst = XYInstance(g, _parse_ids(args.x, g), _parse_ids(args.y, g), Mode(args.mode))
     max_n = args.max_n if args.max_n is not None else _size_limit()
     if args.variant == "gamma":
         res = oracles.exact_domination(inst, max_n=max_n)
@@ -195,20 +184,12 @@ CONSTRUCT_CLASSES = {
 def cmd_construct(args) -> int:
     spec = CONSTRUCT_CLASSES[args.cls]
     if spec.required and not args.certificate:
-        raise CliError(f"--certificate ({spec.required}) required", EXIT_PARSE)
-    try:
-        source = spec.read_input(args.input)
-        cert = None
-        if spec.read_certificate is not None and args.certificate:
-            cert = spec.read_certificate(args.certificate)
-        witness = spec.run(source, cert)
-    except GraphError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-    except engine.EngineError as exc:
-        for app in exc.trace:
-            print(app.to_json(), file=sys.stderr)
-        raise CliError(f"construction failed: {exc}", EXIT_CONSTRUCTION) from exc
-    print(witness.to_json())
+        raise CliError(f"--certificate ({spec.required}) required")
+    source = spec.read_input(args.input)
+    cert = None
+    if spec.read_certificate is not None and args.certificate:
+        cert = spec.read_certificate(args.certificate)
+    print(spec.run(source, cert).to_json())
     return EXIT_OK
 
 
@@ -226,7 +207,7 @@ def _parse_params(spec: str | None) -> dict[str, str]:
         if not item:
             continue
         if "=" not in item:
-            raise CliError(f"bad parameter {item!r} (expected key=value)", EXIT_PARSE)
+            raise CliError(f"bad parameter {item!r} (expected key=value)")
         key, val = item.split("=", 1)
         out[key.strip()] = val.strip()
     return out
@@ -236,12 +217,12 @@ def cmd_generate(args) -> int:
     params = _parse_params(args.params)
     family = families.FAMILIES.get(args.family)
     if family is None:
-        raise CliError(f"unknown family {args.family!r}", EXIT_PARSE)
+        raise CliError(f"unknown family {args.family!r}")
     values = []
     for name, (_, default) in family.parameters.items():
         if name not in params:
             if default is None:
-                raise CliError(f"family {args.family} needs parameter {name}", EXIT_PARSE)
+                raise CliError(f"family {args.family} needs parameter {name}")
             values.append(default)
             continue
         kind = float if isinstance(default, float) else int
@@ -249,13 +230,11 @@ def cmd_generate(args) -> int:
             values.append(kind(params[name]))
         except ValueError as exc:
             noun = "a number" if kind is float else "an integer"
-            raise CliError(f"parameter {name} must be {noun}", EXIT_PARSE) from exc
+            raise CliError(f"parameter {name} must be {noun}") from exc
     try:
         made = family.generate(*values)
-    except families.OversizeFamilyError as exc:
-        raise CliError(str(exc), EXIT_OVERSIZE) from exc
     except (ValueError, OverflowError) as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+        raise CliError(str(exc)) from exc
     if isinstance(made, Graph):
         print(to_graph6(made))
     elif isinstance(made, constructions.DiskConfiguration):
@@ -286,12 +265,12 @@ def _id_set(ids, key: str) -> frozenset[int]:
             return frozenset(vertex_ids(ids))
         except TypeError:
             pass
-    raise CliError(f"witness field {key!r} must be a list of vertex ids", EXIT_PARSE)
+    raise CliError(f"witness field {key!r} must be a list of vertex ids")
 
 
 def _validate_witness_doc(doc, g: Graph) -> str | None:
     if not isinstance(doc, dict):
-        raise CliError("witness JSON must be an object", EXIT_PARSE)
+        raise CliError("witness JSON must be an object")
     if "variant" in doc:
         mode = Mode(doc.get("mode", "plain"))
         x = _id_set(doc.get("x", []), "x")
@@ -311,14 +290,14 @@ def _validate_witness_doc(doc, g: Graph) -> str | None:
         return None
     if "class" in doc:
         if not isinstance(doc["class"], str):
-            raise CliError("witness field 'class' must be a string", EXIT_PARSE)
+            raise CliError("witness field 'class' must be a string")
         d = _id_set(doc["D"], "D")
         p = _id_set(doc["P"], "P")
         try:
             num, den = doc["constant"].split("/")
             constant = Fraction(int(num), int(den))
         except (AttributeError, ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad constant {doc['constant']!r}", EXIT_PARSE) from exc
+            raise CliError(f"bad constant {doc['constant']!r}") from exc
         return engine.witness_problem(g, d, p, doc["class"], constant)
     return "unrecognized witness JSON (need 'variant' or 'class')"
 
@@ -357,7 +336,7 @@ def cmd_validate(args) -> int:
                 else "rotation system fails the genus-0 face count"
             )
     except (KeyError, ValueError, IndexError) as exc:
-        raise CliError(f"cannot parse validation inputs: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"cannot parse validation inputs: {exc}") from exc
     if problem is not None:
         print(f"invalid: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -426,20 +405,17 @@ def _scan_one(task):
     }
 
 
-def _file_sources(text, summary):
-    """(graph6, masks) for each graph of a scan file, each decoded once;
-    malformed lines are reported, counted in the summary and skipped."""
+def _file_lines(text):
+    """(line number, graph6, masks) for each nonblank line of a scan file,
+    decoded as it is reached; a malformed line's masks are its Graph6Error."""
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            masks = graph6_to_masks(line)
-        except Graph6Error as exc:
-            print(f"line {lineno}: skipped malformed graph6 ({exc})", file=sys.stderr)
-            summary["malformed"] += 1
-            continue
-        yield line, masks
+        if line:
+            try:
+                masks = graph6_to_masks(line)
+            except Graph6Error as exc:
+                masks = exc
+            yield lineno, line, masks
 
 
 # A record's line is its graph6 field and then its tail, the bytes json.dumps
@@ -504,27 +480,16 @@ def _scan_one_or_oversize(task):
     pool hands back a chunk of results only once every task in it is done."""
     try:
         return _scan_one(task)
-    except oracles.OversizeError as exc:
+    except OversizeError as exc:
         return exc
 
 
-def _pool_records(jobs: int, tasks: list):
-    """``_scan_one`` over the tasks in a pool of ``jobs`` processes, in
-    order, raising an oversize graph's error in its place."""
-    from multiprocessing import Pool
-
-    with Pool(jobs) as pool:
-        for record in pool.imap(_scan_one_or_oversize, tasks, chunksize=64):
-            if isinstance(record, oracles.OversizeError):
-                raise record
-            yield record
-
-
-def _scan_enumeration(n: int, check: str, keep: int, max_n: int, out: _ScanOutput) -> None:
+def _scan_enumeration(n: int, orbit_ids, check: str, keep: int, max_n: int, out: _ScanOutput) -> None:
     """Every labelled graph on n vertices, in code order, each with the
-    record of its isomorphism class, evaluated on the class's first graph."""
+    record of its isomorphism class (``families.labeled_orbit_ids(n)``),
+    evaluated on the class's first graph."""
     classes = []  # per class: (record, tail), or None if the filter drops it
-    for masks, c in zip(families.enumerate_labeled_masks(n), families.labeled_orbit_ids(n)):
+    for masks, c in zip(families.enumerate_labeled_masks(n), orbit_ids):
         if c == len(classes):
             record = _scan_one((masks, check, keep, max_n))
             classes.append(None if record is None else (record, _scan_tail(record)))
@@ -534,38 +499,50 @@ def _scan_enumeration(n: int, check: str, keep: int, max_n: int, out: _ScanOutpu
 
 
 def _scan_file(text: str, check: str, keep: int, max_n: int, jobs: int, out: _ScanOutput) -> None:
-    """Every well-formed line of a scan file, each evaluated on its own: in
-    a pool of ``jobs`` processes, or line by line as the file is read."""
-    sources = _file_sources(text, out.summary)
-    if jobs > 1:
-        sources = list(sources)
-        records = _pool_records(jobs, [(masks, check, keep, max_n) for _, masks in sources])
-    else:
-        sources, mine = itertools.tee(sources)
-        records = map(_scan_one, ((masks, check, keep, max_n) for _, masks in mine))
-    for (graph6, _), record in zip(sources, records):
-        if record is not None:
-            out.add(graph6, record, _scan_tail(record))
+    """The lines of a scan file in order, up to an oversize graph, whatever
+    ``jobs`` is: a malformed line is reported and counted when the loop
+    reaches it, and each well-formed one is evaluated on its own, as the
+    loop reaches it or, with ``jobs`` > 1, ahead of it in a pool of that
+    many processes."""
+    lines = _file_lines(text)
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            from multiprocessing import Pool
+
+            lines = list(lines)
+            pool = stack.enter_context(Pool(jobs))
+            tasks = [(masks, check, keep, max_n) for _, _, masks in lines
+                     if not isinstance(masks, Graph6Error)]
+            results = pool.imap(_scan_one_or_oversize, tasks, chunksize=64)
+            evaluate = lambda _: next(results)
+        else:
+            evaluate = lambda masks: _scan_one((masks, check, keep, max_n))
+        for lineno, graph6, masks in lines:
+            if isinstance(masks, Graph6Error):
+                print(f"line {lineno}: skipped malformed graph6 ({masks})", file=sys.stderr)
+                out.summary["malformed"] += 1
+                continue
+            record = evaluate(masks)
+            if isinstance(record, OversizeError):
+                raise record
+            if record is not None:
+                out.add(graph6, record, _scan_tail(record))
 
 
 def cmd_scan(args) -> int:
     _normalize_scan_source(args)
-    # Every input error is raised here, before streaming: with --jobs > 1 the
-    # tasks are drained in a pool thread, where an error would hang the pool.
     n = args.enumerate_n
-    if n is not None and n < 0:
-        raise CliError(f"bad enumeration size {n}", EXIT_PARSE)
-    if n is not None and n > 7:
-        raise CliError("built-in enumeration capped at n = 7", EXIT_OVERSIZE)
-    text = _read_text(args.file) if n is None else None
+    # The source's errors (an unreadable file, an enumeration size out of
+    # range) come before those of the size limit.
+    source = _read_text(args.file) if n is None else families.labeled_orbit_ids(n)
     max_n = _size_limit()
     keep = _SCAN_FILTERS[args.filter]
     out = _ScanOutput()
     try:
         if n is not None:
-            _scan_enumeration(n, args.check, keep, max_n, out)
+            _scan_enumeration(n, source, args.check, keep, max_n, out)
         else:
-            _scan_file(text, args.check, keep, max_n, min(args.jobs, os.cpu_count() or 1), out)
+            _scan_file(source, args.check, keep, max_n, min(args.jobs, os.cpu_count() or 1), out)
     finally:
         out.flush()
     print(json.dumps({"summary": out.summary}, separators=(",", ":")))
@@ -648,23 +625,28 @@ def _normalize_scan_source(args) -> None:
         try:
             args.enumerate_n = int(arg)
         except ValueError as exc:
-            raise CliError(f"bad enumeration size {arg!r}", EXIT_PARSE) from exc
+            raise CliError(f"bad enumeration size {arg!r}") from exc
     elif kind == "file":
         args.file = arg
     else:
-        raise CliError(f"unknown scan source {kind!r} (use enumerate-n or file)", EXIT_PARSE)
+        raise CliError(f"unknown scan source {kind!r} (use enumerate-n or file)")
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where an error becomes an exit code."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (oracles.OversizeError, families.OversizeFamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERSIZE
+    except (CliError, GraphError) as exc:
+        message, code = str(exc), EXIT_PARSE
+    except OversizeError as exc:
+        message, code = str(exc), EXIT_OVERSIZE
+    except engine.EngineError as exc:
+        for app in exc.trace:
+            print(app.to_json(), file=sys.stderr)
+        message, code = f"construction failed: {exc}", EXIT_CONSTRUCTION
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

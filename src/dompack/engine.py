@@ -367,12 +367,10 @@ def _unwind_shared(app: RuleApplication, d: set, p: set) -> bool:
     return False
 
 
-def _check_budget(d, p, constant, extra, trace, label):
-    bound = constant * len(p) + extra
+def _check_budget(d, p, constant, trace, label):
+    bound = constant * len(p)
     if len(d) > bound:
-        raise GuaranteeViolated(
-            f"{label}: |D|={len(d)} exceeds {constant}*|P|+{extra}={bound}", trace
-        )
+        raise GuaranteeViolated(f"{label}: |D|={len(d)} exceeds {constant}*|P|={bound}", trace)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +461,7 @@ def run_planar(g: Graph, embedding=None) -> WitnessPair:
     for app in reversed(trace):
         if not _unwind_shared(app, d, p):
             raise EngineError(f"unknown rule {app.rule_id}")
-        _check_budget(d, p, PLANAR_CONSTANT, 0, trace, "planar")
+        _check_budget(d, p, PLANAR_CONSTANT, trace, "planar")
     return certify(g, d, p, "planar", PLANAR_CONSTANT, trace)
 
 
@@ -574,7 +572,7 @@ def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
             p.add(pay["vertex"])
         elif not _unwind_shared(app, d, p):
             raise EngineError(f"unknown rule {app.rule_id}")
-        _check_budget(d, p, k, 0, trace, "treewidth")
+        _check_budget(d, p, k, trace, "treewidth")
     return certify(g, d, p, "treewidth", k, trace)
 
 
@@ -659,5 +657,5 @@ def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
             pass
         elif not _unwind_shared(app, d, p):
             raise EngineError(f"unknown rule {app.rule_id}")
-        _check_budget(d, p, DH_CONSTANT, 0, trace, "distance-hereditary")
+        _check_budget(d, p, DH_CONSTANT, trace, "distance-hereditary")
     return certify(g, d, p, "distance-hereditary", DH_CONSTANT, trace, y0)

@@ -208,7 +208,7 @@ def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPa
                 p.add(rep)
         else:
             raise EngineError(f"unknown rule {app.rule_id}")
-        _check_budget(d, p, constant, 0, trace, "twin-width")
+        _check_budget(d, p, constant, trace, "twin-width")
 
     if not (d | p) <= set(g.vertices()):
         raise EngineError("merged vertex leaked into the witness")

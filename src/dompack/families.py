@@ -10,17 +10,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructions import MAX_COORDINATE, ConvexEncoding, DiskConfiguration
-from .graph import MAX_ORDER, Graph, GraphError, bits, nonneighbour_components
-
-
-class OversizeFamilyError(ValueError):
-    pass
+from .graph import MAX_ORDER, Graph, GraphError, OversizeError, bits, nonneighbour_components
 
 
 def _check_order(n: int) -> None:
     """Refuse, before anything is built, an order that graph6 cannot write."""
     if n > MAX_ORDER:
-        raise OversizeFamilyError(f"order {n} above the cap of {MAX_ORDER}")
+        raise OversizeError(f"order {n} above the cap of {MAX_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +63,7 @@ def gen_split(k: int) -> Graph:
     if k < 1:
         raise ValueError("k >= 1")
     if k > 5:
-        raise OversizeFamilyError("split family grows as C(2k-1,k); capped at k=5")
+        raise OversizeError("split family grows as C(2k-1,k); capped at k=5")
     c = 2 * k - 1
     subsets = list(combinations(range(c), k))
     n = c + len(subsets)
@@ -84,7 +80,7 @@ def gen_threedeg(k: int) -> Graph:
     if k < 1:
         raise ValueError("k >= 1")
     if k > 4:
-        raise OversizeFamilyError("family grows as C(2k,2); capped at k=4")
+        raise OversizeError("family grows as C(2k,2); capped at k=4")
     a = 2 * k
     pairs = list(combinations(range(a), 2))
     n = a + len(pairs) + 1
@@ -102,7 +98,7 @@ def gen_rook(n: int) -> Graph:
         raise ValueError("n >= 1")
     _check_order(n * n)
     if n > 64:
-        raise OversizeFamilyError("rook family has n^2 (n-1) edges; capped at n=64")
+        raise OversizeError("rook family has n^2 (n-1) edges; capped at n=64")
     vid = lambda r, c: r * n + c
     edges = []
     for r in range(n):
@@ -251,7 +247,7 @@ def enumerate_labeled_masks(n: int):
     toggles those edges in place.
     """
     if n > 7:
-        raise OversizeFamilyError("labeled enumeration capped at n = 7")
+        raise OversizeError("labeled enumeration capped at n = 7")
     if n < 0:
         raise GraphError("vertex count must be non-negative")
     pairs = list(combinations(range(n), 2))
@@ -290,7 +286,7 @@ def labeled_orbit_ids(n: int) -> "array":
     from array import array
 
     if n > 7:
-        raise OversizeFamilyError("labeled enumeration capped at n = 7")
+        raise OversizeError("labeled enumeration capped at n = 7")
     if n < 0:
         raise GraphError("vertex count must be non-negative")
     pairs = list(combinations(range(n), 2))

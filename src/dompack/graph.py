@@ -29,6 +29,13 @@ class GraphError(ValueError):
     """Malformed graph construction or invalid vertex/edge reference."""
 
 
+class OversizeError(Exception):
+    """An input above a size cap: an order above ``MAX_ORDER``, a family or
+    enumeration parameter past its cap, or an instance above the solvers'
+    guardrail.  Not a ValueError, so that no handler for malformed input
+    catches it."""
+
+
 def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
@@ -352,10 +359,6 @@ class Graph6Error(GraphError):
 MAX_ORDER = 258047
 
 
-class OrderTooLarge(GraphError):
-    """Edge-list JSON declaring an order above ``MAX_ORDER``."""
-
-
 def _g6_encode_n(n: int) -> str:
     if n < 0:
         raise Graph6Error("negative order")
@@ -485,12 +488,10 @@ def from_edge_json(s: str) -> Graph:
         doc = json.loads(s)
         (n,) = vertex_ids([doc["n"]])
         if n > MAX_ORDER:
-            raise OrderTooLarge(f"order {n} above the cap of {MAX_ORDER}")
+            raise OversizeError(f"order {n} above the cap of {MAX_ORDER}")
         edges, red_edges = doc["edges"], doc.get("red_edges", ())
         vertex_ids(chain(*edges, *red_edges))
         return Graph.from_edges(n, edges, red_edges)
-    except OrderTooLarge:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"bad edge-list JSON: {exc}") from exc
 

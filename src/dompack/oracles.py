@@ -21,6 +21,7 @@ from . import solvers
 from .graph import (
     Graph,
     Mode,
+    OversizeError,
     XYInstance,
     ball2,
     bits,
@@ -28,10 +29,6 @@ from .graph import (
 )
 
 DEFAULT_MAX_N = 64
-
-
-class OversizeError(ValueError):
-    """Instance exceeds the desk-scale guardrail (override with max_n/DOMPACK_MAX_N)."""
 
 
 class InfeasibleError(ValueError):
@@ -53,7 +50,8 @@ def size_limit() -> int:
 
 
 def check_size(n: int, max_n=None) -> None:
-    """Raise OversizeError when n exceeds max_n (default: ``size_limit()``)."""
+    """Raise OversizeError when n exceeds the desk-scale guardrail max_n
+    (default: ``size_limit()``, which DOMPACK_MAX_N overrides)."""
     limit = max_n if max_n is not None else size_limit()
     if n > limit:
         raise OversizeError(f"n={n} exceeds limit {limit}")

@@ -21,10 +21,11 @@ from itertools import combinations
 from dompack.constructions import ConvexEncoding, EncodingInvalid
 from dompack.engine import RuleApplication, _State, completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
-from dompack.families import OversizeFamilyError, at_free_masks, enumerate_labeled_masks
+from dompack.families import at_free_masks, enumerate_labeled_masks
 from dompack.graph import (
     Graph,
     Graph6Error,
+    OversizeError,
     _g6_decode_n,
     _g6_encode_n,
     bits,
@@ -106,7 +107,7 @@ def recognize_distance_hereditary(g: Graph) -> bool:
 def brute_force_tw_certificate(g: Graph, k: int):
     """Chordal completion of width <= k via elimination-order DP, or None."""
     if g.n > 10:
-        raise OversizeFamilyError("treewidth finder capped at n = 10")
+        raise OversizeError("treewidth finder capped at n = 10")
     if g.n == 0:
         return Graph.from_edges(0)
     n = g.n
@@ -179,7 +180,7 @@ def brute_force_tw_certificate(g: Graph, k: int):
 def brute_force_tww_sequence(g: Graph, k: int):
     """Width-k contraction sequence by DFS over partitions, or None."""
     if g.n > 8:
-        raise OversizeFamilyError("twin-width finder capped at n = 8")
+        raise OversizeError("twin-width finder capped at n = 8")
     if g.n <= 1:
         return ContractionSequence((), k)
 

@@ -19,6 +19,7 @@ from dompack.graph import (
     MAX_ORDER,
     Graph,
     Graph6Error,
+    OversizeError,
     _g6_encode_n,
     graph6_to_masks,
     masks_to_graph6,
@@ -673,6 +674,17 @@ class TestScan:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert len(out.splitlines()) == lines
 
+    def test_file_stops_at_an_oversize_line_whatever_jobs(self, tmp_path, capsys):
+        # The pool path listed every line first, and so also reported the
+        # malformed line after the cycle, which --jobs 1 never reaches.
+        text = "\n".join(["A_", to_graph6(families.gen_cycle(70)), "bad!line", "A_"]) + "\n"
+        sf = write(tmp_path, "cut.g6", text)
+        serial = run_cli(["scan", "--file", sf, "--jobs", "1"], capsys)
+        assert run_cli(["scan", "--file", sf, "--jobs", "2"], capsys) == serial
+        code, out, err = serial
+        assert code == 3 and err == "error: n=70 exceeds limit 64\n"
+        assert len(out.splitlines()) == 1
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_file_filter_runs_before_the_size_guard(self, jobs, tmp_path, capsys):
         # The cycle is no tree: the tree filter drops it before the guard.
@@ -976,6 +988,53 @@ class TestOrderCap:
         assert _g6_encode_n(MAX_ORDER) == "~}~~"
         with pytest.raises(Graph6Error):
             _g6_encode_n(MAX_ORDER + 1)
+
+
+class TestExitCodes:
+    """Each error type reaches its exit code through ``cli.main`` alone,
+    with nothing on stdout and one error line last on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, env, code",
+        [
+            (["generate", "--family", "split", "--params", "k=6"], {}, 3),
+            (["validate", "--what", "witness", "{witness}", "{big}"], {}, 3),
+            (["scan", "--enumerate-n", "8"], {}, 3),
+            # The enumeration cap is checked before the size limit is read.
+            (["scan", "--enumerate-n", "8"], {"DOMPACK_MAX_N": "x"}, 3),
+            (["scan", "--enumerate-n", "-1"], {}, 2),
+            (["solve", "--variant", "gamma", "{c65}"], {}, 3),
+            (["construct", "--class", "planar", "{stall}"], {}, 4),
+        ],
+        ids=["family-cap", "validate-order-cap", "enumeration-cap",
+             "enumeration-cap-bad-limit", "enumeration-negative", "solve-size-limit",
+             "construct-stall"],
+    )
+    def test_exit_code(self, argv, env, code, tmp_path, monkeypatch, capsys):
+        from conftest import complete
+
+        monkeypatch.delenv("DOMPACK_MAX_N", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        stall = Graph.from_edges(15, complete(12).edges() + [(12, 13), (13, 14)])
+        files = {
+            "witness": write(tmp_path, "w.json", '{"class":"generic","constant":"1/1","D":[],"P":[]}'),
+            "big": write(tmp_path, "big.json", json.dumps({"n": MAX_ORDER + 1, "edges": []})),
+            "c65": write(tmp_path, "c65.g6", to_graph6(families.gen_cycle(65)) + "\n"),
+            "stall": write(tmp_path, "k12p3.g6", to_graph6(stall) + "\n"),
+        }
+        got, out, err = run_cli([arg.format(**files) for arg in argv], capsys)
+        assert got == code and out == ""
+        *trace, last = err.splitlines()
+        assert last.startswith("error: ")
+        # Only a failed construction writes its rule applications first.
+        assert [json.loads(line)["rule"] for line in trace] == (
+            ["low_degree", "x_elim", "isolated"] if code == 4 else []
+        )
+
+    def test_oversize_is_no_value_error(self):
+        # Else a handler for malformed input (exit 2) could catch it.
+        assert not issubclass(OversizeError, ValueError)
 
 
 def test_unitdisk_startup_loads_neither_numpy_nor_multiprocessing():

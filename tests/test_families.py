@@ -8,7 +8,6 @@ from dompack import families, oracles
 from dompack.engine import RotationSystem, completion_width, validate_rotation_planarity
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import (
-    OversizeFamilyError,
     at_free_masks,
     enumerate_labeled_masks,
     gen_chained_blocks,
@@ -22,6 +21,7 @@ from dompack.families import (
 )
 from dompack.graph import (
     Graph,
+    OversizeError,
     XYInstance,
     chordal_width,
     degeneracy_ordering,
@@ -84,7 +84,7 @@ class TestSplit:
         assert recognize_chordal(gen_split(2)) is not None
 
     def test_guardrail(self):
-        with pytest.raises(OversizeFamilyError):
+        with pytest.raises(OversizeError):
             gen_split(6)
 
 
@@ -104,7 +104,7 @@ class TestThreedeg:
         assert degeneracy_ordering(gen_threedeg(2))[1] == 3
 
     def test_guardrail(self):
-        with pytest.raises(OversizeFamilyError):
+        with pytest.raises(OversizeError):
             gen_threedeg(5)
 
 
@@ -530,9 +530,9 @@ class TestBruteForceFinders:
         assert validate_contraction_sequence(g, brute_force_tww_sequence(g, 3))
 
     def test_oversize(self):
-        with pytest.raises(OversizeFamilyError):
+        with pytest.raises(OversizeError):
             brute_force_tw_certificate(Graph.from_edges(11), 2)
-        with pytest.raises(OversizeFamilyError):
+        with pytest.raises(OversizeError):
             brute_force_tww_sequence(Graph.from_edges(9), 2)
 
 
@@ -542,7 +542,7 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_labeled_graphs(4)) == 64
 
     def test_labeled_cap(self):
-        with pytest.raises(OversizeFamilyError):
+        with pytest.raises(OversizeError):
             list(enumerate_labeled_graphs(8))
 
     def test_masks_on_all_six_vertex_graphs(self):
@@ -587,7 +587,7 @@ class TestEnumeration:
         assert max(labeled_orbit_ids(7)) + 1 == 1044
 
     def test_orbit_cap(self):
-        with pytest.raises(OversizeFamilyError):
+        with pytest.raises(OversizeError):
             labeled_orbit_ids(8)
 
     @pytest.mark.parametrize("n", range(6))

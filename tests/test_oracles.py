@@ -320,7 +320,14 @@ def compiled_kernel(tmp_path_factory):
     from setuptools import Distribution, Extension
 
     out = tmp_path_factory.mktemp("bbkernel")
-    ext = Extension("dompack._bbkernel", [str(KERNEL_SOURCE)])
+    # With gcc and clang any warning fails the build, so an edit that
+    # leaves, say, an unused variable fails the tests.
+    strict = any(name in os.path.basename(cc) for name in ("gcc", "clang"))
+    ext = Extension(
+        "dompack._bbkernel",
+        [str(KERNEL_SOURCE)],
+        extra_compile_args=["-Wall", "-Werror"] if strict else [],
+    )
     cmd = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
     cmd.build_lib = str(out)
     cmd.build_temp = str(out / "tmp")
