@@ -5,13 +5,12 @@ order, and incumbents replaced only on strict improvement.  The compiled
 kernel in _bbkernel.c implements the same algorithms and the two must
 return identical (size, mask, nodes) triples.
 
-The hitting-set search differs in representation only.  The C kernel
-copies the unsatisfied requirement rows into a fresh array at every
-level; here the prepared rows are fixed, the search state is one int with
-a bit per unsatisfied row, and ``cols[v]`` (the rows that contain vertex
-v, as a row mask) turns each step into a mask operation: picking v leaves
-``unsat & ~cols[v]``, and v hits ``(cols[v] & unsat).bit_count()`` rows.
-Rows keep their prepared order, so both kernels make identical decisions.
+The hitting-set search keeps the prepared rows fixed, and its state is one
+int with a bit per unsatisfied row.  ``cols[v]`` (the rows that contain
+vertex v, as a row mask) turns each step into a mask operation: picking v
+leaves ``unsat & ~cols[v]``, and v hits ``(cols[v] & unsat).bit_count()``
+rows.  The C kernel keeps the same state in 64-bit words, so it holds at
+most 64 rows; ``solvers`` sends larger inputs here.
 """
 
 from __future__ import annotations

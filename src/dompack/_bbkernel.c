@@ -1,12 +1,15 @@
 /* Compiled twins of the pure-Python branch-and-bound kernels in _bb_py.py.
  *
- * Same preprocessing, same greedy incumbents, same branch order and the
- * same tie-breaking as _bb_py: the two backends must return identical
- * (size, mask, nodes) triples.  Masks are limited to 64 bits; callers
- * route wider instances to the pure kernel.
+ * Same preprocessing, same search state, same greedy incumbents, same
+ * branch order and the same tie-breaking as _bb_py: the two backends must
+ * return identical (size, mask, nodes) triples.  Masks are limited to 64
+ * bits and the hitting-set search to 64 rows after reduction (it raises
+ * OverflowError above that); callers route such instances to the pure
+ * kernel.
  *
  * A plain CPython extension, built by setup.py with any C99 compiler that
- * provides __builtin_popcountll and __builtin_ctzll (gcc, clang).
+ * provides __builtin_popcountll, __builtin_ctzll and __builtin_clzll (gcc,
+ * clang).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -95,87 +98,68 @@ req_cmp(const void *pa, const void *pb)
     return (a->index > b->index) - (a->index < b->index);
 }
 
+/* The search rows stay fixed and the state is one row mask: cols[v] is the
+ * set of rows that contain vertex v, so picking v leaves unsat & ~cols[v].
+ * A row mask holds at most 64 rows. */
 typedef struct {
-    u64 *masks;          /* rows x m requirement masks, one row per depth */
-    Py_ssize_t m;
+    u64 rows[64];
+    u64 cols[64];
     int best_size;
     u64 best_mask;
     long long nodes;
 } HS;
 
-static int
-disjoint_lb(const u64 *unsat, Py_ssize_t cnt)
-{
-    u64 used = 0;
-    int c = 0;
-    for (Py_ssize_t i = 0; i < cnt; i++) {
-        if (!(unsat[i] & used)) {
-            c++;
-            used |= unsat[i];
-        }
-    }
-    return c;
-}
-
 static void
-hs_dfs(HS *st, int level, Py_ssize_t cnt, u64 chosen, int count)
+hs_dfs(HS *st, u64 unsat, u64 chosen, int count)
 {
-    const u64 *unsat = st->masks + level * st->m;
-    u64 *nxt = st->masks + (level + 1) * st->m;
-
     st->nodes++;
-    if (cnt == 0) {
+    if (unsat == 0) {
         if (count < st->best_size) {
             st->best_size = count;
             st->best_mask = chosen;
         }
         return;
     }
-    if (count + disjoint_lb(unsat, cnt) >= st->best_size)
+    /* Disjoint lower bound: pairwise disjoint unsatisfied rows, taken
+     * greedily in row order, each need their own vertex. */
+    int bound = count;
+    u64 used = 0;
+    for (u64 u = unsat; u; u &= u - 1) {
+        u64 r = st->rows[ctz64(u)];
+        if (!(r & used)) {
+            bound++;
+            used |= r;
+        }
+    }
+    if (bound >= st->best_size)
         return;
-    /* Branch on the first unsatisfied requirement: every row keeps the
-     * (popcount, owner) order of req_cmp, so it has fewest candidates, ties
-     * by owner id. */
-    for (u64 r = unsat[0]; r; r &= r - 1) {
-        u64 bit = BIT(ctz64(r));
-        Py_ssize_t nc = 0;
-        for (Py_ssize_t i = 0; i < cnt; i++)
-            if (!(unsat[i] & bit))
-                nxt[nc++] = unsat[i];
-        hs_dfs(st, level + 1, nc, chosen | bit, count + 1);
+    /* Branch on the first unsatisfied row: rows are sorted by req_cmp, so
+     * it has fewest candidates, ties by owner id. */
+    for (u64 r = st->rows[ctz64(unsat)]; r; r &= r - 1) {
+        int v = ctz64(r);
+        hs_dfs(st, unsat & ~st->cols[v], chosen | BIT(v), count + 1);
     }
 }
 
-/* Greedy incumbent: repeatedly take the vertex hitting most requirements,
- * ties by lowest id.  Filters `unsat` in place. */
+/* Greedy incumbent: repeatedly take the vertex hitting most unsatisfied
+ * rows, ties by lowest id; vertices from width up are in no row. */
 static int
-greedy_hitting(u64 *unsat, Py_ssize_t cnt, u64 *chosen)
+greedy_hitting(const HS *st, int width, u64 unsat, u64 *chosen)
 {
     int size = 0;
     *chosen = 0;
-    while (cnt) {
-        u64 universe = 0;
-        for (Py_ssize_t i = 0; i < cnt; i++)
-            universe |= unsat[i];
-        int best_v = -1;
-        Py_ssize_t best_c = -1;
-        for (u64 u = universe; u; u &= u - 1) {
-            u64 bit = BIT(ctz64(u));
-            Py_ssize_t c = 0;
-            for (Py_ssize_t i = 0; i < cnt; i++)
-                c += (unsat[i] & bit) != 0;
+    while (unsat) {
+        int best_v = 0, best_c = 0;
+        for (int v = 0; v < width; v++) {
+            int c = pop64(st->cols[v] & unsat);
             if (c > best_c) {
                 best_c = c;
-                best_v = ctz64(u);
+                best_v = v;
             }
         }
         *chosen |= BIT(best_v);
         size++;
-        Py_ssize_t kept = 0;
-        for (Py_ssize_t i = 0; i < cnt; i++)
-            if (!(unsat[i] & BIT(best_v)))
-                unsat[kept++] = unsat[i];
-        cnt = kept;
+        unsat &= ~st->cols[best_v];
     }
     return size;
 }
@@ -185,10 +169,10 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"reqs", "owners", NULL};
     PyObject *reqs_obj, *owners_obj, *owners_fast = NULL, *result = NULL;
-    Py_ssize_t n = 0, m = 0;
+    Py_ssize_t n = 0;
     u64 *masks = NULL;
     Req *order = NULL;
-    HS st = {NULL, 0, 0, 0, 0};
+    HS st = {{0}, {0}, 0, 0, 0};
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO:min_hitting_set", kwlist,
                                      &reqs_obj, &owners_obj))
@@ -228,41 +212,35 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
     }
     qsort(order, n, sizeof(Req), req_cmp);
 
-    /* One row of requirements per search depth.  The search only descends
-     * while the depth stays below the incumbent size, and the greedy
-     * incumbent has at most min(m, 64) vertices. */
-    Py_ssize_t rows = (n < 64 ? n : 64) + 2;
-    st.masks = PyMem_Malloc(sizeof(u64) * rows * n);
-    if (st.masks == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
     /* Drop requirements that are supersets of a kept one: hitting the
      * subset hits them for free. */
+    int m = 0;
+    u64 universe = 0;
     for (Py_ssize_t k = 0; k < n; k++) {
         u64 r = order[k].r;
         int dominated = 0;
-        for (Py_ssize_t j = 0; j < m; j++) {
-            if ((st.masks[j] & r) == st.masks[j]) {
-                dominated = 1;
-                break;
-            }
+        for (int j = 0; j < m && !dominated; j++)
+            dominated = (st.rows[j] & r) == st.rows[j];
+        if (dominated)
+            continue;
+        if (m == 64) {
+            PyErr_SetString(PyExc_OverflowError,
+                            "more than 64 requirements left after reduction");
+            goto done;
         }
-        if (!dominated) {
-            st.masks[m++] = r;
-        }
+        for (u64 u = r; u; u &= u - 1)
+            st.cols[ctz64(u)] |= BIT(m);
+        st.rows[m++] = r;
+        universe |= r;
     }
-    st.m = m;
 
-    /* The greedy pass filters its input, so run it on the spare second row. */
-    for (Py_ssize_t i = 0; i < m; i++)
-        st.masks[m + i] = st.masks[i];
-    st.best_size = greedy_hitting(st.masks + m, m, &st.best_mask);
-    hs_dfs(&st, 0, m, 0, 0);
+    u64 everything = m == 64 ? ~0ULL : BIT(m) - 1;
+    int width = 64 - __builtin_clzll(universe);
+    st.best_size = greedy_hitting(&st, width, everything, &st.best_mask);
+    hs_dfs(&st, everything, 0, 0);
     result = Py_BuildValue("(iKL)", st.best_size, st.best_mask, st.nodes);
 
 done:
-    PyMem_Free(st.masks);
     PyMem_Free(order);
     PyMem_Free(masks);
     Py_XDECREF(owners_fast);

@@ -306,12 +306,12 @@ def cmd_validate(args) -> int:
     what = args.what
     try:
         if what == "witness":
-            doc = json.loads(_read_text(args.files[0]))
-            g = _load_graph(args.files[1])
+            doc = json.loads(_read_text(args.document))
+            g = _load_graph(args.graph)
             problem = _validate_witness_doc(doc, g)
         elif what == "tw-cert":
-            completion = _load_graph(args.files[0])
-            g = _load_graph(args.files[1])
+            completion = _load_graph(args.document)
+            g = _load_graph(args.graph)
             width = engine.completion_width(g, completion)
             if width is None:
                 problem = "not a chordal supergraph on the same vertices"
@@ -320,22 +320,22 @@ def cmd_validate(args) -> int:
             else:
                 problem = None
         elif what == "tww-seq":
-            seq = _read_contraction_sequence(args.files[0])
-            g = _load_graph(args.files[1])
+            seq = _read_contraction_sequence(args.document)
+            g = _load_graph(args.graph)
             problem = (
                 None
                 if engine_twinwidth.validate_contraction_sequence(g, seq)
                 else "sequence invalid (red degree above declared width, or malformed)"
             )
         else:  # rotation
-            rs = _read_rotation_system(args.files[0])
-            g = _load_graph(args.files[1])
+            rs = _read_rotation_system(args.document)
+            g = _load_graph(args.graph)
             problem = (
                 None
                 if engine.validate_rotation_planarity(g, rs)
                 else "rotation system fails the genus-0 face count"
             )
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(f"cannot parse validation inputs: {exc}") from exc
     if problem is not None:
         print(f"invalid: {problem}", file=sys.stderr)
@@ -598,7 +598,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("validate", help="re-check a witness or certificate")
     vp.add_argument("--what", choices=["witness", "tw-cert", "tww-seq", "rotation"], required=True)
     vp.add_argument("--k", type=int, default=None, help="width bound for tw-cert")
-    vp.add_argument("files", nargs="+")
+    vp.add_argument("document", help="witness JSON, completion graph, sequence or rotation system")
+    vp.add_argument("graph", help="the graph it is checked against")
     vp.set_defaults(func=cmd_validate)
 
     scp = sub.add_parser("scan", help="stream gamma/rho records with a conjecture check")

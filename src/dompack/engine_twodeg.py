@@ -322,7 +322,7 @@ def run_twodeg(g: Graph) -> WitnessPair:
                 if not (reach & (d | x_then)):
                     d.add(pay["backstop"][t])
         else:
-            raise ValueError(f"unknown rule {rid}")
+            raise EngineError(f"unknown rule {rid}", trace)
         _check_twodeg_budget(d, p, terms, trace)
 
     gadget_ids = {v for app in trace for v in app.added_vertices}

@@ -2,8 +2,9 @@
 
 The reference for ``_bb_py.min_hitting_set`` past 64 bits, where the
 compiled kernel cannot answer: both must return the same (size, mask,
-nodes) triple.  The search state here is a list of unsatisfied requirement
-masks, filtered into a fresh list at every node, as the C kernel does.
+nodes) triple.  Both kernels search on a mask over fixed rows; the search
+state here is instead a list of unsatisfied requirement masks, filtered
+into a fresh list at every node, so it shares no representation with them.
 """
 
 from __future__ import annotations

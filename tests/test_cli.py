@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dompack import cli, families
+from dompack import cli, engine, engine_twodeg, families
 from dompack.cli import main
 from dompack.constructions import ConvexEncoding
 from dompack.engine import RotationSystem
@@ -121,6 +122,19 @@ class TestConstruct:
         assert code == 0
         doc = json.loads(out)
         assert doc["constant"] == "1/1"
+
+    def test_twodeg_unknown_rule_is_4(self, tmp_path, monkeypatch, capsys):
+        def bogus(st):
+            app = engine.rule_isolated(st)
+            return app and dataclasses.replace(app, rule_id="bogus")
+
+        monkeypatch.setattr(engine_twodeg, "rule_isolated", bogus)
+        gf = write(tmp_path, "e3.g6", to_graph6(Graph.from_edges(3)) + "\n")
+        code, out, err = run_cli(["construct", "--class", "twodeg", gf], capsys)
+        assert code == 4 and out == ""
+        *trace, last = err.splitlines()
+        assert [json.loads(line)["rule"] for line in trace] == ["bogus"] * 3
+        assert last == "error: construction failed: unknown rule bogus"
 
     def test_planar_stall_is_4(self, tmp_path, capsys):
         from conftest import complete
@@ -866,6 +880,19 @@ class TestMalformedInputs:
         self.assert_parse_error(
             run_cli(["validate", "--what", "witness", wf, petersen_file], capsys)
         )
+
+    def test_validate_takes_a_document_and_a_graph(self, tmp_path, capsys):
+        # argparse names the missing or the extra file and exits 2.
+        wf = write(tmp_path, "w.json", '{"class":"generic","constant":"1/1","D":[0],"P":[0]}')
+        gf = write(tmp_path, "k2.g6", "A_\n")
+        for files, problem in (
+            ([wf], "the following arguments are required: graph"),
+            ([wf, gf, gf], f"unrecognized arguments: {gf}"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(["validate", "--what", "witness", *files])
+            assert exc.value.code == 2 and problem in capsys.readouterr().err
+        assert run_cli(["validate", "--what", "witness", wf, gf], capsys)[:2] == (0, "ok\n")
 
     def test_scan_negative_enumeration(self, capsys):
         self.assert_parse_error(run_cli(["scan", "--enumerate-n", "-1"], capsys))

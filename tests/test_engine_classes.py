@@ -1,9 +1,11 @@
 """Drivers for 2-degenerate, twin-width, and distance-hereditary classes."""
 
+import dataclasses
+
 import pytest
 
 from dompack import engine, engine_twinwidth, engine_twodeg, families, oracles
-from dompack.engine import Stalled, SequenceInvalid, _State
+from dompack.engine import EngineError, Stalled, SequenceInvalid, _State
 from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import ContractionSequence, run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance
@@ -83,6 +85,18 @@ class TestTwodeg:
     def test_rejects_dense(self):
         with pytest.raises(Stalled):
             run_twodeg(complete(4))
+
+    def test_unknown_rule_is_an_engine_error(self, monkeypatch):
+        # A rule the unwind does not know is a failed construction, which
+        # the command line maps to exit 4 and prints with its trace.
+        def bogus(st):
+            app = engine.rule_isolated(st)
+            return app and dataclasses.replace(app, rule_id="bogus")
+
+        monkeypatch.setattr(engine_twodeg, "rule_isolated", bogus)
+        with pytest.raises(EngineError, match="unknown rule bogus") as exc:
+            run_twodeg(Graph.from_edges(3))
+        assert [app.rule_id for app in exc.value.trace] == ["bogus"] * 3
 
     def test_random_corpus(self):
         fired = set()

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import os
 import random
@@ -383,6 +384,30 @@ class TestBackendParity:
             assert compiled_kernel.min_hitting_set(reqs, owners) == (
                 _bb_py.min_hitting_set(reqs, owners)
             )
+
+    def test_hitting_set_at_64_rows(self, compiled_kernel):
+        # 64 rows fill the row mask.  With singletons all of them stay
+        # unsatisfied at the root, so the kernel must not shift 1 by 64 to
+        # build the mask of all rows.
+        singletons = [1 << v for v in range(64)]
+        cycle = [1 << v | 1 << (v + 1) % 64 for v in range(64)]
+        owners = list(range(64))
+        for reqs in (singletons, cycle):
+            assert compiled_kernel.min_hitting_set(reqs, owners) == (
+                _bb_py.min_hitting_set(reqs, owners)
+            )
+        assert compiled_kernel.min_hitting_set(singletons, owners)[:2] == (64, (1 << 64) - 1)
+
+    def test_more_than_64_rows_route_to_pure(self, use_compiled):
+        # No pair of 12 vertices is a superset of another, so all 66 rows
+        # stay after reduction: too many for the compiled row mask.
+        pairs = [1 << u | 1 << v for u, v in itertools.combinations(range(12), 2)]
+        owners = list(range(len(pairs)))
+        with pytest.raises(OverflowError):
+            use_compiled.min_hitting_set(pairs, owners)
+        assert solvers.min_hitting_set(pairs, owners, 12) == (
+            _bb_py.min_hitting_set(pairs, owners)
+        )
 
     def test_mis_matches_pure(self, compiled_kernel):
         rng = random.Random(11)

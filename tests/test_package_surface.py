@@ -6,11 +6,16 @@ in perfbench: as a name, an attribute or an imported name.  A string does
 not count: perfbench's tracer wraps the functions it names in strings and
 skips names it does not find, so naming a function there keeps nothing
 alive.  Code that only the tests reach belongs with the tests.
+
+The other way round, every dompack name that perfbench imports or reads as
+an attribute must exist: perfbench runs on the checkout's sources, so a
+rename has to fail here rather than in a benchmark run.
 """
 
 from __future__ import annotations
 
 import ast
+import pkgutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,3 +114,48 @@ def test_module_imports_form_a_dag():
     engines = {"engine", "engine_twodeg", "engine_twinwidth"}
     assert not graph["families"] & engines
     assert all("families" not in graph[m] for m in engines | {"constructions"})
+
+
+def _perfbench_names(tree: ast.Module):
+    """Each dompack name a perfbench file reads, as (dotted name, line):
+    every name its ``from dompack... import`` lines take, and every
+    attribute chain on a name bound by them."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level and (
+            node.module.split(".")[0] == "dompack"
+        ):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                yield f"{node.module}.{alias.name}", node.lineno
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            yield ".".join([bound[node.id], *reversed(chain)]), node.lineno
+
+
+def _resolves(dotted: str) -> bool:
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_perfbench_reads_only_names_the_package_has():
+    names = {}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for dotted, line in _perfbench_names(ast.parse(path.read_text(), str(path))):
+            names.setdefault(dotted, f"{path.name}:{line}")
+    assert {
+        "dompack.solvers.min_hitting_set",
+        "dompack.solvers.backend_name",
+        "dompack.oracles.reference_packing_value",
+        "dompack.cli.main",
+    } <= names.keys()
+    missing = [f"{dotted} ({where})" for dotted, where in sorted(names.items())
+               if not _resolves(dotted)]
+    assert not missing, f"perfbench reads names dompack does not have: {missing}"
