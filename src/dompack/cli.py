@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .graph import (
     from_graph6,
     graph6_to_masks,
     masks_connected,
-    masks_to_graph6,
     to_graph6,
     vertex_ids,
 )
@@ -456,15 +456,23 @@ class _ScanOutput:
         self.counterexamples = []
         self.lines = []
 
-    def add(self, graph6: str, record, tail: str) -> None:
+    def count(self, record, graphs: int = 1) -> None:
+        """Add ``graphs`` graphs with this record to the summary."""
         summary = self.summary
-        summary["graphs"] += 1
+        summary["graphs"] += graphs
         if record["applicable"]:
-            summary["checked"] += 1
-            summary["violations"] += record["violation"]
-            summary["equalities"] += record["equality"]
-        if record["violation"] and len(self.counterexamples) < 10:
+            summary["checked"] += graphs
+            summary["violations"] += graphs * record["violation"]
+            summary["equalities"] += graphs * record["equality"]
+
+    def counterexample(self, graph6: str, record) -> None:
+        if len(self.counterexamples) < 10:
             self.counterexamples.append({"graph6": graph6, **record})
+
+    def add(self, graph6: str, record, tail: str) -> None:
+        self.count(record)
+        if record["violation"]:
+            self.counterexample(graph6, record)
         self.lines.append(_scan_line(graph6, tail))
         if len(self.lines) == _SCAN_BLOCK_LINES:
             self.flush()
@@ -486,16 +494,38 @@ def _scan_one_or_oversize(task):
 
 def _scan_enumeration(n: int, orbit_ids, check: str, keep: int, max_n: int, out: _ScanOutput) -> None:
     """Every labelled graph on n vertices, in code order, each with the
-    record of its isomorphism class (``families.labeled_orbit_ids(n)``),
-    evaluated on the class's first graph."""
-    classes = []  # per class: (record, tail), or None if the filter drops it
-    for masks, c in zip(families.enumerate_labeled_masks(n), orbit_ids):
-        if c == len(classes):
-            record = _scan_one((masks, check, keep, max_n))
-            classes.append(None if record is None else (record, _scan_tail(record)))
-        entry = classes[c]
-        if entry is not None:
-            out.add(masks_to_graph6(masks), *entry)
+    record of its isomorphism class (``families.labeled_orbit_ids(n)``).
+    A class is evaluated on the masks of its first graph, decoded from that
+    graph's graph6; every graph's line is its graph6, from the code by
+    table lookups, and its class's tail.  The summary takes each class
+    once, times its size, and the counterexamples are the first ten graphs
+    of violating classes in code order."""
+    encode = families.labeled_graph6_encoder(n)
+    records = []  # per class, or None if the filter drops it
+    tails = []
+    lines = out.lines
+    for k, c in enumerate(orbit_ids):
+        if c == len(tails):
+            record = _scan_one((graph6_to_masks(encode(k)), check, keep, max_n))
+            records.append(record)
+            tails.append(None if record is None else _scan_tail(record))
+        tail = tails[c]
+        if tail is not None:
+            # ``_scan_line``, inlined: this line runs once per labelled graph.
+            lines.append('{"graph6":' + encode_basestring_ascii(encode(k)) + tail)
+            if len(lines) == _SCAN_BLOCK_LINES:
+                out.flush()
+    sizes = Counter(orbit_ids)
+    for c, record in enumerate(records):
+        if record is not None:
+            out.count(record, sizes[c])
+    violating = [record is not None and record["violation"] for record in records]
+    if any(violating):
+        for k, c in enumerate(orbit_ids):
+            if violating[c]:
+                out.counterexample(encode(k), records[c])
+                if len(out.counterexamples) == 10:
+                    break
 
 
 def _scan_file(text: str, check: str, keep: int, max_n: int, jobs: int, out: _ScanOutput) -> None:

@@ -460,7 +460,7 @@ def run_planar(g: Graph, embedding=None) -> WitnessPair:
     p: set[int] = set()
     for app in reversed(trace):
         if not _unwind_shared(app, d, p):
-            raise EngineError(f"unknown rule {app.rule_id}")
+            raise EngineError(f"unknown rule {app.rule_id}", trace)
         _check_budget(d, p, PLANAR_CONSTANT, trace, "planar")
     return certify(g, d, p, "planar", PLANAR_CONSTANT, trace)
 
@@ -571,7 +571,7 @@ def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
                 d.add(pay["vertex"])
             p.add(pay["vertex"])
         elif not _unwind_shared(app, d, p):
-            raise EngineError(f"unknown rule {app.rule_id}")
+            raise EngineError(f"unknown rule {app.rule_id}", trace)
         _check_budget(d, p, k, trace, "treewidth")
     return certify(g, d, p, "treewidth", k, trace)
 
@@ -656,6 +656,6 @@ def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
         elif app.rule_id in ("dh_y_prune", "dh_twin"):
             pass
         elif not _unwind_shared(app, d, p):
-            raise EngineError(f"unknown rule {app.rule_id}")
+            raise EngineError(f"unknown rule {app.rule_id}", trace)
         _check_budget(d, p, DH_CONSTANT, trace, "distance-hereditary")
     return certify(g, d, p, "distance-hereditary", DH_CONSTANT, trace, y0)

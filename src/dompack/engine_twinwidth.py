@@ -207,7 +207,7 @@ def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPa
                 p.discard(w)
                 p.add(rep)
         else:
-            raise EngineError(f"unknown rule {app.rule_id}")
+            raise EngineError(f"unknown rule {app.rule_id}", trace)
         _check_budget(d, p, constant, trace, "twin-width")
 
     if not (d | p) <= set(g.vertices()):

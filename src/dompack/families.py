@@ -238,32 +238,27 @@ def at_free_masks(adj) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_labeled_masks(n: int):
-    """All labeled graphs on n vertices (no isomorphism rejection), n <= 7,
-    as open-neighbourhood bitmasks.
-
-    Graph k has edge i of ``combinations(range(n), 2)`` iff bit i of k is
-    set.  Counting k up flips the trailing ones and one zero, so each step
-    toggles those edges in place.
-    """
+def _check_labeled_order(n: int) -> None:
+    """Refuse orders outside 0..7: an n = 8 code has 28 bits, more than the
+    three byte tables of ``_code_byte_tables`` cover."""
     if n > 7:
         raise OversizeError("labeled enumeration capped at n = 7")
     if n < 0:
         raise GraphError("vertex count must be non-negative")
-    pairs = list(combinations(range(n), 2))
-    adj = [0] * n
-    yield tuple(adj)
-    for k in range(1, 1 << len(pairs)):
-        flipped = k ^ (k - 1)
-        i = 0
-        while flipped:
-            if flipped & 1:
-                u, v = pairs[i]
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-            flipped >>= 1
-            i += 1
-        yield tuple(adj)
+
+
+def _code_byte_tables(image: list[int]) -> list[list[int]]:
+    """Three tables, one per byte of a labelled code (at most 21 bits), that
+    move code bit i to bit ``image[i]``: the image of code k is the OR of
+    the three tables at k's bytes."""
+    tables = []
+    for low in (0, 8, 16):
+        width = max(0, min(8, len(image) - low))
+        tables.append([
+            sum(1 << image[low + b] for b in range(width) if byte >> b & 1)
+            for byte in range(1 << width)
+        ])
+    return tables
 
 
 # ``labeled_orbit_ids`` marks a code not yet reached with this id; the
@@ -272,9 +267,10 @@ _UNSEEN = 0xFFFF
 
 
 def labeled_orbit_ids(n: int) -> "array":
-    """The isomorphism class of each graph of ``enumerate_labeled_masks(n)``:
-    entry k is the index of graph k's class, classes numbered by first
-    appearance, so a class's first graph is its smallest code.
+    """The isomorphism class of each labelled graph on n vertices: entry k
+    is the index of the class of code k (see ``labeled_graph6_encoder``),
+    classes numbered by first appearance, so a class's first graph is its
+    smallest code.
 
     Each new code is closed under the n-1 adjacent transpositions
     (j j+1), which generate the symmetric group, so the closure is the
@@ -285,24 +281,15 @@ def labeled_orbit_ids(n: int) -> "array":
     # Imported here, not at start-up: only the scan needs it.
     from array import array
 
-    if n > 7:
-        raise OversizeError("labeled enumeration capped at n = 7")
-    if n < 0:
-        raise GraphError("vertex count must be non-negative")
+    _check_labeled_order(n)
     pairs = list(combinations(range(n), 2))
     index = {pair: i for i, pair in enumerate(pairs)}
     moves = []
     for j in range(n - 1):
         swap = {j: j + 1, j + 1: j}
-        image = [index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
-        tables = []
-        for low in (0, 8, 16):
-            width = max(0, min(8, len(pairs) - low))
-            tables.append([
-                sum(1 << image[low + b] for b in range(width) if byte >> b & 1)
-                for byte in range(1 << width)
-            ])
-        moves.append(tables)
+        moves.append(_code_byte_tables(
+            [index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+        ))
     size = 1 << len(pairs)
     ids = array("H", [_UNSEEN]) * size
     classes = reached = k = 0
@@ -321,6 +308,34 @@ def labeled_orbit_ids(n: int) -> "array":
                     stack.append(other)
         classes += 1
     return ids
+
+
+def labeled_graph6_encoder(n: int) -> Callable[[int], str]:
+    """The graph6 of each labelled graph on n vertices, n <= 7, by code:
+    graph k has edge i of ``combinations(range(n), 2)`` iff bit i of k is
+    set.
+
+    graph6 writes the same pairs in column order (0,1), (0,2), (1,2), (0,3),
+    ..., six to a character, first bit highest.  The code's bytes map
+    through ``_code_byte_tables`` to a 24-bit word holding that stream from
+    its top bit down, and each 12-bit half of the word is two characters.
+    The tables cut the characters to the ``ceil(m / 6)`` the m pairs fill,
+    after the order byte.
+    """
+    _check_labeled_order(n)
+    pairs = list(combinations(range(n), 2))
+    position = {pair: p for p, pair in enumerate(sorted(pairs, key=lambda e: (e[1], e[0])))}
+    t0, t1, t2 = _code_byte_tables([23 - position[pair] for pair in pairs])
+    chars = -(-len(pairs) // 6)
+    two = [chr(63 + (x >> 6)) + chr(63 + (x & 63)) for x in range(1 << 12)]
+    high = [chr(63 + n) + c[:chars] for c in two]
+    low = [c[: max(0, chars - 2)] for c in two]
+
+    def encode(k: int) -> str:
+        word = t0[k & 255] | t1[k >> 8 & 255] | t2[k >> 16]
+        return high[word >> 12] + low[word & 4095]
+
+    return encode
 
 
 # ---------------------------------------------------------------------------

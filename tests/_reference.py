@@ -8,7 +8,9 @@ inputs, ``trace_json_obj`` builds the object whose JSON text
 ``RuleApplication.to_json`` must write.  ``masks_to_graph6_one_int`` and
 ``graph6_to_masks_by_string`` are the graph6 encoder and decoder the
 byte-level ones replaced, and ``at_free_per_triple`` the AT-free test
-before it read a table of the components of each G - N[z].  The scan's
+before it read a table of the components of each G - N[z].
+``enumerate_labeled_masks`` builds the masks of every labelled graph,
+which the scan did before it encoded each code by table lookup.  The scan's
 filter predicates, class flags and check chain are kept as they were
 before the scan read them from flag tables.
 """
@@ -21,10 +23,11 @@ from itertools import combinations
 from dompack.constructions import ConvexEncoding, EncodingInvalid
 from dompack.engine import RuleApplication, _State, completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
-from dompack.families import at_free_masks, enumerate_labeled_masks
+from dompack.families import at_free_masks
 from dompack.graph import (
     Graph,
     Graph6Error,
+    GraphError,
     OversizeError,
     _g6_decode_n,
     _g6_encode_n,
@@ -374,6 +377,34 @@ def at_free_per_triple(adj) -> bool:
 # ---------------------------------------------------------------------------
 # Enumeration (labeled, and unlabeled with bounded degree)
 # ---------------------------------------------------------------------------
+
+
+def enumerate_labeled_masks(n: int):
+    """All labeled graphs on n vertices (no isomorphism rejection), n <= 7,
+    as open-neighbourhood bitmasks, in code order: graph k has edge i of
+    ``combinations(range(n), 2)`` iff bit i of k is set.
+
+    Counting k up flips the trailing ones and one zero, so each step
+    toggles those edges in place.
+    """
+    if n > 7:
+        raise OversizeError("labeled enumeration capped at n = 7")
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+    pairs = list(combinations(range(n), 2))
+    adj = [0] * n
+    yield tuple(adj)
+    for k in range(1, 1 << len(pairs)):
+        flipped = k ^ (k - 1)
+        i = 0
+        while flipped:
+            if flipped & 1:
+                u, v = pairs[i]
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            flipped >>= 1
+            i += 1
+        yield tuple(adj)
 
 
 def enumerate_labeled_graphs(n: int):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -31,6 +32,7 @@ from _reference import (
     brute_force_tww_sequence,
     convex_graph,
     enumerate_labeled_graphs,
+    enumerate_labeled_masks,
     scan_check,
     scan_class_flags,
     to_edge_json,
@@ -536,7 +538,7 @@ def _scan_file_text(oversize: bool) -> str:
     """The 1,024 labelled graphs on five vertices, one graph6 line each, with
     a malformed line 501 and a blank line; with ``oversize``, a 70-vertex
     cycle after the first 599 graphs."""
-    lines = [masks_to_graph6(m) for m in families.enumerate_labeled_masks(5)]
+    lines = [masks_to_graph6(m) for m in enumerate_labeled_masks(5)]
     lines.insert(800, "")
     lines.insert(500, "bad!line")
     if oversize:
@@ -644,6 +646,52 @@ class TestScan:
             "0282d1be41039aa0b1a1c26e38dcf8bef730a884f6452890aaa368373af2f997"
         )
 
+    @pytest.mark.slow
+    def test_golden_stdout_n7(self, monkeypatch):
+        # All 2,097,152 labelled graphs on seven vertices, 316 MB of records,
+        # hashed as they are written instead of held.
+        class HashingWriter(io.TextIOBase):
+            def __init__(self):
+                self.sha, self.size = hashlib.sha256(), 0
+
+            def write(self, text):
+                data = text.encode()
+                self.sha.update(data)
+                self.size += len(data)
+                return len(text)
+
+        out = HashingWriter()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["scan", "--enumerate-n", "7", "--check", "duality"]) == 0
+        assert out.size == 316_016_336
+        assert out.sha.hexdigest() == (
+            "48399e996ef4af3c74d2f91ecd0b2f9708009a040b7f5f5a395fb919e75d0c3a"
+        )
+
+    # Every (check, filter) pair, with the kernels and with a domination
+    # kernel that answers 0, under which every graph with a vertex violates
+    # duality and every tree violates treeeq.
+    @pytest.mark.parametrize("gamma_zero", [False, True], ids=["kernels", "gamma0"])
+    @pytest.mark.parametrize("check, filt", itertools.product(
+        ["duality", "henning", "treeeq"], ["all", "subcubic", "tree"]))
+    def test_enumeration_matches_a_file_of_its_graphs(self, check, filt, gamma_zero,
+                                                      monkeypatch, tmp_path, capsys):
+        # The enumeration evaluates, counts and picks counterexamples per
+        # class; the file path does all three graph by graph.  On the same
+        # graphs in code order they must give the same exit code, stdout and
+        # stderr.
+        if gamma_zero:
+            monkeypatch.setattr(cli.oracles, "domination_kernel", lambda masks: (0,))
+        text = "".join(masks_to_graph6(m) + "\n" for m in enumerate_labeled_masks(5))
+        sf = write(tmp_path, "five.g6", text)
+        args = ["--check", check, "--filter", filt]
+        enumerated = run_cli(["scan", "--enumerate-n", "5", *args], capsys)
+        assert enumerated == run_cli(["scan", "--file", sf, *args], capsys)
+        code, _, err = enumerated
+        violated = gamma_zero and check != "henning"
+        assert code == violated
+        assert len(err.splitlines()) == 10 * violated
+
     # The same sweep under the other two checks, recorded before the scan
     # evaluated one graph per isomorphism class.
     @pytest.mark.parametrize(
@@ -731,7 +779,7 @@ class TestScan:
         # the check chain they replaced (tests/_reference.py), on every
         # labelled graph with n <= 5 and seeded random graphs with n <= 12.
         rng = random.Random(15)
-        graphs = [m for n in range(6) for m in families.enumerate_labeled_masks(n)]
+        graphs = [m for n in range(6) for m in enumerate_labeled_masks(n)]
         graphs += [random_graph(rng.randint(1, 12), rng.choice([0.1, 0.2, 0.3, 0.5]), seed).masks
                    for seed in range(300)]
         graphs += [families.gen_random_tree(n, n).masks for n in range(1, 13)]
@@ -769,7 +817,7 @@ class TestScan:
         code, out, _ = run_cli(["scan", "--enumerate-n", "5", "--check", check], capsys)
         assert code == 0
         lines = out.splitlines()[:-1]
-        graphs = list(families.enumerate_labeled_masks(5))
+        graphs = list(enumerate_labeled_masks(5))
         assert len(lines) == len(graphs) == 1024
         for line, masks in zip(lines, graphs):
             own = {"graph6": masks_to_graph6(masks), **cli._scan_one((masks, check, 0, 64))}
@@ -789,7 +837,7 @@ class TestScan:
         # Records with a backslash in their graph6, a null ratio and each
         # flag value, against json.dumps.
         records = [{"graph6": masks_to_graph6(m), **cli._scan_one((m, check, 0, 64))}
-                   for m in families.enumerate_labeled_masks(4)
+                   for m in enumerate_labeled_masks(4)
                    for check in ("duality", "henning", "treeeq")]
         records.append(dict(records[0], graph6='"\\', ratio=None, violation=True))
         assert any("\\" in r["graph6"] for r in records)
@@ -835,7 +883,7 @@ class TestScan:
 
         monkeypatch.setattr("multiprocessing.Pool", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        stream = "".join(masks_to_graph6(m) + "\n" for m in families.enumerate_labeled_masks(3))
+        stream = "".join(masks_to_graph6(m) + "\n" for m in enumerate_labeled_masks(3))
         sf = write(tmp_path, "three.g6", stream)
         code, out, _ = run_cli(["scan", "--file", sf, "--jobs", "1000"], capsys)
         assert code == 0 and started == [3]

@@ -33,6 +33,36 @@ def check_plain(g, w):
     assert oracles.check_xy_packing(inst, w.p_set)
 
 
+# Per driver: the module and name of a rule it looks up at call time, and a
+# run on the edgeless graph on three vertices, where that rule fires once
+# per vertex.
+UNKNOWN_RULE_RUNS = {
+    "twodeg": (engine_twodeg, "rule_isolated", run_twodeg),
+    "planar": (engine, "rule_isolated", engine.run_planar),
+    "treewidth": (engine, "rule_isolated", lambda g: engine.run_treewidth(g, g)),
+    "dh": (engine, "rule_isolated", engine.run_distance_hereditary),
+    "twinwidth": (engine_twinwidth, "_lowblack_step",
+                  lambda g: run_twinwidth(g, brute_force_tww_sequence(g, 2), 2)),
+}
+
+
+@pytest.mark.parametrize("driver", UNKNOWN_RULE_RUNS)
+def test_unknown_rule_is_an_engine_error(driver, monkeypatch):
+    # A rule the unwind does not know is a failed construction, which the
+    # command line maps to exit 4 and prints with its trace.
+    module, name, run = UNKNOWN_RULE_RUNS[driver]
+    rule = getattr(module, name)
+
+    def bogus(st, *args):
+        app = rule(st, *args)
+        return app and dataclasses.replace(app, rule_id="bogus")
+
+    monkeypatch.setattr(module, name, bogus)
+    with pytest.raises(EngineError, match="unknown rule bogus") as exc:
+        run(Graph.from_edges(3))
+    assert [app.rule_id for app in exc.value.trace] == ["bogus"] * 3
+
+
 class TestTwodeg:
     def test_c5(self):
         w = run_twodeg(named("c5"))
@@ -85,18 +115,6 @@ class TestTwodeg:
     def test_rejects_dense(self):
         with pytest.raises(Stalled):
             run_twodeg(complete(4))
-
-    def test_unknown_rule_is_an_engine_error(self, monkeypatch):
-        # A rule the unwind does not know is a failed construction, which
-        # the command line maps to exit 4 and prints with its trace.
-        def bogus(st):
-            app = engine.rule_isolated(st)
-            return app and dataclasses.replace(app, rule_id="bogus")
-
-        monkeypatch.setattr(engine_twodeg, "rule_isolated", bogus)
-        with pytest.raises(EngineError, match="unknown rule bogus") as exc:
-            run_twodeg(Graph.from_edges(3))
-        assert [app.rule_id for app in exc.value.trace] == ["bogus"] * 3
 
     def test_random_corpus(self):
         fired = set()

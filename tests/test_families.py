@@ -9,7 +9,6 @@ from dompack.engine import RotationSystem, completion_width, validate_rotation_p
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import (
     at_free_masks,
-    enumerate_labeled_masks,
     gen_chained_blocks,
     gen_cycle,
     gen_petersen,
@@ -17,16 +16,19 @@ from dompack.families import (
     gen_rook,
     gen_split,
     gen_threedeg,
+    labeled_graph6_encoder,
     labeled_orbit_ids,
 )
 from dompack.graph import (
     Graph,
+    GraphError,
     OversizeError,
     XYInstance,
     chordal_width,
     degeneracy_ordering,
     is_connected,
     masks_connected,
+    masks_to_graph6,
     recognize_chordal,
     to_graph6,
 )
@@ -36,6 +38,7 @@ from _reference import (
     brute_force_tww_sequence,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
+    enumerate_labeled_masks,
     recognize_distance_hereditary,
     recognize_split,
 )
@@ -589,6 +592,32 @@ class TestEnumeration:
     def test_orbit_cap(self):
         with pytest.raises(OversizeError):
             labeled_orbit_ids(8)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_graph6_encoder_matches_the_mask_encoder(self, n):
+        encode = labeled_graph6_encoder(n)
+        want = [masks_to_graph6(masks) for masks in enumerate_labeled_masks(n)]
+        got = [encode(k) for k in range(len(want))]
+        assert got == want
+        # graph6 bytes run over 63..126, so some graphs from n = 4 up carry
+        # a backslash, which a JSON line must escape.
+        assert any("\\" in s for s in got) == (n >= 4)
+
+    @pytest.mark.slow
+    def test_graph6_encoder_matches_the_mask_encoder_seven(self):
+        encode = labeled_graph6_encoder(7)
+        backslashes = 0
+        for k, masks in enumerate(enumerate_labeled_masks(7)):
+            s = encode(k)
+            assert s == masks_to_graph6(masks), k
+            backslashes += "\\" in s
+        assert backslashes
+
+    def test_graph6_encoder_cap(self):
+        with pytest.raises(OversizeError):
+            labeled_graph6_encoder(8)
+        with pytest.raises(GraphError):
+            labeled_graph6_encoder(-1)
 
     @pytest.mark.parametrize("n", range(6))
     def test_orbit_ids_match_brute_force_isomorphism(self, n):
