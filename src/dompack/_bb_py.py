@@ -10,24 +10,24 @@ int with a bit per unsatisfied row.  ``cols[v]`` (the rows that contain
 vertex v, as a row mask) turns each step into a mask operation: picking v
 leaves ``unsat & ~cols[v]``, and v hits ``(cols[v] & unsat).bit_count()``
 rows.  The C kernel keeps the same state in 64-bit words, so it holds at
-most 64 rows; ``solvers`` sends larger inputs here.
+most 64 rows over 64-bit masks and raises OverflowError past either;
+``solvers`` then sends the input here.
 """
 
 from __future__ import annotations
 
 
-def _prepare(reqs: list[int], owners: list[int]) -> tuple[list[int], list[int]]:
+def _prepare(reqs: list[int]) -> tuple[list[int], list[int]]:
     """The search rows and their column masks.
 
-    Rows are the requirements sorted by (popcount, owner, input index), the
-    order of req_cmp in _bbkernel.c, without those that are supersets of
-    another: hitting the subset hits them for free.  cols[v] is the set of
-    rows that contain vertex v, as a mask over row indices.
+    Rows are the requirements in a stable sort by popcount, the order of
+    req_cmp in _bbkernel.c, without those that are supersets of another:
+    hitting the subset hits them for free.  cols[v] is the set of rows that
+    contain vertex v, as a mask over row indices.
     """
-    keyed = sorted(zip(map(int.bit_count, reqs), owners, range(len(reqs)), reqs))
     rows: list[int] = []
     cols = [0] * max(reqs).bit_length()
-    for _, _, _, r in keyed:
+    for r in sorted(reqs, key=int.bit_count):
         for s in rows:
             if s & r == s:
                 break
@@ -55,7 +55,7 @@ def _greedy_hitting(cols: list[int], unsat: int) -> tuple[int, int]:
     return size, chosen
 
 
-def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
+def min_hitting_set(reqs: list[int]) -> tuple[int, int, int]:
     """Minimum-size vertex set meeting every requirement mask.
 
     Returns (size, chosen_mask, nodes_explored); size -1 if some requirement
@@ -65,7 +65,7 @@ def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
         return -1, 0, 0
     if not reqs:
         return 0, 0, 1
-    rows, cols = _prepare(reqs, owners)
+    rows, cols = _prepare(reqs)
     everything = (1 << len(rows)) - 1
     best_size, best_mask = _greedy_hitting(cols, everything)
     nodes = 0
@@ -91,8 +91,8 @@ def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
             u ^= low
         if bound >= best_size:
             return
-        # Branch on the first unsatisfied row: rows are sorted by
-        # (popcount, owner), so it has fewest candidates, ties by owner id.
+        # Branch on the first unsatisfied row: rows are sorted by popcount,
+        # so it has fewest candidates, ties by input order.
         r = rows[(unsat & -unsat).bit_length() - 1]
         while r:
             low = r & -r

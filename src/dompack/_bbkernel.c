@@ -3,13 +3,12 @@
  * Same preprocessing, same search state, same greedy incumbents, same
  * branch order and the same tie-breaking as _bb_py: the two backends must
  * return identical (size, mask, nodes) triples.  Masks are limited to 64
- * bits and the hitting-set search to 64 rows after reduction (it raises
- * OverflowError above that); callers route such instances to the pure
+ * bits and the hitting-set search to 64 rows after reduction: any input
+ * past either raises OverflowError, and callers route it to the pure
  * kernel.
  *
  * A plain CPython extension, built by setup.py with any C99 compiler that
- * provides __builtin_popcountll, __builtin_ctzll and __builtin_clzll (gcc,
- * clang).
+ * provides __builtin_popcountll and __builtin_ctzll (gcc, clang).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -34,17 +33,6 @@ as_u64(PyObject *obj, u64 *out)
     *out = PyLong_AsUnsignedLongLong(num);
     Py_DECREF(num);
     return (*out == (u64)-1 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int
-as_ll(PyObject *obj, long long *out)
-{
-    PyObject *num = PyNumber_Index(obj);
-    if (num == NULL)
-        return -1;
-    *out = PyLong_AsLongLong(num);
-    Py_DECREF(num);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
 }
 
 /* Copy a sequence of masks into a fresh array (NULL + exception on error). */
@@ -80,21 +68,18 @@ masks_from_seq(PyObject *seq, Py_ssize_t *len)
 
 typedef struct {
     u64 r;
-    long long owner;
     Py_ssize_t index;
     int pop;
 } Req;
 
-/* (popcount, owner, input index): qsort is not stable, so the input index
- * stands in for the stability of Python's sorted(). */
+/* (popcount, input index): qsort is not stable, so the input index stands
+ * in for the stability of Python's sorted(key=int.bit_count). */
 static int
 req_cmp(const void *pa, const void *pb)
 {
     const Req *a = pa, *b = pb;
     if (a->pop != b->pop)
         return a->pop < b->pop ? -1 : 1;
-    if (a->owner != b->owner)
-        return a->owner < b->owner ? -1 : 1;
     return (a->index > b->index) - (a->index < b->index);
 }
 
@@ -134,7 +119,7 @@ hs_dfs(HS *st, u64 unsat, u64 chosen, int count)
     if (bound >= st->best_size)
         return;
     /* Branch on the first unsatisfied row: rows are sorted by req_cmp, so
-     * it has fewest candidates, ties by owner id. */
+     * it has fewest candidates, ties by input order. */
     for (u64 r = st->rows[ctz64(unsat)]; r; r &= r - 1) {
         int v = ctz64(r);
         hs_dfs(st, unsat & ~st->cols[v], chosen | BIT(v), count + 1);
@@ -142,15 +127,15 @@ hs_dfs(HS *st, u64 unsat, u64 chosen, int count)
 }
 
 /* Greedy incumbent: repeatedly take the vertex hitting most unsatisfied
- * rows, ties by lowest id; vertices from width up are in no row. */
+ * rows, ties by lowest id. */
 static int
-greedy_hitting(const HS *st, int width, u64 unsat, u64 *chosen)
+greedy_hitting(const HS *st, u64 unsat, u64 *chosen)
 {
     int size = 0;
     *chosen = 0;
     while (unsat) {
         int best_v = 0, best_c = 0;
-        for (int v = 0; v < width; v++) {
+        for (int v = 0; v < 64; v++) {
             int c = pop64(st->cols[v] & unsat);
             if (c > best_c) {
                 best_c = c;
@@ -167,15 +152,15 @@ greedy_hitting(const HS *st, int width, u64 unsat, u64 *chosen)
 static PyObject *
 min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"reqs", "owners", NULL};
-    PyObject *reqs_obj, *owners_obj, *owners_fast = NULL, *result = NULL;
+    static char *kwlist[] = {"reqs", NULL};
+    PyObject *reqs_obj, *result = NULL;
     Py_ssize_t n = 0;
     u64 *masks = NULL;
     Req *order = NULL;
     HS st = {{0}, {0}, 0, 0, 0};
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO:min_hitting_set", kwlist,
-                                     &reqs_obj, &owners_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:min_hitting_set", kwlist,
+                                     &reqs_obj))
         return NULL;
     masks = masks_from_seq(reqs_obj, &n);
     if (masks == NULL)
@@ -190,32 +175,21 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
         result = Py_BuildValue("(iii)", 0, 0, 1);
         goto done;
     }
-    owners_fast = PySequence_Fast(owners_obj, "expected a sequence of owner ids");
-    if (owners_fast == NULL)
-        goto done;
-    if (PySequence_Fast_GET_SIZE(owners_fast) != n) {
-        PyErr_SetString(PyExc_ValueError, "reqs and owners differ in length");
-        goto done;
-    }
     order = PyMem_Malloc(sizeof(Req) * n);
     if (order == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    PyObject **owner_items = PySequence_Fast_ITEMS(owners_fast);
     for (Py_ssize_t i = 0; i < n; i++) {
         order[i].r = masks[i];
         order[i].pop = pop64(masks[i]);
         order[i].index = i;
-        if (as_ll(owner_items[i], &order[i].owner) < 0)
-            goto done;
     }
     qsort(order, n, sizeof(Req), req_cmp);
 
     /* Drop requirements that are supersets of a kept one: hitting the
      * subset hits them for free. */
     int m = 0;
-    u64 universe = 0;
     for (Py_ssize_t k = 0; k < n; k++) {
         u64 r = order[k].r;
         int dominated = 0;
@@ -231,19 +205,16 @@ min_hitting_set(PyObject *self, PyObject *args, PyObject *kwds)
         for (u64 u = r; u; u &= u - 1)
             st.cols[ctz64(u)] |= BIT(m);
         st.rows[m++] = r;
-        universe |= r;
     }
 
     u64 everything = m == 64 ? ~0ULL : BIT(m) - 1;
-    int width = 64 - __builtin_clzll(universe);
-    st.best_size = greedy_hitting(&st, width, everything, &st.best_mask);
+    st.best_size = greedy_hitting(&st, everything, &st.best_mask);
     hs_dfs(&st, everything, 0, 0);
     result = Py_BuildValue("(iKL)", st.best_size, st.best_mask, st.nodes);
 
 done:
     PyMem_Free(order);
     PyMem_Free(masks);
-    Py_XDECREF(owners_fast);
     return result;
 }
 
@@ -375,15 +346,17 @@ done:
 static PyMethodDef methods[] = {
     {"min_hitting_set", (PyCFunction)(void (*)(void))min_hitting_set,
      METH_VARARGS | METH_KEYWORDS,
-     "min_hitting_set(reqs, owners)\n--\n\n"
+     "min_hitting_set(reqs)\n--\n\n"
      "Minimum-size vertex set meeting every requirement mask (64-bit).\n"
      "Returns (size, chosen_mask, nodes_explored); size -1 if some\n"
-     "requirement is empty."},
+     "requirement is empty.  Raises OverflowError on a mask at or above\n"
+     "2**64 or more than 64 requirements left after reduction."},
     {"max_independent_set", (PyCFunction)(void (*)(void))max_independent_set,
      METH_VARARGS | METH_KEYWORDS,
      "max_independent_set(adj, cand)\n--\n\n"
      "Maximum independent set within the candidate mask (64-bit).\n"
-     "Returns (size, chosen_mask, nodes_explored)."},
+     "Returns (size, chosen_mask, nodes_explored).  Raises OverflowError\n"
+     "on a mask at or above 2**64."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -277,6 +277,8 @@ def _validate_witness_doc(doc, g: Graph) -> str | None:
         y = _id_set(doc.get("y", []), "y")
         inst = XYInstance(g, x, y, mode)
         members = _id_set(doc["witness"], "witness")
+        if type(doc["value"]) is not int:  # JSON true would pass as 1
+            raise CliError("witness field 'value' must be an integer")
         if len(members) != doc["value"]:
             return "witness size disagrees with value"
         if doc["variant"] == "gamma":

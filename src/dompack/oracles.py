@@ -127,35 +127,31 @@ def _closed_mask(masks, s: int) -> int:
     return out
 
 
-def _domination_requirements(masks, x: int, y: int, mode: Mode, red) -> tuple[list, list]:
-    """Per-vertex requirement masks and their owners: D satisfies the mode iff
-    it meets each one.  Rows (v, N[v]) come first in vertex order, then the
-    Total rows (v, N(v)); Black rows drop red edges."""
+def _domination_requirements(masks, x: int, y: int, mode: Mode, red) -> list[int]:
+    """Per-vertex requirement masks: D satisfies the mode iff it meets each
+    one.  Rows come in vertex order: N[v] unless v is free, then in Total
+    mode N(v); Black rows drop red edges."""
     n = len(masks)
     if mode is Mode.BLACK:
-        rows = [v for v in range(n) if not (y >> v) & 1]
-        reqs = []
-        for v in rows:
-            black = masks[v] & ~red[v] if red else masks[v]
-            reqs.append(black if black else masks[v] | 1 << v)
-        return reqs, rows
+        black = [m & ~r for m, r in zip(masks, red)] if red else masks
+        return [black[v] or masks[v] | 1 << v for v in range(n) if not (y >> v) & 1]
     free = _closed_mask(masks, x) | y
-    rows = [v for v in range(n) if not (free >> v) & 1]
-    reqs = [masks[v] | 1 << v for v in rows]
-    if mode is Mode.TOTAL:
-        exempt = x | y
-        total = [v for v in range(n) if not (exempt >> v) & 1 and masks[v]]
-        reqs += [masks[v] for v in total]
-        rows += total
-    return reqs, rows
+    total = mode is Mode.TOTAL
+    exempt = x | y
+    reqs = []
+    for v in range(n):
+        if not (free >> v) & 1:
+            reqs.append(masks[v] | 1 << v)
+        if total and masks[v] and not (exempt >> v) & 1:
+            reqs.append(masks[v])
+    return reqs
 
 
 def domination_kernel(masks, x: int = 0, y: int = 0, mode: Mode = Mode.PLAIN, red=None):
     """Minimum (X,Y)-dominating set of the graph with these neighbourhood
     bitmasks, as the kernel's (size, mask, nodes_explored).  X and Y are
     vertex masks; ``red`` gives each vertex's red-edge mask (Black mode)."""
-    reqs, owners = _domination_requirements(masks, x, y, mode, red)
-    return solvers.min_hitting_set(reqs, owners, len(masks))
+    return solvers.min_hitting_set(_domination_requirements(masks, x, y, mode, red))
 
 
 def packing_kernel(masks, x: int = 0, y: int = 0):
@@ -166,7 +162,7 @@ def packing_kernel(masks, x: int = 0, y: int = 0):
     n = len(masks)
     conflict = [_closed_mask(masks, m) & ~(1 << v) for v, m in enumerate(masks)]
     cand = ((1 << n) - 1) & ~(_closed_mask(masks, x) | y)
-    return solvers.max_independent_set(conflict, cand, n)
+    return solvers.max_independent_set(conflict, cand)
 
 
 def _mask(s) -> int:

@@ -10,18 +10,14 @@ into a fresh list at every node, so it shares no representation with them.
 from __future__ import annotations
 
 
-def _prepare(reqs: list[int], owners: list[int]) -> tuple[list[int], list[int]]:
-    # Sort by (popcount, owner) and drop requirements that are supersets of
-    # another: hitting the subset hits them for free.
-    order = sorted(range(len(reqs)), key=lambda i: (reqs[i].bit_count(), owners[i]))
-    kept_r: list[int] = []
-    kept_o: list[int] = []
-    for i in order:
-        r = reqs[i]
-        if not any((s & r) == s for s in kept_r):
-            kept_r.append(r)
-            kept_o.append(owners[i])
-    return kept_r, kept_o
+def _prepare(reqs: list[int]) -> list[int]:
+    # Sort by popcount, ties in input order, and drop requirements that are
+    # supersets of another: hitting the subset hits them for free.
+    kept: list[int] = []
+    for r in sorted(reqs, key=lambda r: r.bit_count()):
+        if not any((s & r) == s for s in kept):
+            kept.append(r)
+    return kept
 
 
 def _greedy_hitting(reqs: list[int]) -> tuple[int, int]:
@@ -60,7 +56,7 @@ def _disjoint_lb(unsat: list[int]) -> int:
     return count
 
 
-def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
+def min_hitting_set(reqs: list[int]) -> tuple[int, int, int]:
     """Minimum-size vertex set meeting every requirement mask.
 
     Returns (size, chosen_mask, nodes_explored); size -1 if some requirement
@@ -70,11 +66,11 @@ def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
         return -1, 0, 0
     if not reqs:
         return 0, 0, 1
-    core, core_owners = _prepare(reqs, owners)
+    core = _prepare(reqs)
     best_size, best_mask = _greedy_hitting(core)
     nodes = 0
 
-    def dfs(chosen: int, count: int, unsat: list[int], unsat_owners: list[int]):
+    def dfs(chosen: int, count: int, unsat: list[int]):
         nonlocal nodes, best_size, best_mask
         nodes += 1
         if not unsat:
@@ -83,24 +79,15 @@ def min_hitting_set(reqs: list[int], owners: list[int]) -> tuple[int, int, int]:
             return
         if count + _disjoint_lb(unsat) >= best_size:
             return
-        # Branch on the requirement with fewest candidates, ties by owner id.
-        bi = 0
-        bkey = (unsat[0].bit_count(), unsat_owners[0])
-        for i in range(1, len(unsat)):
-            key = (unsat[i].bit_count(), unsat_owners[i])
-            if key < bkey:
-                bkey = key
-                bi = i
-        r = unsat[bi]
+        # Branch on the requirement with fewest candidates, ties by position.
+        r = min(unsat, key=lambda r: r.bit_count())
         v = 0
         while r:
             if r & 1:
                 bit = 1 << v
-                nxt = [x for x in unsat if not (x & bit)]
-                nxt_o = [unsat_owners[i] for i, x in enumerate(unsat) if not (x & bit)]
-                dfs(chosen | bit, count + 1, nxt, nxt_o)
+                dfs(chosen | bit, count + 1, [x for x in unsat if not (x & bit)])
             r >>= 1
             v += 1
 
-    dfs(0, 0, core, core_owners)
+    dfs(0, 0, core)
     return best_size, best_mask, nodes

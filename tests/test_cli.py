@@ -1026,6 +1026,17 @@ class TestMalformedInputs:
             ["construct", "--class", "twinwidth", "--certificate", sf, gf], capsys
         ))
 
+    # A gamma witness on K2 whose value is not an int: true and 1.0 passed
+    # as 1 (exit 0) and "1" failed the size check (exit 5).
+    @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_witness_value_must_be_an_integer(self, value, tmp_path, capsys):
+        gf = write(tmp_path, "k2.json", K2_JSON)
+        doc = {"variant": "gamma", "value": 1, "witness": [0], "mode": "plain", "x": [], "y": []}
+        wf = write(tmp_path, "w.json", json.dumps(doc))
+        assert run_cli(["validate", "--what", "witness", wf, gf], capsys)[:2] == (0, "ok\n")
+        wf = write(tmp_path, "w.json", json.dumps({**doc, "value": value}))
+        self.assert_parse_error(run_cli(["validate", "--what", "witness", wf, gf], capsys))
+
     def test_witness_bool_ids(self, tmp_path, capsys):
         wf = write(tmp_path, "w.json", '{"class":"generic","constant":"2/1","D":[true],"P":[0]}')
         gf = write(tmp_path, "k2.json", K2_JSON)

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -6,6 +8,7 @@ import random
 import shutil
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,38 +216,58 @@ class TestAgainstReference:
             assert oracles.exact_domination(inst).value == oracles.reference_domination_value(inst)
 
 
+def _mask(s):
+    return sum(1 << v for v in s)
+
+
+def _set_based_rows(inst):
+    """The requirement rows as (owner, vertex set) pairs, read off the mode's
+    definition vertex by vertex: N[v] unless v is free, then in Total mode
+    N(v); Black rows keep only black edges."""
+    g = inst.graph
+    if inst.mode is Mode.BLACK:
+        return [
+            (v, g.black_neighbors(v) or g.adj[v] | {v})
+            for v in g.vertices()
+            if v not in inst.y_set
+        ]
+    free = closed_neighborhood(g, inst.x_set) | inst.y_set
+    exempt = inst.x_set | inst.y_set
+    rows = []
+    for v in g.vertices():
+        if v not in free:
+            rows.append((v, g.adj[v] | {v}))
+        if inst.mode is Mode.TOTAL and v not in exempt and g.adj[v]:
+            rows.append((v, g.adj[v]))
+    return rows
+
+
 def _set_based_results(inst):
     """exact_domination and exact_packing computed the set-based way:
-    frozenset requirement rows turned into masks vertex by vertex, and the
-    packing conflicts read off ball2 (each vertex's ball less itself)."""
+    frozenset requirement rows turned into masks, and the packing conflicts
+    read off ball2 (each vertex's ball less itself)."""
     g = inst.graph
-
-    def mask(s):
-        return sum(1 << v for v in s)
-
-    if inst.mode is Mode.BLACK:
-        rows = []
-        for v in g.vertices():
-            if v not in inst.y_set:
-                bn = g.black_neighbors(v)
-                rows.append((v, bn if bn else g.adj[v] | {v}))
-    else:
-        free = closed_neighborhood(g, inst.x_set) | inst.y_set
-        rows = [(v, g.adj[v] | {v}) for v in g.vertices() if v not in free]
-        if inst.mode is Mode.TOTAL:
-            exempt = inst.x_set | inst.y_set
-            rows += [(v, g.adj[v]) for v in g.vertices() if v not in exempt and g.adj[v]]
-    size, chosen, nodes = solvers.min_hitting_set(
-        [mask(r) for _, r in rows], [v for v, _ in rows], g.n
-    )
+    size, chosen, nodes = solvers.min_hitting_set([_mask(r) for _, r in _set_based_rows(inst)])
     gamma = oracles.ExactResult(size, oracles._unmask(chosen), nodes)
     banned = closed_neighborhood(g, inst.x_set) | inst.y_set
     size, chosen, nodes = solvers.max_independent_set(
-        [mask(ball2(g, v) - {v}) for v in g.vertices()],
-        mask(v for v in g.vertices() if v not in banned),
-        g.n,
+        [_mask(ball2(g, v) - {v}) for v in g.vertices()],
+        _mask(v for v in g.vertices() if v not in banned),
     )
     return gamma, oracles.ExactResult(size, oracles._unmask(chosen), nodes)
+
+
+def _requirements(inst):
+    g = inst.graph
+    x, y = _mask(inst.x_set), _mask(inst.y_set)
+    return oracles._domination_requirements(g.masks, x, y, inst.mode, oracles._red_masks(g))
+
+
+def assert_rows_follow_their_vertex(inst):
+    """The rows are the definition's, in vertex order; returns their owners."""
+    rows = _set_based_rows(inst)
+    assert _requirements(inst) == [_mask(r) for _, r in rows]
+    return [v for v, _ in rows]
 
 
 def _random_black(seed):
@@ -268,6 +291,7 @@ class TestMaskLayer:
 
     @staticmethod
     def assert_same(inst):
+        assert_rows_follow_their_vertex(inst)
         assert (oracles.exact_domination(inst), oracles.exact_packing(inst)) == (
             _set_based_results(inst)
         )
@@ -293,7 +317,7 @@ class TestMaskLayer:
         # its own vertex gave the same results on the graphs above.
         seen = []
         monkeypatch.setattr(
-            solvers, "max_independent_set", lambda rows, cand, n: seen.append(rows) or (0, 0, 0)
+            solvers, "max_independent_set", lambda rows, cand: seen.append(rows) or (0, 0, 0)
         )
         graphs = [g for n in range(6) for g in enumerate_labeled_graphs(n)]
         graphs += [random_graph(12, p, seed) for seed, p in enumerate((0.1, 0.3, 0.6))]
@@ -373,17 +397,11 @@ class TestBackendParity:
                     size = rng.randint(1, min(n, rng.choice((2, 3, 4, n))))
                     reqs.append(sum(1 << v for v in rng.sample(range(n), size)))
                 reqs[0] |= 1 << (n - 1)
-                # Few owners, so equal (popcount, owner) keys are common.
-                owners = [rng.randrange(len(reqs) // 2 + 1) for _ in reqs]
-                assert compiled_kernel.min_hitting_set(reqs, owners) == (
-                    _bb_py.min_hitting_set(reqs, owners)
-                )
+                assert compiled_kernel.min_hitting_set(reqs) == _bb_py.min_hitting_set(reqs)
 
     def test_hitting_set_edge_cases(self, compiled_kernel):
-        for reqs, owners in (([], []), ([3, 0], [0, 1]), ([1 << 63], [63])):
-            assert compiled_kernel.min_hitting_set(reqs, owners) == (
-                _bb_py.min_hitting_set(reqs, owners)
-            )
+        for reqs in ([], [3, 0], [1 << 63]):
+            assert compiled_kernel.min_hitting_set(reqs) == _bb_py.min_hitting_set(reqs)
 
     def test_hitting_set_at_64_rows(self, compiled_kernel):
         # 64 rows fill the row mask.  With singletons all of them stay
@@ -391,23 +409,26 @@ class TestBackendParity:
         # build the mask of all rows.
         singletons = [1 << v for v in range(64)]
         cycle = [1 << v | 1 << (v + 1) % 64 for v in range(64)]
-        owners = list(range(64))
         for reqs in (singletons, cycle):
-            assert compiled_kernel.min_hitting_set(reqs, owners) == (
-                _bb_py.min_hitting_set(reqs, owners)
-            )
-        assert compiled_kernel.min_hitting_set(singletons, owners)[:2] == (64, (1 << 64) - 1)
+            assert compiled_kernel.min_hitting_set(reqs) == _bb_py.min_hitting_set(reqs)
+        assert compiled_kernel.min_hitting_set(singletons)[:2] == (64, (1 << 64) - 1)
 
     def test_more_than_64_rows_route_to_pure(self, use_compiled):
         # No pair of 12 vertices is a superset of another, so all 66 rows
         # stay after reduction: too many for the compiled row mask.
         pairs = [1 << u | 1 << v for u, v in itertools.combinations(range(12), 2)]
-        owners = list(range(len(pairs)))
         with pytest.raises(OverflowError):
-            use_compiled.min_hitting_set(pairs, owners)
-        assert solvers.min_hitting_set(pairs, owners, 12) == (
-            _bb_py.min_hitting_set(pairs, owners)
-        )
+            use_compiled.min_hitting_set(pairs)
+        assert solvers.min_hitting_set(pairs) == _bb_py.min_hitting_set(pairs)
+
+    def test_signatures_match_pure(self, compiled_kernel):
+        # The compiled parameters come from each docstring's signature line.
+        for name in ("min_hitting_set", "max_independent_set"):
+            compiled = getattr(compiled_kernel, name)
+            assert compiled.__text_signature__ is not None
+            assert list(inspect.signature(compiled).parameters) == (
+                list(inspect.signature(getattr(_bb_py, name)).parameters)
+            )
 
     def test_mis_matches_pure(self, compiled_kernel):
         rng = random.Random(11)
@@ -427,13 +448,12 @@ class TestBackendParity:
                     _bb_py.max_independent_set(adj, cand)
                 )
 
-    def test_total_mode_repeated_owners(self, use_compiled, monkeypatch):
+    def test_total_rows_follow_their_vertex(self, use_compiled, monkeypatch):
         for seed in range(10):
             g = random_graph(14, 0.3, seed)
             _, y = random_xy(g, seed + 100)
             inst = XYInstance(g, y_set=y, mode=Mode.TOTAL)
-            y_mask = sum(1 << v for v in y)
-            _, owners = oracles._domination_requirements(g.masks, 0, y_mask, Mode.TOTAL, None)
+            owners = assert_rows_follow_their_vertex(inst)
             assert len(set(owners)) < len(owners)
             fast, slow = on_both_backends(monkeypatch, lambda: oracles.exact_domination(inst))
             assert fast == slow
@@ -444,32 +464,110 @@ class TestBackendParity:
             fast, slow = on_both_backends(monkeypatch, lambda: solve(inst))
             assert fast == slow and fast.value == value
 
-    def test_width_routing(self, use_compiled, monkeypatch):
+    def test_overflow_routing(self, use_compiled, monkeypatch):
         def path(n):
             return [(1 << v >> 1) | (1 << v + 1 if v + 1 < n else 0) for v in range(n)]
 
         # 65 bits do not fit the compiled kernel, so only the pure path can
-        # answer at width 65.
+        # answer masks that reach bit 64.
         wide = [(1 << 64) | 1, 1 << 63]
-        with pytest.raises(OverflowError):
-            use_compiled.min_hitting_set(wide, [0, 1])
-        assert solvers.min_hitting_set(wide, [0, 1], 65) == _bb_py.min_hitting_set(wide, [0, 1])
         full = (1 << 65) - 1
-        assert solvers.max_independent_set(path(65), full, 65) == (
+        with pytest.raises(OverflowError):
+            use_compiled.min_hitting_set(wide)
+        with pytest.raises(OverflowError):
+            use_compiled.max_independent_set(path(65), full)
+        assert solvers.min_hitting_set(wide) == _bb_py.min_hitting_set(wide)
+        assert solvers.max_independent_set(path(65), full) == (
             _bb_py.max_independent_set(path(65), full)
         )
-        # With the pure kernel gone, width 64 must still be answered.
-        reqs, owners = [(1 << 63) | 1, 1 << 62], [0, 1]
+        # With the pure kernel gone, 64-bit masks must still be answered.
+        reqs = [(1 << 63) | 1, 1 << 62]
         full = (1 << 64) - 1
         expected = (
-            _bb_py.min_hitting_set(reqs, owners),
+            _bb_py.min_hitting_set(reqs),
             _bb_py.max_independent_set(path(64), full),
         )
         monkeypatch.setattr(solvers, "_bb_py", None)
         assert (
-            solvers.min_hitting_set(reqs, owners, 64),
-            solvers.max_independent_set(path(64), full, 64),
+            solvers.min_hitting_set(reqs),
+            solvers.max_independent_set(path(64), full),
         ) == expected
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_isolated_y_vertices_past_64_stay_compiled(self, use_compiled, monkeypatch, mode):
+        # Vertices 64-69 are isolated and in Y: no row and no candidate
+        # reaches bit 64, so the 70-vertex instance fits the compiled kernel.
+        edges = random_graph(64, 0.3, 5).edges()
+        red = edges[::4] if mode is Mode.BLACK else []
+        g = Graph.from_edges(70, [e for e in edges if e not in red], red)
+        x = frozenset() if mode is Mode.BLACK else frozenset({3, 40})
+        inst = XYInstance(g, x, frozenset(range(60, 70)), mode)
+        answered = []
+
+        def spy(name):
+            def call(*args):
+                answered.append(name)
+                return getattr(use_compiled, name)(*args)
+            return call
+
+        monkeypatch.setattr(solvers, "_compiled", SimpleNamespace(
+            min_hitting_set=spy("min_hitting_set"),
+            max_independent_set=spy("max_independent_set"),
+        ))
+        fast, slow = on_both_backends(
+            monkeypatch,
+            lambda: (oracles.exact_domination(inst, 70), oracles.exact_packing(inst, 70)),
+        )
+        assert answered == ["min_hitting_set", "max_independent_set"]
+        assert fast == slow
+
+
+def _golden_instances():
+    """Seeded kernel inputs: a random graph for every n from 1 to 64 in each
+    mode, with random X and Y, and red edges in Black mode."""
+    rng = random.Random(20)
+    for n in range(1, 65):
+        for mode in (Mode.PLAIN, Mode.TOTAL, Mode.BLACK):
+            p = rng.choice((0.15, 0.3, 0.5)) if n <= 24 else rng.choice((0.3, 0.5))
+            edges, reds = [], []
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        red = mode is Mode.BLACK and rng.random() < 0.3
+                        (reds if red else edges).append((u, v))
+            g = Graph.from_edges(n, edges, reds)
+            x = sum(1 << v for v in range(n) if rng.random() < 0.15)
+            y = sum(1 << v for v in range(n) if rng.random() < 0.15)
+            yield g, x, y, mode
+
+
+def _golden_digest():
+    triples = []
+    for g, x, y, mode in _golden_instances():
+        triples.append(oracles.domination_kernel(g.masks, x, y, mode, oracles._red_masks(g)))
+        triples.append(oracles.packing_kernel(g.masks, x, y))
+    return hashlib.sha256(repr(triples).encode()).hexdigest()
+
+
+class TestKernelGolden:
+    """The (size, mask, nodes) triple of every seeded instance, hashed.
+
+    Row order steers the branch order and the disjoint bound, so a change to
+    how the requirement rows are built or sorted shows up in the node
+    counts even when every size and witness stays the same.
+    """
+
+    DIGEST = "ab8f511be4b0a166a2886bda189e846091e685b25da0eceb008ed2b5dfe2e86f"
+
+    def test_pure(self, monkeypatch):
+        monkeypatch.setenv("DOMPACK_FORCE_PY", "1")
+        assert _golden_digest() == self.DIGEST
+
+    def test_compiled(self, use_compiled, monkeypatch):
+        # Without the pure kernel to fall back on, every triple is the
+        # compiled kernel's.
+        monkeypatch.setattr(solvers, "_bb_py", None)
+        assert _golden_digest() == self.DIGEST
 
 
 class TestWideHittingSet:
@@ -489,24 +587,21 @@ class TestWideHittingSet:
                 size = rng.randint(1, rng.choice((2, 3, 4, 6)))
                 reqs.append(sum(1 << v for v in rng.sample(range(n), size)))
             reqs[0] |= 1 << (n - 1)
-            # Few owners, so equal (popcount, owner) keys are common.
-            owners = [rng.randrange(len(reqs) // 3 + 1) for _ in reqs]
-            got = _bb_py.min_hitting_set(reqs, owners)
-            assert got == reference_min_hitting_set(reqs, owners)
+            got = _bb_py.min_hitting_set(reqs)
+            assert got == reference_min_hitting_set(reqs)
             searched += got[2] > 1
         assert searched >= 3
 
-    def test_total_mode_repeated_owners(self):
+    def test_total_rows_follow_their_vertex(self):
         for seed in range(6):
             n = 65 + 12 * seed
             g = random_graph(n, 3.0 / n, seed)
             _, y = random_xy(g, seed + 100)
-            y_mask = sum(1 << v for v in y)
-            reqs, owners = oracles._domination_requirements(g.masks, 0, y_mask, Mode.TOTAL, None)
-            assert len(reqs) > 64 and len(set(owners)) < len(owners)
-            assert _bb_py.min_hitting_set(reqs, owners) == (
-                reference_min_hitting_set(reqs, owners)
-            )
+            inst = XYInstance(g, y_set=y, mode=Mode.TOTAL)
+            owners = assert_rows_follow_their_vertex(inst)
+            assert len(owners) > 64 and len(set(owners)) < len(owners)
+            reqs = _requirements(inst)
+            assert _bb_py.min_hitting_set(reqs) == reference_min_hitting_set(reqs)
 
 
 class TestInvariants:
