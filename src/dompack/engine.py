@@ -1,10 +1,16 @@
 """Certified reduction engine.
 
-A driver runs a rewrite loop on a working (X,Y)-instance, recording one
-RuleApplication per step (the exact deltas plus unwind data), then unwinds
-the trace backwards to assemble a dominating set D and packing P for the
-original instance.  Every unwind step re-asserts the driver's budget
-inequality; the final pair is validated against the definitional checkers.
+Every driver proves its bound by one induction: a rule shrinks the working
+(X,Y)-instance, and a witness of the smaller instance lifts to one of the
+larger within the budget.  A rule is a pair (find, unwind).  ``find(st)``
+returns the step as a RuleApplication (the exact deltas plus whatever the
+unwind needs) or None; ``unwind(app, d, p)`` lifts the child's (D, P) to the
+parent.  ``run`` holds the one rewrite loop: it applies the first rule in the
+driver's priority order that finds a step until no vertex is left (or the
+driver's stop test holds), then unwinds the trace in reverse, checks the
+step's budget after every unwind, checks that D and P lie within the input,
+and validates the pair against the definitional checkers (``certify``).  A
+driver is its input checks plus its rules, tag, constant and a few hooks.
 Vertex ids are stable throughout: deletions shrink an alive-set, they never
 reindex, so witnesses refer to original ids directly.
 """
@@ -31,11 +37,9 @@ from .oracles import check_xy_dominating, check_xy_packing
 
 class EngineError(Exception):
     """A construction failed; ``trace`` holds the rule applications made
-    before it stopped, when the driver passes them."""
+    before it stopped, which ``run`` attaches."""
 
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = tuple(trace)
+    trace: tuple = ()
 
 
 class Stalled(EngineError):
@@ -349,28 +353,89 @@ def rule_low_degree(st: _State, c: int) -> RuleApplication | None:
     )
 
 
-def _unwind_shared(app: RuleApplication, d: set, p: set) -> bool:
-    """Unwind for the shared rules; returns False if the rule is unknown."""
-    rid = app.rule_id
-    if rid == "isolated":
-        if app.payload["case"] == "free":
-            v = app.payload["vertex"]
-            d.add(v)
-            p.add(v)
-        return True
-    if rid in ("y_pendant", "y_edge", "x_elim"):
-        return True
-    if rid == "low_degree":
-        d.update(app.payload["neighbors"])
-        p.add(app.payload["vertex"])
-        return True
-    return False
+def _unwind_isolated(app: RuleApplication, d: set, p: set) -> None:
+    if app.payload["case"] == "free":
+        v = app.payload["vertex"]
+        d.add(v)
+        p.add(v)
 
 
-def _check_budget(d, p, constant, trace, label):
-    bound = constant * len(p)
+def _unwind_nothing(app: RuleApplication, d: set, p: set) -> None:
+    """The child's witness serves the parent as it is."""
+
+
+def _unwind_low_degree(app: RuleApplication, d: set, p: set) -> None:
+    """Pack the deleted vertex and pay its neighbours."""
+    d.update(app.payload["neighbors"])
+    p.add(app.payload["vertex"])
+
+
+def _shared_rules(c: int) -> tuple:
+    """The shared rules in priority order, low degree paying at most c."""
+    return (
+        (rule_isolated, _unwind_isolated),
+        (rule_y_pendant, _unwind_nothing),
+        (rule_y_edge, _unwind_nothing),
+        (rule_x_elim, _unwind_nothing),
+        (lambda st: rule_low_degree(st, c), _unwind_low_degree),
+    )
+
+
+def _check_budget(d, p, constant, slack, tag, formula):
+    """The check after every unwind step: |D| <= constant*|P| + slack, the
+    step's bound, which ``formula`` names."""
+    bound = constant * len(p) + slack
     if len(d) > bound:
-        raise GuaranteeViolated(f"{label}: |D|={len(d)} exceeds {constant}*|P|={bound}", trace)
+        raise GuaranteeViolated(f"{tag}: |D|={len(d)} exceeds {formula}={bound}")
+
+
+# ---------------------------------------------------------------------------
+# The rewrite loop
+# ---------------------------------------------------------------------------
+
+
+def run(g: Graph, rules, tag: str, constant, y=(), *, stalled="no rule applies",
+        done=None, slack=None, after=None, formula=None) -> WitnessPair:
+    """Reduce g, with Y pre-dominated, by ``rules``; unwind; certify.
+
+    ``rules`` holds (find, unwind) pairs in priority order.  Each step
+    applies the first find that returns a step, until no vertex is left or
+    ``done(st)`` holds; Stalled(``stalled``) if no rule finds one.  Hooks:
+    ``slack(st, app)``, called on the parent before each step, gives that
+    step's additive slack on the bound ``constant*|P|`` (``formula`` names
+    the bound); ``after(st, app)`` runs after each step.  Any EngineError
+    raised in the loop, the unwind or ``certify`` carries the trace so far.
+    """
+    st = _State.from_graph(g, y=y)
+    trace: list[RuleApplication] = []
+    steps = []  # (unwind, slack) per step of the trace
+    try:
+        while st.adj and not (done and done(st)):
+            for find, unwind in rules:
+                app = find(st)
+                if app is not None:
+                    break
+            else:
+                raise Stalled(stalled)
+            steps.append((unwind, slack(st, app) if slack else 0))
+            st.apply(app)
+            if after:
+                after(st, app)
+            trace.append(app)
+        d: set[int] = set()
+        p: set[int] = set()
+        formula = formula or f"{constant}*|P|"
+        for app, (unwind, extra) in zip(reversed(trace), reversed(steps)):
+            unwind(app, d, p)
+            _check_budget(d, p, constant, extra, tag, formula)
+        # Before certify, which would read a foreign id as malformed input.
+        leaked = (d | p).difference(g.vertices())
+        if leaked:
+            raise GuaranteeViolated(f"{tag}: vertex {min(leaked)} leaked into the witness")
+        return certify(g, d, p, tag, constant, trace, y)
+    except EngineError as exc:
+        exc.trace = tuple(trace)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -442,27 +507,8 @@ def run_planar(g: Graph, embedding=None) -> WitnessPair:
         raise EngineError("planar driver expects a plain graph")
     if embedding is not None and not validate_rotation_planarity(g, embedding):
         raise CertificateInvalid("rotation system fails the genus-0 face count")
-    st = _State.from_graph(g)
-    trace: list[RuleApplication] = []
-    while st.adj:
-        app = (
-            rule_isolated(st)
-            or rule_y_pendant(st)
-            or rule_y_edge(st)
-            or rule_x_elim(st)
-            or rule_low_degree(st, PLANAR_CONSTANT)
-        )
-        if app is None:
-            raise Stalled("planar rules stalled (non-planar input?)", trace)
-        st.apply(app)
-        trace.append(app)
-    d: set[int] = set()
-    p: set[int] = set()
-    for app in reversed(trace):
-        if not _unwind_shared(app, d, p):
-            raise EngineError(f"unknown rule {app.rule_id}", trace)
-        _check_budget(d, p, PLANAR_CONSTANT, trace, "planar")
-    return certify(g, d, p, "planar", PLANAR_CONSTANT, trace)
+    return run(g, _shared_rules(PLANAR_CONSTANT), "planar", PLANAR_CONSTANT,
+               stalled="planar rules stalled (non-planar input?)")
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +544,21 @@ def _dist2_set(st: _State, v: int, targets) -> set[int]:
     return ring2.intersection(targets)
 
 
-def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int, trace) -> RuleApplication:
+def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int) -> RuleApplication:
     a1 = _simplicial(compl)
     bad = [v for v in a1 if v not in st.y]
     if bad:
-        raise Stalled(f"simplicial vertices {bad} escaped Y", trace)
+        raise Stalled(f"simplicial vertices {bad} escaped Y")
     rest = set(compl) - set(a1)
     if not rest:
-        raise Stalled("completion exhausted with instance nonempty", trace)
+        raise Stalled("completion exhausted with instance nonempty")
     a2 = _simplicial(compl, rest)
     if not a2:
-        raise Stalled("no second-layer simplicial vertex", trace)
+        raise Stalled("no second-layer simplicial vertex")
     v = a2[0]
     b = compl[v] & set(a1)
     if not b:
-        raise Stalled(f"class-step vertex {v} has no first-layer neighbor", trace)
+        raise Stalled(f"class-step vertex {v} has no first-layer neighbor")
     c = compl[v] - set(a1)
     c1 = tuple(sorted(c & st.adj[v]))
     c2 = tuple(sorted(_dist2_set(st, v, c - st.adj[v])))
@@ -528,6 +574,20 @@ def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int, trace) -> Rul
     )
 
 
+def _unwind_tw_class_step(app: RuleApplication, d: set, p: set) -> None:
+    pay = app.payload
+    if pay["c1"] or pay["c2"]:
+        addition = set(pay["c1"]) | set(pay["c2_cover"])
+        if len(addition) > pay["k"]:
+            raise GuaranteeViolated(
+                f"class step at {pay['vertex']} pays {len(addition)} > k={pay['k']}"
+            )
+        d.update(addition)
+    else:
+        d.add(pay["vertex"])
+    p.add(pay["vertex"])
+
+
 def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
     """Certified gamma <= k*rho, k the width of a validated chordal completion
     lifted to at least 1 (an isolated vertex pays one for one)."""
@@ -537,43 +597,16 @@ def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
     if width is None:
         raise CertificateInvalid("completion is not a chordal supergraph on the same vertices")
     k = max(1, width)
-    st = _State.from_graph(g)
     compl = {v: set(chordal_completion.adj[v]) for v in chordal_completion.vertices()}
-    trace: list[RuleApplication] = []
-    while st.adj:
-        app = (
-            rule_isolated(st)
-            or rule_y_pendant(st)
-            or rule_y_edge(st)
-            or rule_x_elim(st)
-            or rule_low_degree(st, k)
-            or _tw_class_step(st, compl, k, trace)
-        )
-        st.apply(app)
+
+    def drop_removed(st, app):
         for v in app.removed_vertices:
             for w in compl[v]:
                 compl[w].discard(v)
             del compl[v]
-        trace.append(app)
-    d: set[int] = set()
-    p: set[int] = set()
-    for app in reversed(trace):
-        if app.rule_id == "tw_class_step":
-            pay = app.payload
-            if pay["c1"] or pay["c2"]:
-                addition = set(pay["c1"]) | set(pay["c2_cover"])
-                if len(addition) > k:
-                    raise GuaranteeViolated(
-                        f"class step at {pay['vertex']} pays {len(addition)} > k={k}", trace
-                    )
-                d.update(addition)
-            else:
-                d.add(pay["vertex"])
-            p.add(pay["vertex"])
-        elif not _unwind_shared(app, d, p):
-            raise EngineError(f"unknown rule {app.rule_id}", trace)
-        _check_budget(d, p, k, trace, "treewidth")
-    return certify(g, d, p, "treewidth", k, trace)
+
+    class_step = (lambda st: _tw_class_step(st, compl, k), _unwind_tw_class_step)
+    return run(g, _shared_rules(k) + (class_step,), "treewidth", k, after=drop_removed)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +656,12 @@ def _dh_twins(st: _State) -> RuleApplication | None:
     return None
 
 
+def _unwind_dh_pendant(app: RuleApplication, d: set, p: set) -> None:
+    d.add(app.payload["pendant"])
+    d.add(app.payload["support"])
+    p.add(app.payload["pendant"])
+
+
 def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
     """Total-domination witness with |D| <= 2|P| via pendant/twin pruning.
 
@@ -635,27 +674,14 @@ def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
     if not g.is_plain():
         raise EngineError("distance-hereditary driver expects a plain graph")
     y0 = g.check_vertex_set(y)
-    st = _State.from_graph(g, y=y0)
-    trace: list[RuleApplication] = []
-    while st.adj:
-        # Pendants go first: pruning a Y-vertex whose only free neighbor is a
-        # pendant would isolate that pendant in the child and lose its
-        # total-domination obligation.
-        app = rule_isolated(st) or _dh_pendant(st) or _dh_y_prune(st) or _dh_twins(st)
-        if app is None:
-            raise Stalled("pruning stalled (not distance-hereditary?)", trace)
-        st.apply(app)
-        trace.append(app)
-    d: set[int] = set()
-    p: set[int] = set()
-    for app in reversed(trace):
-        if app.rule_id == "dh_pendant":
-            d.add(app.payload["pendant"])
-            d.add(app.payload["support"])
-            p.add(app.payload["pendant"])
-        elif app.rule_id in ("dh_y_prune", "dh_twin"):
-            pass
-        elif not _unwind_shared(app, d, p):
-            raise EngineError(f"unknown rule {app.rule_id}", trace)
-        _check_budget(d, p, DH_CONSTANT, trace, "distance-hereditary")
-    return certify(g, d, p, "distance-hereditary", DH_CONSTANT, trace, y0)
+    # Pendants go first: pruning a Y-vertex whose only free neighbor is a
+    # pendant would isolate that pendant in the child and lose its
+    # total-domination obligation.
+    rules = (
+        (rule_isolated, _unwind_isolated),
+        (_dh_pendant, _unwind_dh_pendant),
+        (_dh_y_prune, _unwind_nothing),
+        (_dh_twins, _unwind_nothing),
+    )
+    return run(g, rules, "distance-hereditary", DH_CONSTANT, y0,
+               stalled="pruning stalled (not distance-hereditary?)")

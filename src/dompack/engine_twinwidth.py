@@ -18,14 +18,12 @@ import json
 from dataclasses import dataclass
 
 from .engine import (
-    EngineError,
     RuleApplication,
     SequenceInvalid,
     WitnessPair,
-    _check_budget,
     _min_in_buckets,
     _State,
-    certify,
+    run,
 )
 from .graph import Graph, GraphError, ball2, vertex_ids
 
@@ -150,6 +148,24 @@ def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None
     return len(st.adj) <= 1
 
 
+def _unwind_lowblack(app: RuleApplication, d: set, p: set) -> None:
+    pay = app.payload
+    p.add(pay["vertex"])
+    d.add(pay["vertex"])
+    d.update(pay["blacks"], pay["reds"], pay["s_cover"], pay["r_cover"])
+
+
+def _unwind_contract(app: RuleApplication, d: set, p: set) -> None:
+    """Rename the merged vertex back to its representative."""
+    w, rep = app.payload["into"], app.payload["rep"]
+    if w in d:
+        d.discard(w)
+        d.add(rep)
+    if w in p:
+        p.discard(w)
+        p.add(rep)
+
+
 def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPair:
     """Certified black-domination within 4k^2 of the packing, k >= 2."""
     if k < 2:
@@ -157,59 +173,24 @@ def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPa
     if not validate_contraction_sequence(g, seq, width=k):
         raise SequenceInvalid("contraction sequence is not valid at width k")
     y0 = g.check_vertex_set(y)
-    st = _State.from_graph(g, y=y0)
-    trace: list[RuleApplication] = []
     alias: dict[int, int] = {}
-    merge_idx = 0
-    constant = 4 * k * k
+    merges = iter(seq.merges)
 
     def resolve(v: int) -> int:
         while v in alias:
             v = alias[v]
         return v
 
-    while not st.y.issuperset(st.adj):
-        app = _lowblack_step(st, k)
-        if app is None:
-            while True:
-                if merge_idx >= len(seq.merges):
-                    raise SequenceInvalid(
-                        "sequence exhausted with undominated vertices remaining"
-                    )
-                a, b, w = seq.merges[merge_idx]
-                merge_idx += 1
-                ra, rb = resolve(a), resolve(b)
-                la, lb = ra in st.adj, rb in st.adj
-                if la and lb:
-                    app = _contraction_step(st, ra, rb, w)
-                    break
-                alias[w] = ra if la else rb
-        st.apply(app)
-        trace.append(app)
+    def contract(st: _State) -> RuleApplication:
+        # The next merge whose endpoints both live; a merge that lost an
+        # endpoint makes its new id an alias of the survivor.
+        for a, b, w in merges:
+            ra, rb = resolve(a), resolve(b)
+            la, lb = ra in st.adj, rb in st.adj
+            if la and lb:
+                return _contraction_step(st, ra, rb, w)
+            alias[w] = ra if la else rb
+        raise SequenceInvalid("sequence exhausted with undominated vertices remaining")
 
-    d: set[int] = set()
-    p: set[int] = set()
-    for app in reversed(trace):
-        pay = app.payload
-        if app.rule_id == "tww_lowblack":
-            p.add(pay["vertex"])
-            d.add(pay["vertex"])
-            d.update(pay["blacks"])
-            d.update(pay["reds"])
-            d.update(pay["s_cover"])
-            d.update(pay["r_cover"])
-        elif app.rule_id == "tww_contract":
-            w, rep = pay["into"], pay["rep"]
-            if w in d:
-                d.discard(w)
-                d.add(rep)
-            if w in p:
-                p.discard(w)
-                p.add(rep)
-        else:
-            raise EngineError(f"unknown rule {app.rule_id}", trace)
-        _check_budget(d, p, constant, trace, "twin-width")
-
-    if not (d | p) <= set(g.vertices()):
-        raise EngineError("merged vertex leaked into the witness")
-    return certify(g, d, p, "twin-width", constant, trace, y0)
+    rules = ((lambda st: _lowblack_step(st, k), _unwind_lowblack), (contract, _unwind_contract))
+    return run(g, rules, "twin-width", 4 * k * k, y0, done=lambda st: st.y.issuperset(st.adj))

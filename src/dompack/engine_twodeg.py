@@ -30,14 +30,16 @@ from __future__ import annotations
 
 from .engine import (
     EngineError,
-    GuaranteeViolated,
     RuleApplication,
     Stalled,
     WitnessPair,
     _first_edge_within,
     _State,
-    certify,
+    _unwind_isolated,
+    _unwind_low_degree,
+    _unwind_nothing,
     rule_isolated,
+    run,
 )
 from .graph import Graph, degeneracy_ordering
 
@@ -109,6 +111,11 @@ def _rule_pendant_support(st: _State) -> RuleApplication | None:
     )
 
 
+def _unwind_pendant_support(app: RuleApplication, d: set, p: set) -> None:
+    d.add(app.payload["support"])
+    p.add(app.payload["vertex"])
+
+
 def _rule_dominated_fringe(st: _State) -> RuleApplication | None:
     nx_ = _nx_closed(st)
     u = min((u for u in nx_ - st.x if len(st.adj[u] - nx_) <= 1), default=None)
@@ -158,34 +165,34 @@ def _peel_layers(st: _State) -> tuple[set[int], set[int], set[int]]:
     return a1, a2, a3
 
 
-def _a2_profile(st: _State, z: int, nx_: set[int], trace) -> tuple[int, int]:
+def _a2_profile(st: _State, z: int, nx_: set[int]) -> tuple[int, int]:
     """A second-layer vertex is a degree-3 vertex with one X anchor of degree
     at most 2 and two neighbors outside N[X]; returns (anchor, other)."""
     nbrs = st.adj[z]
     anchors = sorted(nbrs & st.x)
     outside = sorted(nbrs - nx_)
     if st.deg(z) != 3 or len(anchors) != 1 or len(outside) != 2 or st.deg(anchors[0]) > 2:
-        raise Stalled(f"second-layer vertex {z} lacks the expected shape", trace)
+        raise Stalled(f"second-layer vertex {z} lacks the expected shape")
     return anchors[0], outside
 
 
-def _main_step(st: _State, fresh: int, terms, trace) -> RuleApplication:
+def _main_step(st: _State, fresh: int, terms) -> RuleApplication:
     a1, a2, a3 = _peel_layers(st)
     bad = sorted(a1 - st.x)
     if bad:
-        raise Stalled(f"low-degree vertices {bad} escaped the local rules", trace)
+        raise Stalled(f"low-degree vertices {bad} escaped the local rules")
     if not a3:
-        raise Stalled("third peel empty on a nonempty instance (not 2-degenerate?)", trace)
+        raise Stalled("third peel empty on a nonempty instance (not 2-degenerate?)")
     nx_ = _nx_closed(st)
     profiles = {}
     choices = []
     for u in sorted(a3):
         if u in nx_:
-            raise Stalled(f"third-layer vertex {u} inside N[X]", trace)
+            raise Stalled(f"third-layer vertex {u} inside N[X]")
         z_nbrs = tuple(sorted(st.adj[u] & a2))
         w = st.adj[u] - a1 - a2
         if not z_nbrs or len(w) > 2:
-            raise Stalled(f"third-layer vertex {u} lacks the expected shape", trace)
+            raise Stalled(f"third-layer vertex {u} lacks the expected shape")
         w_out = tuple(sorted(w - nx_))
         profiles[u] = (z_nbrs, w_out)
         choices.append((len(w_out), len(z_nbrs), u))
@@ -195,9 +202,9 @@ def _main_step(st: _State, fresh: int, terms, trace) -> RuleApplication:
     anchors = []
     others = []
     for z in z_nbrs:
-        anchor, outside = _a2_profile(st, z, nx_, trace)
+        anchor, outside = _a2_profile(st, z, nx_)
         if u not in outside:
-            raise Stalled(f"vertex {u} not among the outside pair of {z}", trace)
+            raise Stalled(f"vertex {u} not among the outside pair of {z}")
         anchors.append(anchor)
         others.append(next(t for t in outside if t != u))
     if len(w_out) <= 1:
@@ -249,13 +256,18 @@ def _main_step(st: _State, fresh: int, terms, trace) -> RuleApplication:
     )
 
 
-def _check_twodeg_budget(d, p, terms, trace):
-    x2p, x1 = terms
-    bound = TWODEG_CONSTANT * len(p) + 2 * x2p + x1
-    if len(d) > bound:
-        raise GuaranteeViolated(
-            f"2-degenerate: |D|={len(d)} exceeds 7|P|+2|X2+|+|X1|={bound}", trace
-        )
+def _unwind_main_step(app: RuleApplication, d: set, p: set) -> None:
+    pay = app.payload
+    if app.rule_id == "2deg_low_out":
+        d.add(pay["vertex"])
+        return
+    p.add(pay["vertex"])
+    d.update(pay["w_out"])
+    x_then = set(pay["x_at_step"])
+    for t in pay["wired"]:
+        reach = set(pay["cover_nbrs"][t]) | {t}
+        if not (reach & (d | x_then)):
+            d.add(pay["backstop"][t])
 
 
 def run_twodeg(g: Graph) -> WitnessPair:
@@ -265,67 +277,33 @@ def run_twodeg(g: Graph) -> WitnessPair:
     _, degen = degeneracy_ordering(g)
     if degen > 2:
         raise Stalled(f"input has degeneracy {degen} > 2")
-    st = _State.from_graph(g)
     fresh = g.n
-    trace: list[RuleApplication] = []
-    terms_per_step: list[tuple[int, int]] = []
-    terms = _budget_terms(st, st.x)
-    while st.adj:
-        app = (
-            rule_isolated(st)
-            or _rule_anchored_leaf(st)
-            or _rule_pendant_support(st)
-            or _rule_dominated_fringe(st)
-            or _rule_extra_x_edge(st)
-            or _rule_x_x_edge(st)
-            or _rule_free_degree2(st)
-            or _main_step(st, fresh, terms, trace)
-        )
-        fresh += len(app.added_vertices)
+    terms = (0, 0)  # (|X2+|, |X1|); X starts empty
+    touched = before = None
+
+    # A step moves the terms only at the vertices it touches: count those
+    # on the parent (which also gives the step's slack) and on the child.
+    def slack(st, app):
+        nonlocal touched, before
         touched = _touched(st, app)
-        x2p, x1 = _budget_terms(st, touched)
-        st.apply(app)
-        trace.append(app)
-        terms_per_step.append(terms)
-        new_x2p, new_x1 = _budget_terms(st, touched)
-        terms = (terms[0] - x2p + new_x2p, terms[1] - x1 + new_x1)
+        before = _budget_terms(st, touched)
+        return 2 * terms[0] + terms[1]
 
-    d: set[int] = set()
-    p: set[int] = set()
-    for app, terms in zip(reversed(trace), reversed(terms_per_step)):
-        rid = app.rule_id
-        pay = app.payload
-        if rid == "isolated":
-            if pay["case"] == "in_y":
-                raise EngineError("Y is forbidden in the 2-degenerate driver")
-            if pay["case"] == "free":
-                d.add(pay["vertex"])
-                p.add(pay["vertex"])
-        elif rid in ("2deg_anchored_leaf", "2deg_dominated_fringe", "2deg_extra_x_edge", "2deg_x_x_edge"):
-            pass
-        elif rid == "2deg_pendant_support":
-            d.add(pay["support"])
-            p.add(pay["vertex"])
-        elif rid == "2deg_free_degree2":
-            d.update(pay["neighbors"])
-            p.add(pay["vertex"])
-        elif rid == "2deg_low_out":
-            d.add(pay["vertex"])
-        elif rid == "2deg_pack":
-            p.add(pay["vertex"])
-            w1, w2 = pay["w_out"]
-            d.add(w1)
-            d.add(w2)
-            x_then = set(pay["x_at_step"])
-            for t in pay["wired"]:
-                reach = set(pay["cover_nbrs"][t]) | {t}
-                if not (reach & (d | x_then)):
-                    d.add(pay["backstop"][t])
-        else:
-            raise EngineError(f"unknown rule {rid}", trace)
-        _check_twodeg_budget(d, p, terms, trace)
+    def after(st, app):
+        nonlocal fresh, terms
+        fresh += len(app.added_vertices)
+        now = _budget_terms(st, touched)
+        terms = (terms[0] - before[0] + now[0], terms[1] - before[1] + now[1])
 
-    gadget_ids = {v for app in trace for v in app.added_vertices}
-    if (d | p) & gadget_ids:
-        raise GuaranteeViolated("gadget vertex leaked into the witness", trace)
-    return certify(g, d, p, "2-degenerate", TWODEG_CONSTANT, trace)
+    rules = (
+        (rule_isolated, _unwind_isolated),
+        (_rule_anchored_leaf, _unwind_nothing),
+        (_rule_pendant_support, _unwind_pendant_support),
+        (_rule_dominated_fringe, _unwind_nothing),
+        (_rule_extra_x_edge, _unwind_nothing),
+        (_rule_x_x_edge, _unwind_nothing),
+        (_rule_free_degree2, _unwind_low_degree),
+        (lambda st: _main_step(st, fresh, terms), _unwind_main_step),
+    )
+    return run(g, rules, "2-degenerate", TWODEG_CONSTANT, slack=slack, after=after,
+               formula="7|P|+2|X2+|+|X1|")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dompack import cli, engine, engine_twodeg, families
+from dompack import cli, engine, families
 from dompack.cli import main
 from dompack.constructions import ConvexEncoding
 from dompack.engine import RotationSystem
@@ -125,18 +124,21 @@ class TestConstruct:
         doc = json.loads(out)
         assert doc["constant"] == "1/1"
 
-    def test_twodeg_unknown_rule_is_4(self, tmp_path, monkeypatch, capsys):
-        def bogus(st):
-            app = engine.rule_isolated(st)
-            return app and dataclasses.replace(app, rule_id="bogus")
+    def test_certify_failure_prints_the_trace(self, tmp_path, monkeypatch, capsys):
+        certify = engine.certify
 
-        monkeypatch.setattr(engine_twodeg, "rule_isolated", bogus)
-        gf = write(tmp_path, "e3.g6", to_graph6(Graph.from_edges(3)) + "\n")
-        code, out, err = run_cli(["construct", "--class", "twodeg", gf], capsys)
+        def drop_one(g, d, p, *args):
+            return certify(g, set(d) - {min(d)}, p, *args)
+
+        monkeypatch.setattr(engine, "certify", drop_one)
+        gf = write(tmp_path, "p3.g6", to_graph6(families.gen_path(3)) + "\n")
+        code, out, err = run_cli(["construct", "--class", "planar", gf], capsys)
         assert code == 4 and out == ""
         *trace, last = err.splitlines()
-        assert [json.loads(line)["rule"] for line in trace] == ["bogus"] * 3
-        assert last == "error: construction failed: unknown rule bogus"
+        assert [json.loads(line)["rule"] for line in trace] == [
+            "low_degree", "x_elim", "isolated"
+        ]
+        assert last == "error: construction failed: planar: D fails the dominating checker"
 
     def test_planar_stall_is_4(self, tmp_path, capsys):
         from conftest import complete

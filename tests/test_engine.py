@@ -232,7 +232,7 @@ class TestTreewidthDriver:
         # and its completion neighbour 2 lies at distance 2, through 0 or 3.
         st = status(Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), y=[0, 3])
         compl = {0: {1, 2}, 1: {0, 2, 3}, 2: {0, 1, 3}, 3: {1, 2}}
-        app = _tw_class_step(st, compl, 2, [])
+        app = _tw_class_step(st, compl, 2)
         assert app.removed_vertices == (1,)
         assert app.x_added == () and app.y_added == (2,)
         assert app.payload == {"vertex": 1, "c1": (), "c2": (2,), "c2_cover": (0,), "k": 2}

@@ -1,11 +1,9 @@
 """Drivers for 2-degenerate, twin-width, and distance-hereditary classes."""
 
-import dataclasses
-
 import pytest
 
 from dompack import engine, engine_twinwidth, engine_twodeg, families, oracles
-from dompack.engine import EngineError, Stalled, SequenceInvalid, _State
+from dompack.engine import EngineError, GuaranteeViolated, Stalled, SequenceInvalid, _State
 from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import ContractionSequence, run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance
@@ -33,34 +31,61 @@ def check_plain(g, w):
     assert oracles.check_xy_packing(inst, w.p_set)
 
 
-# Per driver: the module and name of a rule it looks up at call time, and a
-# run on the edgeless graph on three vertices, where that rule fires once
-# per vertex.
-UNKNOWN_RULE_RUNS = {
-    "twodeg": (engine_twodeg, "rule_isolated", run_twodeg),
-    "planar": (engine, "rule_isolated", engine.run_planar),
-    "treewidth": (engine, "rule_isolated", lambda g: engine.run_treewidth(g, g)),
-    "dh": (engine, "rule_isolated", engine.run_distance_hereditary),
-    "twinwidth": (engine_twinwidth, "_lowblack_step",
+# Per driver: the module and name of an unwind it looks up at call time, and
+# a run on the edgeless graph on three vertices, where that unwind's rule
+# fires once per vertex.
+UNWIND_RUNS = {
+    "twodeg": (engine_twodeg, "_unwind_isolated", run_twodeg),
+    "planar": (engine, "_unwind_isolated", engine.run_planar),
+    "treewidth": (engine, "_unwind_isolated", lambda g: engine.run_treewidth(g, g)),
+    "dh": (engine, "_unwind_isolated", engine.run_distance_hereditary),
+    "twinwidth": (engine_twinwidth, "_unwind_lowblack",
                   lambda g: run_twinwidth(g, brute_force_tww_sequence(g, 2), 2)),
 }
 
 
-@pytest.mark.parametrize("driver", UNKNOWN_RULE_RUNS)
-def test_unknown_rule_is_an_engine_error(driver, monkeypatch):
-    # A rule the unwind does not know is a failed construction, which the
-    # command line maps to exit 4 and prints with its trace.
-    module, name, run = UNKNOWN_RULE_RUNS[driver]
-    rule = getattr(module, name)
+@pytest.mark.parametrize("driver", UNWIND_RUNS)
+def test_unwind_that_pays_nothing_fails_with_the_trace(driver, monkeypatch):
+    # The loop records each step with its rule's unwind.  An unwind that
+    # pays nothing leaves D empty, so certify fails the construction; the
+    # command line maps that to exit 4 and prints the whole trace.
+    module, name, run = UNWIND_RUNS[driver]
+    g = Graph.from_edges(3)
+    trace = run(g).trace
+    monkeypatch.setattr(module, name, lambda app, d, p: None)
+    with pytest.raises(EngineError, match="D fails the dominating checker") as exc:
+        run(g)
+    assert exc.value.trace == trace and len(trace) == 3
 
-    def bogus(st, *args):
-        app = rule(st, *args)
-        return app and dataclasses.replace(app, rule_id="bogus")
 
-    monkeypatch.setattr(module, name, bogus)
-    with pytest.raises(EngineError, match="unknown rule bogus") as exc:
-        run(Graph.from_edges(3))
-    assert [app.rule_id for app in exc.value.trace] == ["bogus"] * 3
+def test_leaked_vertex_is_a_violation(monkeypatch):
+    # K5 contracts along twins; an unwind that keeps the merged vertex
+    # instead of renaming it back leaves an id outside the input in (D, P).
+    g = complete(5)
+    seq = ContractionSequence(((0, 1, 5), (5, 2, 6), (6, 3, 7), (7, 4, 8)), 2)
+    trace = run_twinwidth(g, seq, 2).trace
+    assert "tww_contract" in [app.rule_id for app in trace]
+    monkeypatch.setattr(engine_twinwidth, "_unwind_contract", lambda app, d, p: None)
+    with pytest.raises(GuaranteeViolated, match="leaked into the witness") as exc:
+        run_twinwidth(g, seq, 2)
+    assert exc.value.trace == trace
+
+
+def test_overpaying_unwind_breaks_the_step_bound(monkeypatch):
+    # A path is its own chordal completion at width 1, so the bound is
+    # 1*|P|; an unwind that also pays the packed vertex breaks it at once.
+    g = families.gen_path(3)
+    trace = engine.run_treewidth(g, g).trace
+    pay = engine._unwind_low_degree
+
+    def overpay(app, d, p):
+        pay(app, d, p)
+        d.add(app.payload["vertex"])
+
+    monkeypatch.setattr(engine, "_unwind_low_degree", overpay)
+    with pytest.raises(GuaranteeViolated, match=r"^treewidth: \|D\|=2 exceeds 1\*\|P\|=1$") as exc:
+        engine.run_treewidth(g, g)
+    assert exc.value.trace == trace
 
 
 class TestTwodeg:
@@ -144,32 +169,36 @@ class TestTwodeg:
 
     def test_budget_terms_match_a_recount(self, monkeypatch):
         # The driver keeps (|X2+|, |X1|) up to date step by step; every
-        # unwind check must see the terms recounted on the replayed parent.
+        # unwind check must see the slack 2|X2+| + |X1| recounted on the
+        # replayed parent, and every main step must record the terms.
         seen = []
-        check = engine_twodeg._check_twodeg_budget
+        check = engine._check_budget
 
-        def spy(d, p, terms, trace):
-            seen.append(terms)
-            check(d, p, terms, trace)
+        def spy(d, p, constant, slack, tag, formula):
+            seen.append(slack)
+            check(d, p, constant, slack, tag, formula)
 
-        monkeypatch.setattr(engine_twodeg, "_check_twodeg_budget", spy)
+        monkeypatch.setattr(engine, "_check_budget", spy)
         graphs = [twodeg_wall_graph(), twodeg_wall_graph_m3()]
         graphs += [random_twodeg(40 + seed, seed) for seed in range(12)]
-        nonzero = 0
+        nonzero = main_steps = 0
         for g in graphs:
             seen.clear()
             w = run_twodeg(g)
             expect = []
-            for alive, edges, x, _, _ in list(replay(g, w.trace))[:-1]:
+            for (alive, edges, x, _, _), app in zip(replay(g, w.trace), w.trace):
                 deg = dict.fromkeys(alive, 0)
                 for u, v in edges:
                     deg[u] += 1
                     deg[v] += 1
-                expect.append((sum(deg[v] >= 2 for v in x), sum(deg[v] == 1 for v in x)))
+                terms = (sum(deg[v] >= 2 for v in x), sum(deg[v] == 1 for v in x))
+                expect.append(2 * terms[0] + terms[1])
+                if "budget_terms" in app.payload:
+                    assert app.payload["budget_terms"] == terms
+                    main_steps += 1
             assert seen[::-1] == expect
-            nonzero += sum(t != (0, 0) for t in expect)
-        assert nonzero
-
+            nonzero += sum(t != 0 for t in expect)
+        assert nonzero and main_steps
 
 class TestTwinwidth:
     def test_p4_width_sequence(self):
