@@ -188,13 +188,11 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
     pos = enc.positions
     p = _extend_packing(g, g.vertices(), set())
     # Improvement loop: swap a packed interval for a strictly shorter one,
-    # re-extend, repeat to a fixed point (guarded against cycling).
-    seen = set()
+    # re-extend, repeat to a fixed point.  No p repeats: the new p contains
+    # rest | {y2}, which is as large as the old p, so either |p| grows or p
+    # is rest | {y2}, whose intervals are narrower in total; the pair
+    # (|p|, -total width) rises strictly at every swap.
     for _ in range(1 + len(intervals) * (len(enc.x_order) + 1)):
-        key = frozenset(p)
-        if key in seen:
-            break
-        seen.add(key)
         swapped = False
         for y in sorted(v for v in p if v in intervals):
             lo, hi = intervals[y]

@@ -211,15 +211,13 @@ class _State:
 
     def apply(self, app: RuleApplication) -> None:
         # Each change to a black degree moves the vertex to its new bucket
-        # at once (a red edge coming or going leaves it unchanged).
+        # at once (a red edge coming or going leaves it unchanged).  Only
+        # the drivers for plain graphs remove edges, so a removed edge is
+        # black.
         adj, red, by_deg = self.adj, self.red, self.by_deg
         for u, v in app.removed_edges:
-            if v in red[u]:
-                red[u].remove(v)
-                red[v].remove(u)
-            else:
-                self._shift(u, -1)
-                self._shift(v, -1)
+            self._shift(u, -1)
+            self._shift(v, -1)
             adj[u].discard(v)
             adj[v].discard(u)
         for v in app.removed_vertices:
@@ -395,16 +393,16 @@ def _check_budget(d, p, constant, slack, tag, formula):
 
 
 def run(g: Graph, rules, tag: str, constant, y=(), *, stalled="no rule applies",
-        done=None, slack=None, after=None, formula=None) -> WitnessPair:
+        done=None, slack=None, formula=None) -> WitnessPair:
     """Reduce g, with Y pre-dominated, by ``rules``; unwind; certify.
 
     ``rules`` holds (find, unwind) pairs in priority order.  Each step
     applies the first find that returns a step, until no vertex is left or
-    ``done(st)`` holds; Stalled(``stalled``) if no rule finds one.  Hooks:
-    ``slack(st, app)``, called on the parent before each step, gives that
-    step's additive slack on the bound ``constant*|P|`` (``formula`` names
-    the bound); ``after(st, app)`` runs after each step.  Any EngineError
-    raised in the loop, the unwind or ``certify`` carries the trace so far.
+    ``done(st)`` holds; Stalled(``stalled``) if no rule finds one.
+    ``slack(st)``, read on the parent before each step is applied, gives
+    that step's additive slack on the bound ``constant*|P|`` (``formula``
+    names the bound).  Any EngineError raised in the loop, the unwind or
+    ``certify`` carries the trace so far.
     """
     st = _State.from_graph(g, y=y)
     trace: list[RuleApplication] = []
@@ -417,10 +415,8 @@ def run(g: Graph, rules, tag: str, constant, y=(), *, stalled="no rule applies",
                     break
             else:
                 raise Stalled(stalled)
-            steps.append((unwind, slack(st, app) if slack else 0))
+            steps.append((unwind, slack(st) if slack else 0))
             st.apply(app)
-            if after:
-                after(st, app)
             trace.append(app)
         d: set[int] = set()
         p: set[int] = set()
@@ -450,12 +446,6 @@ class RotationSystem:
     """Per-vertex cyclic order of neighbors (a combinatorial embedding)."""
 
     rotations: dict[int, tuple[int, ...]]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"rotations": {str(v): list(r) for v, r in sorted(self.rotations.items())}},
-            separators=(",", ":"),
-        )
 
     @staticmethod
     def from_json(s: str) -> "RotationSystem":
@@ -597,16 +587,13 @@ def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
     if width is None:
         raise CertificateInvalid("completion is not a chordal supergraph on the same vertices")
     k = max(1, width)
-    compl = {v: set(chordal_completion.adj[v]) for v in chordal_completion.vertices()}
 
-    def drop_removed(st, app):
-        for v in app.removed_vertices:
-            for w in compl[v]:
-                compl[w].discard(v)
-            del compl[v]
+    def class_step(st):
+        # The completion on the live vertices, built only when the step runs.
+        live = set(st.adj)
+        return _tw_class_step(st, {v: live & chordal_completion.adj[v] for v in live}, k)
 
-    class_step = (lambda st: _tw_class_step(st, compl, k), _unwind_tw_class_step)
-    return run(g, _shared_rules(k) + (class_step,), "treewidth", k, after=drop_removed)
+    return run(g, _shared_rules(k) + ((class_step, _unwind_tw_class_step),), "treewidth", k)
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,6 @@ class ContractionSequence:
     merges: tuple[tuple[int, int, int], ...]
     declared_width: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"width": self.declared_width, "merges": [list(m) for m in self.merges]},
-            separators=(",", ":"),
-        )
-
     @staticmethod
     def from_json(s: str) -> "ContractionSequence":
         try:

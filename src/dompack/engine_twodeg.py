@@ -3,8 +3,7 @@
 Y is forbidden here; the induction instead tracks a free-dominator set X
 whose cost enters the budget through the degree-split terms
 X2+ = {x in X : deg >= 2} and X1 = {x in X : deg = 1}, both taken in the
-current graph at every step (kept up to date from the vertices each step
-touches).
+current graph at every step (read from the state's degree buckets).
 
 The local rules delete low-degree vertices around X.  When they are
 exhausted, layered peeling (A1 = degree <= 2, A2 and A3 the next two peels)
@@ -28,6 +27,8 @@ of that step's parent instance.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .engine import (
     EngineError,
     RuleApplication,
@@ -46,28 +47,13 @@ from .graph import Graph, degeneracy_ordering
 TWODEG_CONSTANT = 7
 
 
-def _budget_terms(st: _State, vs) -> tuple[int, int]:
-    """(|X2+|, |X1|) counted over the members of X among vs."""
-    x2p = x1 = 0
-    for v in vs:
-        if v in st.x:
-            d = len(st.adj[v])
-            if d >= 2:
-                x2p += 1
-            elif d == 1:
-                x1 += 1
-    return x2p, x1
-
-
-def _touched(st: _State, app: RuleApplication) -> set[int]:
-    """Vertices whose degree or X membership ``app`` can change."""
-    out = set(app.removed_vertices)
-    for v in app.removed_vertices:
-        out |= st.adj[v]
-    for e in app.removed_edges + app.added_edges:
-        out.update(e)
-    out.update(app.added_vertices, app.x_added)
-    return out
+def _budget_terms(st: _State) -> tuple[int, int]:
+    """(|X2+|, |X1|) in the current graph, read from the degree buckets (the
+    graph is plain, so black degree is degree)."""
+    x = st.x
+    x0 = len(x.intersection(st.by_deg.get(0, ())))
+    x1 = len(x.intersection(st.by_deg.get(1, ())))
+    return len(x) - x0 - x1, x1
 
 
 def _nx_closed(st: _State) -> set[int]:
@@ -176,7 +162,8 @@ def _a2_profile(st: _State, z: int, nx_: set[int]) -> tuple[int, int]:
     return anchors[0], outside
 
 
-def _main_step(st: _State, fresh: int, terms) -> RuleApplication:
+def _main_step(st: _State, ids) -> RuleApplication:
+    """The low-out or pack step; gadgets take their ids from ``ids``."""
     a1, a2, a3 = _peel_layers(st)
     bad = sorted(a1 - st.x)
     if bad:
@@ -215,7 +202,7 @@ def _main_step(st: _State, fresh: int, terms) -> RuleApplication:
                 "vertex": u,
                 "layer2": z_nbrs,
                 "anchors": tuple(anchors),
-                "budget_terms": terms,
+                "budget_terms": _budget_terms(st),
             },
         )
 
@@ -223,12 +210,10 @@ def _main_step(st: _State, fresh: int, terms) -> RuleApplication:
     wired = sorted({t for t in others if t not in (w1, w2)})
     gadgets = []
     gadget_edges = []
-    gid = fresh
     for i in range(0, len(wired), 2):
-        chunk = wired[i : i + 2]
+        gid = next(ids)
         gadgets.append(gid)
-        gadget_edges.extend((gid, t) if gid < t else (t, gid) for t in chunk)
-        gid += 1
+        gadget_edges.extend((gid, t) if gid < t else (t, gid) for t in wired[i : i + 2])
     cover_nbrs = {t: tuple(sorted(st.adj[t])) for t in wired}
     backstop = {}
     for z, t in zip(z_nbrs, others):
@@ -251,7 +236,7 @@ def _main_step(st: _State, fresh: int, terms) -> RuleApplication:
             "cover_nbrs": {t: cover_nbrs[t] for t in wired},
             "backstop": backstop,
             "x_at_step": tuple(sorted(st.x)),
-            "budget_terms": terms,
+            "budget_terms": _budget_terms(st),
         },
     )
 
@@ -277,23 +262,11 @@ def run_twodeg(g: Graph) -> WitnessPair:
     _, degen = degeneracy_ordering(g)
     if degen > 2:
         raise Stalled(f"input has degeneracy {degen} > 2")
-    fresh = g.n
-    terms = (0, 0)  # (|X2+|, |X1|); X starts empty
-    touched = before = None
+    ids = count(g.n)  # gadget ids, above every input vertex
 
-    # A step moves the terms only at the vertices it touches: count those
-    # on the parent (which also gives the step's slack) and on the child.
-    def slack(st, app):
-        nonlocal touched, before
-        touched = _touched(st, app)
-        before = _budget_terms(st, touched)
-        return 2 * terms[0] + terms[1]
-
-    def after(st, app):
-        nonlocal fresh, terms
-        fresh += len(app.added_vertices)
-        now = _budget_terms(st, touched)
-        terms = (terms[0] - before[0] + now[0], terms[1] - before[1] + now[1])
+    def slack(st):
+        x2p, x1 = _budget_terms(st)
+        return 2 * x2p + x1
 
     rules = (
         (rule_isolated, _unwind_isolated),
@@ -303,7 +276,7 @@ def run_twodeg(g: Graph) -> WitnessPair:
         (_rule_extra_x_edge, _unwind_nothing),
         (_rule_x_x_edge, _unwind_nothing),
         (_rule_free_degree2, _unwind_low_degree),
-        (lambda st: _main_step(st, fresh, terms), _unwind_main_step),
+        (lambda st: _main_step(st, ids), _unwind_main_step),
     )
-    return run(g, rules, "2-degenerate", TWODEG_CONSTANT, slack=slack, after=after,
+    return run(g, rules, "2-degenerate", TWODEG_CONSTANT, slack=slack,
                formula="7|P|+2|X2+|+|X1|")

@@ -4,7 +4,8 @@ The brute-force certificate finders and the split and distance-hereditary
 recognizers supply certificates and class membership for small test
 graphs, and the enumerators supply the graphs.  ``replay`` re-applies a
 driver trace's deltas, ``to_edge_json`` and ``convex_graph`` write test
-inputs, ``trace_json_obj`` builds the object whose JSON text
+inputs, ``rotation_json`` and ``sequence_json`` write certificate files,
+``trace_json_obj`` builds the object whose JSON text
 ``RuleApplication.to_json`` must write.  ``masks_to_graph6_one_int`` and
 ``graph6_to_masks_by_string`` are the graph6 encoder and decoder the
 byte-level ones replaced, and ``at_free_per_triple`` the AT-free test
@@ -21,7 +22,7 @@ import json
 from itertools import combinations
 
 from dompack.constructions import ConvexEncoding, EncodingInvalid
-from dompack.engine import RuleApplication, _State, completion_width
+from dompack.engine import RotationSystem, RuleApplication, _State, completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import at_free_masks
 from dompack.graph import (
@@ -290,6 +291,23 @@ def to_edge_json(g: Graph) -> str:
         "red_edges": sorted(g.red),
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+def rotation_json(rs: RotationSystem) -> str:
+    """The rotation-system file that ``RotationSystem.from_json`` reads."""
+    return json.dumps(
+        {"rotations": {str(v): list(r) for v, r in sorted(rs.rotations.items())}},
+        separators=(",", ":"),
+    )
+
+
+def sequence_json(seq: ContractionSequence) -> str:
+    """The contraction-sequence file that ``ContractionSequence.from_json``
+    reads."""
+    return json.dumps(
+        {"width": seq.declared_width, "merges": [list(m) for m in seq.merges]},
+        separators=(",", ":"),
+    )
 
 
 def masks_to_graph6_one_int(masks) -> str:

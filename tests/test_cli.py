@@ -32,8 +32,10 @@ from _reference import (
     convex_graph,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
+    rotation_json,
     scan_check,
     scan_class_flags,
+    sequence_json,
     to_edge_json,
 )
 from conftest import random_graph
@@ -187,7 +189,7 @@ class TestConstruct:
         g = families.gen_path(4)
         seq = brute_force_tww_sequence(g, 2)
         gf = write(tmp_path, "p4.g6", to_graph6(g) + "\n")
-        sf = write(tmp_path, "seq.json", seq.to_json())
+        sf = write(tmp_path, "seq.json", sequence_json(seq))
         code, out, _ = run_cli(
             ["construct", "--class", "twinwidth", "--certificate", sf, gf], capsys
         )
@@ -251,7 +253,7 @@ class TestConstruct:
         g, seq = conftest.random_cograph(120, 4, flip=0.1)
         assert seq.declared_width == 6
         gf = write(tmp_path, "g.json", to_edge_json(g))
-        sf = write(tmp_path, "seq.json", seq.to_json())
+        sf = write(tmp_path, "seq.json", sequence_json(seq))
         code, out, _ = run_cli(
             ["construct", "--class", "twinwidth", gf, "--certificate", sf], capsys
         )
@@ -333,7 +335,7 @@ def _golden_argv(cls, tmp_path):
         g = conftest.random_dh(200, 5)
     elif cls == "twinwidth":
         g, seq = conftest.random_cograph(160, 6)
-        cert = write(tmp_path, "seq.json", seq.to_json())
+        cert = write(tmp_path, "seq.json", sequence_json(seq))
     elif cls == "atfree":
         g = conftest.random_interval_graph(40, 7)
         assert is_connected(g)
@@ -490,7 +492,7 @@ class TestGenerateValidate:
         seq = brute_force_tww_sequence(g, 2)
         lying = ContractionSequence(seq.merges, 1)
         gf = write(tmp_path, "c7.g6", to_graph6(g) + "\n")
-        sf = write(tmp_path, "seq.json", lying.to_json())
+        sf = write(tmp_path, "seq.json", sequence_json(lying))
         code, _, err = run_cli(["validate", "--what", "tww-seq", sf, gf], capsys)
         assert code == 5
 
@@ -498,7 +500,7 @@ class TestGenerateValidate:
         g = families.gen_cycle(5)
         rs = RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
         gf = write(tmp_path, "c5.g6", to_graph6(g) + "\n")
-        rf = write(tmp_path, "rot.json", rs.to_json())
+        rf = write(tmp_path, "rot.json", rotation_json(rs))
         code, _, _ = run_cli(["validate", "--what", "rotation", rf, gf], capsys)
         assert code == 0
 
@@ -1177,7 +1179,7 @@ class TestRoundTrips:
         g = families.gen_path(5)
         seq = brute_force_tww_sequence(g, 2)
         pf = write(tmp_path, "p5.g6", to_graph6(g) + "\n")
-        sf = write(tmp_path, "seq.json", seq.to_json())
+        sf = write(tmp_path, "seq.json", sequence_json(seq))
         specs.append((["construct", "--class", "twinwidth", "--certificate", sf, pf], pf))
         enc = families.gen_random_convex(4, 3, 8)
         cf = write(tmp_path, "conv.json", to_edge_json(convex_graph(enc)))

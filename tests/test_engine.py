@@ -1,5 +1,8 @@
 """Rule-level unit tests plus the planar and treewidth drivers."""
 
+import hashlib
+import random
+
 import pytest
 
 from dompack import families, oracles
@@ -213,18 +216,49 @@ class TestTreewidthDriver:
                 expect = {c for c in targets if dist.get(c) == 2}
                 assert _dist2_set(st, v, targets) == expect
 
+    # When the class step comes, every vertex outside Y has degree above k = 3.
+    CLASS_STEP_GRAPH = Graph.from_edges(7, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),
+        (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
+    ])
+
     def test_driver_takes_the_class_step(self):
-        # When the step comes, every vertex outside Y has degree above k = 3.
-        g = Graph.from_edges(7, [
-            (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),
-            (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
-        ])
+        g = self.CLASS_STEP_GRAPH
         w = run_treewidth(g, brute_force_tw_certificate(g, 3))
         steps = [app.payload for app in w.trace if app.rule_id == "tw_class_step"]
         assert steps == [{"vertex": 5, "c1": (6,), "c2": (), "c2_cover": (), "k": 3}]
         # The unwind packs the vertex and pays its graph neighbours in C.
         assert 5 in w.p_set and 6 in w.d_set
         assert len(w.d_set) <= 3 * len(w.p_set)
+
+    def test_class_step_golden(self):
+        # Relabelled disjoint unions of 2-5 copies of the graph above with
+        # its width-3 completion: every class step comes after vertices of
+        # other copies are gone, so the step must read the completion on
+        # the live vertices only.  sha256 of the witness documents.
+        g = self.CLASS_STEP_GRAPH
+        completion = brute_force_tw_certificate(g, 3)
+        docs = []
+        steps = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            copies = rng.randint(2, 5)
+            n = 7 * copies
+            name = list(range(n))
+            rng.shuffle(name)
+
+            def union(h):
+                return Graph.from_edges(n, [
+                    (name[7 * i + u], name[7 * i + v])
+                    for i in range(copies) for u, v in h.edges()
+                ])
+
+            w = run_treewidth(union(g), union(completion))
+            steps += sum(app.rule_id == "tw_class_step" for app in w.trace)
+            docs.append(w.to_json())
+        assert steps == 104
+        digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
+        assert digest == "11e9a63912b1cbd10471c38da092a03a3678a3ad23e6231e2a52c385389f1568"
 
     def test_class_step_covers_distance_two(self):
         # C4 1-0-2-3 with 0 and 3 in Y; the completion adds the chord 12.

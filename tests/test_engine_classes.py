@@ -168,7 +168,7 @@ class TestTwodeg:
         assert max(w.d_set | w.p_set) < g.n
 
     def test_budget_terms_match_a_recount(self, monkeypatch):
-        # The driver keeps (|X2+|, |X1|) up to date step by step; every
+        # The driver reads (|X2+|, |X1|) from the degree buckets; every
         # unwind check must see the slack 2|X2+| + |X1| recounted on the
         # replayed parent, and every main step must record the terms.
         seen = []
