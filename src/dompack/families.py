@@ -249,15 +249,19 @@ def _check_labeled_order(n: int) -> None:
 
 def _code_byte_tables(image: list[int]) -> list[list[int]]:
     """Three tables, one per byte of a labelled code (at most 21 bits), that
-    move code bit i to bit ``image[i]``: the image of code k is the OR of
-    the three tables at k's bytes."""
+    move code bit i to bit ``image[i]`` (an injective map): the image of
+    code k is the OR of the three tables at k's bytes.
+
+    Each table doubles once per bit: the table of a byte's first b + 1 bits
+    is that of its first b bits, then the same entries with the image of
+    the byte's bit b set."""
     tables = []
     for low in (0, 8, 16):
-        width = max(0, min(8, len(image) - low))
-        tables.append([
-            sum(1 << image[low + b] for b in range(width) if byte >> b & 1)
-            for byte in range(1 << width)
-        ])
+        table = [0]
+        for i in image[low : low + 8]:
+            bit = 1 << i
+            table += [entry | bit for entry in table]
+        tables.append(table)
     return tables
 
 
@@ -272,11 +276,16 @@ def labeled_orbit_ids(n: int) -> "array":
     classes numbered by first appearance, so a class's first graph is its
     smallest code.
 
-    Each new code is closed under the n-1 adjacent transpositions
-    (j j+1), which generate the symmetric group, so the closure is the
-    code's orbit (McKay, "Isomorph-free exhaustive generation", 1998).  A
-    transposition permutes the edge bits; it is applied to a code through
-    one lookup table per byte.
+    The smallest code k not yet reached starts a class, and its orbit is
+    grown one vertex at a time along the chain S_1 < S_2 < ... < S_n, where
+    S_{j+1} permutes the vertices 0..j.  The transpositions (i j), i < j,
+    with the identity, are a transversal of S_j in S_{j+1}: S_{j+1} is the
+    union of the cosets (i j)·S_j and S_j (a stabiliser chain as in Seress,
+    "Permutation Group Algorithms", 2003).  So S_{j+1}·k is S_j·k together
+    with its images under each (i j), and after the last vertex it is the
+    orbit.  The last level's images go straight into the table, duplicates
+    and all.  A transposition permutes the edge bits; it is applied to a
+    code through one lookup table per byte.
     """
     # Imported here, not at start-up: only the scan needs it.
     from array import array
@@ -284,30 +293,35 @@ def labeled_orbit_ids(n: int) -> "array":
     _check_labeled_order(n)
     pairs = list(combinations(range(n), 2))
     index = {pair: i for i, pair in enumerate(pairs)}
-    moves = []
-    for j in range(n - 1):
-        swap = {j: j + 1, j + 1: j}
-        moves.append(_code_byte_tables(
-            [index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
-        ))
-    size = 1 << len(pairs)
-    ids = array("H", [_UNSEEN]) * size
-    classes = reached = k = 0
-    while reached < size:
-        k = ids.index(_UNSEEN, k)
-        ids[k] = classes
-        stack = [k]
-        while stack:
-            code = stack.pop()
-            reached += 1
-            b0, b1, b2 = code & 255, code >> 8 & 255, code >> 16
-            for t0, t1, t2 in moves:
-                other = t0[b0] | t1[b1] | t2[b2]
-                if ids[other] == _UNSEEN:
-                    ids[other] = classes
-                    stack.append(other)
+    levels = []
+    for j in range(1, n):
+        level = []
+        for i in range(j):
+            swap = {i: j, j: i}
+            level.append(_code_byte_tables(
+                [index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+            ))
+        levels.append(level)
+    last = levels.pop() if levels else []
+    ids = array("H", [_UNSEEN]) * (1 << len(pairs))
+    classes = k = 0
+    while True:
+        try:
+            k = ids.index(_UNSEEN, k)
+        except ValueError:
+            return ids
+        orbit = {k}
+        for level in levels:
+            grown = set(orbit)
+            for t0, t1, t2 in level:
+                grown.update([t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16] for c in orbit])
+            orbit = grown
+        for c in orbit:
+            ids[c] = classes
+        for t0, t1, t2 in last:
+            for c in orbit:
+                ids[t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16]] = classes
         classes += 1
-    return ids
 
 
 def labeled_graph6_encoder(n: int) -> Callable[[int], str]:
@@ -327,7 +341,8 @@ def labeled_graph6_encoder(n: int) -> Callable[[int], str]:
     position = {pair: p for p, pair in enumerate(sorted(pairs, key=lambda e: (e[1], e[0])))}
     t0, t1, t2 = _code_byte_tables([23 - position[pair] for pair in pairs])
     chars = -(-len(pairs) // 6)
-    two = [chr(63 + (x >> 6)) + chr(63 + (x & 63)) for x in range(1 << 12)]
+    one = [chr(63 + x) for x in range(64)]
+    two = [a + b for a in one for b in one]
     high = [chr(63 + n) + c[:chars] for c in two]
     low = [c[: max(0, chars - 2)] for c in two]
 

@@ -129,8 +129,11 @@ def _closed_mask(masks, s: int) -> int:
 
 def _domination_requirements(masks, x: int, y: int, mode: Mode, red) -> list[int]:
     """Per-vertex requirement masks: D satisfies the mode iff it meets each
-    one.  Rows come in vertex order: N[v] unless v is free, then in Total
-    mode N(v); Black rows drop red edges."""
+    one.  Rows come in vertex order: N[v] unless v is free; in Total mode,
+    N(v) instead for a vertex with a neighbour, unless v is in X or Y.  A
+    non-free vertex is in neither, and its N[v] would contain its N(v), so
+    the kernels' superset reduction would drop it.  Black rows drop red
+    edges."""
     n = len(masks)
     if mode is Mode.BLACK:
         black = [m & ~r for m, r in zip(masks, red)] if red else masks
@@ -140,10 +143,11 @@ def _domination_requirements(masks, x: int, y: int, mode: Mode, red) -> list[int
     exempt = x | y
     reqs = []
     for v in range(n):
-        if not (free >> v) & 1:
+        if total and masks[v]:
+            if not (exempt >> v) & 1:
+                reqs.append(masks[v])
+        elif not (free >> v) & 1:
             reqs.append(masks[v] | 1 << v)
-        if total and masks[v] and not (exempt >> v) & 1:
-            reqs.append(masks[v])
     return reqs
 
 

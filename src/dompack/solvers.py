@@ -20,8 +20,10 @@ except ImportError:  # extension not built
 
 
 def backend_name() -> str:
-    forced = os.environ.get("DOMPACK_FORCE_PY") == "1"
-    return "python" if _compiled is None or forced else "compiled"
+    # Without the extension the environment has nothing to choose.
+    if _compiled is None or os.environ.get("DOMPACK_FORCE_PY") == "1":
+        return "python"
+    return "compiled"
 
 
 def min_hitting_set(reqs):

@@ -11,7 +11,10 @@ inputs, ``rotation_json`` and ``sequence_json`` write certificate files,
 byte-level ones replaced, and ``at_free_per_triple`` the AT-free test
 before it read a table of the components of each G - N[z].
 ``enumerate_labeled_masks`` builds the masks of every labelled graph,
-which the scan did before it encoded each code by table lookup.  The scan's
+which the scan did before it encoded each code by table lookup, and
+``labeled_orbit_ids_by_closure`` is the orbit table before it was built by
+cosets, over byte tables built entry by entry
+(``code_byte_tables_by_sum``).  The scan's
 filter predicates, class flags and check chain are kept as they were
 before the scan read them from flag tables.
 """
@@ -19,12 +22,13 @@ before the scan read them from flag tables.
 from __future__ import annotations
 
 import json
+from array import array
 from itertools import combinations
 
 from dompack.constructions import ConvexEncoding, EncodingInvalid
 from dompack.engine import RotationSystem, RuleApplication, _State, completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
-from dompack.families import at_free_masks
+from dompack.families import _UNSEEN, _check_labeled_order, at_free_masks
 from dompack.graph import (
     Graph,
     Graph6Error,
@@ -423,6 +427,60 @@ def enumerate_labeled_masks(n: int):
             flipped >>= 1
             i += 1
         yield tuple(adj)
+
+
+def code_byte_tables_by_sum(image: list[int]) -> list[list[int]]:
+    """``families._code_byte_tables`` entry by entry: each entry is the sum
+    of the images of its byte's set bits."""
+    tables = []
+    for low in (0, 8, 16):
+        width = max(0, min(8, len(image) - low))
+        tables.append([
+            sum(1 << image[low + b] for b in range(width) if byte >> b & 1)
+            for byte in range(1 << width)
+        ])
+    return tables
+
+
+def transposition_images(n: int):
+    """The edge-bit map of each transposition (i j), i < j, of the vertices
+    of an n-vertex labelled code, keyed by (i, j)."""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    images = {}
+    for i, j in pairs:
+        swap = {i: j, j: i}
+        images[i, j] = [
+            index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs
+        ]
+    return images
+
+
+def labeled_orbit_ids_by_closure(n: int) -> array:
+    """``families.labeled_orbit_ids`` by closing each new smallest code
+    under the n - 1 adjacent transpositions (j j+1), which generate the
+    symmetric group: one stack push, pop and table probe per image."""
+    _check_labeled_order(n)
+    images = transposition_images(n)
+    moves = [code_byte_tables_by_sum(images[j, j + 1]) for j in range(n - 1)]
+    size = 1 << (n * (n - 1) // 2)
+    ids = array("H", [_UNSEEN]) * size
+    classes = reached = k = 0
+    while reached < size:
+        k = ids.index(_UNSEEN, k)
+        ids[k] = classes
+        stack = [k]
+        while stack:
+            code = stack.pop()
+            reached += 1
+            b0, b1, b2 = code & 255, code >> 8 & 255, code >> 16
+            for t0, t1, t2 in moves:
+                other = t0[b0] | t1[b1] | t2[b2]
+                if ids[other] == _UNSEEN:
+                    ids[other] = classes
+                    stack.append(other)
+        classes += 1
+    return ids
 
 
 def enumerate_labeled_graphs(n: int):

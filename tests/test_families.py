@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -36,11 +38,14 @@ from _reference import (
     at_free_per_triple,
     brute_force_tw_certificate,
     brute_force_tww_sequence,
+    code_byte_tables_by_sum,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
+    labeled_orbit_ids_by_closure,
     recognize_distance_hereditary,
     recognize_split,
+    transposition_images,
 )
 from conftest import (
     complete,
@@ -588,6 +593,27 @@ class TestEnumeration:
     @pytest.mark.slow
     def test_orbit_class_count_seven(self):
         assert max(labeled_orbit_ids(7)) + 1 == 1044
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_orbit_ids_match_the_closure_walk(self, n):
+        assert labeled_orbit_ids(n) == labeled_orbit_ids_by_closure(n)
+
+    @pytest.mark.slow
+    def test_orbit_ids_match_the_closure_walk_seven(self):
+        assert labeled_orbit_ids(7) == labeled_orbit_ids_by_closure(7)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_orbit_sizes_divide_the_group_order(self, n):
+        # Orbit-stabilizer: each class has n! / |Aut| codes, and the classes
+        # partition all 2^(n(n-1)/2) codes.
+        sizes = Counter(labeled_orbit_ids(n)).values()
+        assert all(math.factorial(n) % size == 0 for size in sizes)
+        assert sum(sizes) == 1 << (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_byte_tables_match_the_sums(self, n):
+        for image in transposition_images(n).values():
+            assert families._code_byte_tables(image) == code_byte_tables_by_sum(image)
 
     def test_orbit_cap(self):
         with pytest.raises(OversizeError):

@@ -220,10 +220,12 @@ def _mask(s):
     return sum(1 << v for v in s)
 
 
-def _set_based_rows(inst):
+def _set_based_rows(inst, closed_rows=False):
     """The requirement rows as (owner, vertex set) pairs, read off the mode's
     definition vertex by vertex: N[v] unless v is free, then in Total mode
-    N(v); Black rows keep only black edges."""
+    N(v); Black rows keep only black edges.  With ``closed_rows`` false, a
+    Total row N[v] is left out where v also owns N(v): the kernels' superset
+    reduction drops it."""
     g = inst.graph
     if inst.mode is Mode.BLACK:
         return [
@@ -233,11 +235,13 @@ def _set_based_rows(inst):
         ]
     free = closed_neighborhood(g, inst.x_set) | inst.y_set
     exempt = inst.x_set | inst.y_set
+    total = inst.mode is Mode.TOTAL
     rows = []
     for v in g.vertices():
-        if v not in free:
+        open_row = total and v not in exempt and g.adj[v]
+        if v not in free and (closed_rows or not open_row):
             rows.append((v, g.adj[v] | {v}))
-        if inst.mode is Mode.TOTAL and v not in exempt and g.adj[v]:
+        if open_row:
             rows.append((v, g.adj[v]))
     return rows
 
@@ -312,6 +316,24 @@ class TestMaskLayer:
         for seed in range(60):
             self.assert_same(_random_black(seed))
 
+    def test_total_mode_leaves_out_the_closed_rows_the_reduction_drops(self):
+        # Sparse Total instances, isolated vertices included: with every
+        # non-free N[v] added back, the kernel searches the same rows and
+        # returns the same triple, from about twice as many rows.
+        emitted = with_closed = isolated = 0
+        for seed in range(40):
+            g = random_graph(24, 0.1, seed)
+            y = random_xy(g, seed + 300, py=0.1)[1]
+            inst = XYInstance(g, y_set=y, mode=Mode.TOTAL)
+            reqs = _requirements(inst)
+            everything = [_mask(r) for _, r in _set_based_rows(inst, closed_rows=True)]
+            assert _bb_py._prepare(reqs)[0] == _bb_py._prepare(everything)[0]
+            assert _bb_py.min_hitting_set(reqs) == _bb_py.min_hitting_set(everything)
+            emitted += len(reqs)
+            with_closed += len(everything)
+            isolated += sum(not g.adj[v] and v not in y for v in g.vertices())
+        assert isolated and 0.45 < emitted / with_closed < 0.55
+
     def test_packing_rows_are_the_ball2_rows(self, monkeypatch):
         # The rows themselves, not only the kernel's answer: a row that kept
         # its own vertex gave the same results on the graphs above.
@@ -373,6 +395,26 @@ def use_compiled(compiled_kernel, monkeypatch):
     monkeypatch.setattr(solvers, "_compiled", compiled_kernel)
     assert solvers.backend_name() == "compiled"
     return compiled_kernel
+
+
+def test_backend_reads_the_environment_only_with_a_compiled_kernel(monkeypatch):
+    reads = []
+    environ = {"DOMPACK_FORCE_PY": "1"}
+
+    def get(key, default=None):
+        reads.append(key)
+        return environ.get(key, default)
+
+    monkeypatch.setattr(solvers, "os", SimpleNamespace(environ=SimpleNamespace(get=get)))
+    monkeypatch.setattr(solvers, "_compiled", None)
+    assert solvers.backend_name() == "python"
+    assert solvers.min_hitting_set([0b11, 0b110]) == _bb_py.min_hitting_set([0b11, 0b110])
+    assert reads == []
+    monkeypatch.setattr(solvers, "_compiled", object())
+    assert solvers.backend_name() == "python"
+    environ.clear()
+    assert solvers.backend_name() == "compiled"
+    assert reads == ["DOMPACK_FORCE_PY"] * 2
 
 
 def on_both_backends(monkeypatch, solve):
@@ -454,7 +496,7 @@ class TestBackendParity:
             _, y = random_xy(g, seed + 100)
             inst = XYInstance(g, y_set=y, mode=Mode.TOTAL)
             owners = assert_rows_follow_their_vertex(inst)
-            assert len(set(owners)) < len(owners)
+            assert len(set(owners)) == len(owners)
             fast, slow = on_both_backends(monkeypatch, lambda: oracles.exact_domination(inst))
             assert fast == slow
 
@@ -594,12 +636,14 @@ class TestWideHittingSet:
 
     def test_total_rows_follow_their_vertex(self):
         for seed in range(6):
-            n = 65 + 12 * seed
+            # One row per vertex outside Y with a neighbour: a small Y keeps
+            # more than 64 of them.
+            n = 72 + 8 * seed
             g = random_graph(n, 3.0 / n, seed)
-            _, y = random_xy(g, seed + 100)
+            _, y = random_xy(g, seed + 100, py=0.05)
             inst = XYInstance(g, y_set=y, mode=Mode.TOTAL)
             owners = assert_rows_follow_their_vertex(inst)
-            assert len(owners) > 64 and len(set(owners)) < len(owners)
+            assert len(set(owners)) == len(owners) > 64
             reqs = _requirements(inst)
             assert _bb_py.min_hitting_set(reqs) == reference_min_hitting_set(reqs)
 
