@@ -369,9 +369,21 @@ _SCAN_CHECKS = {
 _SCAN_FILTERS = {"all": 0, "subcubic": FLAG_SUBCUBIC, "tree": FLAG_TREE}
 
 
+# A record's line is '{"graph6":', its graph6 and then its tail, the bytes
+# json.dumps would give with separators=(",", ":"): a fixed-key format takes
+# half the time, since even a reused JSONEncoder builds a fresh C encoder on
+# every encode call.  The check name and the "p/q" ratio need no escaping.
+_SCAN_TAIL = (
+    ',"n":%d,"m":%d,"gamma":%d,"rho":%d,"ratio":%s,"class_flags":%d,'
+    '"check":"%s","applicable":%s,"violation":%s,"equality":%s}'
+)
+_JSON_BOOL = ("false", "true")
+
+
 def _scan_one(task):
-    """The scan record of one graph but its graph6 field, all isomorphism
-    invariants, or None if the graph lacks the filter's flags ``keep``."""
+    """(tail, applicable, violation, equality) of one graph's scan record,
+    the tail being its line after the graph6 field, all isomorphism
+    invariants; None if the graph lacks the filter's flags ``keep``."""
     masks, check, keep, max_n = task
     n = len(masks)
     degs = list(map(int.bit_count, masks))
@@ -392,19 +404,14 @@ def _scan_one(task):
     rho = oracles.packing_kernel(masks)[0]
     needs, violates, meets = _SCAN_CHECKS[check]
     applicable = flags & needs == needs
+    violation = applicable and violates(gamma, rho)
+    equality = applicable and meets(gamma, rho)
     k = math.gcd(gamma, rho)
-    return {
-        "n": n,
-        "m": m,
-        "gamma": gamma,
-        "rho": rho,
-        "ratio": f"{gamma // k}/{rho // k}" if rho else None,
-        "class_flags": flags,
-        "check": check,
-        "applicable": applicable,
-        "violation": applicable and violates(gamma, rho),
-        "equality": applicable and meets(gamma, rho),
-    }
+    tail = _SCAN_TAIL % (
+        n, m, gamma, rho, f'"{gamma // k}/{rho // k}"' if rho else "null", flags, check,
+        _JSON_BOOL[applicable], _JSON_BOOL[violation], _JSON_BOOL[equality],
+    )
+    return tail, applicable, violation, equality
 
 
 def _file_lines(text):
@@ -420,69 +427,27 @@ def _file_lines(text):
             yield lineno, line, masks
 
 
-# A record's line is its graph6 field and then its tail, the bytes json.dumps
-# would give with separators=(",", ":"): a fixed-key format takes half the
-# time, since even a reused JSONEncoder builds a fresh C encoder on every
-# encode call.
-_SCAN_TAIL = (
-    ',"n":%d,"m":%d,"gamma":%d,"rho":%d,"ratio":%s,"class_flags":%d,'
-    '"check":%s,"applicable":%s,"violation":%s,"equality":%s}'
-)
-_JSON_BOOL = ("false", "true")
-
-
-def _scan_tail(r) -> str:
-    return _SCAN_TAIL % (
-        r["n"], r["m"], r["gamma"], r["rho"],
-        "null" if r["ratio"] is None else encode_basestring_ascii(r["ratio"]),
-        r["class_flags"], encode_basestring_ascii(r["check"]),
-        _JSON_BOOL[r["applicable"]], _JSON_BOOL[r["violation"]], _JSON_BOOL[r["equality"]],
-    )
-
-
-def _scan_line(graph6: str, tail: str) -> str:
-    return '{"graph6":' + encode_basestring_ascii(graph6) + tail
-
-
 # Records go to stdout this many lines per write, not one write per graph:
 # whatever wraps stdout pays per write.
 _SCAN_BLOCK_LINES = 1024
 
 
 class _ScanOutput:
-    """The record lines, written in blocks, with the summary and the first
-    ten counterexamples."""
+    """The summary and the first ten counterexample lines."""
 
     def __init__(self):
         self.summary = {"graphs": 0, "checked": 0, "violations": 0, "equalities": 0, "malformed": 0}
         self.counterexamples = []
-        self.lines = []
 
-    def count(self, record, graphs: int = 1) -> None:
-        """Add ``graphs`` graphs with this record to the summary."""
+    def count(self, result, graphs: int = 1) -> None:
+        """Add ``graphs`` graphs with this ``_scan_one`` result to the summary."""
+        _, applicable, violation, equality = result
         summary = self.summary
         summary["graphs"] += graphs
-        if record["applicable"]:
+        if applicable:
             summary["checked"] += graphs
-            summary["violations"] += graphs * record["violation"]
-            summary["equalities"] += graphs * record["equality"]
-
-    def counterexample(self, graph6: str, record) -> None:
-        if len(self.counterexamples) < 10:
-            self.counterexamples.append({"graph6": graph6, **record})
-
-    def add(self, graph6: str, record, tail: str) -> None:
-        self.count(record)
-        if record["violation"]:
-            self.counterexample(graph6, record)
-        self.lines.append(_scan_line(graph6, tail))
-        if len(self.lines) == _SCAN_BLOCK_LINES:
-            self.flush()
-
-    def flush(self) -> None:
-        if self.lines:
-            sys.stdout.write("\n".join(self.lines) + "\n")
-            self.lines.clear()
+            summary["violations"] += graphs * violation
+            summary["equalities"] += graphs * equality
 
 
 def _scan_one_or_oversize(task):
@@ -497,35 +462,34 @@ def _scan_one_or_oversize(task):
 def _scan_enumeration(n: int, orbit_ids, check: str, keep: int, max_n: int, out: _ScanOutput) -> None:
     """Every labelled graph on n vertices, in code order, each with the
     record of its isomorphism class (``families.labeled_orbit_ids(n)``).
-    A class is evaluated on the masks of its first graph, decoded from that
-    graph's graph6; every graph's line is its graph6, from the code by
-    table lookups, and its class's tail.  The summary takes each class
-    once, times its size, and the counterexamples are the first ten graphs
-    of violating classes in code order."""
+    Each class is evaluated on the masks of its first graph, decoded from
+    that graph's graph6; each block of codes is then written in one go,
+    every line its graph6, from the code by table lookups, and its class's
+    tail.  The summary takes each class once, times its size, and the
+    counterexamples are the first ten graphs of violating classes."""
     encode = families.labeled_graph6_encoder(n)
-    records = []  # per class, or None if the filter drops it
-    tails = []
-    lines = out.lines
-    for k, c in enumerate(orbit_ids):
-        if c == len(tails):
-            record = _scan_one((graph6_to_masks(encode(k)), check, keep, max_n))
-            records.append(record)
-            tails.append(None if record is None else _scan_tail(record))
-        tail = tails[c]
-        if tail is not None:
-            # ``_scan_line``, inlined: this line runs once per labelled graph.
-            lines.append('{"graph6":' + encode_basestring_ascii(encode(k)) + tail)
-            if len(lines) == _SCAN_BLOCK_LINES:
-                out.flush()
     sizes = Counter(orbit_ids)
-    for c, record in enumerate(records):
-        if record is not None:
-            out.count(record, sizes[c])
-    violating = [record is not None and record["violation"] for record in records]
+    results = []  # per class, None where the filter drops it
+    k = 0
+    for c in range(len(sizes)):
+        k = orbit_ids.index(c, k)
+        results.append(_scan_one((graph6_to_masks(encode(k)), check, keep, max_n)))
+    tails = [result and result[0] for result in results]
+    codes = range(len(orbit_ids))
+    if None in tails:
+        codes = [k for k in codes if tails[orbit_ids[k]] is not None]
+    for start in range(0, len(codes), _SCAN_BLOCK_LINES):
+        block = ['{"graph6":' + encode_basestring_ascii(encode(k)) + tails[orbit_ids[k]]
+                 for k in codes[start:start + _SCAN_BLOCK_LINES]]
+        sys.stdout.write("\n".join(block) + "\n")
+    for c, result in enumerate(results):
+        if result is not None:
+            out.count(result, sizes[c])
+    violating = [result is not None and result[2] for result in results]
     if any(violating):
         for k, c in enumerate(orbit_ids):
             if violating[c]:
-                out.counterexample(encode(k), records[c])
+                out.counterexamples.append('{"graph6":' + encode_basestring_ascii(encode(k)) + tails[c])
                 if len(out.counterexamples) == 10:
                     break
 
@@ -549,20 +513,31 @@ def _scan_file(text: str, check: str, keep: int, max_n: int, jobs: int, out: _Sc
             evaluate = lambda _: next(results)
         else:
             evaluate = lambda masks: _scan_one((masks, check, keep, max_n))
-        for lineno, graph6, masks in lines:
-            if isinstance(masks, Graph6Error):
-                print(f"line {lineno}: skipped malformed graph6 ({masks})", file=sys.stderr)
-                out.summary["malformed"] += 1
-                continue
-            record = evaluate(masks)
-            if isinstance(record, OversizeError):
-                raise record
-            if record is not None:
-                out.add(graph6, record, _scan_tail(record))
+        block = []  # lines not yet written: an error that ends the scan writes them too
+        try:
+            for lineno, graph6, masks in lines:
+                if isinstance(masks, Graph6Error):
+                    print(f"line {lineno}: skipped malformed graph6 ({masks})", file=sys.stderr)
+                    out.summary["malformed"] += 1
+                    continue
+                result = evaluate(masks)
+                if isinstance(result, OversizeError):
+                    raise result
+                if result is not None:
+                    out.count(result)
+                    line = '{"graph6":' + encode_basestring_ascii(graph6) + result[0]
+                    if result[2] and len(out.counterexamples) < 10:
+                        out.counterexamples.append(line)
+                    block.append(line)
+                    if len(block) == _SCAN_BLOCK_LINES:
+                        sys.stdout.write("\n".join(block) + "\n")
+                        block.clear()
+        finally:
+            if block:
+                sys.stdout.write("\n".join(block) + "\n")
 
 
 def cmd_scan(args) -> int:
-    _normalize_scan_source(args)
     n = args.enumerate_n
     # The source's errors (an unreadable file, an enumeration size out of
     # range) come before those of the size limit.
@@ -570,17 +545,14 @@ def cmd_scan(args) -> int:
     max_n = _size_limit()
     keep = _SCAN_FILTERS[args.filter]
     out = _ScanOutput()
-    try:
-        if n is not None:
-            _scan_enumeration(n, source, args.check, keep, max_n, out)
-        else:
-            _scan_file(source, args.check, keep, max_n, min(args.jobs, os.cpu_count() or 1), out)
-    finally:
-        out.flush()
+    if n is not None:
+        _scan_enumeration(n, source, args.check, keep, max_n, out)
+    else:
+        _scan_file(source, args.check, keep, max_n, min(args.jobs, os.cpu_count() or 1), out)
     print(json.dumps({"summary": out.summary}, separators=(",", ":")))
     if out.counterexamples:
-        for record in out.counterexamples:
-            print("counterexample: " + json.dumps(record, separators=(",", ":")), file=sys.stderr)
+        for line in out.counterexamples:
+            print("counterexample: " + line, file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -588,6 +560,16 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @functools.cache
@@ -636,33 +618,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scp = sub.add_parser("scan", help="stream gamma/rho records with a conjecture check")
     src = scp.add_mutually_exclusive_group(required=True)
-    src.add_argument("--source", nargs=2, default=None,
-                     metavar=("KIND", "ARG"),
-                     help="'enumerate-n N' (labeled graphs, N <= 7) or 'file PATH'")
     src.add_argument("--enumerate-n", type=int, default=None, metavar="N",
-                     help="shorthand for --source enumerate-n N")
-    src.add_argument("--file", default=None, help="shorthand for --source file PATH")
+                     help="every labelled graph on N vertices, N <= 7")
+    src.add_argument("--file", default=None, help="graph6 lines, one graph each")
     scp.add_argument("--filter", choices=list(_SCAN_FILTERS), default="all")
     scp.add_argument("--check", choices=list(_SCAN_CHECKS), default="duality")
-    scp.add_argument("--jobs", type=int, default=1,
+    scp.add_argument("--jobs", type=_at_least_one, default=1,
                      help="worker processes for --file input (enumeration runs in-process)")
     scp.set_defaults(func=cmd_scan)
     return ap
-
-
-def _normalize_scan_source(args) -> None:
-    if args.source is None:
-        return
-    kind, arg = args.source
-    if kind == "enumerate-n":
-        try:
-            args.enumerate_n = int(arg)
-        except ValueError as exc:
-            raise CliError(f"bad enumeration size {arg!r}") from exc
-    elif kind == "file":
-        args.file = arg
-    else:
-        raise CliError(f"unknown scan source {kind!r} (use enumerate-n or file)")
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import io
 import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -555,6 +557,15 @@ SCAN_MALFORMED_ERR = (
 )
 
 
+def scan_fields(result):
+    """The fields of the tail of a ``cli._scan_one`` result, after checking
+    that its applicable, violation and equality are the result's own."""
+    tail, *outcome = result
+    fields = json.loads("{" + tail[1:])
+    assert [fields["applicable"], fields["violation"], fields["equality"]] == outcome
+    return fields
+
+
 class TestScan:
     def test_duality_enumerate_5(self, capsys):
         code, out, _ = run_cli(["scan", "--enumerate-n", "5", "--check", "duality"], capsys)
@@ -564,14 +575,20 @@ class TestScan:
         assert summary["graphs"] == 1024 and summary["violations"] == 0
 
     def test_source_spelling(self, tmp_path, capsys):
-        code, out1, _ = run_cli(["scan", "--source", "enumerate-n", "4", "--check", "duality"], capsys)
-        assert code == 0
-        sf = write(tmp_path, "one.g6", to_graph6(families.gen_cycle(5)) + "\n")
-        code, out2, _ = run_cli(["scan", "--source", "file", sf], capsys)
-        assert code == 0
-        assert json.loads(out2.splitlines()[0])["gamma"] == 2
-        code, _, _ = run_cli(["scan", "--source", "bogus", "x"], capsys)
-        assert code == 2
+        # The sources are spelt --enumerate-n N and --file PATH; the stdout
+        # digests are those of the spellings the retired --source KIND ARG
+        # was an alias of.
+        sf = write(tmp_path, "c5.g6", to_graph6(families.gen_cycle(5)) + "\n")
+        for source, digest in (
+            (["--enumerate-n", "4"], "e1f9ea90dfec8de04791f76e7522895db10c9e412e0ea91c923a5b0aea291229"),
+            (["--file", sf], "d787754604b4659bcde2ea24222ed2bb6a5586e9f1c048362684032ffbf02a12"),
+        ):
+            code, out, _ = run_cli(["scan", *source, "--check", "duality"], capsys)
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        for argv in (["--source", "enumerate-n", "4"], ["--file", sf, "--source", "file", sf]):
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", *argv])
+            assert exc.value.code == 2 and capsys.readouterr().out == ""
 
     def test_treeeq_filter(self, capsys):
         code, out, _ = run_cli(
@@ -794,13 +811,13 @@ class TestScan:
         for masks in graphs:
             degs = [mask.bit_count() for mask in masks]
             flags = scan_class_flags(masks, sum(degs) // 2, max(degs, default=0) <= 3)
-            record = cli._scan_one((masks, check, 0, 64))
+            result = cli._scan_one((masks, check, 0, 64))
+            record = scan_fields(result)
             assert record["class_flags"] == flags
-            outcome = (record["applicable"], record["violation"], record["equality"])
-            assert outcome == scan_check(check, record["gamma"], record["rho"], flags)
+            assert result[1:] == scan_check(check, record["gamma"], record["rho"], flags)
             for name, keep in cli._SCAN_FILTERS.items():
                 kept = cli._scan_one((masks, check, keep, 64))
-                assert kept == (record if SCAN_FILTERS[name](masks) else None)
+                assert kept == (result if SCAN_FILTERS[name](masks) else None)
             by_flags.setdefault(flags, masks)
         # Each combination a graph can have: a tree is connected.
         assert sorted(by_flags) == [0, 1, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15]
@@ -810,9 +827,9 @@ class TestScan:
             monkeypatch.setattr(cli.oracles, "domination_kernel", lambda masks: (gamma,))
             monkeypatch.setattr(cli.oracles, "packing_kernel", lambda masks: (rho,))
             for flags, masks in by_flags.items():
-                record = cli._scan_one((masks, check, 0, 64))
-                outcome = (record["applicable"], record["violation"], record["equality"])
-                assert outcome == scan_check(check, gamma, rho, flags)
+                result = cli._scan_one((masks, check, 0, 64))
+                assert result[1:] == scan_check(check, gamma, rho, flags)
+                assert scan_fields(result)["gamma"] == gamma
 
     @pytest.mark.parametrize("check", ["duality", "henning", "treeeq"])
     def test_class_records_match_each_graph(self, check, capsys):
@@ -824,8 +841,8 @@ class TestScan:
         graphs = list(enumerate_labeled_masks(5))
         assert len(lines) == len(graphs) == 1024
         for line, masks in zip(lines, graphs):
-            own = {"graph6": masks_to_graph6(masks), **cli._scan_one((masks, check, 0, 64))}
-            assert json.loads(line) == own
+            own = scan_fields(cli._scan_one((masks, check, 0, 64)))
+            assert json.loads(line) == {"graph6": masks_to_graph6(masks), **own}
 
     def test_violations_exit_1_with_ten_counterexamples(self, monkeypatch, capsys):
         # A domination kernel that answers 0 makes every graph with a vertex
@@ -837,18 +854,47 @@ class TestScan:
         assert json.loads(lines[-1])["summary"]["violations"] == 64
         assert err.splitlines() == ["counterexample: " + line for line in lines[:10]]
 
-    def test_record_lines_are_compact_json(self, capsys):
-        # Records with a backslash in their graph6, a null ratio and each
-        # flag value, against json.dumps.
-        records = [{"graph6": masks_to_graph6(m), **cli._scan_one((m, check, 0, 64))}
-                   for m in enumerate_labeled_masks(4)
-                   for check in ("duality", "henning", "treeeq")]
-        records.append(dict(records[0], graph6='"\\', ratio=None, violation=True))
-        assert any("\\" in r["graph6"] for r in records)
+    def test_record_lines_are_compact_json(self, monkeypatch, tmp_path, capsys):
+        # Record and counterexample lines with a backslash in their graph6
+        # (n = 4) and a null ratio (n = 0), each against json.dumps of
+        # itself.  A domination kernel that answers 0 on the graphs with four
+        # edges on four vertices makes them violate, graph6 C\ among them.
+        sf = write(tmp_path, "four.g6", "".join(masks_to_graph6(m) + "\n"
+                                                for m in enumerate_labeled_masks(4)))
+        kernel = cli.oracles.domination_kernel
+        lines, counterexamples = [], []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(cli.oracles, "domination_kernel", lambda masks: (
+                    (0,) if sum(map(int.bit_count, masks)) == 8 else kernel(masks)))
+            for source in (["--enumerate-n", "0"], ["--enumerate-n", "4"], ["--file", sf]):
+                for check in ("duality", "henning", "treeeq"):
+                    _, out, err = run_cli(["scan", *source, "--check", check], capsys)
+                    lines += out.splitlines()[:-1]
+                    counterexamples += [ln.removeprefix("counterexample: ") for ln in err.splitlines()]
+        records = [json.loads(line) for line in lines]
         assert any(r["ratio"] is None for r in records)
-        for r in records:
-            line = cli._scan_line(r["graph6"], cli._scan_tail(r))
-            assert line == json.dumps(r, separators=(",", ":"))
+        assert any("\\" in r["graph6"] and r["violation"] for r in records)
+        assert any("\\" in json.loads(line)["graph6"] for line in counterexamples)
+        for line in lines + counterexamples:
+            assert line == json.dumps(json.loads(line), separators=(",", ":"))
+
+    def test_records_are_written_1024_lines_at_a_time(self, monkeypatch, tmp_path, capsys):
+        # One stdout write per 1,024 record lines, in order, the last one short.
+        class RecordingWriter(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        text = "".join(masks_to_graph6(m) + "\n" for m in enumerate_labeled_masks(5))
+        sf = write(tmp_path, "many.g6", "".join((text * 3).splitlines(True)[:2500]))
+        for argv, sizes in ((["--enumerate-n", "5"], [1024]), (["--file", sf], [1024, 1024, 452])):
+            writes = []
+            monkeypatch.setattr(sys, "stdout", RecordingWriter())
+            assert main(["scan", *argv, "--filter", "all"]) == 0
+            records = [w for w in writes if w.startswith('{"graph6":')]
+            assert [w.count("\n") for w in records] == sizes
+            assert "".join(records) == "".join(sys.stdout.getvalue().splitlines(True)[:-1])
 
     def test_parallel_enumeration_matches_serial(self, capsys):
         code1, out1, _ = run_cli(["scan", "--enumerate-n", "4", "--jobs", "1"], capsys)
@@ -948,6 +994,19 @@ class TestMalformedInputs:
 
     def test_scan_negative_enumeration(self, capsys):
         self.assert_parse_error(run_cli(["scan", "--enumerate-n", "-1"], capsys))
+
+    @pytest.mark.parametrize("jobs, problem", [
+        ("0", "must be at least 1, got 0"),
+        ("-3", "must be at least 1, got -3"),
+        ("x", "invalid int value: 'x'"),
+    ])
+    def test_scan_jobs_at_least_one(self, jobs, problem, capsys):
+        # --jobs 0 and --jobs -3 used to run serially.
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--enumerate-n", "3", "--jobs", jobs])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.endswith(f"dompack scan: error: argument --jobs: {problem}\n")
 
     def test_size_limit_not_an_integer(self, petersen_file, monkeypatch, capsys):
         monkeypatch.setenv("DOMPACK_MAX_N", "abc")
@@ -1195,6 +1254,25 @@ class TestRoundTrips:
             wf = write(tmp_path, "w.json", out)
             code, _, err = run_cli(["validate", "--what", "witness", wf, gf], capsys)
             assert code == 0, (args, err)
+
+
+def test_readme_synopsis_lists_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    synopsis = {}  # command -> its entry, continuation lines included
+    for line in block.strip().splitlines():
+        if line.startswith("dompack "):
+            command = line.split()[1]
+            synopsis[command] = ""
+        synopsis[command] += line + " "
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(synopsis) == sorted(commands.choices)
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    assert re.search(re.escape(option) + r"(?![\w-])", synopsis[command]), option
 
 
 def test_readme_lists_the_construct_classes():
