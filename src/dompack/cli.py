@@ -115,8 +115,12 @@ def cmd_solve(args) -> int:
     max_n = args.max_n if args.max_n is not None else _size_limit()
     if args.variant == "gamma":
         res = oracles.exact_domination(inst, max_n=max_n)
+        holds = oracles.check_xy_dominating(inst, res.witness)
     else:
         res = oracles.exact_packing(inst, max_n=max_n)
+        holds = oracles.check_xy_packing(inst, res.witness)
+    if not holds or len(res.witness) != res.value:
+        raise engine.EngineError(f"{args.variant} witness {sorted(res.witness)} fails its check")
     print(oracles.exact_result_json(args.variant, inst, res))
     return EXIT_OK
 
@@ -209,7 +213,10 @@ def _parse_params(spec: str | None) -> dict[str, str]:
         if "=" not in item:
             raise CliError(f"bad parameter {item!r} (expected key=value)")
         key, val = item.split("=", 1)
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise CliError(f"parameter {key} given twice")
+        out[key] = val.strip()
     return out
 
 
@@ -218,6 +225,9 @@ def cmd_generate(args) -> int:
     family = families.FAMILIES.get(args.family)
     if family is None:
         raise CliError(f"unknown family {args.family!r}")
+    unknown = sorted(params.keys() - family.parameters.keys())
+    if unknown:
+        raise CliError(f"family {args.family} has no parameter {unknown[0]}")
     values = []
     for name, (_, default) in family.parameters.items():
         if name not in params:
@@ -562,14 +572,19 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 @functools.cache
@@ -587,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["plain", "total", "black"], default="plain")
     sp.add_argument("--x", default="", help="comma-separated ids or 'all'")
     sp.add_argument("--y", default="", help="comma-separated ids or 'all'")
-    sp.add_argument("--max-n", type=int, default=None, help="override the size guardrail")
+    sp.add_argument("--max-n", type=_at_least(0), default=None, help="override the size guardrail")
     sp.set_defaults(func=cmd_solve)
 
     cp = sub.add_parser("construct", help="certified witness for a graph class")
@@ -623,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", default=None, help="graph6 lines, one graph each")
     scp.add_argument("--filter", choices=list(_SCAN_FILTERS), default="all")
     scp.add_argument("--check", choices=list(_SCAN_CHECKS), default="duality")
-    scp.add_argument("--jobs", type=_at_least_one, default=1,
+    scp.add_argument("--jobs", type=_at_least(1), default=1,
                      help="worker processes for --file input (enumeration runs in-process)")
     scp.set_defaults(func=cmd_scan)
     return ap

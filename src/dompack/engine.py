@@ -190,10 +190,7 @@ class _State:
     @classmethod
     def from_graph(cls, g: Graph, x=(), y=()):
         adj = {v: set(g.adj[v]) for v in g.vertices()}
-        red = {v: set() for v in adj}
-        for u, v in g.red:
-            red[u].add(v)
-            red[v].add(u)
+        red = {v: set(g.red[v]) for v in g.vertices()}
         return cls(adj, red, set(x), set(y))
 
     def deg(self, v) -> int:

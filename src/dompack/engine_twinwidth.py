@@ -25,7 +25,7 @@ from .engine import (
     _State,
     run,
 )
-from .graph import Graph, GraphError, ball2, vertex_ids
+from .graph import Graph, GraphError, ball2, black_neighbors, vertex_ids
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,13 @@ class ContractionSequence:
             raise GraphError(f"bad contraction-sequence JSON: {exc}") from exc
 
 
-def _black_neighbors(st: _State, v: int) -> set[int]:
-    return st.adj[v] - st.red[v]
-
-
 def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
     # No black degree reaches the number of live vertices, so a declared
     # width beyond it reads no more buckets.
     u = _min_in_buckets(st, range(min(k, len(st.adj)) + 1), st.y)
     if u is None:
         return None
-    blacks = tuple(sorted(_black_neighbors(st, u)))
+    blacks = tuple(sorted(black_neighbors(st, u)))
     reds = tuple(sorted(st.red[u]))
     ring = st.adj[u]
     second = ball2(st, u) - ring - {u}
@@ -68,15 +64,8 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
             s_black.append(s)
         else:
             s_red.append(s)
-    s_cover = []
-    for s in s_red:
-        bn = _black_neighbors(st, s)
-        s_cover.append(min(bn) if bn else s)
-    r_cover = []
-    for r in reds:
-        bn = _black_neighbors(st, r)
-        if bn:
-            r_cover.append(min(bn))
+    s_cover = [min(black_neighbors(st, s), default=s) for s in s_red]
+    r_cover = [min(bn) for bn in (black_neighbors(st, r) for r in reds) if bn]
     return RuleApplication(
         "tww_lowblack",
         removed_vertices=(u,) + blacks + reds,
@@ -96,7 +85,7 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
 def _contraction_step(st: _State, a: int, b: int, w: int) -> RuleApplication:
     black_edges = []
     red_edges = []
-    both_black = _black_neighbors(st, a) & _black_neighbors(st, b)
+    both_black = black_neighbors(st, a) & black_neighbors(st, b)
     for x in sorted((st.adj[a] | st.adj[b]) - {a, b}):
         if x in both_black:
             black_edges.append((w, x) if w < x else (x, w))

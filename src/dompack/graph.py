@@ -2,8 +2,10 @@
 I/O.
 
 Vertices are dense integers 0..n-1. Edges carry a color tag, black by default;
-a graph with no red edges is "plain". Graphs are immutable after construction;
-the drivers copy the adjacency into a mutable working state of their own.
+a graph with no red edges is "plain". ``red[v]`` is the set of v's red
+neighbours, a subset of ``adj[v]``: the drivers' working state keeps red edges
+the same way. Graphs are immutable after construction; the drivers copy the
+adjacency and the red sets into a mutable working state of their own.
 
 Small graphs also have a bitmask form: a tuple of open-neighbourhood ints,
 bit u of ``masks[v]`` set iff uv is an edge.  The graph6 codec, the exact
@@ -22,9 +24,6 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain
 
-Edge = tuple[int, int]
-
-
 class GraphError(ValueError):
     """Malformed graph construction or invalid vertex/edge reference."""
 
@@ -36,24 +35,20 @@ class OversizeError(Exception):
     catches it."""
 
 
-def _norm(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with an optional red/black edge coloring."""
 
     n: int
     adj: tuple[frozenset[int], ...]
-    red: frozenset[Edge] = frozenset()
+    red: tuple[frozenset[int], ...]
 
     @staticmethod
     def from_edges(n, edges=(), red_edges=()) -> "Graph":
         if n < 0:
             raise GraphError("vertex count must be non-negative")
         nbrs: list[set[int]] = [set() for _ in range(n)]
-        red = set()
+        red: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
@@ -62,13 +57,13 @@ class Graph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         for u, v in red_edges:
-            e = _norm(u, v)
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise GraphError(f"bad red edge ({u},{v})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-            red.add(e)
-        return Graph(n, tuple(frozenset(s) for s in nbrs), frozenset(red))
+            red[u].add(v)
+            red[v].add(u)
+        return Graph(n, tuple(map(frozenset, nbrs)), tuple(map(frozenset, red)))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -83,22 +78,15 @@ class Graph:
         self._check(v)
         return len(self.adj[v])
 
-    def edges(self) -> list[Edge]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
     @property
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
     def is_plain(self) -> bool:
-        return not self.red
+        return not any(self.red)
 
     def max_degree(self) -> int:
         return max((len(s) for s in self.adj), default=0)
-
-    def black_neighbors(self, v: int) -> frozenset[int]:
-        self._check(v)
-        return frozenset(u for u in self.adj[v] if _norm(u, v) not in self.red)
 
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -135,7 +123,7 @@ class XYInstance:
     def __post_init__(self):
         object.__setattr__(self, "x_set", self.graph.check_vertex_set(self.x_set))
         object.__setattr__(self, "y_set", self.graph.check_vertex_set(self.y_set))
-        if self.mode is not Mode.BLACK and self.graph.red:
+        if self.mode is not Mode.BLACK and not self.graph.is_plain():
             raise GraphError(f"{self.mode.value} mode requires an all-black graph")
         if self.mode is Mode.BLACK and self.x_set:
             raise GraphError("black mode is defined for empty X only")
@@ -175,6 +163,12 @@ def distances_from(g: Graph, u: int) -> dict[int, int]:
                 dist[x] = dist[w] + 1
                 q.append(x)
     return dist
+
+
+def black_neighbors(g, v: int):
+    """v's neighbours along black edges.  ``g`` is a Graph or a driver's
+    working state: anything with ``adj[v]`` and ``red[v]``."""
+    return g.adj[v] - g.red[v]
 
 
 def ball2(g, v: int) -> set[int]:
@@ -480,7 +474,7 @@ def from_graph6(s: str) -> Graph:
         for u in bits(low):
             nbrs[v].append(u)
             nbrs[u].append(v)
-    return Graph(n, tuple(map(frozenset, nbrs)))
+    return Graph(n, tuple(map(frozenset, nbrs)), (frozenset(),) * n)
 
 
 def from_edge_json(s: str) -> Graph:

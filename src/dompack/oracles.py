@@ -25,6 +25,7 @@ from .graph import (
     XYInstance,
     ball2,
     bits,
+    black_neighbors,
     closed_neighborhood,
 )
 
@@ -44,9 +45,12 @@ def size_limit() -> int:
     if not env:
         return DEFAULT_MAX_N
     try:
-        return int(env)
+        limit = int(env)
     except ValueError:
         raise ValueError(f"DOMPACK_MAX_N must be an integer, got {env!r}") from None
+    if limit < 0:
+        raise ValueError(f"DOMPACK_MAX_N must be at least 0, got {limit}")
+    return limit
 
 
 def check_size(n: int, max_n=None) -> None:
@@ -87,7 +91,7 @@ def check_xy_dominating(inst: XYInstance, d) -> bool:
         for v in g.vertices():
             if v in inst.y_set:
                 continue
-            bn = g.black_neighbors(v)
+            bn = black_neighbors(g, v)
             if bn and not (bn & d):
                 return False
     return True
@@ -181,13 +185,7 @@ def _unmask(m: int) -> frozenset[int]:
 
 
 def _red_masks(g: Graph) -> list[int] | None:
-    if not g.red:
-        return None
-    red = [0] * g.n
-    for u, v in g.red:
-        red[u] |= 1 << v
-        red[v] |= 1 << u
-    return red
+    return None if g.is_plain() else [_mask(r) for r in g.red]
 
 
 def exact_domination(inst: XYInstance, max_n=None) -> ExactResult:

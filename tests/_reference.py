@@ -2,10 +2,11 @@
 
 The brute-force certificate finders and the split and distance-hereditary
 recognizers supply certificates and class membership for small test
-graphs, and the enumerators supply the graphs.  ``replay`` re-applies a
-driver trace's deltas, ``to_edge_json`` and ``convex_graph`` write test
-inputs, ``rotation_json`` and ``sequence_json`` write certificate files,
-``trace_json_obj`` builds the object whose JSON text
+graphs, and the enumerators supply the graphs.  ``edges`` lists a
+graph's edges as pairs.  ``replay`` re-applies a driver trace's deltas,
+``to_edge_json`` and ``convex_graph`` write test inputs, ``rotation_json``
+and ``sequence_json`` write certificate files, ``trace_json_obj`` builds
+the object whose JSON text
 ``RuleApplication.to_json`` must write.  ``masks_to_graph6_one_int`` and
 ``graph6_to_masks_by_string`` are the graph6 encoder and decoder the
 byte-level ones replaced, and ``at_free_per_triple`` the AT-free test
@@ -40,6 +41,11 @@ from dompack.graph import (
     masks_connected,
     reach_mask,
 )
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """Every edge (u, v), u < v, black or red, by u."""
+    return [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
 
 
 def graph_from_masks(masks) -> Graph:
@@ -167,7 +173,7 @@ def brute_force_tw_certificate(g: Graph, k: int):
         s &= ~(1 << v)
     order.reverse()  # elimination order: order[0] eliminated first
     adj = {v: set(g.adj[v]) for v in g.vertices()}
-    fill = set(g.edges())
+    fill = set(edges(g))
     for v in order:
         nb = sorted(adj[v])
         for i, a in enumerate(nb):
@@ -202,7 +208,7 @@ def brute_force_tww_sequence(g: Graph, k: int):
             for b in bag_b:
                 if b in base_adj[a]:
                     any_edge = True
-                    if (min(a, b), max(a, b)) in base_red:
+                    if b in base_red[a]:
                         all_black = False
                 else:
                     all_black = False
@@ -289,10 +295,11 @@ def trace_json_obj(app: RuleApplication) -> dict:
 
 
 def to_edge_json(g: Graph) -> str:
+    pairs = sorted(edges(g))
     doc = {
         "n": g.n,
-        "edges": sorted(e for e in g.edges() if e not in g.red),
-        "red_edges": sorted(g.red),
+        "edges": [(u, v) for u, v in pairs if v not in g.red[u]],
+        "red_edges": [(u, v) for u, v in pairs if v in g.red[u]],
     }
     return json.dumps(doc, separators=(",", ":"))
 

@@ -19,6 +19,7 @@ from _reference import (
     brute_force_tw_certificate,
     brute_force_tww_sequence,
     convex_graph,
+    edges,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
 )
@@ -176,7 +177,7 @@ def test_criterion_6_driver_soundness():
             g = twodeg_wall_graph()
         elif trial % 10 == 1:
             t = families.gen_threedeg(2)
-            g = Graph.from_edges(t.n - 1, [e for e in t.edges() if t.n - 1 not in e])
+            g = Graph.from_edges(t.n - 1, [e for e in edges(t) if t.n - 1 not in e])
         else:
             g = random_twodeg(5 + trial % 20, SEED + trial)
         w = run_twodeg(g)

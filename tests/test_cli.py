@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dompack import cli, engine, families
+from dompack import cli, engine, families, oracles
 from dompack.cli import main
 from dompack.constructions import ConvexEncoding
 from dompack.engine import RotationSystem
@@ -32,6 +32,7 @@ from _reference import (
     SCAN_FILTERS,
     brute_force_tww_sequence,
     convex_graph,
+    edges,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
     rotation_json,
@@ -98,6 +99,21 @@ class TestSolve:
         code, _, _ = run_cli(["solve", "--variant", "gamma", big], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("variant, kernel, witness", [
+        ("gamma", "domination_kernel", (1, 0b1, 0)),
+        ("rho", "packing_kernel", (2, 0b11, 0)),
+    ])
+    def test_witness_rechecked_before_printing(self, variant, kernel, witness, tmp_path,
+                                               monkeypatch, capsys):
+        # On the path 0-1-2, {0} dominates nothing past 1 and {0, 1} is no
+        # packing; a kernel answering either used to have it printed, exit 0.
+        p3 = write(tmp_path, "p3.g6", to_graph6(families.gen_path(3)) + "\n")
+        monkeypatch.setattr(oracles, kernel, lambda *args: witness)
+        code, out, err = run_cli(["solve", "--variant", variant, p3], capsys)
+        assert code == 4 and out == ""
+        ids = [v for v in range(3) if witness[1] >> v & 1]
+        assert err == f"error: construction failed: {variant} witness {ids} fails its check\n"
+
     def test_graph6_of_order_60(self, tmp_path, capsys):
         # Its graph6 header byte is "{", the first byte of edge-list JSON too.
         text = to_graph6(families.gen_cycle(60))
@@ -152,7 +168,7 @@ class TestConstruct:
         assert code == 4
         # K12 beside a path of three: the path goes in three steps, each
         # written to stderr as a trace line before the stall's error line.
-        g = Graph.from_edges(15, complete(12).edges() + [(12, 13), (13, 14)])
+        g = Graph.from_edges(15, edges(complete(12)) + [(12, 13), (13, 14)])
         gf = write(tmp_path, "k12p3.g6", to_graph6(g) + "\n")
         code, out, err = run_cli(["construct", "--class", "planar", gf], capsys)
         assert code == 4 and out == ""
@@ -281,7 +297,7 @@ class TestConstruct:
 
 
 def _disjoint_union(g, h):
-    return Graph.from_edges(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+    return Graph.from_edges(g.n + h.n, edges(g) + [(u + g.n, v + g.n) for u, v in edges(h)])
 
 
 def _union_argv(cls, seed, tmp_path):
@@ -510,7 +526,7 @@ class TestGenerateValidate:
         from dompack.graph import Graph
 
         c4 = families.gen_cycle(4)
-        chordal = Graph.from_edges(4, c4.edges() + [(0, 2)])
+        chordal = Graph.from_edges(4, edges(c4) + [(0, 2)])
         gf = write(tmp_path, "c4.g6", to_graph6(c4) + "\n")
         cf = write(tmp_path, "chordal.g6", to_graph6(chordal) + "\n")
         code, _, _ = run_cli(["validate", "--what", "tw-cert", cf, gf], capsys)
@@ -1008,6 +1024,24 @@ class TestMalformedInputs:
         assert exc.value.code == 2 and out == ""
         assert err.endswith(f"dompack scan: error: argument --jobs: {problem}\n")
 
+    @pytest.mark.parametrize("spelling, problem", [
+        ("--max-n", "dompack solve: error: argument --max-n: must be at least 0, got -5"),
+        ("DOMPACK_MAX_N", "error: DOMPACK_MAX_N must be at least 0, got -5"),
+    ])
+    def test_size_limit_at_least_zero(self, spelling, problem, petersen_file, monkeypatch,
+                                      capsys):
+        # Both used to exit 3: "n=10 exceeds limit -5".
+        argv = ["solve", "--variant", "gamma", petersen_file]
+        if spelling == "--max-n":
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--max-n", "-5"])
+            code, (out, err) = exc.value.code, capsys.readouterr()
+        else:
+            monkeypatch.setenv("DOMPACK_MAX_N", "-5")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == problem
+
     def test_size_limit_not_an_integer(self, petersen_file, monkeypatch, capsys):
         monkeypatch.setenv("DOMPACK_MAX_N", "abc")
         self.assert_parse_error(run_cli(["solve", "--variant", "gamma", petersen_file], capsys))
@@ -1016,6 +1050,17 @@ class TestMalformedInputs:
         # Raised inside the pool's feeder thread, this error used to hang.
         code, _, err = run_cli(["scan", "--enumerate-n", "8", "--jobs", "2"], capsys)
         assert code == 3 and "capped" in err
+
+    @pytest.mark.parametrize("family, params, problem", [
+        ("random-tree", "n=4,sed=3", "family random-tree has no parameter sed"),
+        ("cycle", "n=5,n=6", "parameter n given twice"),
+    ])
+    def test_generate_params_declared_once(self, family, params, problem, capsys):
+        # Both used to exit 0: the misspelt seed left the seed at 0, and the
+        # second n replaced the first.
+        result = run_cli(["generate", "--family", family, "--params", params], capsys)
+        self.assert_parse_error(result)
+        assert result[2] == f"error: {problem}\n"
 
     def test_generate_infinite_box(self, capsys):
         argv = ["generate", "--family", "random-unitdisk", "--params", "n=3,box=inf"]
@@ -1165,7 +1210,7 @@ class TestExitCodes:
         monkeypatch.delenv("DOMPACK_MAX_N", raising=False)
         for key, value in env.items():
             monkeypatch.setenv(key, value)
-        stall = Graph.from_edges(15, complete(12).edges() + [(12, 13), (13, 14)])
+        stall = Graph.from_edges(15, edges(complete(12)) + [(12, 13), (13, 14)])
         files = {
             "witness": write(tmp_path, "w.json", '{"class":"generic","constant":"1/1","D":[],"P":[]}'),
             "big": write(tmp_path, "big.json", json.dumps({"n": MAX_ORDER + 1, "edges": []})),

@@ -22,7 +22,7 @@ from dompack.constructions import (
 from dompack.engine import EngineError
 from dompack.graph import Graph, XYInstance, distances_from
 from _geometry_reference import intersection_edges, verify_covering
-from _reference import convex_graph
+from _reference import convex_graph, edges
 from _rule_reference import is_dominating_pair
 from conftest import complete, named, random_graph, random_interval_graph, random_planar
 
@@ -147,17 +147,17 @@ def _reference_intervals(g, enc):
     not_convex = "encoding does not match the graph or is not convex"
     if len(set(xs)) != len(xs) or set(xs) & set(ys) or set(xs) | set(ys) != set(g.vertices()):
         return not_convex
-    edges, out = set(), {}
+    encoded, out = set(), {}
     for y, ns in ys.items():
         if len(set(ns)) != len(ns) or not set(ns) <= set(xs):
             return not_convex
-        edges |= {(min(x, y), max(x, y)) for x in ns}
+        encoded |= {(min(x, y), max(x, y)) for x in ns}
         ps = sorted(xs.index(x) for x in ns)
         if ps and ps != list(range(ps[0], ps[-1] + 1)):
             return not_convex
         if ps:
             out[y] = (ps[0], ps[-1])
-    if edges != set(g.edges()):
+    if encoded != set(edges(g)):
         return not_convex
     if any(not g.adj[v] for v in g.vertices()):
         return "convex construction requires no isolated vertices"
@@ -167,7 +167,7 @@ def _reference_intervals(g, enc):
 def _mutate_encoding(enc, g, rng):
     """The encoding and its graph with up to two defects, each in one place."""
     xs, ys = list(enc.x_order), {y: list(ns) for y, ns in enc.y_neighbors.items()}
-    n, edges = g.n, set(g.edges())
+    n, pairs = g.n, set(edges(g))
     for _ in range(rng.randrange(3)):
         listed = [y for y in sorted(ys) if ys[y]]
         if not listed:
@@ -181,7 +181,7 @@ def _mutate_encoding(enc, g, rng):
         elif kind == 2:
             rng.shuffle(xs)  # possibly no longer convex
         elif kind == 3 and len(set(xs)) > 1:
-            edges.add(tuple(sorted(rng.sample(sorted(set(xs)), 2))))  # an edge inside the left side
+            pairs.add(tuple(sorted(rng.sample(sorted(set(xs)), 2))))  # an edge inside the left side
         elif kind == 4:
             ys[y].pop(rng.randrange(len(ys[y])))  # a graph edge the encoding lacks
         elif kind == 5:
@@ -194,8 +194,8 @@ def _mutate_encoding(enc, g, rng):
         elif len(ys) > 1:
             other = rng.choice([v for v in sorted(ys) if v != y])
             ys[y].append(other)  # an edge between two right vertices
-            edges.add((min(y, other), max(y, other)))
-    return ConvexEncoding(tuple(xs), ys), Graph.from_edges(n, edges)
+            pairs.add((min(y, other), max(y, other)))
+    return ConvexEncoding(tuple(xs), ys), Graph.from_edges(n, pairs)
 
 
 class TestConvex:
@@ -269,7 +269,7 @@ class TestConvex:
                 got = _check_encoding(g, enc)
             except EncodingInvalid as exc:
                 got = str(exc)
-            assert got == want, (seed, enc, g.edges())
+            assert got == want, (seed, enc, edges(g))
             verdicts.add(want if isinstance(want, str) else "ok")
         assert verdicts == {
             "ok",
@@ -466,10 +466,10 @@ class TestUnitDisk:
                 for j in range(i + 1, len(pts))
                 if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= 4
             ]
-            assert sorted(c.intersection_graph().edges()) == expected
-        edges = set(cfg.intersection_graph().edges())
-        assert {(0, 1), (0, 2), (1, 2), (1, 5), (0, 6)} <= edges
-        assert (5, 6) not in edges
+            assert sorted(edges(c.intersection_graph())) == expected
+        pairs = set(edges(cfg.intersection_graph()))
+        assert {(0, 1), (0, 2), (1, 2), (1, 5), (0, 6)} <= pairs
+        assert (5, 6) not in pairs
 
     def test_cell_grid_matches_all_pairs(self):
         for n, seed in ((0, 0), (1, 1), (13, 2), (60, 3), (200, 4), (600, 5)):

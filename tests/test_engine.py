@@ -23,7 +23,7 @@ from dompack.engine import (
     run_treewidth,
 )
 from dompack.graph import Graph, XYInstance, distances_from
-from _reference import brute_force_tw_certificate, replay, trace_json_obj
+from _reference import brute_force_tw_certificate, edges, replay, trace_json_obj
 from conftest import complete, named, random_partial_ktree, random_planar
 
 
@@ -172,7 +172,7 @@ class TestTreewidthDriver:
 
     def test_c4_with_chord(self):
         g = named("c4")
-        compl = Graph.from_edges(4, g.edges() + [(0, 2)])
+        compl = Graph.from_edges(4, edges(g) + [(0, 2)])
         w = run_treewidth(g, compl)
         assert len(w.d_set) <= 2 * len(w.p_set)
         inst = XYInstance(g)
@@ -209,7 +209,7 @@ class TestTreewidthDriver:
             g = random_planar(10 + seed, seed)
             st = status(g)
             st.apply(RuleApplication("demo", removed_vertices=(0,)))
-            rest = Graph.from_edges(g.n, [e for e in g.edges() if 0 not in e])
+            rest = Graph.from_edges(g.n, [e for e in edges(g) if 0 not in e])
             targets = set(range(1, g.n, 2))
             for v in st.adj:
                 dist = distances_from(rest, v)
@@ -250,7 +250,7 @@ class TestTreewidthDriver:
             def union(h):
                 return Graph.from_edges(n, [
                     (name[7 * i + u], name[7 * i + v])
-                    for i in range(copies) for u, v in h.edges()
+                    for i in range(copies) for u, v in edges(h)
                 ])
 
             w = run_treewidth(union(g), union(completion))

@@ -9,6 +9,7 @@ from dompack.engine_twinwidth import ContractionSequence, run_twinwidth
 from dompack.graph import Graph, Mode, XYInstance
 from _reference import (
     brute_force_tww_sequence,
+    edges,
     enumerate_labeled_graphs,
     recognize_distance_hereditary,
     replay,
@@ -108,7 +109,7 @@ class TestTwodeg:
         for k in (2, 3):
             t = families.gen_threedeg(k)
             apex = t.n - 1
-            g = Graph.from_edges(t.n - 1, [e for e in t.edges() if apex not in e])
+            g = Graph.from_edges(t.n - 1, [e for e in edges(t) if apex not in e])
             w = run_twodeg(g)
             check_plain(g, w)
             assert len(w.d_set) <= 7 * len(w.p_set)
@@ -289,21 +290,21 @@ class TestTwinwidth:
         for g, seq in cases:
             w = run_twinwidth(g, seq, max(2, seq.declared_width))
             st = _State.from_graph(g)
-            edges = {frozenset(e) for e in g.edges()}
-            red = {frozenset(e) for e in g.red}
+            pairs = {frozenset(e) for e in edges(g)}
+            red = {frozenset((u, v)) for u in g.vertices() for v in g.red[u]}
             for app in w.trace:
                 st.apply(app)
                 gone = {frozenset(e) for e in app.removed_edges}
                 dead = set(app.removed_vertices)
-                edges = {e for e in edges if e not in gone and dead.isdisjoint(e)}
+                pairs = {e for e in pairs if e not in gone and dead.isdisjoint(e)}
                 red = {e for e in red if e not in gone and dead.isdisjoint(e)}
-                edges |= {frozenset(e) for e in app.added_edges + app.added_red_edges}
+                pairs |= {frozenset(e) for e in app.added_edges + app.added_red_edges}
                 red |= {frozenset(e) for e in app.added_red_edges}
                 assert st.red.keys() == st.adj.keys()
                 for v, reds in st.red.items():
                     assert reds <= st.adj[v]
                     assert all(v in st.red[u] for u in reds)
-                assert {frozenset((u, v)) for u in st.adj for v in st.adj[u]} == edges
+                assert {frozenset((u, v)) for u in st.adj for v in st.adj[u]} == pairs
                 assert {frozenset((u, v)) for u in st.red for v in st.red[u]} == red
                 red_seen += len(red)
         assert red_seen

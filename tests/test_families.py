@@ -39,6 +39,7 @@ from _reference import (
     brute_force_tw_certificate,
     brute_force_tww_sequence,
     code_byte_tables_by_sum,
+    edges,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
@@ -134,7 +135,7 @@ class TestSmallFamilies:
         g = gen_petersen()
         assert g.n == 10 and g.max_degree() == 3 and g.edge_count == 15
         # girth 5: no triangles or 4-cycles
-        h = nx.Graph(g.edges())
+        h = nx.Graph(edges(g))
         assert nx.girth(h) == 5
         gamma, rho = gamma_rho(g)
         assert gamma == 3 and rho == 1 and gamma == 2 * rho + 1
@@ -269,7 +270,7 @@ class TestRecognizers:
             if not is_connected(g):
                 continue
             got = recognize_distance_hereditary(g)
-            h = nx.Graph(g.edges())
+            h = nx.Graph(edges(g))
             h.add_nodes_from(g.vertices())
             expect = True
             base = dict(nx.all_pairs_shortest_path_length(h))
@@ -326,20 +327,20 @@ def _filled(g, seed):
     order = list(g.vertices())
     random.Random(seed).shuffle(order)
     adj = {v: set(g.adj[v]) for v in g.vertices()}
-    edges = set(g.edges())
+    fill = set(edges(g))
     for v in order:
         for a, b in itertools.combinations(sorted(adj[v]), 2):
             adj[a].add(b)
             adj[b].add(a)
-            edges.add((a, b))
+            fill.add((a, b))
         for w in adj[v]:
             adj[w].discard(v)
         del adj[v]
-    return Graph.from_edges(g.n, edges)
+    return Graph.from_edges(g.n, fill)
 
 
 def _disjoint_union(a, b):
-    return Graph.from_edges(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+    return Graph.from_edges(a.n + b.n, edges(a) + [(u + a.n, v + a.n) for u, v in edges(b)])
 
 
 def _chordal_corpus():
@@ -363,7 +364,7 @@ def _reference_validate_sequence(g, seq, w):
     """The contraction-sequence check that recounted every red edge after
     each merge, kept as the oracle for the per-vertex red degrees."""
     adj = {v: set(g.adj[v]) for v in g.vertices()}
-    red = {frozenset(e) for e in g.red}
+    red = {frozenset((u, v)) for u in g.vertices() for v in g.red[u]}
 
     def red_deg_ok():
         count = {v: 0 for v in adj}
@@ -455,7 +456,7 @@ class TestValidators:
 
     def test_tw_certificate(self):
         c4 = named("c4")
-        chordal = Graph.from_edges(4, c4.edges() + [(0, 2)])
+        chordal = Graph.from_edges(4, edges(c4) + [(0, 2)])
         assert completion_width(c4, chordal) == 2
         assert completion_width(c4, c4) is None                # not chordal
         assert completion_width(complete(3), Graph.from_edges(3)) is None  # not a supergraph
@@ -513,7 +514,7 @@ class TestBruteForceFinders:
         # networkx heuristics give an upper bound; our exact value is <= it.
         for seed in range(25):
             g = random_graph(7, 0.4, seed)
-            h = nx.Graph(g.edges())
+            h = nx.Graph(edges(g))
             h.add_nodes_from(g.vertices())
             ub, _ = nx.algorithms.approximation.treewidth_min_fill_in(h)
             exact = next(
@@ -675,7 +676,7 @@ class TestEnumeration:
             for g in enumerate_labeled_graphs(n):
                 if g.max_degree() > 3 or not is_connected(g):
                     continue
-                h = nx.Graph(g.edges())
+                h = nx.Graph(edges(g))
                 h.add_nodes_from(g.vertices())
                 if not any(nx.is_isomorphic(h, r) for r in reps):
                     reps.append(h)

@@ -1,11 +1,13 @@
 """The package ships only what its own modules or perfbench reach.
 
-Every top-level function and class in ``src/dompack``, and every method of
-such a class that is not a dunder, must be named somewhere in the package or
-in perfbench: as a name, an attribute or an imported name.  A string does
-not count: perfbench's tracer wraps the functions it names in strings and
-skips names it does not find, so naming a function there keeps nothing
-alive.  Code that only the tests reach belongs with the tests.
+Every top-level function and class in ``src/dompack`` must be named
+somewhere in the package or in perfbench: as a name, an attribute or an
+imported name.  Every method of such a class that is not a dunder must be
+read as an attribute (``.name``): a bare local variable that happens to
+share its name reaches nothing.  A string does not count either:
+perfbench's tracer wraps the functions it names in strings and skips names
+it does not find, so naming a function there keeps nothing alive.  Code
+that only the tests reach belongs with the tests.
 
 The other way round, every dompack name that perfbench imports or reads as
 an attribute must exist: perfbench runs on the checkout's sources, so a
@@ -23,41 +25,63 @@ PACKAGE = ROOT / "src" / "dompack"
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def _references(tree: ast.AST) -> set[str]:
-    out = set()
+def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The names a module reads (bare, as attributes or imported) and, of
+    those, the ones read as attributes."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.update(node.name.split("."))
-    return out
+            names.update(node.name.split("."))
+    return names | attributes, attributes
 
 
 def _definitions(path: Path, tree: ast.Module):
+    """(qualified name, name, is a method) per top-level definition and per
+    method that is not a dunder."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield f"{path.stem}.{node.name}", node.name
+            yield f"{path.stem}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name, True
+
+
+def _unreached(readers, package=PACKAGE) -> list[str]:
+    """The definitions in ``package`` that ``readers`` do not reach."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in readers}
+    names, attributes = set(), set()
+    for n, a in map(_references, trees.values()):
+        names |= n
+        attributes |= a
+    return [
+        qualname
+        for path in readers if path.parent == package
+        for qualname, name, method in _definitions(path, trees[path])
+        if name not in (attributes if method else names)
+    ]
 
 
 def test_every_definition_is_reached_outside_the_tests():
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in READERS}
-    referenced = set().union(*map(_references, trees.values()))
-    unreached = [
-        qualname
-        for path in sorted(PACKAGE.glob("*.py"))
-        for qualname, name in _definitions(path, trees[path])
-        if name not in referenced
-    ]
+    unreached = _unreached(READERS)
     assert not unreached, f"reached only from the tests: {unreached}"
+
+
+def test_a_method_is_reached_only_as_an_attribute(tmp_path):
+    # A local variable that shares a method's name keeps it no more than a
+    # string would.
+    mod = tmp_path / "m.py"
+    mod.write_text("class A:\n    def edges(self):\n        pass\n\nedges = A\n")
+    assert _unreached([mod], tmp_path) == ["m.A.edges"]
+    mod.write_text(mod.read_text() + "A().edges()\n")
+    assert _unreached([mod], tmp_path) == []
 
 
 def _relative_imports(tree: ast.Module):
