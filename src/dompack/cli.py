@@ -62,14 +62,16 @@ def _read_text(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str, max_n: int | None = None) -> Graph:
+    """The graph of a graph6 or edge-list JSON file; with ``max_n``, an order
+    above it is refused before the graph is built."""
     text = _read_text(path)
     stripped = text.strip()
     try:
         if path.endswith(".json") or _is_json_document(stripped):
-            return from_edge_json(stripped)
+            return from_edge_json(stripped, max_n)
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return from_graph6(line)
+        return from_graph6(line, max_n)
     except (GraphError, OversizeError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -110,9 +112,9 @@ def _parse_ids(arg: str | None, g: Graph) -> frozenset[int]:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.input)
-    inst = XYInstance(g, _parse_ids(args.x, g), _parse_ids(args.y, g), Mode(args.mode))
     max_n = args.max_n if args.max_n is not None else _size_limit()
+    g = _load_graph(args.input, max_n)
+    inst = XYInstance(g, _parse_ids(args.x, g), _parse_ids(args.y, g), Mode(args.mode))
     if args.variant == "gamma":
         res = oracles.exact_domination(inst, max_n=max_n)
         holds = oracles.check_xy_dominating(inst, res.witness)

@@ -80,7 +80,7 @@ class RuleApplication:
     removed_edges: tuple = ()
     added_vertices: tuple = ()
     added_edges: tuple = ()
-    added_red_edges: tuple = ()
+    merged: tuple = ()  # (a, b, w): a and b contracted into w, see _State.merge
     x_added: tuple = ()
     y_added: tuple = ()
     payload: dict = field(default_factory=dict)
@@ -171,9 +171,9 @@ class _State:
     ``red[v]`` is the set of v's red neighbours, a subset of ``adj[v]``; on
     plain graphs every such set is empty.  ``by_deg`` maps each black degree
     (``len(adj[v]) - len(red[v])``) to the live vertices that have it (a
-    bucket may be empty).  ``apply`` moves each vertex whose black degree a
-    step changes, so the degree-keyed rules read one bucket instead of
-    scanning every vertex.
+    bucket may be empty).  ``apply`` and ``merge`` move each vertex whose
+    black degree a step changes, so the degree-keyed rules read one bucket
+    instead of scanning every vertex.
     """
 
     __slots__ = ("adj", "red", "x", "y", "by_deg")
@@ -231,6 +231,8 @@ class _State:
                 adj[w].discard(v)
             self.x.discard(v)
             self.y.discard(v)
+        if app.merged:
+            self.merge(*app.merged)
         # Added vertices take their bucket once their edges are in.
         fresh = app.added_vertices
         for v in fresh:
@@ -243,15 +245,51 @@ class _State:
                 self._shift(v, 1)
             adj[u].add(v)
             adj[v].add(u)
-        for u, v in app.added_red_edges:
-            adj[u].add(v)
-            adj[v].add(u)
-            red[u].add(v)
-            red[v].add(u)
         for v in fresh:
             by_deg[self._black_deg(v)].add(v)
         self.x.update(app.x_added)
         self.y.update(app.y_added)
+
+    def merge(self, a, b, w) -> None:
+        """Contract a and b into the fresh vertex w, in place: w keeps the
+        larger of their neighbour sets, grown by the other, and each vertex x
+        of N(a) | N(b) sees a and b renamed to w.  The edge wx is black when
+        x is a black neighbour of both, else red, so a common black
+        neighbour loses one black degree and x changes bucket only when its
+        black degree changed."""
+        adj, red, by_deg = self.adj, self.red, self.by_deg
+        na, nb = adj.pop(a), adj.pop(b)
+        ra, rb = red.pop(a), red.pop(b)
+        by_deg[len(na) - len(ra)].discard(a)
+        by_deg[len(nb) - len(rb)].discard(b)
+        both = na & nb
+        both -= ra
+        both -= rb
+        if len(na) < len(nb):
+            na, nb = nb, na
+        na |= nb
+        na.discard(a)
+        na.discard(b)
+        for x in na:
+            ax, rx = adj[x], red[x]
+            old = len(ax) - len(rx)
+            ax.discard(a)
+            ax.discard(b)
+            ax.add(w)
+            if rx:
+                rx.discard(a)
+                rx.discard(b)
+            if x not in both:
+                rx.add(w)
+            new = len(ax) - len(rx)
+            if new != old:
+                by_deg[old].discard(x)
+                by_deg[new].add(x)
+        adj[w] = na
+        red[w] = na - both
+        by_deg[len(both)].add(w)
+        self.x.difference_update((a, b))
+        self.y.difference_update((a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -83,35 +83,23 @@ def _lowblack_step(st: _State, k: int) -> RuleApplication | None:
 
 
 def _contraction_step(st: _State, a: int, b: int, w: int) -> RuleApplication:
-    black_edges = []
-    red_edges = []
-    both_black = black_neighbors(st, a) & black_neighbors(st, b)
-    for x in sorted((st.adj[a] | st.adj[b]) - {a, b}):
-        if x in both_black:
-            black_edges.append((w, x) if w < x else (x, w))
-        else:
-            red_edges.append((w, x) if w < x else (x, w))
+    """Merge a and b into w (``_State.merge``); the unwind renames w back to
+    a, or to b when only a is in Y.  w joins Y when both ends were in it."""
     both_y = a in st.y and b in st.y
-    if both_y:
-        rep = a
-    else:
-        rep = a if a not in st.y else b
+    rep = b if a in st.y and not both_y else a
     return RuleApplication(
         "tww_contract",
-        removed_vertices=(a, b),
-        added_vertices=(w,),
-        added_edges=tuple(black_edges),
-        added_red_edges=tuple(red_edges),
+        merged=(a, b, w),
         y_added=(w,) if both_y else (),
         payload={"merged": (a, b), "into": w, "rep": rep, "both_y": both_y},
     )
 
 
 def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None) -> bool:
-    """Replay the merges on the driver's working state, each one through the
-    driver's own contraction step (and so its recolouring rule); red degree
-    must stay within the width at every step and the trigraph must shrink to
-    one vertex.
+    """Replay the merges on the whole graph with the driver's own merge
+    (``_State.merge``, and so its recolouring rule); red degree must stay
+    within the width at every step and the trigraph must shrink to one
+    vertex.
 
     A merge only lowers red degrees, except at the merged vertex and its red
     neighbours, so only those are re-checked."""
@@ -125,7 +113,7 @@ def validate_contraction_sequence(g: Graph, seq: ContractionSequence, width=None
         if a not in st.adj or b not in st.adj or a == b or c in used:
             return False
         used.add(c)
-        st.apply(_contraction_step(st, a, b, c))
+        st.merge(a, b, c)
         if len(red[c]) > w or any(len(red[x]) > w for x in red[c]):
             return False
     return len(st.adj) <= 1

@@ -35,6 +35,12 @@ class OversizeError(Exception):
     catches it."""
 
 
+def check_order(n: int, limit: int) -> None:
+    """Raise OversizeError when the order n exceeds limit."""
+    if n > limit:
+        raise OversizeError(f"n={n} exceeds limit {limit}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with an optional red/black edge coloring."""
@@ -422,14 +428,17 @@ def masks_to_graph6(masks) -> str:
     return _g6_encode_n(n) + data.translate(_BASE64_TO_G6)[: -(-total // 6)].decode()
 
 
-def _g6_columns(s: str) -> tuple[int, list[int]]:
+def _g6_columns(s: str, max_n: int | None = None) -> tuple[int, list[int]]:
     """The order of a graph6 string (header optional) and, once the length
     and every byte are checked, its columns: for v = 1..n-1, the mask of
-    the vertices u < v adjacent to v."""
+    the vertices u < v adjacent to v.  With ``max_n``, an order above it is
+    refused from the header, before the body is read."""
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[10:]
     n, body = _g6_decode_n(s)
+    if max_n is not None:
+        check_order(n, max_n)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"expected {need} data bytes for n={n}, got {len(body)}")
@@ -465,10 +474,11 @@ def to_graph6(g: Graph) -> str:
     return masks_to_graph6(g.masks)
 
 
-def from_graph6(s: str) -> Graph:
+def from_graph6(s: str, max_n: int | None = None) -> Graph:
     """The plain graph of a graph6 string, built straight from its columns:
-    each set bit u of column v is an edge uv."""
-    n, columns = _g6_columns(s)
+    each set bit u of column v is an edge uv.  With ``max_n``, an order
+    above it is refused from the header, before the body is read."""
+    n, columns = _g6_columns(s, max_n)
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for v, low in enumerate(columns, 1):
         for u in bits(low):
@@ -477,12 +487,16 @@ def from_graph6(s: str) -> Graph:
     return Graph(n, tuple(map(frozenset, nbrs)), (frozenset(),) * n)
 
 
-def from_edge_json(s: str) -> Graph:
+def from_edge_json(s: str, max_n: int | None = None) -> Graph:
+    """The trigraph of an edge-list JSON document; with ``max_n``, an order
+    above it is refused before the graph is built."""
     try:
         doc = json.loads(s)
         (n,) = vertex_ids([doc["n"]])
         if n > MAX_ORDER:
             raise OversizeError(f"order {n} above the cap of {MAX_ORDER}")
+        if max_n is not None:
+            check_order(n, max_n)
         edges, red_edges = doc["edges"], doc.get("red_edges", ())
         vertex_ids(chain(*edges, *red_edges))
         return Graph.from_edges(n, edges, red_edges)

@@ -26,6 +26,7 @@ from .graph import (
     ball2,
     bits,
     black_neighbors,
+    check_order,
     closed_neighborhood,
 )
 
@@ -56,9 +57,7 @@ def size_limit() -> int:
 def check_size(n: int, max_n=None) -> None:
     """Raise OversizeError when n exceeds the desk-scale guardrail max_n
     (default: ``size_limit()``, which DOMPACK_MAX_N overrides)."""
-    limit = max_n if max_n is not None else size_limit()
-    if n > limit:
-        raise OversizeError(f"n={n} exceeds limit {limit}")
+    check_order(n, max_n if max_n is not None else size_limit())
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ here each one scans every live vertex, as the rule itself once did, and
 must return the same RuleApplication.  ``is_dominating_pair`` runs a BFS of
 G - N[z] for every z, and ``first_within`` walks every disk centre; they
 are the references for ``find_dominating_pair`` and the unit-disk grid.
+``merge`` is the twin-width contraction built from w's edge lists, the
+reference for ``_State.merge``.
 """
 
 from __future__ import annotations
@@ -148,6 +150,32 @@ def lowblack_step(st, k: int) -> RuleApplication | None:
             "r_cover": tuple(r_cover),
         },
     )
+
+
+def merge(st, a: int, b: int, w: int) -> None:
+    """The contraction as the driver once made it: list w's edges, black to
+    each common black neighbour of a and b and red to every other vertex of
+    N(a) | N(b); ``apply`` deletes a and b edge by edge, moving buckets as
+    it goes, and adds w with its black edges one by one; then the red edges,
+    which move no bucket, go in.  w joins Y when a and b were both in it."""
+    black_edges = []
+    red_edges = []
+    both_black = (st.adj[a] - st.red[a]) & (st.adj[b] - st.red[b])
+    for x in sorted((st.adj[a] | st.adj[b]) - {a, b}):
+        edge = (w, x) if w < x else (x, w)
+        (black_edges if x in both_black else red_edges).append(edge)
+    st.apply(RuleApplication(
+        "tww_contract",
+        removed_vertices=(a, b),
+        added_vertices=(w,),
+        added_edges=tuple(black_edges),
+        y_added=(w,) if a in st.y and b in st.y else (),
+    ))
+    for u, v in red_edges:
+        st.adj[u].add(v)
+        st.adj[v].add(u)
+        st.red[u].add(v)
+        st.red[v].add(u)
 
 
 def black_degree_buckets(st) -> dict[int, set[int]]:

@@ -99,6 +99,53 @@ class TestSolve:
         code, _, _ = run_cli(["solve", "--variant", "gamma", big], capsys)
         assert code == 3
 
+    def test_oversize_refused_before_the_graph_is_built(self, tmp_path, capsys):
+        # K_3000 in graph6 is 0.75 MB; building its Graph before the size
+        # guard took 585 MB.  The order is read from the header first.
+        import tracemalloc
+
+        n = 3000
+        text = _g6_encode_n(n) + "~" * (n * (n - 1) // 12) + "\n"  # C(3000, 2) is 6k
+        big = write(tmp_path, "k3000.g6", text)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["solve", "--variant", "gamma", big], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err == f"error: {big}: n=3000 exceeds limit 64\n"
+        # The text is held about four times over (read, stripped, split).
+        assert peak < 6 * len(text)
+
+    @pytest.mark.parametrize("name, text, extra", [
+        ("json", json.dumps({"n": 70, "edges": [[0, 1]]}), []),
+        ("bad-x", to_graph6(Graph.from_edges(70)), ["--x", "7,oops"]),
+        ("bad-y", to_graph6(Graph.from_edges(70)), ["--y", "99"]),
+        ("short-graph6", to_graph6(Graph.from_edges(70))[:-3], []),
+    ])
+    def test_oversize_checked_first(self, name, text, extra, tmp_path, capsys):
+        # The order is checked before the graph is built, so an oversize
+        # input exits 3 even when its ids or its graph6 body are malformed.
+        big = write(tmp_path, "big.g6", text + "\n")
+        code, out, err = run_cli(["solve", "--variant", "gamma", big] + extra, capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {big}: n=70 exceeds limit 64\n"
+
+    @pytest.mark.parametrize("prefix", [">>graph6<<", " ", "\t>>graph6<<"])
+    def test_order_read_after_header_and_whitespace(self, prefix, tmp_path, capsys):
+        # The size guard reads the order where the parser does: after the
+        # line is stripped and its optional header removed.
+        text = to_graph6(families.gen_petersen())
+        plain = write(tmp_path, "plain.g6", text + "\n")
+        marked = write(tmp_path, "marked.g6", prefix + text + "\n")
+        want = run_cli(["solve", "--variant", "gamma", plain], capsys)
+        assert want[0] == 0
+        assert run_cli(["solve", "--variant", "gamma", marked], capsys) == want
+        big = write(tmp_path, "big.g6", prefix + to_graph6(Graph.from_edges(70)) + "\n")
+        code, out, err = run_cli(["solve", "--variant", "gamma", big], capsys)
+        assert (code, out, err) == (3, "", f"error: {big}: n=70 exceeds limit 64\n")
+
     @pytest.mark.parametrize("variant, kernel, witness", [
         ("gamma", "domination_kernel", (1, 0b1, 0)),
         ("rho", "packing_kernel", (2, 0b11, 0)),
@@ -282,6 +329,54 @@ class TestConstruct:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "51c469d5c1f8f70b39bcd937f9f7b6d473d03779edc09a30a0847dbc2e8d1f23"
         )
+
+    # sha256 of stdout and stderr of the twin-width construct on 300-vertex
+    # cographs with flipped edges (widths 5, 5 and 9): every merge makes or
+    # keeps red edges on a graph larger than the goldens above.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "fefac1c7662a8d58f09c489fc41135a4dbdb07267af0033e162e741088c0cd89"),
+            (3, "24cd374f5f1c4cd929eba3667ef0d598addf8fe1f6a53430db39786371e290e2"),
+            (4, "0d42e3759ca4b2beb5d17fb797d447f7ff4590cecc7dc4813189ff957b62ebb6"),
+        ],
+    )
+    def test_golden_twinwidth_red_edges_n300(self, seed, digest, tmp_path, capsys):
+        import conftest
+
+        g, seq = conftest.random_cograph(300, seed, flip=0.1)
+        gf = write(tmp_path, "g.json", to_edge_json(g))
+        sf = write(tmp_path, "seq.json", sequence_json(seq))
+        code, out, err = run_cli(
+            ["construct", "--class", "twinwidth", gf, "--certificate", sf], capsys
+        )
+        assert code == 0
+        lowblack = [s["payload"] for s in json.loads(out)["trace"] if s["rule"] == "tww_lowblack"]
+        assert any(p["reds"] for p in lowblack)
+        assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
+    # The twin-width inputs of perfbench's construct timings at n = 1000 and
+    # 2000: its cograph generator with random.Random(7) draws the same graph
+    # and sequence as conftest's with seed 7 and no flips.
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (1000, "af856182ec81e6978cc9fde34004df712a218132e09330b9076481226f1e7e28"),
+            (2000, "973b2767ef0e8b3a1e949560e06109f471f72f53c010c60faf9947a0e090f9f3"),
+        ],
+    )
+    def test_golden_twinwidth_large_cographs(self, n, digest, tmp_path, capsys):
+        import conftest
+
+        g, seq = conftest.random_cograph(n, 7)
+        gf = write(tmp_path, "g.g6", to_graph6(g) + "\n")
+        sf = write(tmp_path, "seq.json", sequence_json(seq))
+        code, out, err = run_cli(
+            ["construct", "--class", "twinwidth", gf, "--certificate", sf], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
     # The drivers' budgets add up over components, so a disjoint union of
     # two in-class pieces must construct and validate like each piece.

@@ -282,11 +282,17 @@ class TestTwinwidth:
     def test_red_degrees_match_a_recount(self):
         # After every step the red neighbour sets are symmetric, lie within
         # adj, and hold the red edges of a replay of the trace's deltas that
-        # keys each edge by its frozenset.
+        # keys each edge by its frozenset.  A ``merged`` delta (a, b, w) is
+        # replayed by its definition: w takes every neighbour of a or b, by
+        # a black edge when both edges to it were black, else by a red one.
         cases = [random_cograph(40, seed, flip=0.2) for seed in range(4)]
         g = Graph.from_edges(4, [(0, 1), (2, 3)], red_edges=[(1, 2)])
         cases.append((g, brute_force_tww_sequence(g, 2)))
         red_seen = 0
+
+        def nbrs(pairs, v):
+            return {x for e in pairs if v in e for x in e - {v}}
+
         for g, seq in cases:
             w = run_twinwidth(g, seq, max(2, seq.declared_width))
             st = _State.from_graph(g)
@@ -296,10 +302,20 @@ class TestTwinwidth:
                 st.apply(app)
                 gone = {frozenset(e) for e in app.removed_edges}
                 dead = set(app.removed_vertices)
+                added, added_red = set(), set()
+                if app.merged:
+                    a, b, c = app.merged
+                    dead |= {a, b}
+                    black = pairs - red
+                    both = nbrs(black, a) & nbrs(black, b)
+                    for x in (nbrs(pairs, a) | nbrs(pairs, b)) - {a, b}:
+                        added.add(frozenset((c, x)))
+                        if x not in both:
+                            added_red.add(frozenset((c, x)))
                 pairs = {e for e in pairs if e not in gone and dead.isdisjoint(e)}
                 red = {e for e in red if e not in gone and dead.isdisjoint(e)}
-                pairs |= {frozenset(e) for e in app.added_edges + app.added_red_edges}
-                red |= {frozenset(e) for e in app.added_red_edges}
+                pairs |= {frozenset(e) for e in app.added_edges} | added
+                red |= added_red
                 assert st.red.keys() == st.adj.keys()
                 for v, reds in st.red.items():
                     assert reds <= st.adj[v]

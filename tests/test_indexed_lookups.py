@@ -61,9 +61,17 @@ def _check_lowblack(st: _State) -> None:
 
 def _checked(monkeypatch, check_rules):
     """Checks the rules before, and the buckets before and after, every
-    ``_State.apply``; returns a list that counts the steps checked."""
+    ``_State.apply``, and the buckets around every ``_State.merge`` (which
+    the twin-width validator calls directly); returns a list that counts the
+    steps checked, a merge as "merge"."""
     steps = []
-    apply = _State.apply
+    apply, merge = _State.apply, _State.merge
+
+    def checked_merge(st, a, b, w):
+        assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
+        merge(st, a, b, w)
+        assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
+        steps.append("merge")
 
     def checked_apply(st, app):
         assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
@@ -73,6 +81,7 @@ def _checked(monkeypatch, check_rules):
         steps.append(app.rule_id)
 
     monkeypatch.setattr(_State, "apply", checked_apply)
+    monkeypatch.setattr(_State, "merge", checked_merge)
     return steps
 
 
@@ -140,6 +149,11 @@ def test_twinwidth_buckets(checked_tww_steps, n, flip):
         y = {v for v in g.vertices() if rng.random() < 0.2}
         engine_twinwidth.run_twinwidth(g, seq, max(2, seq.declared_width), y)
     assert "tww_lowblack" in checked_tww_steps and "tww_contract" in checked_tww_steps
+    # Each driver contraction is one checked "tww_contract" step and one
+    # checked merge; the validator's merges are the rest, and it replays
+    # every merge of the sequence, the driver only those whose ends both live.
+    driver = checked_tww_steps.count("tww_contract")
+    assert checked_tww_steps.count("merge") - driver >= driver
 
 
 def test_buckets_track_isolated_additions():
