@@ -28,6 +28,7 @@ from .graph import (
     Mode,
     OversizeError,
     XYInstance,
+    from_edge_doc,
     from_edge_json,
     from_graph6,
     graph6_to_masks,
@@ -68,23 +69,20 @@ def _load_graph(path: str, max_n: int | None = None) -> Graph:
     text = _read_text(path)
     stripped = text.strip()
     try:
-        if path.endswith(".json") or _is_json_document(stripped):
+        if path.endswith(".json"):
             return from_edge_json(stripped, max_n)
+        # Edge-list JSON starts with "{", but so does graph6 of order 60.
+        if stripped.startswith("{"):
+            try:
+                doc = json.loads(stripped)
+            except ValueError:
+                pass
+            else:
+                return from_edge_doc(doc, max_n)
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
         return from_graph6(line, max_n)
     except (GraphError, OversizeError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-
-
-def _is_json_document(text: str) -> bool:
-    # Edge-list JSON starts with "{", but so does graph6 of order 60.
-    if not text.startswith("{"):
-        return False
-    try:
-        json.loads(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _size_limit() -> int:
@@ -132,10 +130,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_rotation_system(path: str):
-    return engine.RotationSystem.from_json(_read_text(path))
-
-
 def _read_contraction_sequence(path: str):
     return engine_twinwidth.ContractionSequence.from_json(_read_text(path))
 
@@ -151,19 +145,19 @@ def _read_disks(path: str):
 @dataclass(frozen=True)
 class ConstructClass:
     """What `construct --class NAME` reads and runs: ``run(input,
-    certificate)``, the certificate None when the class reads none or an
-    optional one is not given."""
+    certificate)``, the certificate None when the class reads none.  A
+    class either reads a certificate, which must then be given, or none."""
 
     run: Callable
     read_certificate: Callable | None = None
-    required: str | None = None  # what --certificate holds, when it must be given
+    certificate: str | None = None  # what --certificate holds, beside read_certificate
     read_input: Callable = _load_graph
 
 
 # The drivers are looked up on their modules at each call, not bound here,
 # so that wrappers installed on those modules (perfbench's tracer) see them.
 CONSTRUCT_CLASSES = {
-    "planar": ConstructClass(lambda g, rs: engine.run_planar(g, rs), _read_rotation_system),
+    "planar": ConstructClass(lambda g, _: engine.run_planar(g)),
     "treewidth": ConstructClass(
         lambda g, compl: engine.run_treewidth(g, compl), _load_graph, "chordal completion"
     ),
@@ -189,12 +183,12 @@ CONSTRUCT_CLASSES = {
 
 def cmd_construct(args) -> int:
     spec = CONSTRUCT_CLASSES[args.cls]
-    if spec.required and not args.certificate:
-        raise CliError(f"--certificate ({spec.required}) required")
+    if bool(args.certificate) != bool(spec.read_certificate):
+        if args.certificate:
+            raise CliError(f"class {args.cls} reads no --certificate")
+        raise CliError(f"--certificate ({spec.certificate}) required")
     source = spec.read_input(args.input)
-    cert = None
-    if spec.read_certificate is not None and args.certificate:
-        cert = spec.read_certificate(args.certificate)
+    cert = spec.read_certificate(args.certificate) if args.certificate else None
     print(spec.run(source, cert).to_json())
     return EXIT_OK
 
@@ -333,21 +327,13 @@ def cmd_validate(args) -> int:
                 problem = f"width {width} exceeds {args.k}"
             else:
                 problem = None
-        elif what == "tww-seq":
+        else:  # tww-seq
             seq = _read_contraction_sequence(args.document)
             g = _load_graph(args.graph)
             problem = (
                 None
                 if engine_twinwidth.validate_contraction_sequence(g, seq)
                 else "sequence invalid (red degree above declared width, or malformed)"
-            )
-        else:  # rotation
-            rs = _read_rotation_system(args.document)
-            g = _load_graph(args.graph)
-            problem = (
-                None
-                if engine.validate_rotation_planarity(g, rs)
-                else "rotation system fails the genus-0 face count"
             )
     except (KeyError, ValueError) as exc:
         raise CliError(f"cannot parse validation inputs: {exc}") from exc
@@ -627,9 +613,9 @@ def _build_parser() -> argparse.ArgumentParser:
     lp.set_defaults(func=cmd_list_families)
 
     vp = sub.add_parser("validate", help="re-check a witness or certificate")
-    vp.add_argument("--what", choices=["witness", "tw-cert", "tww-seq", "rotation"], required=True)
+    vp.add_argument("--what", choices=["witness", "tw-cert", "tww-seq"], required=True)
     vp.add_argument("--k", type=int, default=None, help="width bound for tw-cert")
-    vp.add_argument("document", help="witness JSON, completion graph, sequence or rotation system")
+    vp.add_argument("document", help="witness JSON, completion graph or sequence")
     vp.add_argument("graph", help="the graph it is checked against")
     vp.set_defaults(func=cmd_validate)
 

@@ -17,7 +17,7 @@ from .graph import (
     bits,
     closed_neighborhood,
     distances_from,
-    is_connected,
+    masks_connected,
     nonneighbour_components,
     vertex_ids,
 )
@@ -64,7 +64,7 @@ def find_dominating_pair(g: Graph):
     (u, v) is a dominating pair iff v is not in it.  Any valid pair serves
     the construction.
     """
-    if not is_connected(g) or g.n == 0:
+    if g.n == 0 or not masks_connected(g.masks):
         raise NotFoundError("dominating pair requires a connected nonempty graph")
     if g.n == 1:
         return (0, 0)

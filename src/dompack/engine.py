@@ -22,16 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import (
-    Graph,
-    GraphError,
-    Mode,
-    XYInstance,
-    ball2,
-    chordal_width,
-    components,
-    vertex_ids,
-)
+from .graph import Graph, Mode, XYInstance, ball2, chordal_width
 from .oracles import check_xy_dominating, check_xy_packing
 
 
@@ -476,62 +467,15 @@ def run(g: Graph, rules, tag: str, constant, y=(), *, stalled="no rule applies",
 PLANAR_CONSTANT = 10
 
 
-@dataclass(frozen=True)
-class RotationSystem:
-    """Per-vertex cyclic order of neighbors (a combinatorial embedding)."""
-
-    rotations: dict[int, tuple[int, ...]]
-
-    @staticmethod
-    def from_json(s: str) -> "RotationSystem":
-        try:
-            doc = json.loads(s)
-            return RotationSystem({int(v): vertex_ids(r) for v, r in doc["rotations"].items()})
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise GraphError(f"bad rotation-system JSON: {exc}") from exc
-
-
-def validate_rotation_planarity(g: Graph, rs: RotationSystem) -> bool:
-    """Face-trace the embedding; genus 0 means V - E + F = 2 per component."""
-    if set(rs.rotations) != set(g.vertices()):
-        return False
-    for v, rot in rs.rotations.items():
-        if sorted(rot) != sorted(g.adj[v]):
-            return False
-    succ = {}
-    for v, rot in rs.rotations.items():
-        for i, u in enumerate(rot):
-            succ[(v, u)] = rot[(i + 1) % len(rot)]
-    for comp in components(g):
-        darts = [(u, v) for u in comp for v in g.adj[u]]
-        faces = 0
-        unseen = set(darts)
-        while unseen:
-            dart = min(unseen)
-            faces += 1
-            u, v = dart
-            while (u, v) in unseen:
-                unseen.discard((u, v))
-                u, v = v, succ[(v, u)]
-        if not darts:
-            faces = 1
-        e = sum(len(g.adj[u]) for u in comp) // 2
-        if len(comp) - e + faces != 2:
-            return False
-    return True
-
-
-def run_planar(g: Graph, embedding=None) -> WitnessPair:
+def run_planar(g: Graph) -> WitnessPair:
     """Reduce with the generic rules, paying at most 10 per packed vertex.
 
     Planarity guarantees the loop never stalls; on non-planar input the loop
     either still succeeds (the witness is sound regardless) or raises Stalled.
-    An embedding, when supplied, is validated up front.
+    The rules read only degrees, so no embedding is needed.
     """
     if not g.is_plain():
         raise EngineError("planar driver expects a plain graph")
-    if embedding is not None and not validate_rotation_planarity(g, embedding):
-        raise CertificateInvalid("rotation system fails the genus-0 face count")
     return run(g, _shared_rules(PLANAR_CONSTANT), "planar", PLANAR_CONSTANT,
                stalled="planar rules stalled (non-planar input?)")
 

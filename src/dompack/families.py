@@ -10,13 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .constructions import MAX_COORDINATE, ConvexEncoding, DiskConfiguration
-from .graph import MAX_ORDER, Graph, GraphError, OversizeError, bits, nonneighbour_components
-
-
-def _check_order(n: int) -> None:
-    """Refuse, before anything is built, an order that graph6 cannot write."""
-    if n > MAX_ORDER:
-        raise OversizeError(f"order {n} above the cap of {MAX_ORDER}")
+from .graph import Graph, GraphError, OversizeError, bits, check_max_order, nonneighbour_components
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +27,7 @@ def gen_chained_blocks(i: int) -> Graph:
     """
     if i < 1:
         raise ValueError("need at least one block")
-    _check_order(6 * i + 2)
+    check_max_order(6 * i + 2)
 
     def block(base):
         vs = list(range(base, base + 6))
@@ -96,7 +90,7 @@ def gen_rook(n: int) -> Graph:
     """Cartesian product of two n-cliques."""
     if n < 1:
         raise ValueError("n >= 1")
-    _check_order(n * n)
+    check_max_order(n * n)
     if n > 64:
         raise OversizeError("rook family has n^2 (n-1) edges; capped at n=64")
     vid = lambda r, c: r * n + c
@@ -115,14 +109,14 @@ def gen_rook(n: int) -> Graph:
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycles need n >= 3")
-    _check_order(n)
+    check_max_order(n)
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ValueError("n >= 1")
-    _check_order(n)
+    check_max_order(n)
     return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
@@ -139,7 +133,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     next entry, which becomes a leaf once its last entry is used."""
     if n < 1:
         raise ValueError("n >= 1")
-    _check_order(n)
+    check_max_order(n)
     if n == 1:
         return Graph.from_edges(1)
     if n == 2:

@@ -287,23 +287,6 @@ def chordal_width(g: Graph) -> int | None:
     return omega - 1
 
 
-def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    seen: set[int] = set()
-    out = []
-    for v in range(g.n):
-        if v in seen:
-            continue
-        comp = set(distances_from(g, v))
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(distances_from(g, 0)) == g.n
-
-
 def reach_mask(masks, seed: int, allowed: int) -> int:
     """The vertices reachable from the vertex mask ``seed`` through
     ``allowed`` (seed included), by BFS over whole frontiers."""
@@ -335,10 +318,7 @@ def nonneighbour_components(masks):
 
 
 def masks_connected(masks) -> bool:
-    """``is_connected`` on the bitmask form.
-
-    For small graphs; ``is_connected`` stays linear in the edges for big ones.
-    """
+    """Whether the graph with these open-neighbourhood bitmasks is connected."""
     full = (1 << len(masks)) - 1
     return len(masks) <= 1 or reach_mask(masks, 1, full) == full
 
@@ -354,9 +334,15 @@ class Graph6Error(GraphError):
     pass
 
 
-# The largest order that graph6 writes in its four-byte form; the
-# edge-list reader refuses larger orders before it allocates anything.
+# The largest order that graph6 writes in its four-byte form; the edge-list
+# reader and the family generators refuse larger orders before they allocate.
 MAX_ORDER = 258047
+
+
+def check_max_order(n: int) -> None:
+    """Refuse, before anything is built, an order that graph6 cannot write."""
+    if n > MAX_ORDER:
+        raise OversizeError(f"order {n} above the cap of {MAX_ORDER}")
 
 
 def _g6_encode_n(n: int) -> str:
@@ -492,9 +478,16 @@ def from_edge_json(s: str, max_n: int | None = None) -> Graph:
     above it is refused before the graph is built."""
     try:
         doc = json.loads(s)
+    except ValueError as exc:
+        raise GraphError(f"bad edge-list JSON: {exc}") from exc
+    return from_edge_doc(doc, max_n)
+
+
+def from_edge_doc(doc, max_n: int | None = None) -> Graph:
+    """``from_edge_json`` of a document already parsed by ``json.loads``."""
+    try:
         (n,) = vertex_ids([doc["n"]])
-        if n > MAX_ORDER:
-            raise OversizeError(f"order {n} above the cap of {MAX_ORDER}")
+        check_max_order(n)
         if max_n is not None:
             check_order(n, max_n)
         edges, red_edges = doc["edges"], doc.get("red_edges", ())

@@ -4,8 +4,8 @@ The brute-force certificate finders and the split and distance-hereditary
 recognizers supply certificates and class membership for small test
 graphs, and the enumerators supply the graphs.  ``edges`` lists a
 graph's edges as pairs.  ``replay`` re-applies a driver trace's deltas,
-``to_edge_json`` and ``convex_graph`` write test inputs, ``rotation_json``
-and ``sequence_json`` write certificate files, ``trace_json_obj`` builds
+``to_edge_json`` and ``convex_graph`` write test inputs,
+``sequence_json`` writes contraction-sequence files, ``trace_json_obj`` builds
 the object whose JSON text
 ``RuleApplication.to_json`` must write.  ``masks_to_graph6_one_int`` and
 ``graph6_to_masks_by_string`` are the graph6 encoder and decoder the
@@ -27,7 +27,7 @@ from array import array
 from itertools import combinations
 
 from dompack.constructions import ConvexEncoding, EncodingInvalid
-from dompack.engine import RotationSystem, RuleApplication, _State, completion_width
+from dompack.engine import RuleApplication, _State, completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import _UNSEEN, _check_labeled_order, at_free_masks
 from dompack.graph import (
@@ -302,14 +302,6 @@ def to_edge_json(g: Graph) -> str:
         "red_edges": [(u, v) for u, v in pairs if v in g.red[u]],
     }
     return json.dumps(doc, separators=(",", ":"))
-
-
-def rotation_json(rs: RotationSystem) -> str:
-    """The rotation-system file that ``RotationSystem.from_json`` reads."""
-    return json.dumps(
-        {"rotations": {str(v): list(r) for v, r in sorted(rs.rotations.items())}},
-        separators=(",", ":"),
-    )
 
 
 def sequence_json(seq: ContractionSequence) -> str:

@@ -13,7 +13,7 @@ import time
 from dompack import constructions, engine, families, oracles
 from dompack.engine_twodeg import run_twodeg
 from dompack.engine_twinwidth import run_twinwidth
-from dompack.graph import Graph, Mode, XYInstance, is_connected, to_graph6
+from dompack.graph import Graph, Mode, XYInstance, masks_connected, to_graph6
 from _geometry_reference import verify_covering
 from _reference import (
     brute_force_tw_certificate,
@@ -238,7 +238,7 @@ def test_criterion_7_theorem_ratios_by_oracle():
     while checked["atfree"] < 120:
         g = random_interval_graph(4 + trial % 11, SEED + trial)
         trial += 1
-        if not is_connected(g):
+        if not masks_connected(g.masks):
             continue
         assert families.at_free_masks(g.masks)
         gamma, rho = values(g)

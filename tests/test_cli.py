@@ -16,7 +16,6 @@ import pytest
 from dompack import cli, engine, families, oracles
 from dompack.cli import main
 from dompack.constructions import ConvexEncoding
-from dompack.engine import RotationSystem
 from dompack.engine_twinwidth import ContractionSequence
 from dompack.graph import (
     MAX_ORDER,
@@ -25,6 +24,7 @@ from dompack.graph import (
     OversizeError,
     _g6_encode_n,
     graph6_to_masks,
+    masks_connected,
     masks_to_graph6,
     to_graph6,
 )
@@ -35,7 +35,6 @@ from _reference import (
     edges,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
-    rotation_json,
     scan_check,
     scan_class_flags,
     sequence_json,
@@ -170,6 +169,38 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["value"] == 20
 
+    def test_edge_list_parsed_once(self, tmp_path, monkeypatch, capsys):
+        # An edge list whose name does not end in .json used to be parsed
+        # twice: once to tell it from graph6, then again to read it.
+        calls = []
+        loads = json.loads
+
+        def counting_loads(*args, **kwargs):
+            calls.append(args)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        gf = write(tmp_path, "g.txt", to_edge_json(families.gen_petersen()))
+        code, out, _ = run_cli(["solve", "--variant", "gamma", gf], capsys)
+        assert code == 0 and len(calls) == 1
+        assert loads(out)["value"] == 3
+
+    def test_malformed_json_file(self, tmp_path, capsys):
+        gf = write(tmp_path, "g.json", '{"n":2,"edges":')
+        code, out, err = run_cli(["solve", "--variant", "gamma", gf], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {gf}: bad edge-list JSON: ")
+
+
+# The construct classes that read no --certificate, and what it holds for
+# those that read one.
+READS_NO_CERTIFICATE = ["planar", "twodeg", "dh", "atfree", "unitdisk", "generic"]
+CERTIFICATES = {
+    "treewidth": "chordal completion",
+    "twinwidth": "contraction sequence",
+    "convex": "convex encoding JSON",
+}
+
 
 class TestConstruct:
     def test_generic_petersen(self, petersen_file, capsys):
@@ -266,6 +297,24 @@ class TestConstruct:
         df = write(tmp_path, "disks.csv", cfg.to_csv())
         code, out, _ = run_cli(["construct", "--class", "unitdisk", df], capsys)
         assert code == 0
+
+    def test_each_class_reads_a_certificate_or_none(self):
+        assert sorted(READS_NO_CERTIFICATE + list(CERTIFICATES)) == sorted(cli.CONSTRUCT_CLASSES)
+
+    @pytest.mark.parametrize("cls, noun", CERTIFICATES.items())
+    def test_certificate_required(self, cls, noun, petersen_file, capsys):
+        result = run_cli(["construct", "--class", cls, petersen_file], capsys)
+        assert result == (2, "", f"error: --certificate ({noun}) required\n")
+
+    @pytest.mark.parametrize("cls", READS_NO_CERTIFICATE)
+    def test_certificate_refused_where_none_is_read(self, cls, petersen_file, tmp_path,
+                                                     capsys):
+        # planar used to check the file as a rotation system, which no rule
+        # reads, and the other classes ignored it, even a missing one.
+        for cert in (petersen_file, str(tmp_path / "missing.json")):
+            argv = ["construct", "--class", cls, "--certificate", cert, petersen_file]
+            result = run_cli(argv, capsys)
+            assert result == (2, "", f"error: class {cls} reads no --certificate\n")
 
     def test_convex_needs_certificate(self, tmp_path, capsys):
         enc = families.gen_random_convex(4, 3, 1)
@@ -432,7 +481,6 @@ def _golden_argv(cls, tmp_path):
     """`construct` arguments for one seeded in-class input of up to 200
     vertices (the AT-free pair search is exhaustive, so that one is smaller)."""
     import conftest
-    from dompack.graph import is_connected
 
     cert = None
     if cls == "planar":
@@ -451,7 +499,7 @@ def _golden_argv(cls, tmp_path):
         cert = write(tmp_path, "seq.json", sequence_json(seq))
     elif cls == "atfree":
         g = conftest.random_interval_graph(40, 7)
-        assert is_connected(g)
+        assert masks_connected(g.masks)
     elif cls == "convex":
         enc = families.gen_random_convex(100, 80, 8)
         g = convex_graph(enc)
@@ -609,13 +657,12 @@ class TestGenerateValidate:
         code, _, err = run_cli(["validate", "--what", "tww-seq", sf, gf], capsys)
         assert code == 5
 
-    def test_validate_rotation(self, tmp_path, capsys):
-        g = families.gen_cycle(5)
-        rs = RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
-        gf = write(tmp_path, "c5.g6", to_graph6(g) + "\n")
-        rf = write(tmp_path, "rot.json", rotation_json(rs))
-        code, _, _ = run_cli(["validate", "--what", "rotation", rf, gf], capsys)
-        assert code == 0
+    def test_rotation_is_no_validate_choice(self, petersen_file, capsys):
+        # It checked a rotation system, an embedding format no driver reads.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--what", "rotation", petersen_file, petersen_file])
+        assert exc.value.code == 2
+        assert "invalid choice: 'rotation'" in capsys.readouterr().err
 
     def test_validate_tw_cert(self, tmp_path, capsys):
         from dompack.graph import Graph
@@ -1051,10 +1098,6 @@ class TestScan:
         assert json.loads(out.splitlines()[-1])["summary"]["graphs"] == 8
 
 
-# The path 0-1-2-3 and a rotation system whose entry for vertex 0 is the list
-# [1], not the id 1.
-P4_JSON = '{"n":4,"edges":[[0,1],[1,2],[2,3]]}'
-NESTED_ROTATION = '{"rotations":{"0":[[1]],"1":[0,2],"2":[1,3],"3":[2]}}'
 # Contraction sequences on K2 whose ids or width are not integers; int()
 # used to read each of them as the valid sequence [[0,1,2]] at width 2.
 K2_JSON = '{"n":2,"edges":[[0,1]]}'
@@ -1182,8 +1225,6 @@ class TestMalformedInputs:
         [
             ("generic", '{"n":3,"edges":[[0,1,2]]}', None),
             ("generic", '{"n":3,"edges":[[0,1]],"red_edges":[[0]]}', None),
-            ("planar", '{"n":2,"edges":[[0,1]]}', '{"rotations":[1]}'),
-            ("planar", P4_JSON, NESTED_ROTATION),
             ("convex", '{"n":2,"edges":[[0,1]]}', '{"x_order":[[0]],"y_neighbors":{}}'),
             ("convex", '{"n":2,"edges":[[0,1]]}', '{"x_order":'),
             ("unitdisk", "0,0\n1e400,0\n", None),
@@ -1191,20 +1232,15 @@ class TestMalformedInputs:
             ("unitdisk", "0,1e-999999999\n", None),
             ("unitdisk", "0,0\n1E+4301,0\n", None),
         ],
-        ids=["edge-triple", "red-edge-single", "rotations-list", "rotations-list-id",
-             "convex-list-id", "convex-truncated", "disk-float-overflow",
-             "disk-square-overflow", "disk-huge-exponent", "disk-exponent-past-bound"],
+        ids=["edge-triple", "red-edge-single", "convex-list-id", "convex-truncated",
+             "disk-float-overflow", "disk-square-overflow", "disk-huge-exponent",
+             "disk-exponent-past-bound"],
     )
     def test_construct_inputs(self, cls, graph, certificate, tmp_path, capsys):
         argv = ["construct", "--class", cls, write(tmp_path, "in.txt", graph)]
         if certificate is not None:
             argv += ["--certificate", write(tmp_path, "cert.json", certificate)]
         self.assert_parse_error(run_cli(argv, capsys))
-
-    def test_validate_rotation_list_id(self, tmp_path, capsys):
-        rf = write(tmp_path, "rot.json", NESTED_ROTATION)
-        gf = write(tmp_path, "p4.json", P4_JSON)
-        self.assert_parse_error(run_cli(["validate", "--what", "rotation", rf, gf], capsys))
 
     # JSON true and false are not vertex ids, though Python reads them as 1
     # and 0: each of these exited 0, the first printing "D":[0,true].
@@ -1216,11 +1252,6 @@ class TestMalformedInputs:
     def test_edge_list_bool_ids(self, graph, tmp_path, capsys):
         gf = write(tmp_path, "g.json", graph)
         self.assert_parse_error(run_cli(["construct", "--class", "generic", gf], capsys))
-
-    def test_rotation_bool_ids(self, tmp_path, capsys):
-        rf = write(tmp_path, "rot.json", '{"rotations":{"0":[true],"1":[false]}}')
-        gf = write(tmp_path, "k2.json", K2_JSON)
-        self.assert_parse_error(run_cli(["validate", "--what", "rotation", rf, gf], capsys))
 
     def test_sequence_bool_ids(self, tmp_path, capsys):
         sf = write(tmp_path, "seq.json", '{"width":true,"merges":[[false,true,2]]}')
@@ -1396,10 +1427,12 @@ class TestRoundTrips:
             assert code == 0, (args, err)
 
 
-def test_readme_synopsis_lists_every_option():
+def _readme_synopsis():
+    """README's command-line synopsis per command, continuation lines
+    included, and the parser's subcommands."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
-    synopsis = {}  # command -> its entry, continuation lines included
+    synopsis = {}
     for line in block.strip().splitlines():
         if line.startswith("dompack "):
             command = line.split()[1]
@@ -1407,19 +1440,28 @@ def test_readme_synopsis_lists_every_option():
         synopsis[command] += line + " "
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(synopsis) == sorted(commands.choices)
-    for command, sub in commands.choices.items():
+    return synopsis, commands.choices
+
+
+def test_readme_synopsis_lists_every_option():
+    synopsis, commands = _readme_synopsis()
+    assert sorted(synopsis) == sorted(commands)
+    for command, sub in commands.items():
         for action in sub._actions:
             for option in action.option_strings:
                 if option not in ("-h", "--help"):
                     assert re.search(re.escape(option) + r"(?![\w-])", synopsis[command]), option
 
 
-def test_readme_lists_the_construct_classes():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    line = next(ln for ln in readme.splitlines() if ln.startswith("dompack construct "))
-    listed = line.split("--class ", 1)[1].split()[0].split("|")
-    assert listed == list(cli.CONSTRUCT_CLASSES)
+def test_readme_lists_every_choice():
+    # Each option with choices is listed as A|B|..., its choices in parser order.
+    synopsis, commands = _readme_synopsis()
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if action.choices and action.option_strings:
+                option = action.option_strings[0]
+                listed = re.search(re.escape(option) + r" ([\w-]+(?:\|[\w-]+)*)", synopsis[command])
+                assert listed and listed.group(1).split("|") == list(action.choices), option
 
 
 class TestDeterminism:

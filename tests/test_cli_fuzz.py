@@ -1,15 +1,15 @@
 """Random documents through every reader behind the command line.
 
 Each example is written to a file and run through ``cli.main``: the
-certificate formats (rotation systems, contraction sequences, convex
-encodings, chordal completions) through ``construct`` and ``validate``,
-witness JSON through ``validate``, disk CSV through ``construct``, and
-graph6 lines through ``solve`` and ``scan --file``.  No exception may
-escape, the exit code must be one the command documents, and stderr never
-holds a traceback.  The documents are mostly near the real formats, so that
-they get past ``json.loads`` and reach the checks behind it; every graph
-stays small.  The graph6 lines are also decoded directly, against the
-string-based decoder the byte-level one replaced.
+certificate formats (contraction sequences, convex encodings, chordal
+completions) through ``construct`` and ``validate``, witness JSON through
+``validate``, disk CSV through ``construct``, and graph6 lines through
+``solve`` and ``scan --file``.  No exception may escape, the exit code must
+be one the command documents, and stderr never holds a traceback.  The
+documents are mostly near the real formats, so that they get past
+``json.loads`` and reach the checks behind it; every graph stays small.
+The graph6 lines are also decoded directly, against the string-based
+decoder the byte-level one replaced.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ def documents(draw, doc):
     return text
 
 
-rotations = st.fixed_dictionaries(
-    {"rotations": st.dictionaries(keys, id_lists(max_size=4), max_size=5)}
-)
 sequences = st.fixed_dictionaries(
     {"width": ids | st.integers(), "merges": st.lists(id_lists(3, 3), max_size=5)}
 )
@@ -179,14 +176,6 @@ def run(argv):
 
 
 graph_names = st.sampled_from(sorted(GRAPHS))
-
-
-@FUZZ
-@given(documents(rotations), graph_names)
-def test_rotation_systems(write, text, graph):
-    cert, g = write("rotation.json", text), write(f"{graph}.json", GRAPHS[graph])
-    run(["construct", "--class", "planar", "--certificate", cert, g])
-    run(["validate", "--what", "rotation", cert, g])
 
 
 @FUZZ

@@ -20,7 +20,7 @@ from dompack.constructions import (
     find_dominating_pair,
 )
 from dompack.engine import EngineError
-from dompack.graph import Graph, XYInstance, distances_from
+from dompack.graph import Graph, XYInstance, distances_from, masks_connected
 from _geometry_reference import intersection_edges, verify_covering
 from _reference import convex_graph, edges
 from _rule_reference import is_dominating_pair
@@ -101,11 +101,9 @@ class TestDominatingPair:
             find_dominating_pair(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
     def test_pair_property_holds(self):
-        from dompack.graph import is_connected
-
         for seed in range(15):
             g = random_interval_graph(8, seed)
-            if not is_connected(g):
+            if not masks_connected(g.masks):
                 continue
             u, v = find_dominating_pair(g)
             assert is_dominating_pair(g, u, v)
@@ -128,11 +126,9 @@ class TestAtFree:
         assert len(w.d_set) == 3 and len(w.p_set) == 1
 
     def test_interval_corpus(self):
-        from dompack.graph import is_connected
-
         for seed in range(60):
             g = random_interval_graph(4 + seed % 10, seed)
-            if not is_connected(g):
+            if not masks_connected(g.masks):
                 continue
             assert families.at_free_masks(g.masks)
             w = construct_atfree(g)

@@ -8,7 +8,6 @@ import pytest
 from dompack import families, oracles
 from dompack.engine import (
     CertificateInvalid,
-    RotationSystem,
     RuleApplication,
     Stalled,
     _State,
@@ -127,16 +126,6 @@ class TestPlanarDriver:
     def test_min_degree_eleven_stalls(self):
         with pytest.raises(Stalled):
             run_planar(complete(12))
-
-    def test_embedding_validated(self):
-        g = named("c4")
-        rs = RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
-        assert run_planar(g, rs).achieved_ratio <= 10
-        bad = RotationSystem(
-            {v: tuple(sorted(complete(5).adj[v])) for v in range(5)}
-        )
-        with pytest.raises(CertificateInvalid):
-            run_planar(complete(5), bad)
 
     def test_random_planar_soundness(self):
         for seed in range(120):

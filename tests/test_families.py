@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from dompack import families, oracles
-from dompack.engine import RotationSystem, completion_width, validate_rotation_planarity
+from dompack.engine import completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.families import (
     at_free_masks,
@@ -28,7 +28,6 @@ from dompack.graph import (
     XYInstance,
     chordal_width,
     degeneracy_ordering,
-    is_connected,
     masks_connected,
     masks_to_graph6,
     recognize_chordal,
@@ -69,7 +68,7 @@ class TestChainedBlocks:
         g = gen_chained_blocks(i)
         assert g.n == n
         assert g.max_degree() == 3
-        assert is_connected(g)
+        assert masks_connected(g.masks)
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_values(self, i):
@@ -144,7 +143,7 @@ class TestSmallFamilies:
         a = gen_random_tree(9, 42)
         b = gen_random_tree(9, 42)
         assert to_graph6(a) == to_graph6(b)
-        assert a.edge_count == 8 and is_connected(a)
+        assert a.edge_count == 8 and masks_connected(a.masks)
 
     def test_random_tree_matches_scan_decode(self):
         # The heap decode gives the trees of the decode that scans for the
@@ -267,7 +266,7 @@ class TestRecognizers:
         # connected graphs: all connected induced subgraphs preserve distances.
         for seed in range(60):
             g = random_graph(6, 0.5, seed)
-            if not is_connected(g):
+            if not masks_connected(g.masks):
                 continue
             got = recognize_distance_hereditary(g)
             h = nx.Graph(edges(g))
@@ -474,28 +473,6 @@ class TestValidators:
         bad = ContractionSequence(((0, 1, 2), (2, 2, 3)), 2)
         assert not validate_contraction_sequence(g, bad)
 
-    def test_rotation_cycle_valid(self):
-        g = named("c6")
-        rs = RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
-        assert validate_rotation_planarity(g, rs)
-
-    def test_rotation_k5_invalid(self):
-        g = complete(5)
-        rs = RotationSystem({v: tuple(sorted(g.adj[v])) for v in g.vertices()})
-        assert not validate_rotation_planarity(g, rs)
-
-    def test_rotation_k4_both_ways(self):
-        g = complete(4)
-        planar_rot = RotationSystem(
-            {0: (1, 2, 3), 1: (2, 0, 3), 2: (0, 1, 3), 3: (0, 2, 1)}
-        )
-        assert validate_rotation_planarity(g, planar_rot)
-
-    def test_rotation_requires_matching_neighbors(self):
-        g = named("c4")
-        rs = RotationSystem({0: (1,), 1: (0, 2), 2: (1, 3), 3: (2, 0)})
-        assert not validate_rotation_planarity(g, rs)
-
 
 class TestBruteForceFinders:
     def test_tw_on_cycles(self):
@@ -579,7 +556,9 @@ class TestEnumeration:
         for k, masks in enumerate(enumerate_labeled_masks(6)):
             g = Graph.from_edges(6, [e for i, e in enumerate(pairs) if (k >> i) & 1])
             assert g.masks == masks
-            assert masks_connected(masks) == is_connected(g)
+            h = nx.Graph(edges(g))
+            h.add_nodes_from(g.vertices())
+            assert masks_connected(masks) == nx.is_connected(h)
             assert at_free_masks(masks) == at_free(g)
             count += 1
         assert count == 1 << 15
@@ -674,7 +653,7 @@ class TestEnumeration:
         for n in range(1, 7):
             reps = []
             for g in enumerate_labeled_graphs(n):
-                if g.max_degree() > 3 or not is_connected(g):
+                if g.max_degree() > 3 or not masks_connected(g.masks):
                     continue
                 h = nx.Graph(edges(g))
                 h.add_nodes_from(g.vertices())
@@ -684,7 +663,7 @@ class TestEnumeration:
 
     def test_bounded_degree_members_valid(self):
         for g in enumerate_connected_bounded_degree(6, 3):
-            assert is_connected(g)
+            assert masks_connected(g.masks)
             assert g.max_degree() <= 3
 
 

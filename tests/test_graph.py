@@ -13,7 +13,6 @@ from dompack.graph import (
     ball2,
     black_neighbors,
     closed_neighborhood,
-    components,
     degeneracy_ordering,
     distances_from,
     from_edge_json,
@@ -227,13 +226,6 @@ class TestConflictGraph:
         bigger = Graph.from_edges(g.n, edges(g) + non_edges[:1])
         after = conflict_edges(bigger)
         assert before <= after
-
-
-class TestBuilders:
-    def test_components(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert components(g) == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
-
 
 
 class TestGraph6:
