@@ -67,19 +67,19 @@ def _load_graph(path: str, max_n: int | None = None) -> Graph:
     """The graph of a graph6 or edge-list JSON file; with ``max_n``, an order
     above it is refused before the graph is built."""
     text = _read_text(path)
-    stripped = text.strip()
     try:
         if path.endswith(".json"):
-            return from_edge_json(stripped, max_n)
+            return from_edge_json(text.strip(), max_n)
         # Edge-list JSON starts with "{", but so does graph6 of order 60.
-        if stripped.startswith("{"):
+        if text.lstrip().startswith("{"):
             try:
-                doc = json.loads(stripped)
+                doc = json.loads(text.strip())
             except ValueError:
                 pass
             else:
                 return from_edge_doc(doc, max_n)
         line = next((ln for ln in text.splitlines() if ln.strip()), "")
+        del text  # the file is held at most twice, and once while it decodes
         return from_graph6(line, max_n)
     except (GraphError, OversizeError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc

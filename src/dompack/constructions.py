@@ -6,8 +6,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import floor, lcm
+from functools import cache, cached_property
+from math import floor, isqrt, lcm
 
 from .engine import EngineError, WitnessPair, certify
 from .graph import (
@@ -236,8 +236,8 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
 # ---------------------------------------------------------------------------
 
 
-# The cover search squares float differences of centres, which overflows
-# once a coordinate passes about 6.7e153.
+# Distances are decided exactly, on integers, so nothing overflows; the cap
+# bounds each of the grid's integers by 10**150 times its scale (_DiskGrid).
 MAX_COORDINATE = 10**150
 
 # Fraction computes 10**exponent, so a short line could ask for billions of
@@ -251,6 +251,68 @@ def _coordinate(text: str) -> Fraction:
     if digits.isdecimal() and int(digits) > _MAX_EXPONENT:
         raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
     return Fraction(text)
+
+
+class _DiskGrid:
+    """The centres scaled to integers by u = 2 lcm(denominators), so that
+    the covering's constants are integers too, and bucketed in cells of
+    side 2 (2u scaled).  Each cell lists its indices in increasing order."""
+
+    def __init__(self, centers):
+        self.u = u = 2 * lcm(*(q.denominator for c in centers for q in c))
+        self.pts = [(x.numerator * (u // x.denominator), y.numerator * (u // y.denominator))
+                    for x, y in centers]
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        for i, (x, y) in enumerate(self.pts):
+            self.cells.setdefault((x // (2 * u), y // (2 * u)), []).append(i)
+
+    def lookups(self, pairs) -> list[tuple[int, int, int, int]]:
+        """Per lattice pair (a, b), the integers ``first_within`` reads: t,
+        floor(sqrt(3) s), 2s and 3 s**2 - u**2."""
+        u = self.u
+        out = []
+        for a, b in pairs:
+            s, t = (2 * a + b) * u // 2, 3 * b * u // 2
+            root = isqrt(3 * s * s)
+            out.append((t, root if s >= 0 else -root - 1, 2 * s, 3 * s * s - u * u))
+        return out
+
+    def first_within(self, x: int, y: int, lookup) -> int | None:
+        """The smallest index whose centre lies within 1 of the scaled point
+        (x, y) + p(a, b), exactly; ``lookup`` is the pair's ``lookups`` entry.
+
+        Scaled, p(a, b) = (sqrt(3) s, t) with s = (2a + b) u / 2 and
+        t = 3bu / 2.  For a centre at offset (dx, dy) from (x, y + t), the
+        squared distance is u**2 + L - sqrt(3) R, with L = dx**2 + dy**2 +
+        3 s**2 - u**2 and R = 2s dx.  L <= sqrt(3) R holds iff R >= 0 and
+        (L <= 0 or L**2 <= 3 R**2), or R < 0 and L <= 0 and L**2 >= 3 R**2.
+        The centre's cell is the target's or next to it, and the target's
+        cell follows from floor(sqrt(3) s), as x is an integer: for s < 0 it
+        is -isqrt(3 s**2) - 1, as 3 s**2 is a square only when s = 0.
+        """
+        t, root, s2, c = lookup
+        pts, cells, u = self.pts, self.cells, self.u
+        side = 2 * u
+        y += t
+        cx, cy = (x + root) // side, y // side
+        best = None
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for i in cells.get((gx, gy), ()):
+                    if best is not None and i > best:
+                        break
+                    xi, yi = pts[i]
+                    dy = yi - y
+                    if dy > u or dy < -u:  # farther than 1, and most centres are
+                        continue
+                    dx = xi - x
+                    ell, r = dx * dx + dy * dy + c, s2 * dx
+                    # As sqrt(3) < 2, L >= 2R rules out the rest before squaring.
+                    if (0 < ell < 2 * r and ell * ell <= 3 * r * r
+                            or ell <= 0 and (r >= 0 or ell * ell >= 3 * r * r)):
+                        best = i
+                        break
+        return best
 
 
 @dataclass(frozen=True)
@@ -282,27 +344,19 @@ class DiskConfiguration:
 
         return "\n".join(f"{fmt(x)},{fmt(y)}" for x, y in self.centers) + ("\n" if self.centers else "")
 
+    @cached_property
+    def _grid(self) -> _DiskGrid:
+        return _DiskGrid(self.centers)
+
     def intersection_graph(self) -> Graph:
-        # Exact test on integers: every centre scaled by the lcm of the
-        # denominators, so |c_i - c_j| <= 2 becomes a bound of 4 * den**2.
-        # Centres are bucketed in square cells of side 2 (2 * den scaled):
-        # two centres within 2 differ by at most one side in each coordinate,
-        # so their cells are equal or adjacent.  Cells list their indices in
-        # increasing order, and each vertex's later neighbours are sorted, so
-        # the edges come out in the order of the all-pairs loop.
-        n = len(self.centers)
-        den = lcm(*(q.denominator for c in self.centers for q in c))
-        pts = [(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-               for x, y in self.centers]
-        side = 2 * den
-        bound = side * side
-        keys = [(x // side, y // side) for x, y in pts]
-        cells: dict[tuple[int, int], list[int]] = {}
-        for i, key in enumerate(keys):
-            cells.setdefault(key, []).append(i)
-        edges = []
+        # |c_i - c_j| <= 2 puts the two centres in one cell or next to each
+        # other.  Each vertex's later neighbours are sorted, so the edges
+        # come in the order of the all-pairs loop.
+        grid = self._grid
+        pts, cells, side = grid.pts, grid.cells, 2 * grid.u
+        bound, edges = side * side, []
         for i, (xi, yi) in enumerate(pts):
-            cx, cy = keys[i]
+            cx, cy = xi // side, yi // side
             near = []
             for gx in (cx - 1, cx, cx + 1):
                 for gy in (cy - 1, cy, cy + 1):
@@ -313,18 +367,12 @@ class DiskConfiguration:
                                 near.append(j)
             near.sort()
             edges.extend((i, j) for j in near)
-        return Graph.from_edges(n, edges)
+        return Graph.from_edges(len(pts), edges)
 
 
 # The covering lattice: p(a, b) = (sqrt(3) a + (sqrt(3)/2) b, 3b/2) over
 # integer pairs (a, b), nearest-neighbour spacing sqrt(3).  |p(a, b)|**2 is
-# exactly 3(a**2 + ab + b**2), so membership tests run on integers; only the
-# returned centres are floats.
-_SQRT3 = 1.7320508075688772
-
-
-def _lattice_point(a: int, b: int) -> tuple[float, float]:
-    return (_SQRT3 * a + (_SQRT3 / 2.0) * b, 1.5 * b)
+# exactly 3(a**2 + ab + b**2), so every test on it runs on integers.
 
 
 def _lattice_pairs(radius: float) -> set[tuple[int, int]]:
@@ -342,16 +390,6 @@ def _lattice_pairs(radius: float) -> set[tuple[int, int]]:
         for b in range(-k, k + 1)
         if 3 * (a * a + a * b + b * b) * den <= num
     }
-
-
-def covering_points(radius: float) -> list[tuple[float, float]]:
-    """Centers of unit disks covering the radius-`radius` disk at the origin.
-
-    The lattice points within radius + 1 of the origin, sorted: each
-    Voronoi cell has circumradius 1, so the cells of the returned points
-    cover the target disk (see ``check_covering``).
-    """
-    return sorted(_lattice_point(a, b) for a, b in _lattice_pairs(radius))
 
 
 # The six lattice neighbours of the origin, in angular order.
@@ -385,81 +423,20 @@ def _cell_circumradius_is_one() -> bool:
     return True
 
 
-def _lattice_pair(x: float, y: float) -> tuple[int, int] | None:
-    """The pair whose float image is exactly (x, y), or None."""
-    b = round(y / 1.5)
-    a = round((x - (_SQRT3 / 2.0) * b) / _SQRT3)
-    return (a, b) if _lattice_point(a, b) == (x, y) else None
-
-
-def check_covering(points, radius: float) -> bool:
-    """Exact certificate that the unit disks at ``points`` cover the disk of
-    radius ``radius`` at the origin.
-
-    ``points`` must be the float images of distinct lattice pairs, exactly
-    the pairs with |p(a, b)| <= radius + 1, and the lattice cell must have
-    circumradius 1.  Proof: the cells tile the plane, so any q with
-    |q| <= radius lies in the cell of some lattice point p, with
-    |q - p| <= 1; then |p| <= radius + 1, so p is one of the points.  The
-    float centres are the exact ones up to rounding.
-    """
-    pairs = [_lattice_pair(x, y) for x, y in points]
-    return (
-        None not in pairs
-        and len(set(pairs)) == len(pairs)
-        and set(pairs) == _lattice_pairs(radius)
-        and _cell_circumradius_is_one()
-    )
-
-
-_VERIFIED_COVERINGS: dict[float, list[tuple[float, float]]] = {}
-
-
-def _covering_for(radius: float) -> list[tuple[float, float]]:
-    if radius not in _VERIFIED_COVERINGS:
-        pts = covering_points(radius)
-        if not check_covering(pts, radius):
-            raise EngineError(f"lattice covering failed its exact check at radius {radius}")
-        _VERIFIED_COVERINGS[radius] = pts
-    return _VERIFIED_COVERINGS[radius]
+@cache
+def covering_pairs() -> tuple[tuple[int, int], ...]:
+    """Every pair (a, b) with |p(a, b)| <= 6, sorted: their unit disks cover
+    the radius-5 disk at the origin.  Any q in it lies in the cell of some
+    lattice point p; the cell's circumradius is 1, checked here, so
+    |q - p| <= 1 and |p| <= 6."""
+    if not _cell_circumradius_is_one():
+        raise EngineError("lattice covering failed its exact check at radius 5")
+    return tuple(sorted(_lattice_pairs(5)))
 
 
 def covering_constant() -> int:
     """Cardinality of the verified radius-5 covering used by construct_unitdisk."""
-    return len(_covering_for(5.0))
-
-
-class _CentreGrid:
-    """Float disk centres bucketed by square cells of side 2.
-
-    ``first_within`` answers the cover lookup: the smallest index whose
-    centre lies within 1 (squared, with 1e-12 slack) of a target.  Such a
-    centre is within about 1 of the target, and halving and floor are exact
-    in floats, so its cell (floor(x/2), floor(y/2)) is the target's cell or
-    one of the eight around it.  Cells list their indices in increasing
-    order.
-    """
-
-    def __init__(self, centers):
-        self.centers = centers
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        for i, (x, y) in enumerate(centers):
-            self.cells.setdefault((floor(x / 2), floor(y / 2)), []).append(i)
-
-    def first_within(self, tx: float, ty: float) -> int | None:
-        centers, cells = self.centers, self.cells
-        cx, cy = floor(tx / 2), floor(ty / 2)
-        best = None
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for i in cells.get((gx, gy), ()):
-                    if best is not None and i > best:
-                        break
-                    xi, yi = centers[i]
-                    if (xi - tx) ** 2 + (yi - ty) ** 2 <= 1.0 + 1e-12:
-                        best = i
-                        break
-        return best
+    return len(covering_pairs())
 
 
 def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
@@ -467,14 +444,13 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
     dominated by one input disk per covering point.  |D| <= c_cov * |P|."""
     g = cfg.intersection_graph()
     p = _extend_packing(g, g.vertices(), set())
-    cover = _covering_for(5.0)
-    centers = [(float(x), float(y)) for x, y in cfg.centers]
-    grid = _CentreGrid(centers)
+    grid = cfg._grid
+    lookups = grid.lookups(covering_pairs())
     d: set[int] = set()
     for v in sorted(p):
-        cx, cy = centers[v]
-        for px, py in cover:
-            best = grid.first_within(cx + px, cy + py)
+        x, y = grid.pts[v]
+        for lookup in lookups:
+            best = grid.first_within(x, y, lookup)
             if best is not None:
                 d.add(best)
     return certify(g, d, p, "unit-disk", covering_constant())

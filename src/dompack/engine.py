@@ -428,8 +428,10 @@ def run(g: Graph, rules, tag: str, constant, y=(), *, stalled="no rule applies",
     ``slack(st)``, read on the parent before each step is applied, gives
     that step's additive slack on the bound ``constant*|P|`` (``formula``
     names the bound).  Any EngineError raised in the loop, the unwind or
-    ``certify`` carries the trace so far.
+    ``certify`` carries the trace so far.  ``certify``'s input check runs
+    first (GraphError): Y in range, red edges only in black mode.
     """
+    y = XYInstance(g, y_set=y, mode=WITNESS_CLASSES.get(tag, (Mode.PLAIN, 0))[0]).y_set
     st = _State.from_graph(g, y=y)
     trace: list[RuleApplication] = []
     steps = []  # (unwind, slack) per step of the trace
@@ -474,8 +476,6 @@ def run_planar(g: Graph) -> WitnessPair:
     either still succeeds (the witness is sound regardless) or raises Stalled.
     The rules read only degrees, so no embedding is needed.
     """
-    if not g.is_plain():
-        raise EngineError("planar driver expects a plain graph")
     return run(g, _shared_rules(PLANAR_CONSTANT), "planar", PLANAR_CONSTANT,
                stalled="planar rules stalled (non-planar input?)")
 
@@ -560,8 +560,6 @@ def _unwind_tw_class_step(app: RuleApplication, d: set, p: set) -> None:
 def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
     """Certified gamma <= k*rho, k the width of a validated chordal completion
     lifted to at least 1 (an isolated vertex pays one for one)."""
-    if not g.is_plain():
-        raise EngineError("treewidth driver expects a plain graph")
     width = completion_width(g, chordal_completion)
     if width is None:
         raise CertificateInvalid("completion is not a chordal supergraph on the same vertices")
@@ -637,9 +635,6 @@ def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
     support with the pendant, which can break every cycle of a graph that is
     not distance-hereditary.  Each witness is certified either way.
     """
-    if not g.is_plain():
-        raise EngineError("distance-hereditary driver expects a plain graph")
-    y0 = g.check_vertex_set(y)
     # Pendants go first: pruning a Y-vertex whose only free neighbor is a
     # pendant would isolate that pendant in the child and lose its
     # total-domination obligation.
@@ -649,5 +644,5 @@ def run_distance_hereditary(g: Graph, y=()) -> WitnessPair:
         (_dh_y_prune, _unwind_nothing),
         (_dh_twins, _unwind_nothing),
     )
-    return run(g, rules, "distance-hereditary", DH_CONSTANT, y0,
+    return run(g, rules, "distance-hereditary", DH_CONSTANT, y,
                stalled="pruning stalled (not distance-hereditary?)")

@@ -143,7 +143,6 @@ def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPa
         raise SequenceInvalid("twin-width driver requires k >= 2")
     if not validate_contraction_sequence(g, seq, width=k):
         raise SequenceInvalid("contraction sequence is not valid at width k")
-    y0 = g.check_vertex_set(y)
     alias: dict[int, int] = {}
     merges = iter(seq.merges)
 
@@ -164,4 +163,4 @@ def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPa
         raise SequenceInvalid("sequence exhausted with undominated vertices remaining")
 
     rules = ((lambda st: _lowblack_step(st, k), _unwind_lowblack), (contract, _unwind_contract))
-    return run(g, rules, "twin-width", 4 * k * k, y0, done=lambda st: st.y.issuperset(st.adj))
+    return run(g, rules, "twin-width", 4 * k * k, y, done=lambda st: st.y.issuperset(st.adj))

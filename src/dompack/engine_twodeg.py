@@ -30,7 +30,6 @@ from __future__ import annotations
 from itertools import count
 
 from .engine import (
-    EngineError,
     RuleApplication,
     Stalled,
     WitnessPair,
@@ -257,8 +256,6 @@ def _unwind_main_step(app: RuleApplication, d: set, p: set) -> None:
 
 def run_twodeg(g: Graph) -> WitnessPair:
     """Certified gamma <= 7*rho for 2-degenerate graphs."""
-    if not g.is_plain():
-        raise EngineError("2-degenerate driver expects a plain graph")
     _, degen = degeneracy_ordering(g)
     if degen > 2:
         raise Stalled(f"input has degeneracy {degen} > 2")

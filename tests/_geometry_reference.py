@@ -1,8 +1,9 @@
 """Sampled and all-pairs forms of the unit-disk geometry.
 
 ``verify_covering`` samples the target disk on a grid and checks that every
-sample lies within 1 of some covering point; it is the reference for the
-exact lattice certificate ``constructions.check_covering``.
+sample lies within 1 of some covering point, given as floats by
+``float_images``; it is the reference for the exact lattice certificate
+behind ``constructions.covering_pairs``.
 ``intersection_edges`` compares every pair of centres in Fractions; it is
 the reference for the cell-bucketed ``DiskConfiguration.intersection_graph``.
 """
@@ -10,6 +11,13 @@ the reference for the cell-bucketed ``DiskConfiguration.intersection_graph``.
 from __future__ import annotations
 
 import numpy as np
+
+
+def float_images(pairs) -> list[tuple[float, float]]:
+    """The lattice points p(a, b) = (sqrt(3) a + (sqrt(3)/2) b, 3b/2) of
+    ``pairs`` as floats, sorted."""
+    sqrt3 = 1.7320508075688772
+    return sorted((sqrt3 * a + (sqrt3 / 2.0) * b, 1.5 * b) for a, b in pairs)
 
 
 def verify_covering(points, radius: float, step: float = 0.01, tol: float = 1e-9) -> bool:

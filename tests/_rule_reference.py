@@ -3,13 +3,15 @@
 The degree-keyed rewrite rules read the working state's degree buckets;
 here each one scans every live vertex, as the rule itself once did, and
 must return the same RuleApplication.  ``is_dominating_pair`` runs a BFS of
-G - N[z] for every z, and ``first_within`` walks every disk centre; they
-are the references for ``find_dominating_pair`` and the unit-disk grid.
-``merge`` is the twin-width contraction built from w's edge lists, the
-reference for ``_State.merge``.
+G - N[z] for every z, and ``first_within`` walks every disk centre in exact
+rationals; they are the references for ``find_dominating_pair`` and the
+unit-disk grid.  ``merge`` is the twin-width contraction built from w's
+edge lists, the reference for ``_State.merge``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from dompack.engine import RuleApplication
 
@@ -218,9 +220,29 @@ def first_dominating_pair(g):
     return None
 
 
-def first_within(centers, tx: float, ty: float) -> int | None:
-    """The first centre, in index order, that passes the cover test."""
-    for i, (xi, yi) in enumerate(centers):
-        if (xi - tx) ** 2 + (yi - ty) ** 2 <= 1.0 + 1e-12:
+def first_within(centers, base, pair) -> int | None:
+    """The first centre, in index order, within distance 1 of base + p(a, b),
+    where p(a, b) = (sqrt(3) (2a + b) / 2, 3b / 2), decided in Fractions.
+
+    With (dx, dy) the centre's offset from base + (0, 3b / 2) and
+    s = (2a + b) / 2, the squared distance minus 1 is A - B sqrt(3) for
+    rationals A and B.  It is evaluated at rationals lo < sqrt(3) < hi,
+    halving the bracket until both ends have the same sign; as sqrt(3) is
+    irrational, that happens unless B = 0, where both ends agree at once.
+    A centre with |dy| > 1, or |dx| > 2|s| + 1 > sqrt(3) |s| + 1, is
+    farther than 1 and skipped first.
+    """
+    (a, b), (bx, by) = pair, base
+    s, t = Fraction(2 * a + b, 2), Fraction(3 * b, 2)
+    for i, (x, y) in enumerate(centers):
+        dx, dy = x - bx, y - by - t
+        if abs(dy) > 1 or abs(dx) > 2 * abs(s) + 1:
+            continue
+        big_a, big_b = dx * dx + dy * dy + 3 * s * s - 1, 2 * s * dx
+        lo, hi = Fraction(17, 10), Fraction(7, 4)
+        while (big_a - big_b * lo > 0) != (big_a - big_b * hi > 0):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid * mid < 3 else (lo, mid)
+        if big_a - big_b * lo <= 0:
             return i
     return None

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from dompack import cli, engine, families, oracles
+from dompack import cli, constructions, engine, families, oracles
 from dompack.cli import main
 from dompack.constructions import ConvexEncoding
 from dompack.engine_twinwidth import ContractionSequence
@@ -22,6 +22,7 @@ from dompack.graph import (
     Graph,
     Graph6Error,
     OversizeError,
+    XYInstance,
     _g6_encode_n,
     graph6_to_masks,
     masks_connected,
@@ -114,8 +115,8 @@ class TestSolve:
             tracemalloc.stop()
         assert code == 3 and out == ""
         assert err == f"error: {big}: n=3000 exceeds limit 64\n"
-        # The text is held about four times over (read, stripped, split).
-        assert peak < 6 * len(text)
+        # The text is held at most twice: as read, and as its first line.
+        assert peak < 3 * len(text)
 
     @pytest.mark.parametrize("name, text, extra", [
         ("json", json.dumps({"n": 70, "edges": [[0, 1]]}), []),
@@ -297,6 +298,19 @@ class TestConstruct:
         df = write(tmp_path, "disks.csv", cfg.to_csv())
         code, out, _ = run_cli(["construct", "--class", "unitdisk", df], capsys)
         assert code == 0
+
+    def test_unitdisk_past_float_precision(self, tmp_path, capsys):
+        # Float centres beyond 2**53 round these quarters away, and the float
+        # cover lookup missed a disk: "D fails the dominating checker", exit 4.
+        text = ("36028797018963973/2,5/2\n36028797018963971/2,27/4\n"
+                "72057594037927971/4,0\n72057594037927961/4,0\n")
+        df = write(tmp_path, "disks.csv", text)
+        code, out, _ = run_cli(["construct", "--class", "unitdisk", df], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        inst = XYInstance(constructions.DiskConfiguration.from_csv(text).intersection_graph())
+        assert oracles.check_xy_dominating(inst, doc["D"])
+        assert oracles.check_xy_packing(inst, doc["P"])
 
     def test_each_class_reads_a_certificate_or_none(self):
         assert sorted(READS_NO_CERTIFICATE + list(CERTIFICATES)) == sorted(cli.CONSTRUCT_CLASSES)
@@ -1241,6 +1255,20 @@ class TestMalformedInputs:
         if certificate is not None:
             argv += ["--certificate", write(tmp_path, "cert.json", certificate)]
         self.assert_parse_error(run_cli(argv, capsys))
+
+    # A red edge outside black mode exited 4 from the planar, treewidth,
+    # twodeg and dh drivers ("driver expects a plain graph"), but 2 from
+    # atfree and generic, which only the witness check refused.
+    @pytest.mark.parametrize("cls", ["planar", "treewidth", "twodeg", "dh", "atfree", "generic"])
+    def test_red_edges_refused_outside_black_mode(self, cls, tmp_path, capsys):
+        graph = '{"n":4,"edges":[[0,1],[1,2]],"red_edges":[[2,3]]}'
+        argv = ["construct", "--class", cls, write(tmp_path, "g.json", graph)]
+        if cls == "treewidth":  # a valid completion: the path 0-1-2-3
+            path = '{"n":4,"edges":[[0,1],[1,2],[2,3]]}'
+            argv += ["--certificate", write(tmp_path, "c.json", path)]
+        result = run_cli(argv, capsys)
+        self.assert_parse_error(result)
+        assert result[2].endswith(" mode requires an all-black graph\n")
 
     # JSON true and false are not vertex ids, though Python reads them as 1
     # and 0: each of these exited 0, the first printing "D":[0,true].

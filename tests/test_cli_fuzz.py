@@ -17,12 +17,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dompack import cli
-from dompack.graph import Graph6Error, from_graph6, graph6_to_masks
+from dompack.constructions import DiskConfiguration
+from dompack.graph import Graph6Error, GraphError, from_graph6, graph6_to_masks
 from _reference import graph6_to_masks_by_string
 
 EXIT_CODES = {
@@ -132,6 +134,13 @@ numbers = st.one_of(
 )
 centre = st.builds(lambda x, y: f"{x},{y}", numbers, numbers)
 disk_csv = st.lists(st.one_of(centre, centre, centre, st.text(max_size=6)), max_size=5).map("\n".join)
+# Centres on a quarter grid a few units across, far past 2**53, where a float
+# no longer holds a quarter: the float cover lookup missed disks there.
+far_disk_csv = st.builds(
+    lambda offset, ks: "".join(f"{4 * offset + a}/4,{4 * offset + b}/4\n" for a, b in ks),
+    st.sampled_from([2**53, 2**54, 10**17, 10**40]),
+    st.lists(st.tuples(st.integers(-24, 24), st.integers(-24, 24)), min_size=2, max_size=13),
+)
 G6_BYTES = st.characters(min_codepoint=63, max_codepoint=126)
 
 
@@ -209,9 +218,17 @@ def test_witnesses(write, text, graph):
 
 
 @FUZZ
-@given(disk_csv)
+@given(disk_csv | far_disk_csv)
 def test_disk_csv(write, text):
-    run(["construct", "--class", "unitdisk", write("disks.csv", text)])
+    # Every configuration that parses has a witness: only malformed input fails.
+    path = write("disks.csv", text)
+    try:
+        DiskConfiguration.from_csv(Path(path).read_text(encoding="utf-8"))
+    except GraphError:
+        want = 2
+    else:
+        want = 0
+    assert run(["construct", "--class", "unitdisk", path]) == want
 
 
 @FUZZ

@@ -9,19 +9,20 @@ from dompack.constructions import (
     DiskConfiguration,
     EncodingInvalid,
     NotFoundError,
+    _cell_circumradius_is_one,
     _check_encoding,
-    check_covering,
+    _lattice_pairs,
     construct_atfree,
     construct_convex,
     construct_generic,
     construct_unitdisk,
     covering_constant,
-    covering_points,
+    covering_pairs,
     find_dominating_pair,
 )
 from dompack.engine import EngineError
 from dompack.graph import Graph, XYInstance, distances_from, masks_connected
-from _geometry_reference import intersection_edges, verify_covering
+from _geometry_reference import float_images, intersection_edges, verify_covering
 from _reference import convex_graph, edges
 from _rule_reference import is_dominating_pair
 from conftest import complete, named, random_graph, random_interval_graph, random_planar
@@ -334,65 +335,45 @@ def float_filter_points(radius):
 
 class TestCovering:
     def test_radius_zero(self):
-        assert len(covering_points(0)) == 1
+        assert _lattice_pairs(0) == {(0, 0)}
 
     def test_radius_one(self):
-        pts = covering_points(1)
+        pts = float_images(_lattice_pairs(1))
         assert len(pts) <= 7
         assert verify_covering(pts, 1)
 
     def test_radius_five_verified(self):
-        pts = covering_points(5)
+        pts = float_images(covering_pairs())
         assert verify_covering(pts, 5)
         assert len(pts) >= 32
         assert covering_constant() == len(pts)
 
     def test_broken_covering_detected(self):
-        pts = [p for p in covering_points(2) if p != (0.0, 0.0)]
-        assert not verify_covering(pts, 2)
-        assert not check_covering(pts, 2)
+        assert not verify_covering(float_images(_lattice_pairs(2) - {(0, 0)}), 2)
 
     def test_points_match_the_float_filter(self):
         for r in RADII + [20]:
-            assert covering_points(r) == float_filter_points(r), r
+            assert float_images(_lattice_pairs(r)) == float_filter_points(r), r
 
     def test_exact_check_agrees_with_the_sampler(self):
         # A coarser grid than the acceptance test's 0.01, which runs at R = 5.
+        assert _cell_circumradius_is_one()
         for r in RADII:
-            pts = covering_points(r)
-            assert check_covering(pts, r), r
-            assert verify_covering(pts, r, step=0.05), r
-
-    def test_exact_check_rejects_mutations(self):
-        def moved(pts, i, dx, dy):
-            return pts[:i] + [(pts[i][0] + dx, pts[i][1] + dy)] + pts[i + 1 :]
-
-        cases = []
-        for r in (1, 2, 5, 2.5):
-            pts = covering_points(r)
-            cases += [(pts[:i] + pts[i + 1 :], r) for i in range(len(pts))]
-            cases += [(moved(pts, i, d, 0), r) for i in range(len(pts)) for d in (1e-6, -1e-6)]
-            cases += [(moved(pts, i, 0, d), r) for i in range(len(pts)) for d in (1e-6, -1e-6)]
-            cases += [
-                ([(1.01 * x, 1.01 * y) for x, y in pts], r),
-                (pts + [(0.5, 0.5)], r),
-                (pts + [pts[0]], r),  # a repeat would inflate c_cov
-                (covering_points(r + 2), r),
-            ]
-        cases.append((covering_points(4), 5))
-        for pts, r in cases:
-            assert not check_covering(pts, r)
-        # The only passing cases are the canonical sets, which the sampler
-        # accepts too.
-        for r in (1, 2, 5, 2.5):
-            pts = covering_points(r)
-            assert check_covering(pts, r) and verify_covering(pts, r)
+            assert verify_covering(float_images(_lattice_pairs(r)), r, step=0.05), r
 
     def test_failed_check_raises(self, monkeypatch):
-        monkeypatch.setattr(constructions, "_VERIFIED_COVERINGS", {})
-        monkeypatch.setattr(constructions, "covering_points", lambda r: [(0.0, 0.0)])
+        # The certificate fails on a lattice of twice the spacing ...
+        doubled = tuple((2 * a, 2 * b) for a, b in constructions._NEIGHBOURS)
+        monkeypatch.setattr(constructions, "_NEIGHBOURS", doubled)
+        assert not _cell_circumradius_is_one()
+        monkeypatch.undo()
+        # ... and then the covering is refused, not cached.
+        monkeypatch.setattr(constructions, "_cell_circumradius_is_one", lambda: False)
+        covering_pairs.cache_clear()
         with pytest.raises(EngineError):
             covering_constant()
+        monkeypatch.undo()
+        assert covering_constant() == 43
 
 
 def border_heavy_centres(n, seed):

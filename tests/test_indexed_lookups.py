@@ -5,12 +5,13 @@
   ``_rule_reference`` returns, at every step of seeded runs.
 * AT-free: ``find_dominating_pair`` is the first pair of the exhaustive
   ``is_dominating_pair`` search.
-* Unit disks: the grid lookup is the linear first-match scan.
+* Unit disks: the grid's cover lookup is the exact first-match scan.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,12 @@ from conftest import (
     random_twodeg,
 )
 from dompack import engine, engine_twinwidth, engine_twodeg, families
-from dompack.constructions import NotFoundError, _CentreGrid, find_dominating_pair
+from dompack.constructions import (
+    DiskConfiguration,
+    NotFoundError,
+    covering_pairs,
+    find_dominating_pair,
+)
 from dompack.engine import _State
 from dompack.graph import Graph, masks_connected
 
@@ -214,42 +220,73 @@ def test_no_pair_raises(n):
 # ---------------------------------------------------------------------------
 
 
-def _assert_grid_matches(centers, targets):
-    grid = _CentreGrid(centers)
-    for tx, ty in targets:
-        assert grid.first_within(tx, ty) == ref.first_within(centers, tx, ty), (tx, ty)
+def _assert_grid_matches(centers, queries):
+    """For each query (base, pairs), the grid's lookup from base with each
+    of the covering pairs is the exact scan's.  Bases are rounded to the
+    grid's scale, where its integers lie."""
+    centers = [(Fraction(x), Fraction(y)) for x, y in centers]
+    grid = DiskConfiguration(tuple(centers))._grid
+    u = grid.u
+    for base, pairs in queries:
+        bx, by = (Fraction(round(Fraction(q) * u), u) for q in base)
+        for pair, lookup in zip(pairs, grid.lookups(pairs)):
+            got = grid.first_within(int(bx * u), int(by * u), lookup)
+            assert got == ref.first_within(centers, (bx, by), pair), (bx, by, pair)
+
+
+def _from_centres(centers):
+    """Every covering pair from each centre, as construct_unitdisk asks."""
+    return [(c, covering_pairs()) for c in centers]
+
+
+# The six lattice neighbours of the origin, and the covering pairs with
+# 2a + b = 0, whose points lie on the vertical through the base.
+FEW_PAIRS = ((0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1), (1, -2), (-1, 2))
 
 
 def test_grid_matches_scan_on_seeded_disks():
     rng = random.Random(11)
     for _ in range(20):
-        span = rng.choice((3.0, 10.0, 40.0))
-        centers = [(rng.uniform(-span, span), rng.uniform(-span, span)) for _ in range(60)]
-        targets = [(rng.uniform(-span - 2, span + 2), rng.uniform(-span - 2, span + 2))
-                   for _ in range(200)]
-        # Targets at distance exactly 1 along an axis, and in general position.
+        span = rng.choice((3, 10, 40))
+        centers = [(Fraction(rng.randint(-100 * span, 100 * span), 100),
+                    Fraction(rng.randint(-100 * span, 100 * span), 100)) for _ in range(60)]
+        bases = [(rng.uniform(-span - 2, span + 2), rng.uniform(-span - 2, span + 2))
+                 for _ in range(40)]
+        # Bases at distance exactly 1 along an axis, and in general position.
+        near = []
         for x, y in centers[:20]:
-            targets += [(x + 1.0, y), (x - 1.0, y), (x, y + 1.0), (x, y - 1.0),
-                        (x + 0.6, y + 0.8), (x - 0.8, y - 0.6)]
-        _assert_grid_matches(centers, targets)
+            near += [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1),
+                     (x + Fraction(3, 5), y + Fraction(4, 5)),
+                     (x - Fraction(4, 5), y - Fraction(3, 5))]
+        _assert_grid_matches(centers, _from_centres(centers[:3])
+                             + [(b, FEW_PAIRS[:1]) for b in bases + near]
+                             + [(b, FEW_PAIRS) for b in bases[:8]])
 
 
 def test_grid_matches_scan_on_cell_borders():
-    # Centres on even coordinates sit on cell borders; targets one unit off
+    # Centres on even coordinates sit on cell borders; bases one unit off
     # them sit on odd coordinates, halfway through a neighbouring cell.
-    centers = [(float(2 * a), float(2 * b)) for a in range(-3, 4) for b in range(-3, 4)]
-    centers += [(-2.0, -1.0), (-1.0, -2.0), (-1e-9, 2.0), (4.0, -1e-9)]
-    targets = []
+    centers = [(2 * a, 2 * b) for a in range(-3, 4) for b in range(-3, 4)]
+    centers += [(-2, -1), (-1, -2), (Fraction(-1, 10**9), 2), (4, Fraction(-1, 10**9))]
+    near = []
     for x, y in centers:
-        for dx, dy in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-                       (1.0 + 1e-9, 0.0), (0.0, -1.0 - 1e-13), (0.5, 0.5)):
-            targets.append((x + dx, y + dy))
-    targets += [(float(a), float(b)) for a in range(-9, 10) for b in range(-9, 10)]
-    _assert_grid_matches(centers, targets)
-    _assert_grid_matches(centers[::-1], targets)
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1 + Fraction(1, 10**9), 0),
+                       (0, -1 - Fraction(1, 10**9)), (Fraction(1, 2), Fraction(1, 2))):
+            near.append((x + dx, y + dy))
+    grid = [(a, b) for a in range(-9, 10) for b in range(-9, 10)]
+    queries = [(b, FEW_PAIRS[:1]) for b in near + grid] + [(b, FEW_PAIRS) for b in near[::7]]
+    _assert_grid_matches(centers, queries + _from_centres(centers[::4]))
+    _assert_grid_matches(centers[::-1], queries)
 
 
 def test_grid_on_far_coordinates():
-    centers = [(1e12, -1e12), (1e12 + 1.0, -1e12), (-5e149, 5e149)]
-    targets = [(1e12 + 0.5, -1e12), (1e12 + 2.0, -1e12), (-5e149, 5e149), (0.0, 0.0)]
-    _assert_grid_matches(centers, targets)
+    centers = [(10**12, -10**12), (10**12 + 1, -10**12), (-5 * 10**149, 5 * 10**149)]
+    bases = [(10**12 + Fraction(1, 2), -10**12), (10**12 + 2, -10**12),
+             (-5 * 10**149, 5 * 10**149), (0, 0)]
+    _assert_grid_matches(centers, _from_centres(centers) + [(b, FEW_PAIRS) for b in bases])
+    # Beyond 2**53 a float centre loses the quarters that tell these apart.
+    centers = [(Fraction(36028797018963973, 2), Fraction(5, 2)),
+               (Fraction(36028797018963971, 2), Fraction(27, 4)),
+               (Fraction(72057594037927971, 4), 0),
+               (Fraction(72057594037927961, 4), 0)]
+    _assert_grid_matches(centers, _from_centres(centers))
