@@ -163,7 +163,7 @@ CONSTRUCT_CLASSES = {
     ),
     "twodeg": ConstructClass(lambda g, _: engine_twodeg.run_twodeg(g)),
     "twinwidth": ConstructClass(
-        lambda g, seq: engine_twinwidth.run_twinwidth(g, seq, max(2, seq.declared_width)),
+        lambda g, seq: engine_twinwidth.run_twinwidth(g, seq),
         _read_contraction_sequence,
         "contraction sequence",
     ),

@@ -464,5 +464,5 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
 def construct_generic(g: Graph) -> WitnessPair:
     """Greedy maximal packing P and D = N[P]; |D| <= (max degree + 1)|P|."""
     p = _extend_packing(g, sorted(g.vertices(), key=lambda v: (g.degree(v), v)), set())
-    d = set(closed_neighborhood(g, p))
+    d = closed_neighborhood(g, p)
     return certify(g, d, p, "generic", g.max_degree() + 1)

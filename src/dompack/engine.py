@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Graph, Mode, XYInstance, ball2, chordal_width
+from .graph import Graph, Mode, XYInstance, chordal_width
 from .oracles import check_xy_dominating, check_xy_packing
 
 
@@ -495,45 +495,40 @@ def completion_width(g: Graph, completion: Graph) -> int | None:
     return chordal_width(completion)
 
 
-def _simplicial(compl_adj: dict[int, set[int]], within=None) -> list[int]:
-    """Vertices whose (restricted) completion neighborhood induces a clique."""
-    verts = within if within is not None else compl_adj.keys()
+def _simplicial(compl, within) -> list[int]:
+    """The members of ``within`` whose completion neighbours in ``within``
+    form a clique, in id order."""
     out = []
-    for v in sorted(verts):
-        nb = [u for u in compl_adj[v] if within is None or u in verts]
-        if all(b in compl_adj[a] for i, a in enumerate(nb) for b in nb[i + 1 :]):
+    for v in sorted(within):
+        nb = [u for u in compl[v] if u in within]
+        if all(b in compl[a] for i, a in enumerate(nb) for b in nb[i + 1 :]):
             out.append(v)
     return out
 
 
-def _dist2_set(st: _State, v: int, targets) -> set[int]:
-    """Targets at graph distance exactly 2 from v in the working graph."""
-    ring2 = ball2(st, v) - st.adj[v]
-    ring2.discard(v)
-    return ring2.intersection(targets)
-
-
-def _tw_class_step(st: _State, compl: dict[int, set[int]], k: int) -> RuleApplication:
-    a1 = _simplicial(compl)
+def _tw_class_step(st: _State, compl, k: int) -> RuleApplication:
+    """The class step on the completion ``compl`` (``compl[v]`` is v's
+    neighbour set in it), read on the live vertices only."""
+    a1 = _simplicial(compl, st.adj.keys())
     bad = [v for v in a1 if v not in st.y]
     if bad:
         raise Stalled(f"simplicial vertices {bad} escaped Y")
-    rest = set(compl) - set(a1)
+    rest = st.adj.keys() - set(a1)
     if not rest:
         raise Stalled("completion exhausted with instance nonempty")
     a2 = _simplicial(compl, rest)
     if not a2:
         raise Stalled("no second-layer simplicial vertex")
     v = a2[0]
-    b = compl[v] & set(a1)
-    if not b:
+    if compl[v].isdisjoint(a1):
         raise Stalled(f"class-step vertex {v} has no first-layer neighbor")
-    c = compl[v] - set(a1)
-    c1 = tuple(sorted(c & st.adj[v]))
-    c2 = tuple(sorted(_dist2_set(st, v, c - st.adj[v])))
-    c2_cover = tuple(
-        sorted(min(st.adj[v] & st.adj[cv]) for cv in c2)
-    )
+    c = compl[v] & rest
+    nv = st.adj[v]
+    c1 = tuple(sorted(c & nv))
+    # The members of c at distance 2 from v, each with its least common
+    # neighbour of v.
+    c2 = tuple(sorted(u for u in c - nv if not nv.isdisjoint(st.adj[u])))
+    c2_cover = tuple(sorted(min(nv & st.adj[u]) for u in c2))
     return RuleApplication(
         "tw_class_step",
         removed_vertices=(v,),
@@ -564,13 +559,8 @@ def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
     if width is None:
         raise CertificateInvalid("completion is not a chordal supergraph on the same vertices")
     k = max(1, width)
-
-    def class_step(st):
-        # The completion on the live vertices, built only when the step runs.
-        live = set(st.adj)
-        return _tw_class_step(st, {v: live & chordal_completion.adj[v] for v in live}, k)
-
-    return run(g, _shared_rules(k) + ((class_step, _unwind_tw_class_step),), "treewidth", k)
+    class_step = (lambda st: _tw_class_step(st, chordal_completion.adj, k), _unwind_tw_class_step)
+    return run(g, _shared_rules(k) + (class_step,), "treewidth", k)
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,10 @@ def _unwind_contract(app: RuleApplication, d: set, p: set) -> None:
         p.add(rep)
 
 
-def run_twinwidth(g: Graph, seq: ContractionSequence, k: int, y=()) -> WitnessPair:
-    """Certified black-domination within 4k^2 of the packing, k >= 2."""
-    if k < 2:
-        raise SequenceInvalid("twin-width driver requires k >= 2")
+def run_twinwidth(g: Graph, seq: ContractionSequence, y=()) -> WitnessPair:
+    """Certified black-domination within 4k^2 of the packing, k the
+    sequence's declared width lifted to at least 2."""
+    k = max(2, seq.declared_width)
     if not validate_contraction_sequence(g, seq, width=k):
         raise SequenceInvalid("contraction sequence is not valid at width k")
     alias: dict[int, int] = {}

@@ -41,7 +41,7 @@ from .engine import (
     rule_isolated,
     run,
 )
-from .graph import Graph, degeneracy_ordering
+from .graph import Graph, XYInstance, closed_neighborhood, three_core
 
 TWODEG_CONSTANT = 7
 
@@ -53,13 +53,6 @@ def _budget_terms(st: _State) -> tuple[int, int]:
     x0 = len(x.intersection(st.by_deg.get(0, ())))
     x1 = len(x.intersection(st.by_deg.get(1, ())))
     return len(x) - x0 - x1, x1
-
-
-def _nx_closed(st: _State) -> set[int]:
-    out = set(st.x)
-    for x in st.x:
-        out |= st.adj[x]
-    return out
 
 
 def _free_in_bucket(st: _State, d: int) -> int | None:
@@ -77,7 +70,7 @@ def _free_in_bucket(st: _State, d: int) -> int | None:
 
 def _rule_anchored_leaf(st: _State) -> RuleApplication | None:
     x = st.x
-    u = min((u for u in _nx_closed(st) - x if len(st.adj[u] - x) <= 1), default=None)
+    u = min((u for u in closed_neighborhood(st, x) - x if len(st.adj[u] - x) <= 1), default=None)
     if u is None:
         return None
     return RuleApplication("2deg_anchored_leaf", removed_vertices=(u,), payload={"vertex": u})
@@ -102,7 +95,7 @@ def _unwind_pendant_support(app: RuleApplication, d: set, p: set) -> None:
 
 
 def _rule_dominated_fringe(st: _State) -> RuleApplication | None:
-    nx_ = _nx_closed(st)
+    nx_ = closed_neighborhood(st, st.x)
     u = min((u for u in nx_ - st.x if len(st.adj[u] - nx_) <= 1), default=None)
     if u is None:
         return None
@@ -111,7 +104,7 @@ def _rule_dominated_fringe(st: _State) -> RuleApplication | None:
 
 def _rule_extra_x_edge(st: _State) -> RuleApplication | None:
     x = st.x
-    u = min((u for u in _nx_closed(st) - x if len(st.adj[u] & x) >= 2), default=None)
+    u = min((u for u in closed_neighborhood(st, x) - x if len(st.adj[u] & x) >= 2), default=None)
     if u is None:
         return None
     a = min(st.adj[u] & x)
@@ -169,7 +162,7 @@ def _main_step(st: _State, ids) -> RuleApplication:
         raise Stalled(f"low-degree vertices {bad} escaped the local rules")
     if not a3:
         raise Stalled("third peel empty on a nonempty instance (not 2-degenerate?)")
-    nx_ = _nx_closed(st)
+    nx_ = closed_neighborhood(st, st.x)
     profiles = {}
     choices = []
     for u in sorted(a3):
@@ -256,9 +249,10 @@ def _unwind_main_step(app: RuleApplication, d: set, p: set) -> None:
 
 def run_twodeg(g: Graph) -> WitnessPair:
     """Certified gamma <= 7*rho for 2-degenerate graphs."""
-    _, degen = degeneracy_ordering(g)
-    if degen > 2:
-        raise Stalled(f"input has degeneracy {degen} > 2")
+    XYInstance(g)  # the input check of ``run``, before the class test
+    core = three_core(g)
+    if core:
+        raise Stalled(f"input is not 2-degenerate: its 3-core has {core} vertices")
     ids = count(g.n)  # gadget ids, above every input vertex
 
     def slack(st):

@@ -1,5 +1,5 @@
-"""Immutable graph substrate: adjacency, distances, degeneracy, chordality,
-I/O.
+"""Immutable graph substrate: adjacency, distances, the 3-core, chordal
+width, I/O.
 
 Vertices are dense integers 0..n-1. Edges carry a color tag, black by default;
 a graph with no red edges is "plain". ``red[v]`` is the set of v's red
@@ -14,7 +14,6 @@ oracles and the scan work on it directly.
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
 from binascii import a2b_base64, b2a_base64
@@ -75,7 +74,7 @@ class Graph:
     def masks(self) -> tuple[int, ...]:
         """Open neighbourhoods as bitmasks, built on first use: big graphs
         that never reach a mask-level routine never pay for them."""
-        return tuple(sum(1 << u for u in s) for s in self.adj)
+        return tuple(map(vertex_mask, self.adj))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -148,13 +147,34 @@ def bits(m: int):
         m ^= low
 
 
-def closed_neighborhood(g: Graph, s) -> frozenset[int]:
-    """N[s]: the members of s together with all their neighbors."""
-    s = g.check_vertex_set(s)
+def closed_neighborhood(g, s) -> set[int]:
+    """N[s]: the members of s together with all their neighbours, as a new
+    set.  ``g`` is a Graph or a driver's working state: anything whose
+    ``adj[v]`` is v's neighbour set.  The ids are not checked: every caller
+    has checked them already."""
+    adj = g.adj
     out = set(s)
     for v in s:
-        out |= g.adj[v]
-    return frozenset(out)
+        out |= adj[v]
+    return out
+
+
+def vertex_mask(s) -> int:
+    """The vertex set s as a mask: bit v set iff v is in s."""
+    m = 0
+    for v in s:
+        m |= 1 << v
+    return m
+
+
+def closed_mask(masks, s: int) -> int:
+    """N[s] for a vertex set given as a mask, over open-neighbourhood masks."""
+    out = s
+    while s:
+        low = s & -s
+        out |= masks[low.bit_length() - 1]
+        s ^= low
+    return out
 
 
 def distances_from(g: Graph, u: int) -> dict[int, int]:
@@ -192,49 +212,39 @@ def ball2(g, v: int) -> set[int]:
     return ball
 
 
-def degeneracy_ordering(g: Graph) -> tuple[list[int], int]:
-    """Repeatedly remove a minimum-degree vertex (ties by id).
-
-    Returns the removal order and the largest degree seen at removal time,
-    which equals the degeneracy of the graph.  A lazy heap of (degree, id)
-    entries picks each vertex: a removal pushes a fresh entry for every
-    remaining neighbour, so a vertex's current entry pops before its stale
-    ones, which are skipped.  The order is exactly the one above, in
-    O(m log n).
-    """
-    deg = [len(s) for s in g.adj]
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    order: list[int] = []
-    degeneracy = 0
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        if d > degeneracy:
-            degeneracy = d
-        for w in g.adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return order, degeneracy
+def three_core(g: Graph) -> int:
+    """The order of the 3-core: how many vertices survive repeated deletion
+    of vertices of degree at most 2.  It is 0 exactly when g is
+    2-degenerate.  A stack holds the vertices whose degree has dropped to 2
+    or below and are not yet deleted; each is pushed once, when it gets
+    there (Batagelj and Zaversnik, 2003), so the peel takes O(n+m)."""
+    adj = g.adj
+    deg = [len(s) for s in adj]
+    stack = [v for v, d in enumerate(deg) if d <= 2]
+    left = g.n
+    while stack:
+        left -= 1
+        for w in adj[stack.pop()]:
+            deg[w] -= 1
+            if deg[w] == 2:
+                stack.append(w)
+    return left
 
 
-def recognize_chordal(g: Graph):
-    """A perfect elimination order, or None when the graph is not chordal.
+def chordal_width(g: Graph) -> int | None:
+    """Clique number minus one of a chordal graph (-1 when empty), or None
+    when the graph is not chordal, by one maximum cardinality search
+    (Tarjan and Yannakakis, 1984).
 
-    Maximum cardinality search (Tarjan and Yannakakis, 1984) visits every
-    vertex once, each time taking an unvisited vertex with the most visited
-    neighbours from weight buckets (entries left behind by a weight increase
-    are skipped when popped).  The reverse of the visit order is a perfect
-    elimination order exactly when the graph is chordal, which is checked
-    during the same search: the neighbours of v visited before it, less the
-    last of them (its parent), must all be neighbours of the parent.  O(n+m).
-    The order returned is that reversed visit order; it need not be the one
-    that eliminates the smallest simplicial vertex first.
+    The search visits every vertex once, each time taking an unvisited
+    vertex with the most visited neighbours from weight buckets (entries
+    left behind by a weight increase are skipped when popped).  The reverse
+    of the visit order is a perfect elimination order exactly when the
+    graph is chordal, which is checked as the search goes: the neighbours
+    of v visited before it, less the last of them (its parent), must all be
+    neighbours of the parent.  Those earlier neighbours and v then form a
+    clique, and every maximal clique is one of them, so the clique number
+    is 1 + the most earlier neighbours of any v.  O(n+m).
     """
     n = g.n
     adj = g.adj
@@ -242,7 +252,7 @@ def recognize_chordal(g: Graph):
     weight = [0] * n
     buckets = [list(range(n - 1, -1, -1))]
     top = 0
-    order = []
+    omega = 0
     for i in range(n):
         while True:
             bucket = buckets[top]
@@ -253,13 +263,13 @@ def recognize_chordal(g: Graph):
             if visit[v] < 0 and weight[v] == top:
                 break
         visit[v] = i
-        order.append(v)
         earlier = [u for u in adj[v] if visit[u] >= 0]
         if len(earlier) > 1:
             parent = max(earlier, key=visit.__getitem__)
             pnb = adj[parent]
             if any(u != parent and u not in pnb for u in earlier):
                 return None
+        omega = max(omega, 1 + len(earlier))
         for u in adj[v]:
             if visit[u] < 0:
                 w = weight[u] = weight[u] + 1
@@ -268,22 +278,6 @@ def recognize_chordal(g: Graph):
                 buckets[w].append(u)
         if top + 1 < len(buckets):
             top += 1
-    order.reverse()
-    return order
-
-
-def chordal_width(g: Graph) -> int | None:
-    """Clique number minus one of a chordal graph (-1 when empty), or None
-    when the graph is not chordal.  Every maximal clique is some vertex with
-    its neighbours later in the perfect elimination order."""
-    peo = recognize_chordal(g)
-    if peo is None:
-        return None
-    seen: set[int] = set()
-    omega = 0
-    for v in peo:
-        omega = max(omega, 1 + len(g.adj[v] - seen))
-        seen.add(v)
     return omega - 1
 
 
@@ -292,12 +286,7 @@ def reach_mask(masks, seed: int, allowed: int) -> int:
     ``allowed`` (seed included), by BFS over whole frontiers."""
     reach = frontier = seed
     while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & allowed & ~reach
+        frontier = closed_mask(masks, frontier) & allowed & ~reach
         reach |= frontier
     return reach
 

@@ -27,7 +27,9 @@ from .graph import (
     bits,
     black_neighbors,
     check_order,
+    closed_mask,
     closed_neighborhood,
+    vertex_mask,
 )
 
 DEFAULT_MAX_N = 64
@@ -120,16 +122,6 @@ def check_xy_packing(inst: XYInstance, p) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _closed_mask(masks, s: int) -> int:
-    """N[s] for a vertex set given as a mask."""
-    out = s
-    while s:
-        low = s & -s
-        out |= masks[low.bit_length() - 1]
-        s ^= low
-    return out
-
-
 def _domination_requirements(masks, x: int, y: int, mode: Mode, red) -> list[int]:
     """Per-vertex requirement masks: D satisfies the mode iff it meets each
     one.  Rows come in vertex order: N[v] unless v is free; in Total mode,
@@ -141,7 +133,7 @@ def _domination_requirements(masks, x: int, y: int, mode: Mode, red) -> list[int
     if mode is Mode.BLACK:
         black = [m & ~r for m, r in zip(masks, red)] if red else masks
         return [black[v] or masks[v] | 1 << v for v in range(n) if not (y >> v) & 1]
-    free = _closed_mask(masks, x) | y
+    free = closed_mask(masks, x) | y
     total = mode is Mode.TOTAL
     exempt = x | y
     reqs = []
@@ -167,16 +159,9 @@ def packing_kernel(masks, x: int = 0, y: int = 0):
     A vertex conflicts with everything within distance two: N[N[v]] - v.
     """
     n = len(masks)
-    conflict = [_closed_mask(masks, m) & ~(1 << v) for v, m in enumerate(masks)]
-    cand = ((1 << n) - 1) & ~(_closed_mask(masks, x) | y)
+    conflict = [closed_mask(masks, m) & ~(1 << v) for v, m in enumerate(masks)]
+    cand = ((1 << n) - 1) & ~(closed_mask(masks, x) | y)
     return solvers.max_independent_set(conflict, cand)
-
-
-def _mask(s) -> int:
-    m = 0
-    for v in s:
-        m |= 1 << v
-    return m
 
 
 def _unmask(m: int) -> frozenset[int]:
@@ -184,7 +169,7 @@ def _unmask(m: int) -> frozenset[int]:
 
 
 def _red_masks(g: Graph) -> list[int] | None:
-    return None if g.is_plain() else [_mask(r) for r in g.red]
+    return None if g.is_plain() else [vertex_mask(r) for r in g.red]
 
 
 def exact_domination(inst: XYInstance, max_n=None) -> ExactResult:
@@ -192,7 +177,7 @@ def exact_domination(inst: XYInstance, max_n=None) -> ExactResult:
     g = inst.graph
     check_size(g.n, max_n)
     size, mask, nodes = domination_kernel(
-        g.masks, _mask(inst.x_set), _mask(inst.y_set), inst.mode, _red_masks(g)
+        g.masks, vertex_mask(inst.x_set), vertex_mask(inst.y_set), inst.mode, _red_masks(g)
     )
     if size < 0:
         raise InfeasibleError("mode constraints cannot be met")
@@ -203,7 +188,7 @@ def exact_packing(inst: XYInstance, max_n=None) -> ExactResult:
     """Maximum (X,Y)-packing via maximum independent set in the conflict graph."""
     g = inst.graph
     check_size(g.n, max_n)
-    size, mask, nodes = packing_kernel(g.masks, _mask(inst.x_set), _mask(inst.y_set))
+    size, mask, nodes = packing_kernel(g.masks, vertex_mask(inst.x_set), vertex_mask(inst.y_set))
     return ExactResult(size, _unmask(mask), nodes)
 
 

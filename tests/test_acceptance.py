@@ -193,7 +193,7 @@ def test_criterion_6_driver_soundness():
         seq = brute_force_tww_sequence(g, 2)
         if seq is None:
             continue
-        _soundness(g, run_twinwidth(g, seq, 2), 16, mode=Mode.BLACK)
+        _soundness(g, run_twinwidth(g, seq), 16, mode=Mode.BLACK)
         done += 1
 
     for trial in range(500):

@@ -259,6 +259,15 @@ class TestConstruct:
             "error: construction failed: planar rules stalled (non-planar input?)"
         )
 
+    def test_twodeg_refuses_a_nonempty_3_core(self, tmp_path, capsys):
+        from conftest import complete
+
+        gf = write(tmp_path, "k4.g6", to_graph6(complete(4)) + "\n")
+        assert run_cli(["construct", "--class", "twodeg", gf], capsys) == (
+            4, "", "error: construction failed: input is not 2-degenerate: "
+            "its 3-core has 4 vertices\n"
+        )
+
     def test_convex_uncovered_point_is_4(self, tmp_path, capsys, monkeypatch):
         # The witness check is certify's dominating checker alone: a D that
         # loses the left endpoint of a packed interval leaves a vertex
@@ -370,6 +379,48 @@ class TestConstruct:
     def test_golden_stdout(self, cls, digest, tmp_path, capsys):
         code, out, _ = run_cli(_golden_argv(cls, tmp_path), capsys)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # Small inputs that take the branches the seeded inputs above never
+    # reach: the 2-degenerate low-out step and its unwind, a pack step whose
+    # unwind pays its backstop, and the dominating pair of K1.  The rules of
+    # the trace, D, P and the sha256 of stdout.
+    @pytest.mark.parametrize(
+        "cls, graph, rules, d, p, digest",
+        [
+            ("twodeg",
+             '{"n":7,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,4],[3,4],[4,5],[4,6]]}',
+             ["2deg_pendant_support", "2deg_anchored_leaf", "2deg_low_out", "isolated",
+              "isolated"],
+             [0, 1, 4], [1, 5],
+             "c1f32c80126c93cddf1200b179fb04ad9349d4c0e57d7da5fd46ba7d93d0a293"),
+            ("twodeg",
+             '{"n":11,"edges":[[0,1],[0,2],[0,6],[1,2],[1,3],[2,3],[2,4],[2,5],[3,4],'
+             '[3,6],[4,5],[5,7],[6,7],[7,8],[7,9],[8,9],[8,10],[9,10]]}',
+             ["2deg_free_degree2", "2deg_extra_x_edge", "2deg_x_x_edge", "isolated",
+              "2deg_pack", "isolated", "2deg_dominated_fringe", "2deg_anchored_leaf",
+              "2deg_anchored_leaf", "2deg_anchored_leaf", "isolated", "2deg_x_x_edge",
+              "isolated", "isolated"],
+             [2, 4, 7, 8, 9], [5, 10],
+             "8935e70a21c62fac9e79795bedd6b484c8232f224fbc18a8efe3e1078c1a3340"),
+            ("atfree", '{"n":1,"edges":[]}', [], [0], [0],
+             "ca920c137999ff45c42da0b26a43cb20280121e6ca732fdd407f9af79729e74e"),
+        ],
+        ids=["twodeg-low-out", "twodeg-backstop", "atfree-k1"],
+    )
+    def test_golden_branches(self, cls, graph, rules, d, p, digest, tmp_path, capsys):
+        gf = write(tmp_path, "g.json", graph)
+        code, out, err = run_cli(["construct", "--class", cls, gf], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [step["rule"] for step in doc["trace"]] == rules
+        assert (doc["D"], doc["P"]) == (d, p)
+        for step in doc["trace"]:
+            if step["rule"] == "2deg_pack":
+                # The pack step deletes its layer-2 vertices, so one in D
+                # got there only as the step's backstop.
+                pay = step["payload"]
+                assert set(pay["backstop"].values()) == set(pay["layer2"]) == {7} <= set(d)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_golden_stdout_twinwidth_red_edges(self, tmp_path, capsys):
@@ -1269,6 +1320,15 @@ class TestMalformedInputs:
         result = run_cli(argv, capsys)
         self.assert_parse_error(result)
         assert result[2].endswith(" mode requires an all-black graph\n")
+
+    # twodeg tested the degeneracy first, so a red-edge graph of degeneracy
+    # 3 exited 4 ("input has degeneracy 3 > 2") where one of degeneracy 2
+    # exits 2.
+    def test_twodeg_refuses_red_edges_before_the_class_test(self, tmp_path, capsys):
+        graph = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3]],"red_edges":[[2,3]]}'
+        gf = write(tmp_path, "g.json", graph)
+        result = run_cli(["construct", "--class", "twodeg", gf], capsys)
+        assert result == (2, "", "error: plain mode requires an all-black graph\n")
 
     # JSON true and false are not vertex ids, though Python reads them as 1
     # and 0: each of these exited 0, the first printing "D":[0,true].

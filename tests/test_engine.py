@@ -1,6 +1,7 @@
 """Rule-level unit tests plus the planar and treewidth drivers."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from dompack.engine import (
     RuleApplication,
     Stalled,
     _State,
-    _dist2_set,
     _tw_class_step,
     rule_isolated,
     rule_low_degree,
@@ -193,18 +193,6 @@ class TestTreewidthDriver:
             else:
                 assert not w.d_set
 
-    def test_dist2_set_reads_the_working_graph(self):
-        for seed in range(20):
-            g = random_planar(10 + seed, seed)
-            st = status(g)
-            st.apply(RuleApplication("demo", removed_vertices=(0,)))
-            rest = Graph.from_edges(g.n, [e for e in edges(g) if 0 not in e])
-            targets = set(range(1, g.n, 2))
-            for v in st.adj:
-                dist = distances_from(rest, v)
-                expect = {c for c in targets if dist.get(c) == 2}
-                assert _dist2_set(st, v, targets) == expect
-
     # When the class step comes, every vertex outside Y has degree above k = 3.
     CLASS_STEP_GRAPH = Graph.from_edges(7, [
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6),
@@ -220,15 +208,11 @@ class TestTreewidthDriver:
         assert 5 in w.p_set and 6 in w.d_set
         assert len(w.d_set) <= 3 * len(w.p_set)
 
-    def test_class_step_golden(self):
-        # Relabelled disjoint unions of 2-5 copies of the graph above with
-        # its width-3 completion: every class step comes after vertices of
-        # other copies are gone, so the step must read the completion on
-        # the live vertices only.  sha256 of the witness documents.
+    def _class_step_unions(self):
+        """Relabelled disjoint unions of 2-5 copies of the graph above, each
+        with its width-3 completion and the treewidth witness on the two."""
         g = self.CLASS_STEP_GRAPH
         completion = brute_force_tw_certificate(g, 3)
-        docs = []
-        steps = 0
         for seed in range(30):
             rng = random.Random(seed)
             copies = rng.randint(2, 5)
@@ -242,12 +226,27 @@ class TestTreewidthDriver:
                     for i in range(copies) for u, v in edges(h)
                 ])
 
-            w = run_treewidth(union(g), union(completion))
-            steps += sum(app.rule_id == "tw_class_step" for app in w.trace)
-            docs.append(w.to_json())
-        assert steps == 104
+            compl = union(completion)
+            yield union(g), compl, run_treewidth(union(g), compl)
+
+    def test_class_step_golden(self):
+        # Every class step comes after vertices of other copies are gone, so
+        # the step must read the completion on the live vertices only.
+        # sha256 of the witness documents.
+        docs = [w.to_json() for _, _, w in self._class_step_unions()]
         digest = hashlib.sha256("\n".join(docs).encode()).hexdigest()
         assert digest == "11e9a63912b1cbd10471c38da092a03a3678a3ad23e6231e2a52c385389f1568"
+
+    def test_dist2_set_reads_the_working_graph(self):
+        # Each class step's c1 and c2 are checked against a BFS in the
+        # working graph that a replay of the trace rebuilds.
+        steps = 0
+        for g, compl, w in self._class_step_unions():
+            for (live, working, *_), app in zip(replay(g, w.trace), w.trace):
+                if app.rule_id == "tw_class_step":
+                    steps += 1
+                    _check_class_step_ring(app.payload, set(live), working, compl)
+        assert steps == 104
 
     def test_class_step_covers_distance_two(self):
         # C4 1-0-2-3 with 0 and 3 in Y; the completion adds the chord 12.
@@ -264,6 +263,22 @@ class TestTreewidthDriver:
         g, compl = random_partial_ktree(12, 2, 5)
         w = run_treewidth(g, compl)
         assert list(replay(g, w.trace))[-1][0] == ()
+
+
+def _check_class_step_ring(pay, live, working, compl):
+    """c1 and c2 of a class step are the members of c at distance 1 and 2
+    from its vertex v in the working graph (given by its live vertices and
+    edge list), c being v's completion neighbours outside the first
+    simplicial layer."""
+    v = pay["vertex"]
+    first = {u for u in live if all(
+        b in compl.adj[a]
+        for a, b in itertools.combinations(sorted(compl.adj[u] & live), 2)
+    )}
+    c = (compl.adj[v] & live) - first
+    dist = distances_from(Graph.from_edges(compl.n, working), v)
+    assert set(pay["c1"]) == {u for u in c if dist.get(u) == 1}
+    assert set(pay["c2"]) == {u for u in c if dist.get(u) == 2}
 
 
 class TestRuleApplicationJson:
@@ -288,7 +303,7 @@ class TestRuleApplicationJson:
             run_treewidth(*random_partial_ktree(30, 3, 2)).trace,
             run_distance_hereditary(random_dh(30, 3)).trace,
             run_twodeg(twodeg_wall_graph_m3()).trace,
-            run_twinwidth(g, seq, max(2, seq.declared_width)).trace,
+            run_twinwidth(g, seq).trace,
         ]
         apps = [app for trace in traces for app in trace]
         apps.append(RuleApplication("demo", payload={"set": {3, 1}, 7: {2: (1,)}}))

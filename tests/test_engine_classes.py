@@ -41,7 +41,7 @@ UNWIND_RUNS = {
     "treewidth": (engine, "_unwind_isolated", lambda g: engine.run_treewidth(g, g)),
     "dh": (engine, "_unwind_isolated", engine.run_distance_hereditary),
     "twinwidth": (engine_twinwidth, "_unwind_lowblack",
-                  lambda g: run_twinwidth(g, brute_force_tww_sequence(g, 2), 2)),
+                  lambda g: run_twinwidth(g, brute_force_tww_sequence(g, 2))),
 }
 
 
@@ -64,11 +64,11 @@ def test_leaked_vertex_is_a_violation(monkeypatch):
     # instead of renaming it back leaves an id outside the input in (D, P).
     g = complete(5)
     seq = ContractionSequence(((0, 1, 5), (5, 2, 6), (6, 3, 7), (7, 4, 8)), 2)
-    trace = run_twinwidth(g, seq, 2).trace
+    trace = run_twinwidth(g, seq).trace
     assert "tww_contract" in [app.rule_id for app in trace]
     monkeypatch.setattr(engine_twinwidth, "_unwind_contract", lambda app, d, p: None)
     with pytest.raises(GuaranteeViolated, match="leaked into the witness") as exc:
-        run_twinwidth(g, seq, 2)
+        run_twinwidth(g, seq)
     assert exc.value.trace == trace
 
 
@@ -205,7 +205,7 @@ class TestTwinwidth:
     def test_p4_width_sequence(self):
         g = families.gen_path(4)
         seq = brute_force_tww_sequence(g, 2)
-        w = run_twinwidth(g, seq, 2)
+        w = run_twinwidth(g, seq)
         check_blk = XYInstance(g, mode=Mode.BLACK)
         assert oracles.check_xy_dominating(check_blk, w.d_set)
         assert oracles.check_xy_packing(check_blk, w.p_set)
@@ -225,7 +225,7 @@ class TestTwinwidth:
             cur = fresh
             fresh += 1
         seq = ContractionSequence(tuple(merges), 2)
-        w = run_twinwidth(g, seq, 2)
+        w = run_twinwidth(g, seq)
         inst = XYInstance(g, mode=Mode.BLACK)
         assert oracles.check_xy_dominating(inst, w.d_set)
         gamma_b = oracles.exact_domination(inst).value
@@ -235,15 +235,9 @@ class TestTwinwidth:
     def test_edgeless_all_predominated(self):
         g = Graph.from_edges(4)
         seq = brute_force_tww_sequence(g, 2)
-        w = run_twinwidth(g, seq, 2, y=range(4))
+        w = run_twinwidth(g, seq, y=range(4))
         assert w.d_set == frozenset() and w.p_set == frozenset()
         assert w.achieved_ratio is None
-
-    def test_rejects_small_k(self):
-        g = families.gen_path(4)
-        seq = brute_force_tww_sequence(g, 1)
-        with pytest.raises(SequenceInvalid):
-            run_twinwidth(g, seq, 1)
 
     def test_wide_declared_width_reads_few_buckets(self, monkeypatch):
         # The low-black step reads the buckets of black degrees 0..k, and no
@@ -259,22 +253,22 @@ class TestTwinwidth:
         monkeypatch.setattr(engine_twinwidth, "_min_in_buckets", bounded)
         g = families.gen_path(4)
         seq = brute_force_tww_sequence(g, 2)
-        w = run_twinwidth(g, ContractionSequence(seq.merges, 10**18), 10**18)
+        w = run_twinwidth(g, ContractionSequence(seq.merges, 10**18))
         assert w.certified_constant == 4 * 10**36
-        narrow = run_twinwidth(g, seq, 5)
+        narrow = run_twinwidth(g, ContractionSequence(seq.merges, 5))
         assert (w.d_set, w.p_set) == (narrow.d_set, narrow.p_set)
 
     def test_rejects_bad_sequence(self):
         g = families.gen_path(4)
         seq = ContractionSequence(((0, 9, 10),), 2)
         with pytest.raises(SequenceInvalid):
-            run_twinwidth(g, seq, 2)
+            run_twinwidth(g, seq)
 
     def test_red_input_graph(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)], red_edges=[(1, 2)])
         seq = brute_force_tww_sequence(g, 2)
         assert seq is not None
-        w = run_twinwidth(g, seq, 2)
+        w = run_twinwidth(g, seq)
         inst = XYInstance(g, mode=Mode.BLACK)
         assert oracles.check_xy_dominating(inst, w.d_set)
         assert oracles.check_xy_packing(inst, w.p_set)
@@ -294,7 +288,7 @@ class TestTwinwidth:
             return {x for e in pairs if v in e for x in e - {v}}
 
         for g, seq in cases:
-            w = run_twinwidth(g, seq, max(2, seq.declared_width))
+            w = run_twinwidth(g, seq)
             st = _State.from_graph(g)
             pairs = {frozenset(e) for e in edges(g)}
             red = {frozenset((u, v)) for u in g.vertices() for v in g.red[u]}
@@ -335,7 +329,7 @@ class TestTwinwidth:
             if seq is None:
                 continue
             done += 1
-            w = run_twinwidth(g, seq, 2)
+            w = run_twinwidth(g, seq)
             inst = XYInstance(g, mode=Mode.BLACK)
             assert oracles.check_xy_dominating(inst, w.d_set)
             assert oracles.check_xy_packing(inst, w.p_set)
@@ -348,7 +342,7 @@ class TestTwinwidth:
     def test_determinism(self):
         g = random_graph(7, 0.4, 3)
         seq = brute_force_tww_sequence(g, 2)
-        assert run_twinwidth(g, seq, 2) == run_twinwidth(g, seq, 2)
+        assert run_twinwidth(g, seq) == run_twinwidth(g, seq)
 
 
 class TestDistanceHereditary:

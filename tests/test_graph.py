@@ -13,12 +13,12 @@ from dompack.graph import (
     ball2,
     black_neighbors,
     closed_neighborhood,
-    degeneracy_ordering,
     distances_from,
     from_edge_json,
     from_graph6,
     graph6_to_masks,
     masks_to_graph6,
+    three_core,
     to_graph6,
 )
 from _reference import edges, masks_to_graph6_one_int, to_edge_json
@@ -109,68 +109,36 @@ class TestDistance:
                     assert d(u, w) <= d(u, v) + d(v, w)
 
 
-def reference_degeneracy_ordering(g):
-    """The quadratic min-over-all-remaining loop that the lazy heap replaced."""
-    deg = {v: g.degree(v) for v in range(g.n)}
-    live_adj = {v: set(g.adj[v]) for v in range(g.n)}
-    order = []
-    degeneracy = 0
-    remaining = set(range(g.n))
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
-        degeneracy = max(degeneracy, deg[v])
-        order.append(v)
-        remaining.discard(v)
-        for w in live_adj[v]:
-            live_adj[w].discard(v)
-            deg[w] -= 1
-        del live_adj[v], deg[v]
-    return order, degeneracy
-
-
 class TestDegeneracy:
+    # three_core(g) is 0 exactly when g is 2-degenerate.
     @given(graphs(max_n=14))
     @settings(max_examples=150, deadline=None)
-    def test_order_matches_reference(self, g):
-        assert degeneracy_ordering(g) == reference_degeneracy_ordering(g)
+    def test_three_core_matches_networkx(self, g):
+        h = nx.Graph(edges(g))
+        h.add_nodes_from(g.vertices())
+        assert three_core(g) == nx.k_core(h, 3).number_of_nodes()
 
     def test_tree(self):
-        assert degeneracy_ordering(families.gen_random_tree(5, 1))[1] == 1
+        assert three_core(families.gen_random_tree(5, 1)) == 0
 
     def test_k4(self):
-        assert degeneracy_ordering(complete(4))[1] == 3
+        assert three_core(complete(4)) == 4
 
     def test_threedeg_family(self):
-        # Exhaustive reference: degeneracy = max over subgraphs of min degree.
         g = families.gen_threedeg(2)
-        assert degeneracy_ordering(g)[1] == 3
-
-    @given(graphs())
-    @settings(max_examples=40, deadline=None)
-    def test_back_degree_bound(self, g):
-        order, d = degeneracy_ordering(g)
-        seen = set()
-        realized = 0
-        for v in order:
-            back = len(g.adj[v] - seen)
-            assert back <= d
-            realized = max(realized, back)
-            seen.add(v)
-        assert realized == d
+        assert three_core(g) == g.n
 
     @given(graphs(max_n=7))
     @settings(max_examples=25, deadline=None)
     def test_some_subgraph_realizes(self, g):
-        if g.n == 0:
-            return
-        _, d = degeneracy_ordering(g)
-        best = 0
+        # Exhaustive reference: the 3-core is the union of every vertex set
+        # that induces minimum degree at least 3.
+        core = set()
         for mask in range(1, 1 << g.n):
-            verts = [v for v in g.vertices() if (mask >> v) & 1]
-            vs = set(verts)
-            mind = min(len(g.adj[v] & vs) for v in verts)
-            best = max(best, mind)
-        assert best == d
+            vs = {v for v in g.vertices() if (mask >> v) & 1}
+            if min(len(g.adj[v] & vs) for v in vs) >= 3:
+                core |= vs
+        assert three_core(g) == len(core)
 
 
 class TestBall2:

@@ -153,7 +153,7 @@ def test_twinwidth_buckets(checked_tww_steps, n, flip):
         g, seq = random_cograph(n, 500 + seed, flip)
         rng = random.Random(seed)
         y = {v for v in g.vertices() if rng.random() < 0.2}
-        engine_twinwidth.run_twinwidth(g, seq, max(2, seq.declared_width), y)
+        engine_twinwidth.run_twinwidth(g, seq, y)
     assert "tww_lowblack" in checked_tww_steps and "tww_contract" in checked_tww_steps
     # Each driver contraction is one checked "tww_contract" step and one
     # checked merge; the validator's merges are the rest, and it replays
