@@ -426,7 +426,8 @@ def _file_lines(text):
 
 
 # Records go to stdout this many lines per write, not one write per graph:
-# whatever wraps stdout pays per write.
+# whatever wraps stdout pays per write.  The enumeration writes this many
+# codes at a time, a whole number of its 256-code runs.
 _SCAN_BLOCK_LINES = 1024
 
 
@@ -460,26 +461,39 @@ def _scan_one_or_oversize(task):
 def _scan_enumeration(n: int, orbit_ids, check: str, keep: int, max_n: int, out: _ScanOutput) -> None:
     """Every labelled graph on n vertices, in code order, each with the
     record of its isomorphism class (``families.labeled_orbit_ids(n)``).
-    Each class is evaluated on the masks of its first graph, decoded from
-    that graph's graph6; each block of codes is then written in one go,
-    every line its graph6, from the code by table lookups, and its class's
-    tail.  The summary takes each class once, times its size, and the
-    counterexamples are the first ten graphs of violating classes."""
-    encode = families.labeled_graph6_encoder(n)
+    Each class is evaluated on the masks of its first graph; the lines are
+    then built 256 codes at a time.  Such a run shares the code's bits 8 and
+    up, so each line is two lookups in tables of the line's start and its
+    graph6, JSON-escaped once per table, then its class's tail: nothing is
+    called per code.  The summary takes each class once, times its size,
+    and the counterexamples are the first ten graphs of violating
+    classes."""
+    # Of the graph6 digits 63..126, JSON escapes only the backslash (92).
+    digits = [encode_basestring_ascii(chr(63 + x))[1:-1] for x in range(64)]
+    lo, hi, high, low = families.labeled_graph6_tables(n, digits)
+    head = ['{"graph6":"' + s for s in high]
+    # A code's graph6 word is lo[k & 255] | hi[k >> 8]; a run splits its
+    # shared hi entry once, and lo is split here.
+    lo_high = [w >> 12 for w in lo]
+    lo_low = [w & 4095 for w in lo]
     sizes = Counter(orbit_ids)
     results = []  # per class, None where the filter drops it
     k = 0
     for c in range(len(sizes)):
         k = orbit_ids.index(c, k)
-        results.append(_scan_one((graph6_to_masks(encode(k)), check, keep, max_n)))
-    tails = [result and result[0] for result in results]
-    codes = range(len(orbit_ids))
-    if None in tails:
-        codes = [k for k in codes if tails[orbit_ids[k]] is not None]
-    for start in range(0, len(codes), _SCAN_BLOCK_LINES):
-        block = ['{"graph6":' + encode_basestring_ascii(encode(k)) + tails[orbit_ids[k]]
-                 for k in codes[start:start + _SCAN_BLOCK_LINES]]
-        sys.stdout.write("\n".join(block) + "\n")
+        results.append(_scan_one((families.labeled_masks(n, k), check, keep, max_n)))
+    # Each tail opens with the graph6 string's closing quote.
+    tails = [result and '"' + result[0] for result in results]
+    for start in range(0, len(orbit_ids), _SCAN_BLOCK_LINES):
+        block = []
+        for k0 in range(start, min(start + _SCAN_BLOCK_LINES, len(orbit_ids)), 256):
+            h = hi[k0 >> 8]
+            hh, hl = h >> 12, h & 4095
+            block += [head[a | hh] + low[b | hl] + t
+                      for a, b, t in zip(lo_high, lo_low, map(tails.__getitem__, orbit_ids[k0:k0 + 256]))
+                      if t]
+        if block:
+            sys.stdout.write("\n".join(block) + "\n")
     for c, result in enumerate(results):
         if result is not None:
             out.count(result, sizes[c])
@@ -487,7 +501,8 @@ def _scan_enumeration(n: int, orbit_ids, check: str, keep: int, max_n: int, out:
     if any(violating):
         for k, c in enumerate(orbit_ids):
             if violating[c]:
-                out.counterexamples.append('{"graph6":' + encode_basestring_ascii(encode(k)) + tails[c])
+                w = lo[k & 255] | hi[k >> 8]
+                out.counterexamples.append(head[w >> 12] + low[w & 4095] + tails[c])
                 if len(out.counterexamples) == 10:
                     break
 

@@ -61,10 +61,14 @@ def _sorted_set(v):
 _TRACE_JSON = json.JSONEncoder(separators=(",", ":"), default=_sorted_set)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RuleApplication:
     """One rewrite step: deltas that turn the parent instance into the child,
-    plus whatever the unwind needs to lift (D', P') back to the parent."""
+    plus whatever the unwind needs to lift (D', P') back to the parent.
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, four times the cost of a plain one, and a
+    construct run makes thousands of steps.  Nothing hashes a step, whose
+    payload is a dict."""
 
     rule_id: str
     removed_vertices: tuple = ()

@@ -234,29 +234,31 @@ def at_free_masks(adj) -> bool:
 
 def _check_labeled_order(n: int) -> None:
     """Refuse orders outside 0..7: an n = 8 code has 28 bits, more than the
-    three byte tables of ``_code_byte_tables`` cover."""
+    24-bit graph6 word of ``labeled_graph6_tables`` holds, and its high
+    table of ``_code_tables`` would have 2^20 entries."""
     if n > 7:
         raise OversizeError("labeled enumeration capped at n = 7")
     if n < 0:
         raise GraphError("vertex count must be non-negative")
 
 
-def _code_byte_tables(image: list[int]) -> list[list[int]]:
-    """Three tables, one per byte of a labelled code (at most 21 bits), that
-    move code bit i to bit ``image[i]`` (an injective map): the image of
-    code k is the OR of the three tables at k's bytes.
+def _code_tables(image: list[int]) -> tuple[list[int], list[int]]:
+    """Two tables that move bit i of a labelled code to bit ``image[i]`` (an
+    injective map): the image of code k is ``lo[k & 255] | hi[k >> 8]``,
+    ``lo`` over the code's low byte and ``hi`` over its bits 8 and up
+    (128 entries at n = 6, 8,192 at n = 7).
 
-    Each table doubles once per bit: the table of a byte's first b + 1 bits
-    is that of its first b bits, then the same entries with the image of
-    the byte's bit b set."""
+    Each table doubles once per bit: the table of its first b + 1 bits is
+    that of its first b bits, then the same entries with the image of bit
+    b set."""
     tables = []
-    for low in (0, 8, 16):
+    for part in (image[:8], image[8:]):
         table = [0]
-        for i in image[low : low + 8]:
+        for i in part:
             bit = 1 << i
             table += [entry | bit for entry in table]
         tables.append(table)
-    return tables
+    return tables[0], tables[1]
 
 
 # ``labeled_orbit_ids`` marks a code not yet reached with this id; the
@@ -266,9 +268,9 @@ _UNSEEN = 0xFFFF
 
 def labeled_orbit_ids(n: int) -> "array":
     """The isomorphism class of each labelled graph on n vertices: entry k
-    is the index of the class of code k (see ``labeled_graph6_encoder``),
-    classes numbered by first appearance, so a class's first graph is its
-    smallest code.
+    is the index of the class of code k (see ``labeled_masks``), classes
+    numbered by first appearance, so a class's first graph is its smallest
+    code.
 
     The smallest code k not yet reached starts a class, and its orbit is
     grown one vertex at a time along the chain S_1 < S_2 < ... < S_n, where
@@ -279,7 +281,7 @@ def labeled_orbit_ids(n: int) -> "array":
     with its images under each (i j), and after the last vertex it is the
     orbit.  The last level's images go straight into the table, duplicates
     and all.  A transposition permutes the edge bits; it is applied to a
-    code through one lookup table per byte.
+    code through the two tables of ``_code_tables``.
     """
     # Imported here, not at start-up: only the scan needs it.
     from array import array
@@ -292,7 +294,7 @@ def labeled_orbit_ids(n: int) -> "array":
         level = []
         for i in range(j):
             swap = {i: j, j: i}
-            level.append(_code_byte_tables(
+            level.append(_code_tables(
                 [index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
             ))
         levels.append(level)
@@ -307,44 +309,60 @@ def labeled_orbit_ids(n: int) -> "array":
         orbit = {k}
         for level in levels:
             grown = set(orbit)
-            for t0, t1, t2 in level:
-                grown.update([t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16] for c in orbit])
+            for lo, hi in level:
+                grown.update([lo[c & 255] | hi[c >> 8] for c in orbit])
             orbit = grown
         for c in orbit:
             ids[c] = classes
-        for t0, t1, t2 in last:
+        for lo, hi in last:
             for c in orbit:
-                ids[t0[c & 255] | t1[c >> 8 & 255] | t2[c >> 16]] = classes
+                ids[lo[c & 255] | hi[c >> 8]] = classes
         classes += 1
 
 
-def labeled_graph6_encoder(n: int) -> Callable[[int], str]:
-    """The graph6 of each labelled graph on n vertices, n <= 7, by code:
+def labeled_masks(n: int, k: int) -> tuple[int, ...]:
+    """The open-neighbourhood bitmasks of labelled graph k on n vertices:
     graph k has edge i of ``combinations(range(n), 2)`` iff bit i of k is
-    set.
+    set."""
+    masks = [0] * n
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        if k >> i & 1:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return tuple(masks)
 
-    graph6 writes the same pairs in column order (0,1), (0,2), (1,2), (0,3),
-    ..., six to a character, first bit highest.  The code's bytes map
-    through ``_code_byte_tables`` to a 24-bit word holding that stream from
-    its top bit down, and each 12-bit half of the word is two characters.
-    The tables cut the characters to the ``ceil(m / 6)`` the m pairs fill,
-    after the order byte.
+
+def labeled_graph6_tables(
+    n: int, digits: list[str]
+) -> tuple[list[int], list[int], list[str], list[str]]:
+    """(lo, hi, high, low): the graph6 of labelled graph k on n vertices
+    (see ``labeled_masks``), n <= 7, is ``high[w >> 12] + low[w & 4095]``
+    with w = ``lo[k & 255] | hi[k >> 8]``, each graph6 digit of value x
+    written as ``digits[x]``.
+
+    graph6 writes the code's pairs in column order (0,1), (0,2), (1,2),
+    (0,3), ..., six to a digit, first bit highest.  ``lo`` and ``hi`` are
+    the ``_code_tables`` that move the code's bits to a 24-bit word holding
+    that stream from its top bit down, and each 12-bit half of the word is
+    two digits.  ``high`` holds the order digit and the first two, ``low``
+    the other two, the four cut to the ``ceil(m / 6)`` that the m pairs
+    fill.
     """
     _check_labeled_order(n)
     pairs = list(combinations(range(n), 2))
     position = {pair: p for p, pair in enumerate(sorted(pairs, key=lambda e: (e[1], e[0])))}
-    t0, t1, t2 = _code_byte_tables([23 - position[pair] for pair in pairs])
+    lo, hi = _code_tables([23 - position[pair] for pair in pairs])
     chars = -(-len(pairs) // 6)
-    one = [chr(63 + x) for x in range(64)]
-    two = [a + b for a in one for b in one]
-    high = [chr(63 + n) + c[:chars] for c in two]
-    low = [c[: max(0, chars - 2)] for c in two]
 
-    def encode(k: int) -> str:
-        word = t0[k & 255] | t1[k >> 8 & 255] | t2[k >> 16]
-        return high[word >> 12] + low[word & 4095]
+    blank = [""] * 64
 
-    return encode
+    def half(first: str, count: int) -> list[str]:
+        # Each 12-bit value as ``first`` and the first ``count`` of its two
+        # digits.
+        return [first + a + b for a in (digits if count > 0 else blank)
+                for b in (digits if count > 1 else blank)]
+
+    return lo, hi, half(digits[n], chars), half("", chars - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ before it read a table of the components of each G - N[z].
 ``enumerate_labeled_masks`` builds the masks of every labelled graph,
 which the scan did before it encoded each code by table lookup, and
 ``labeled_orbit_ids_by_closure`` is the orbit table before it was built by
-cosets, over byte tables built entry by entry
-(``code_byte_tables_by_sum``).  The scan's
+cosets, over code tables built entry by entry (``code_tables_by_sum``).
+``labeled_graph6_encoder`` writes the graph6 of a labelled code from the
+package's tables, as the scan did before it read its JSON lines from them.
+The scan's
 filter predicates, class flags and check chain are kept as they were
 before the scan read them from flag tables.
 """
@@ -29,7 +31,7 @@ from itertools import combinations
 from dompack.constructions import ConvexEncoding, EncodingInvalid
 from dompack.engine import RuleApplication, _State, completion_width
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
-from dompack.families import _UNSEEN, _check_labeled_order, at_free_masks
+from dompack.families import _UNSEEN, _check_labeled_order, at_free_masks, labeled_graph6_tables
 from dompack.graph import (
     Graph,
     Graph6Error,
@@ -428,17 +430,29 @@ def enumerate_labeled_masks(n: int):
         yield tuple(adj)
 
 
-def code_byte_tables_by_sum(image: list[int]) -> list[list[int]]:
-    """``families._code_byte_tables`` entry by entry: each entry is the sum
-    of the images of its byte's set bits."""
+def code_tables_by_sum(image: list[int]) -> tuple[list[int], list[int]]:
+    """``families._code_tables`` entry by entry: each entry of ``lo`` (the
+    code's low byte) and ``hi`` (its bits 8 and up) is the sum of the images
+    of its set bits."""
     tables = []
-    for low in (0, 8, 16):
-        width = max(0, min(8, len(image) - low))
+    for part in (image[:8], image[8:]):
         tables.append([
-            sum(1 << image[low + b] for b in range(width) if byte >> b & 1)
-            for byte in range(1 << width)
+            sum(1 << i for b, i in enumerate(part) if bits >> b & 1)
+            for bits in range(1 << len(part))
         ])
-    return tables
+    return tables[0], tables[1]
+
+
+def labeled_graph6_encoder(n: int):
+    """The graph6 of each labelled graph on n vertices, n <= 7, by code,
+    from ``families.labeled_graph6_tables`` with the plain graph6 digits."""
+    lo, hi, high, low = labeled_graph6_tables(n, [chr(63 + x) for x in range(64)])
+
+    def encode(k: int) -> str:
+        word = lo[k & 255] | hi[k >> 8]
+        return high[word >> 12] + low[word & 4095]
+
+    return encode
 
 
 def transposition_images(n: int):
@@ -461,7 +475,7 @@ def labeled_orbit_ids_by_closure(n: int) -> array:
     symmetric group: one stack push, pop and table probe per image."""
     _check_labeled_order(n)
     images = transposition_images(n)
-    moves = [code_byte_tables_by_sum(images[j, j + 1]) for j in range(n - 1)]
+    moves = [code_tables_by_sum(images[j, j + 1]) for j in range(n - 1)]
     size = 1 << (n * (n - 1) // 2)
     ids = array("H", [_UNSEEN]) * size
     classes = reached = k = 0
@@ -472,9 +486,9 @@ def labeled_orbit_ids_by_closure(n: int) -> array:
         while stack:
             code = stack.pop()
             reached += 1
-            b0, b1, b2 = code & 255, code >> 8 & 255, code >> 16
-            for t0, t1, t2 in moves:
-                other = t0[b0] | t1[b1] | t2[b2]
+            low, high = code & 255, code >> 8
+            for lo, hi in moves:
+                other = lo[low] | hi[high]
                 if ids[other] == _UNSEEN:
                     ids[other] = classes
                     stack.append(other)

@@ -18,7 +18,7 @@ from dompack.families import (
     gen_rook,
     gen_split,
     gen_threedeg,
-    labeled_graph6_encoder,
+    labeled_masks,
     labeled_orbit_ids,
 )
 from dompack.graph import (
@@ -36,11 +36,12 @@ from _reference import (
     at_free_per_triple,
     brute_force_tw_certificate,
     brute_force_tww_sequence,
-    code_byte_tables_by_sum,
+    code_tables_by_sum,
     edges,
     enumerate_connected_bounded_degree,
     enumerate_labeled_graphs,
     enumerate_labeled_masks,
+    labeled_graph6_encoder,
     labeled_orbit_ids_by_closure,
     recognize_distance_hereditary,
     recognize_split,
@@ -590,7 +591,24 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(8))
     def test_byte_tables_match_the_sums(self, n):
         for image in transposition_images(n).values():
-            assert families._code_byte_tables(image) == code_byte_tables_by_sum(image)
+            assert families._code_tables(image) == code_tables_by_sum(image)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_code_tables_map_each_code_to_its_image(self, n):
+        # The image of a code is the sum of the images of its set bits:
+        # every code up to n = 6, and a sample of the 2^21 at n = 7.
+        m = n * (n - 1) // 2
+        codes = range(1 << m) if n <= 6 else random.Random(7).sample(range(1 << m), 3000)
+        for image in transposition_images(n).values():
+            lo, hi = families._code_tables(image)
+            for k in codes:
+                assert lo[k & 255] | hi[k >> 8] == sum(1 << image[i] for i in range(m) if k >> i & 1)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_labeled_masks_follow_the_codes(self, n):
+        assert [labeled_masks(n, k) for k in range(1 << (n * (n - 1) // 2))] == list(
+            enumerate_labeled_masks(n)
+        )
 
     def test_orbit_cap(self):
         with pytest.raises(OversizeError):
