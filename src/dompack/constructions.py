@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import floor, isqrt, lcm
 
 from .engine import EngineError, WitnessPair, certify
@@ -36,17 +36,18 @@ class EncodingInvalid(EngineError):
 # ---------------------------------------------------------------------------
 
 
-def _extend_packing(g: Graph, order, p: set[int]) -> set[int]:
+def _extend_packing(ball, order, p: set[int]) -> set[int]:
     """Greedy packing: add, in ``order``, each vertex at distance >= 3 from
-    every member so far.  ``p`` must already be a packing; it is extended in
-    place and returned."""
+    every member so far; ``ball(v)`` is v's radius-2 ball (``ball2``), which
+    is read and never changed.  ``p`` must already be a packing; it is
+    extended in place and returned."""
     blocked: set[int] = set()
     for u in p:
-        blocked |= ball2(g, u)
+        blocked |= ball(u)
     for v in order:
         if v not in blocked:
             p.add(v)
-            blocked |= ball2(g, v)
+            blocked |= ball(v)
     return p
 
 
@@ -186,26 +187,32 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
     extremal intervals as the dominating complement; |D| <= 3|P|."""
     intervals = _check_encoding(g, enc)
     pos = enc.positions
-    p = _extend_packing(g, g.vertices(), set())
+    # The swaps test and re-extend the same few balls many times over, so
+    # each vertex's ball is built once, on first use.
+    ball = cache(partial(ball2, g))
+    p = _extend_packing(ball, g.vertices(), set())
     # Improvement loop: swap a packed interval for a strictly shorter one,
     # re-extend, repeat to a fixed point.  No p repeats: the new p contains
     # rest | {y2}, which is as large as the old p, so either |p| grows or p
     # is rest | {y2}, whose intervals are narrower in total; the pair
-    # (|p|, -total width) rises strictly at every swap.
+    # (|p|, -total width) rises strictly at every swap.  p is maximal, so
+    # the ball of each y2 outside p meets p; it misses rest only if it holds
+    # y, that is, only if y2 lies in the ball of y.  Scanning that ball in id
+    # order finds the y2 a scan of every interval would.
     for _ in range(1 + len(intervals) * (len(enc.x_order) + 1)):
         swapped = False
         for y in sorted(v for v in p if v in intervals):
             lo, hi = intervals[y]
             width = hi - lo
             rest = p - {y}
-            for y2 in sorted(intervals):
-                if y2 in p:
+            for y2 in sorted(ball(y)):
+                if y2 in p or y2 not in intervals:
                     continue
                 lo2, hi2 = intervals[y2]
                 if hi2 - lo2 >= width:
                     continue
-                if ball2(g, y2).isdisjoint(rest):
-                    p = _extend_packing(g, g.vertices(), rest | {y2})
+                if ball(y2).isdisjoint(rest):
+                    p = _extend_packing(ball, g.vertices(), rest | {y2})
                     swapped = True
                     break
             if swapped:
@@ -443,7 +450,7 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
     """Greedy maximal packing; each packed disk's double neighborhood is
     dominated by one input disk per covering point.  |D| <= c_cov * |P|."""
     g = cfg.intersection_graph()
-    p = _extend_packing(g, g.vertices(), set())
+    p = _extend_packing(partial(ball2, g), g.vertices(), set())
     grid = cfg._grid
     lookups = grid.lookups(covering_pairs())
     d: set[int] = set()
@@ -463,6 +470,7 @@ def construct_unitdisk(cfg: DiskConfiguration) -> WitnessPair:
 
 def construct_generic(g: Graph) -> WitnessPair:
     """Greedy maximal packing P and D = N[P]; |D| <= (max degree + 1)|P|."""
-    p = _extend_packing(g, sorted(g.vertices(), key=lambda v: (g.degree(v), v)), set())
+    order = sorted(g.vertices(), key=lambda v: (g.degree(v), v))
+    p = _extend_packing(partial(ball2, g), order, set())
     d = closed_neighborhood(g, p)
     return certify(g, d, p, "generic", g.max_degree() + 1)

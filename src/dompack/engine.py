@@ -21,6 +21,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .graph import Graph, Mode, XYInstance, chordal_width
 from .oracles import check_xy_dominating, check_xy_packing
@@ -50,15 +52,10 @@ class SequenceInvalid(CertificateInvalid):
     pass
 
 
-def _sorted_set(v):
-    if isinstance(v, (set, frozenset)):
-        return sorted(v)
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
 # One encoder for witnesses and trace lines: tuples come out as lists, int
-# keys as strings, sets sorted.
-_TRACE_JSON = json.JSONEncoder(separators=(",", ":"), default=_sorted_set)
+# keys as strings.  No payload holds a set, and each document is a fresh tree,
+# so the encoder neither converts sets nor checks for cycles.
+_TRACE_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 @dataclass(slots=True)
@@ -160,6 +157,37 @@ def certify(g: Graph, d, p, tag: str, constant, trace=(), y=()) -> WitnessPair:
 # ---------------------------------------------------------------------------
 
 
+class _Index:
+    """An index a rule reads, kept by ``_State`` once the rule has built it
+    (``_State.index``).  ``apply`` and ``merge`` report each change through
+    these hooks, which do nothing here: ``vertex_gone`` before v and its
+    edges are removed (its X and Y membership still as it was), every other
+    hook after its change.  ``vertex_added`` reports a fresh vertex with no
+    edges yet; X and Y grow one vertex at a time; ``merged`` comes once a
+    and b are contracted into w and dropped from X and Y."""
+
+    def vertex_gone(self, v) -> None:
+        pass
+
+    def edge_gone(self, u, v) -> None:
+        pass
+
+    def vertex_added(self, v) -> None:
+        pass
+
+    def edge_added(self, u, v) -> None:
+        pass
+
+    def x_joined(self, v) -> None:
+        pass
+
+    def y_joined(self, v) -> None:
+        pass
+
+    def merged(self, a, b, w) -> None:
+        pass
+
+
 class _State:
     """Mutable sub-instance over original vertex ids (plus gadget ids).
 
@@ -168,10 +196,12 @@ class _State:
     (``len(adj[v]) - len(red[v])``) to the live vertices that have it (a
     bucket may be empty).  ``apply`` and ``merge`` move each vertex whose
     black degree a step changes, so the degree-keyed rules read one bucket
-    instead of scanning every vertex.
+    instead of scanning every vertex.  ``indexes`` holds the other indexes
+    (``_Index``), each built by the first rule that reads it, so a run
+    keeps only those its rules read.
     """
 
-    __slots__ = ("adj", "red", "x", "y", "by_deg")
+    __slots__ = ("adj", "red", "x", "y", "by_deg", "indexes")
 
     def __init__(self, adj, red, x, y):
         self.adj = adj
@@ -181,12 +211,21 @@ class _State:
         self.by_deg: defaultdict[int, set[int]] = defaultdict(set)
         for v in adj:
             self.by_deg[self._black_deg(v)].add(v)
+        self.indexes: dict[type, _Index] = {}
 
     @classmethod
     def from_graph(cls, g: Graph, x=(), y=()):
         adj = {v: set(g.adj[v]) for v in g.vertices()}
         red = {v: set(g.red[v]) for v in g.vertices()}
         return cls(adj, red, set(x), set(y))
+
+    def index(self, kind):
+        """The state's ``kind`` index, built from the state on the first
+        call and kept up to date from then on."""
+        ix = self.indexes.get(kind)
+        if ix is None:
+            ix = self.indexes[kind] = kind(self)
+        return ix
 
     def deg(self, v) -> int:
         return len(self.adj[v])
@@ -206,13 +245,18 @@ class _State:
         # at once (a red edge coming or going leaves it unchanged).  Only
         # the drivers for plain graphs remove edges, so a removed edge is
         # black.
-        adj, red, by_deg = self.adj, self.red, self.by_deg
+        adj, red, by_deg, x, y = self.adj, self.red, self.by_deg, self.x, self.y
+        ixs = self.indexes.values()
         for u, v in app.removed_edges:
             self._shift(u, -1)
             self._shift(v, -1)
             adj[u].discard(v)
             adj[v].discard(u)
+            for ix in ixs:
+                ix.edge_gone(u, v)
         for v in app.removed_vertices:
+            for ix in ixs:
+                ix.vertex_gone(v)
             nbrs = adj.pop(v)
             reds = red.pop(v)
             by_deg[len(nbrs) - len(reds)].discard(v)
@@ -224,8 +268,8 @@ class _State:
                     by_deg[d].discard(w)
                     by_deg[d - 1].add(w)
                 adj[w].discard(v)
-            self.x.discard(v)
-            self.y.discard(v)
+            x.discard(v)
+            y.discard(v)
         if app.merged:
             self.merge(*app.merged)
         # Added vertices take their bucket once their edges are in.
@@ -233,6 +277,8 @@ class _State:
         for v in fresh:
             adj[v] = set()
             red[v] = set()
+            for ix in ixs:
+                ix.vertex_added(v)
         for u, v in app.added_edges:
             if u not in fresh:
                 self._shift(u, 1)
@@ -240,10 +286,20 @@ class _State:
                 self._shift(v, 1)
             adj[u].add(v)
             adj[v].add(u)
+            for ix in ixs:
+                ix.edge_added(u, v)
         for v in fresh:
             by_deg[self._black_deg(v)].add(v)
-        self.x.update(app.x_added)
-        self.y.update(app.y_added)
+        for v in app.x_added:
+            if v not in x:
+                x.add(v)
+                for ix in ixs:
+                    ix.x_joined(v)
+        for v in app.y_added:
+            if v not in y:
+                y.add(v)
+                for ix in ixs:
+                    ix.y_joined(v)
 
     def merge(self, a, b, w) -> None:
         """Contract a and b into the fresh vertex w, in place: w keeps the
@@ -285,6 +341,8 @@ class _State:
         by_deg[len(both)].add(w)
         self.x.difference_update((a, b))
         self.y.difference_update((a, b))
+        for ix in self.indexes.values():
+            ix.merged(a, b, w)
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +350,6 @@ class _State:
 # edge, for edge rules); the priority order (cost-free rules before
 # cost-paying ones) is fixed by each driver.
 # ---------------------------------------------------------------------------
-
-
-def _first_edge_within(st: _State, s) -> tuple[int, int] | None:
-    """The smallest edge (u, v), u < v, with both ends in s, or None.
-
-    u is the smallest member of s with a neighbour in s: every such
-    neighbour of it is larger, else that neighbour would be smaller."""
-    u = min((u for u in s if not s.isdisjoint(st.adj[u])), default=None)
-    if u is None:
-        return None
-    return u, min(st.adj[u] & s)
 
 
 def rule_isolated(st: _State) -> RuleApplication | None:
@@ -345,8 +392,40 @@ def rule_y_pendant(st: _State) -> RuleApplication | None:
     return RuleApplication("y_pendant", removed_vertices=(a,), payload={"vertex": a})
 
 
+class _YEdges(_Index):
+    """A heap that holds the smaller end of every edge within Y: the edge's
+    end pushes it when the edge comes to lie in Y.  A popped vertex has no
+    neighbour in Y, and the next edge within Y at it pushes its smaller end
+    again, so the first entry that is in Y and has a neighbour there is the
+    smallest such vertex."""
+
+    def __init__(self, st: _State):
+        self.adj, self.y = st.adj, st.y
+        self.heap = [v for v in st.y if not st.y.isdisjoint(st.adj[v])]
+        heapify(self.heap)
+
+    def first_edge(self) -> tuple[int, int] | None:
+        """The smallest edge (u, v), u < v, within Y, or None: every
+        neighbour of u in Y is larger, else it would be the smaller one."""
+        adj, y, heap = self.adj, self.y, self.heap
+        while heap:
+            u = heap[0]
+            if u in y and not y.isdisjoint(adj[u]):
+                return u, min(adj[u] & y)
+            heappop(heap)
+        return None
+
+    def edge_added(self, u, v) -> None:
+        if u in self.y and v in self.y:
+            heappush(self.heap, min(u, v))
+
+    def y_joined(self, v) -> None:
+        for a in self.adj[v] & self.y:
+            heappush(self.heap, min(a, v))
+
+
 def rule_y_edge(st: _State) -> RuleApplication | None:
-    edge = _first_edge_within(st, st.y)
+    edge = st.index(_YEdges).first_edge()
     if edge is None:
         return None
     return RuleApplication("y_edge", removed_edges=(edge,), payload={"edge": edge})
@@ -574,13 +653,71 @@ def run_treewidth(g: Graph, chordal_completion: Graph) -> WitnessPair:
 DH_CONSTANT = 2
 
 
+class _YOut(_Index):
+    """``out[a]`` = |N(a) - Y| for each a in Y, and ``low``, the members of Y
+    with at most one neighbour outside it.  A count changes by one per
+    change at a, and ``low`` changes only when a count crosses 1."""
+
+    def __init__(self, st: _State):
+        adj, y = self.adj, self.y = st.adj, st.y
+        self.out = {a: len(adj[a] - y) for a in y}
+        self.low = {a for a, k in self.out.items() if k <= 1}
+
+    def _fewer(self, members) -> None:
+        """Each of ``members`` lost a neighbour outside Y."""
+        out, low = self.out, self.low
+        for a in members:
+            k = out[a] - 1
+            out[a] = k
+            if k == 1:
+                low.add(a)
+
+    def vertex_gone(self, v) -> None:
+        y = self.y
+        if v in y:
+            del self.out[v]
+            self.low.discard(v)
+        else:
+            self._fewer(self.adj[v] & y)
+
+    def edge_gone(self, u, v) -> None:
+        y = self.y
+        if (u in y) != (v in y):
+            self._fewer((u if u in y else v,))
+
+    def edge_added(self, u, v) -> None:
+        y = self.y
+        if (u in y) != (v in y):
+            a = u if u in y else v
+            k = self.out[a] = self.out[a] + 1
+            if k == 2:
+                self.low.discard(a)
+
+    def y_joined(self, v) -> None:
+        adj, y = self.adj, self.y
+        k = self.out[v] = len(adj[v] - y)
+        if k <= 1:
+            self.low.add(v)
+        self._fewer(adj[v] & y)
+
+    def merged(self, a, b, w) -> None:
+        adj, y, out, low = self.adj, self.y, self.out, self.low
+        for v in (a, b):
+            out.pop(v, None)
+            low.discard(v)
+        for v in adj[w] & y:
+            k = out[v] = len(adj[v] - y)
+            if k <= 1:
+                low.add(v)
+            else:
+                low.discard(v)
+
+
 def _dh_y_prune(st: _State) -> RuleApplication | None:
-    # A sorted scan that stops at the first hit: the test builds a set per
-    # vertex, and a hit tends to come early, so this beats a min() over all Y.
-    for a in sorted(st.y):
-        if len(st.adj[a] - st.y) <= 1:
-            return RuleApplication("dh_y_prune", removed_vertices=(a,), payload={"vertex": a})
-    return None
+    a = min(st.index(_YOut).low, default=None)
+    if a is None:
+        return None
+    return RuleApplication("dh_y_prune", removed_vertices=(a,), payload={"vertex": a})
 
 
 def _dh_pendant(st: _State) -> RuleApplication | None:
@@ -598,13 +735,26 @@ def _dh_pendant(st: _State) -> RuleApplication | None:
 
 
 def _dh_twins(st: _State) -> RuleApplication | None:
-    verts = sorted(st.adj)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            open_twin = st.adj[u] == st.adj[v]
-            closed_twin = (v in st.adj[u]) and (st.adj[u] - {v}) == (st.adj[v] - {u})
-            if not (open_twin or closed_twin):
-                continue
+    """The twins u < v, u smallest and then v, as a scan of all pairs finds
+    them.  Twins have equal degrees, one bucket (the graph is plain, so
+    black degree is degree).  A closed twin of u is a neighbour, and an open
+    twin a neighbour of each neighbour z of u; with no neighbour, u's twins
+    are the other isolated vertices.  A closed twin v has N(v) within N[u]."""
+    adj, by_deg = st.adj, st.by_deg
+    for u in sorted(chain.from_iterable(b for b in by_deg.values() if len(b) > 1)):
+        nu = adj[u]
+        peers = by_deg[len(nu)]
+        if nu:
+            near = peers.intersection(adj[next(iter(nu))])
+            near |= peers.intersection(nu)
+            closed = nu | {u}
+            v = min(
+                (v for v in near if v > u and (adj[v] == nu or (v in nu and adj[v] <= closed))),
+                default=None,
+            )
+        else:
+            v = min((v for v in peers if v > u), default=None)
+        if v is not None:
             victim = u if u in st.y else (v if v in st.y else u)
             return RuleApplication(
                 "dh_twin",

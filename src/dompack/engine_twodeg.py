@@ -3,7 +3,8 @@
 Y is forbidden here; the induction instead tracks a free-dominator set X
 whose cost enters the budget through the degree-split terms
 X2+ = {x in X : deg >= 2} and X1 = {x in X : deg = 1}, both taken in the
-current graph at every step (read from the state's degree buckets).
+current graph at every step (read from the X index, ``_XIndex``, which
+the local rules read too).
 
 The local rules delete low-degree vertices around X.  When they are
 exhausted, layered peeling (A1 = degree <= 2, A2 and A3 the next two peels)
@@ -33,7 +34,7 @@ from .engine import (
     RuleApplication,
     Stalled,
     WitnessPair,
-    _first_edge_within,
+    _Index,
     _State,
     _unwind_isolated,
     _unwind_low_degree,
@@ -46,38 +47,222 @@ from .graph import Graph, XYInstance, closed_neighborhood, three_core
 TWODEG_CONSTANT = 7
 
 
+class _XIndex(_Index):
+    """What the local rules ask about X, kept per vertex.
+
+    ``xdeg[v]`` = |N(v) & X| for every live v; ``outside`` = V - N[X];
+    ``on[v]`` = |N(v) - N[X]| for each v in N[X] - X.  The candidate sets are
+    exact: ``anchored`` (v in N[X] - X with at most one neighbour outside X),
+    ``fringe`` (v in N[X] - X with ``on[v]`` <= 1), ``extra`` (v outside X
+    with two X neighbours or more), ``xx`` (v in X with an X neighbour), and
+    ``x0``/``x1``, the members of X of degree 0 and 1.  The two hooks of
+    every step (a vertex leaving, a vertex joining X) move a counter by one
+    per neighbour and touch a set only when the counter crosses the set's
+    threshold; the rarer edge changes and merges recount the vertices they
+    touch (``_refresh``).
+    """
+
+    def __init__(self, st: _State):
+        adj, x = self.adj, self.x = st.adj, st.x
+        self.xdeg = xdeg = {v: len(nb & x) for v, nb in adj.items()}
+        self.outside = {v for v, k in xdeg.items() if not k} - x
+        self.on: dict[int, int] = {}
+        self.anchored: set[int] = set()
+        self.fringe: set[int] = set()
+        self.extra: set[int] = set()
+        self.xx: set[int] = set()
+        self.x0: set[int] = set()
+        self.x1: set[int] = set()
+        for v in adj.keys() - self.outside:
+            self._place(v)
+
+    def _place(self, v) -> None:
+        """Recount ``on[v]`` and put v in the sets its counters call for."""
+        adj, xdeg, on = self.adj, self.xdeg, self.on
+        xd, d, inx = xdeg[v], len(adj[v]), v in self.x
+        near = bool(xd) and not inx
+        if near:
+            k = on[v] = len(adj[v] & self.outside)
+        else:
+            on.pop(v, None)
+        for members, holds in (
+            (self.anchored, near and d - xd <= 1),
+            (self.fringe, near and k <= 1),
+            (self.extra, near and xd >= 2),
+            (self.xx, inx and xd > 0),
+            (self.x0, inx and d == 0),
+            (self.x1, inx and d == 1),
+        ):
+            if holds:
+                members.add(v)
+            else:
+                members.discard(v)
+
+    def _refresh(self, vs) -> None:
+        """Recount the vertices of vs, whose edges changed, and the
+        neighbours of each that entered or left N[X]."""
+        adj, x, outside = self.adj, self.x, self.outside
+        touched = set(vs)
+        for v in vs:
+            xd = self.xdeg[v] = len(adj[v] & x)
+            out = not xd and v not in x
+            if out != (v in outside):
+                if out:
+                    outside.add(v)
+                else:
+                    outside.discard(v)
+                touched |= adj[v]
+        for v in touched:
+            self._place(v)
+
+    def _forget(self, v) -> int:
+        """Drop v from every counter and set it can be in; returns its
+        X-degree."""
+        xd = self.xdeg.pop(v)
+        if v in self.x:
+            self.xx.discard(v)
+            self.x0.discard(v)
+            self.x1.discard(v)
+        elif xd:
+            del self.on[v]
+            self.anchored.discard(v)
+            self.fringe.discard(v)
+            self.extra.discard(v)
+        else:
+            self.outside.discard(v)
+        return xd
+
+    def _fewer_outside(self, zs) -> None:
+        """Each vertex of zs lost a neighbour outside N[X]."""
+        on, fringe = self.on, self.fringe
+        for z in zs:
+            if z in on:
+                k = on[z] - 1
+                on[z] = k
+                if k == 1:
+                    fringe.add(z)
+
+    def vertex_gone(self, r) -> None:
+        adj, x, xdeg, on = self.adj, self.x, self.xdeg, self.on
+        anchored, fringe = self.anchored, self.fringe
+        rx = self._forget(r)
+        if r in x:
+            for w in adj[r]:
+                xd = xdeg[w] - 1
+                xdeg[w] = xd
+                if w in x:
+                    if not xd:
+                        self.xx.discard(w)
+                    self._lower_x(w)
+                elif xd == 1:
+                    self.extra.discard(w)
+                elif not xd:
+                    # w leaves N[X]: each neighbour of it in N[X] - X gains
+                    # one outside neighbour.
+                    anchored.discard(w)
+                    fringe.discard(w)
+                    del on[w]
+                    self.outside.add(w)
+                    for z in adj[w]:
+                        if z in on:
+                            k = on[z] + 1
+                            on[z] = k
+                            if k == 2:
+                                fringe.discard(z)
+        elif rx:
+            for w in adj[r]:
+                if w in x:
+                    self._lower_x(w)
+                elif w in on and len(adj[w]) - xdeg[w] == 2:
+                    anchored.add(w)
+        else:  # r was outside N[X], so none of its neighbours is in X
+            for w in adj[r]:
+                if w in on:
+                    k = on[w] - 1
+                    on[w] = k
+                    if k == 1:
+                        fringe.add(w)
+                    if len(adj[w]) - xdeg[w] == 2:
+                        anchored.add(w)
+
+    def _lower_x(self, w) -> None:
+        """The member w of X is about to lose an edge."""
+        d = len(self.adj[w])
+        if d == 2:
+            self.x1.add(w)
+        elif d == 1:
+            self.x1.discard(w)
+            self.x0.add(w)
+
+    def x_joined(self, v) -> None:
+        adj, x, xdeg, on, outside = self.adj, self.x, self.xdeg, self.on, self.outside
+        nbrs = adj[v]
+        self.anchored.discard(v)
+        self.fringe.discard(v)
+        self.extra.discard(v)
+        on.pop(v, None)
+        if xdeg[v]:
+            self.xx.add(v)
+        if len(nbrs) < 2:
+            (self.x1 if nbrs else self.x0).add(v)
+        if v in outside:
+            outside.discard(v)
+            self._fewer_outside(nbrs)
+        for w in nbrs:
+            xd = xdeg[w] + 1
+            xdeg[w] = xd
+            if w in x:
+                if xd == 1:
+                    self.xx.add(w)
+            elif xd == 1:
+                # w enters N[X]: it stops counting for its neighbours, and
+                # its own count starts.
+                outside.discard(w)
+                aw = adj[w]
+                self._fewer_outside(aw)
+                k = on[w] = len(aw & outside)
+                if k <= 1:
+                    self.fringe.add(w)
+                if len(aw) <= 2:
+                    self.anchored.add(w)
+            else:
+                if xd == 2:
+                    self.extra.add(w)
+                if len(adj[w]) - xd == 1:
+                    self.anchored.add(w)
+
+    def vertex_added(self, v) -> None:
+        self.xdeg[v] = 0
+        self.outside.add(v)
+
+    def edge_gone(self, u, v) -> None:
+        self._refresh((u, v))
+
+    def edge_added(self, u, v) -> None:
+        self._refresh((u, v))
+
+    def merged(self, a, b, w) -> None:
+        self._forget(a)
+        self._forget(b)
+        self._refresh([w, *self.adj[w]])
+
+
 def _budget_terms(st: _State) -> tuple[int, int]:
-    """(|X2+|, |X1|) in the current graph, read from the degree buckets (the
-    graph is plain, so black degree is degree)."""
-    x = st.x
-    x0 = len(x.intersection(st.by_deg.get(0, ())))
-    x1 = len(x.intersection(st.by_deg.get(1, ())))
-    return len(x) - x0 - x1, x1
-
-
-def _free_in_bucket(st: _State, d: int) -> int | None:
-    """The smallest vertex of degree d outside N[X], or None."""
-    x, adj = st.x, st.adj
-    bucket = st.by_deg.get(d)
-    if not bucket:
-        return None
-    return min((u for u in bucket - x if x.isdisjoint(adj[u])), default=None)
-
-
-# The anchored-leaf, dominated-fringe and extra-X-edge rules apply only at
-# vertices outside X with a neighbour in X, so they scan just those.
+    """(|X2+|, |X1|) in the current graph."""
+    ix = st.index(_XIndex)
+    x1 = len(ix.x1)
+    return len(st.x) - len(ix.x0) - x1, x1
 
 
 def _rule_anchored_leaf(st: _State) -> RuleApplication | None:
-    x = st.x
-    u = min((u for u in closed_neighborhood(st, x) - x if len(st.adj[u] - x) <= 1), default=None)
+    u = min(st.index(_XIndex).anchored, default=None)
     if u is None:
         return None
     return RuleApplication("2deg_anchored_leaf", removed_vertices=(u,), payload={"vertex": u})
 
 
 def _rule_pendant_support(st: _State) -> RuleApplication | None:
-    u = _free_in_bucket(st, 1)
+    u = min(st.index(_XIndex).outside.intersection(st.by_deg.get(1, ())), default=None)
     if u is None:
         return None
     v = next(iter(st.adj[u]))
@@ -95,19 +280,17 @@ def _unwind_pendant_support(app: RuleApplication, d: set, p: set) -> None:
 
 
 def _rule_dominated_fringe(st: _State) -> RuleApplication | None:
-    nx_ = closed_neighborhood(st, st.x)
-    u = min((u for u in nx_ - st.x if len(st.adj[u] - nx_) <= 1), default=None)
+    u = min(st.index(_XIndex).fringe, default=None)
     if u is None:
         return None
     return RuleApplication("2deg_dominated_fringe", removed_vertices=(u,), payload={"vertex": u})
 
 
 def _rule_extra_x_edge(st: _State) -> RuleApplication | None:
-    x = st.x
-    u = min((u for u in closed_neighborhood(st, x) - x if len(st.adj[u] & x) >= 2), default=None)
+    u = min(st.index(_XIndex).extra, default=None)
     if u is None:
         return None
-    a = min(st.adj[u] & x)
+    a = min(st.adj[u] & st.x)
     return RuleApplication(
         "2deg_extra_x_edge", removed_edges=((u, a) if u < a else (a, u),),
         payload={"vertex": u, "x_neighbor": a},
@@ -115,14 +298,17 @@ def _rule_extra_x_edge(st: _State) -> RuleApplication | None:
 
 
 def _rule_x_x_edge(st: _State) -> RuleApplication | None:
-    edge = _first_edge_within(st, st.x)
-    if edge is None:
+    # The smallest member of X with a neighbour in X; that neighbour is
+    # larger, else it would be the smaller one.
+    u = min(st.index(_XIndex).xx, default=None)
+    if u is None:
         return None
+    edge = (u, min(st.adj[u] & st.x))
     return RuleApplication("2deg_x_x_edge", removed_edges=(edge,), payload={"edge": edge})
 
 
 def _rule_free_degree2(st: _State) -> RuleApplication | None:
-    u = _free_in_bucket(st, 2)
+    u = min(st.index(_XIndex).outside.intersection(st.by_deg.get(2, ())), default=None)
     if u is None:
         return None
     nbrs = tuple(sorted(st.adj[u]))

@@ -1,12 +1,14 @@
 """Full-scan forms of the lookups that the package answers from an index.
 
-The degree-keyed rewrite rules read the working state's degree buckets;
-here each one scans every live vertex, as the rule itself once did, and
-must return the same RuleApplication.  ``is_dominating_pair`` runs a BFS of
-G - N[z] for every z, and ``first_within`` walks every disk centre in exact
-rationals; they are the references for ``find_dominating_pair`` and the
-unit-disk grid.  ``merge`` is the twin-width contraction built from w's
-edge lists, the reference for ``_State.merge``.
+The rewrite rules read the working state's degree buckets and the indexes
+it keeps (``_State.index``); here each rule scans every live vertex (or
+every pair, for twins), as the rule itself once did, and must return the
+same RuleApplication, and each index has its recount.
+``is_dominating_pair`` runs a BFS of G - N[z] for every z, and
+``first_within`` walks every disk centre in exact rationals; they are the
+references for ``find_dominating_pair`` and the unit-disk grid.  ``merge``
+is the twin-width contraction built from w's edge lists, the reference for
+``_State.merge``.
 """
 
 from __future__ import annotations
@@ -105,6 +107,121 @@ def rule_free_degree2(st) -> RuleApplication | None:
         x_added=nbrs,
         payload={"vertex": u, "neighbors": nbrs},
     )
+
+
+def first_edge_within(st, s) -> tuple[int, int] | None:
+    """The smallest edge (u, v), u < v, with both ends in s, or None."""
+    return min(((u, v) for u in s for v in st.adj[u] & s if u < v), default=None)
+
+
+def rule_y_edge(st) -> RuleApplication | None:
+    edge = first_edge_within(st, st.y)
+    if edge is None:
+        return None
+    return RuleApplication("y_edge", removed_edges=(edge,), payload={"edge": edge})
+
+
+def dh_y_prune(st) -> RuleApplication | None:
+    a = min((a for a in st.y if len(st.adj[a] - st.y) <= 1), default=None)
+    if a is None:
+        return None
+    return RuleApplication("dh_y_prune", removed_vertices=(a,), payload={"vertex": a})
+
+
+def dh_twins(st) -> RuleApplication | None:
+    verts = sorted(st.adj)
+    for i, u in enumerate(verts):
+        for v in verts[i + 1 :]:
+            open_twin = st.adj[u] == st.adj[v]
+            closed_twin = (v in st.adj[u]) and (st.adj[u] - {v}) == (st.adj[v] - {u})
+            if not (open_twin or closed_twin):
+                continue
+            victim = u if u in st.y else (v if v in st.y else u)
+            return RuleApplication(
+                "dh_twin",
+                removed_vertices=(victim,),
+                payload={"pair": (u, v), "victim": victim},
+            )
+    return None
+
+
+def _nx_fringe(st) -> tuple[set[int], set[int]]:
+    """N[X] and N[X] - X."""
+    nx = set(st.x)
+    for v in st.x:
+        nx |= st.adj[v]
+    return nx, nx - st.x
+
+
+def rule_anchored_leaf(st) -> RuleApplication | None:
+    _, near = _nx_fringe(st)
+    u = min((u for u in near if len(st.adj[u] - st.x) <= 1), default=None)
+    if u is None:
+        return None
+    return RuleApplication("2deg_anchored_leaf", removed_vertices=(u,), payload={"vertex": u})
+
+
+def rule_dominated_fringe(st) -> RuleApplication | None:
+    nx, near = _nx_fringe(st)
+    u = min((u for u in near if len(st.adj[u] - nx) <= 1), default=None)
+    if u is None:
+        return None
+    return RuleApplication("2deg_dominated_fringe", removed_vertices=(u,), payload={"vertex": u})
+
+
+def rule_extra_x_edge(st) -> RuleApplication | None:
+    _, near = _nx_fringe(st)
+    u = min((u for u in near if len(st.adj[u] & st.x) >= 2), default=None)
+    if u is None:
+        return None
+    a = min(st.adj[u] & st.x)
+    return RuleApplication(
+        "2deg_extra_x_edge", removed_edges=((u, a) if u < a else (a, u),),
+        payload={"vertex": u, "x_neighbor": a},
+    )
+
+
+def rule_x_x_edge(st) -> RuleApplication | None:
+    edge = first_edge_within(st, st.x)
+    if edge is None:
+        return None
+    return RuleApplication("2deg_x_x_edge", removed_edges=(edge,), payload={"edge": edge})
+
+
+def budget_terms(st) -> tuple[int, int]:
+    """(|X2+|, |X1|), degrees recounted from the adjacency."""
+    degs = [len(st.adj[v]) for v in st.x]
+    return sum(d >= 2 for d in degs), degs.count(1)
+
+
+def x_index(st) -> dict:
+    """The fields of the 2-degenerate rules' X index, recounted."""
+    x = st.x
+    xdeg = {v: len(nb & x) for v, nb in st.adj.items()}
+    nx, near = _nx_fringe(st)
+    on = {v: len(st.adj[v] - nx) for v in near}
+    return {
+        "xdeg": xdeg,
+        "outside": st.adj.keys() - nx,
+        "on": on,
+        "anchored": {v for v in near if len(st.adj[v]) - xdeg[v] <= 1},
+        "fringe": {v for v in near if on[v] <= 1},
+        "extra": {v for v in near if xdeg[v] >= 2},
+        "xx": {v for v in x if xdeg[v]},
+        "x0": {v for v in x if not st.adj[v]},
+        "x1": {v for v in x if len(st.adj[v]) == 1},
+    }
+
+
+def y_out(st) -> tuple[dict[int, int], set[int]]:
+    """|N(a) - Y| per a in Y, and the members of Y where it is at most 1."""
+    out = {a: len(st.adj[a] - st.y) for a in st.y}
+    return out, {a for a, k in out.items() if k <= 1}
+
+
+def y_edge_ends(st) -> set[int]:
+    """The smaller end of each edge within Y."""
+    return {u for u in st.y for v in st.adj[u] & st.y if u < v}
 
 
 def lowblack_step(st, k: int) -> RuleApplication | None:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dompack import families
+from dompack.constructions import ConvexEncoding
 from dompack.engine_twinwidth import ContractionSequence, validate_contraction_sequence
 from dompack.graph import Graph
 
@@ -128,6 +129,28 @@ def random_interval_graph(n: int, seed: int) -> Graph:
         if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]
     ]
     return Graph.from_edges(n, edges)
+
+
+def random_convex(nx: int, ny: int, seed: int) -> ConvexEncoding:
+    """Convex bipartite encoding with intervals of up to nx/8 + 1 positions,
+    shorter than ``families.gen_random_convex``'s, so large instances stay
+    sparse; uncovered left positions get a singleton interval each."""
+    rng = random.Random(seed)
+    x_order = list(range(nx))
+    rng.shuffle(x_order)
+    y_neighbors = {}
+    covered = set()
+    for j in range(ny):
+        lo = rng.randrange(nx)
+        hi = min(nx - 1, lo + rng.randrange(1 + nx // 8))
+        y_neighbors[nx + j] = tuple(x_order[q] for q in range(lo, hi + 1))
+        covered.update(range(lo, hi + 1))
+    nid = nx + ny
+    for q in range(nx):
+        if q not in covered:
+            y_neighbors[nid] = (x_order[q],)
+            nid += 1
+    return ConvexEncoding(tuple(x_order), y_neighbors)
 
 
 def random_cograph(

@@ -492,6 +492,38 @@ class TestConstruct:
         assert code == 0
         assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
+    # sha256 of the stdout of `construct --class C` at n = 4000 on the
+    # conftest generators: the indexed rule lookups and the cached radius-2
+    # balls must pick what the full scans picked on large inputs too.
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "cls, digest",
+        [
+            ("twodeg", "4552339a5ab6d1d61209b07f694ab17f057d03c16e2e236601565dfb1b12e08e"),
+            ("planar", "e3fedaf9a0baba607bcf44a8a241e6dd10206f3b7d47811c72232624844440ac"),
+            ("dh", "ee68818914e1fab76f022a4f5b405fbe99b5dfe8c733a22aa0c5e8d65c694a7c"),
+            ("convex", "afe467b1fe887f47e1fca85f344aabf101f83a8b6fa1375c4a9023ce5d83d636"),
+        ],
+    )
+    def test_golden_stdout_n4000(self, cls, digest, tmp_path, capsys):
+        import conftest
+
+        cert = None
+        if cls == "twodeg":
+            g = conftest.random_twodeg(4000, 4)
+        elif cls == "planar":
+            g = conftest.random_planar(4000, 1)
+        elif cls == "dh":
+            g = conftest.random_dh(4000, 5)
+        else:
+            enc = conftest.random_convex(2000, 2000, 8)
+            g = convex_graph(enc)
+            cert = write(tmp_path, "enc.json", enc.to_json())
+        argv = ["construct", "--class", cls, write(tmp_path, "g.json", to_edge_json(g))]
+        code, out, _ = run_cli(argv + ["--certificate", cert] if cert else argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # The drivers' budgets add up over components, so a disjoint union of
     # two in-class pieces must construct and validate like each piece.
     @pytest.mark.parametrize("seed", [1, 2, 3])

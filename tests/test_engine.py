@@ -306,7 +306,10 @@ class TestRuleApplicationJson:
             run_twinwidth(g, seq).trace,
         ]
         apps = [app for trace in traces for app in trace]
-        apps.append(RuleApplication("demo", payload={"set": {3, 1}, 7: {2: (1,)}}))
+        apps.append(RuleApplication("demo", payload={"pair": (3, 1), 7: {2: (1,)}}))
         assert "2deg_pack" in {app.rule_id for app in apps}
         for app in apps:
             assert app.to_json() == json.dumps(trace_json_obj(app), separators=(",", ":"))
+        # No rule puts a set in a payload, so the encoder takes none.
+        with pytest.raises(TypeError):
+            RuleApplication("demo", payload={"set": {3, 1}}).to_json()

@@ -1,8 +1,11 @@
 """The indexed lookups on the construct path against their full scans.
 
-* Degree buckets: every driver's working state keeps ``by_deg`` equal to a
-  recount, and each bucket-reading rule returns what its full-scan form in
-  ``_rule_reference`` returns, at every step of seeded runs.
+* Degree buckets and state indexes: every driver's working state keeps
+  ``by_deg`` and each index a rule has built (``_State.index``) equal to a
+  recount, and each rule that reads them returns what its full-scan form in
+  ``_rule_reference`` returns, at every step of seeded runs.  Every index
+  is built at the first step of every run, whether or not the driver reads
+  it, so each is kept through every kind of step.
 * AT-free: ``find_dominating_pair`` is the first pair of the exhaustive
   ``is_dominating_pair`` search.
 * Unit disks: the grid's cover lookup is the exact first-match scan.
@@ -36,54 +39,83 @@ from dompack.engine import _State
 from dompack.graph import Graph, masks_connected
 
 # ---------------------------------------------------------------------------
-# Degree buckets
+# Degree buckets and state indexes
 # ---------------------------------------------------------------------------
 
-PLAIN_RULES = [
+# Rules that read only the adjacency and Y, so they apply to trigraphs too.
+Y_RULES = [
+    (engine.rule_y_edge, ref.rule_y_edge),
+    (engine._dh_y_prune, ref.dh_y_prune),
+]
+
+PLAIN_RULES = Y_RULES + [
     (engine.rule_isolated, ref.rule_isolated),
     (engine.rule_y_pendant, ref.rule_y_pendant),
     (engine._dh_pendant, ref.dh_pendant),
     (engine_twodeg._rule_pendant_support, ref.rule_pendant_support),
     (engine_twodeg._rule_free_degree2, ref.rule_free_degree2),
+    (engine_twodeg._rule_anchored_leaf, ref.rule_anchored_leaf),
+    (engine_twodeg._rule_dominated_fringe, ref.rule_dominated_fringe),
+    (engine_twodeg._rule_extra_x_edge, ref.rule_extra_x_edge),
+    (engine_twodeg._rule_x_x_edge, ref.rule_x_x_edge),
 ]
+
+# The twin scan compares every pair, so on graphs with few twins it runs on
+# small states only; the distance-hereditary runs check it at every step.
+TWIN_SCAN_LIMIT = 150
 
 
 def _nonempty_buckets(st: _State) -> dict[int, set[int]]:
     return {d: vs for d, vs in st.by_deg.items() if vs}
 
 
-def _check_plain_rules(st: _State) -> None:
+def _check_indexes(st: _State) -> None:
+    """Each index equals its recount (each is built on the first call)."""
+    assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
+    assert ref.y_edge_ends(st) <= set(st.index(engine._YEdges).heap)
+    yout = st.index(engine._YOut)
+    assert (yout.out, yout.low) == ref.y_out(st)
+    xi = st.index(engine_twodeg._XIndex)
+    assert {name: getattr(xi, name) for name in ref.x_index(st)} == ref.x_index(st)
+
+
+def _check_plain_rules(st: _State, twins=False) -> None:
     for rule, reference in PLAIN_RULES:
         assert rule(st) == reference(st), rule.__name__
+    assert engine_twodeg._budget_terms(st) == ref.budget_terms(st)
+    if twins or len(st.adj) <= TWIN_SCAN_LIMIT:
+        assert engine._dh_twins(st) == ref.dh_twins(st)
     if not st.x:
         for c in (1, 2, 3, 10):
             assert engine.rule_low_degree(st, c) == ref.rule_low_degree(st, c)
 
 
-def _check_lowblack(st: _State) -> None:
+def _check_tww_rules(st: _State) -> None:
+    for rule, reference in Y_RULES:
+        assert rule(st) == reference(st), rule.__name__
     for k in (0, 1, 2, 3):
         assert engine_twinwidth._lowblack_step(st, k) == ref.lowblack_step(st, k)
 
 
 def _checked(monkeypatch, check_rules):
-    """Checks the rules before, and the buckets before and after, every
-    ``_State.apply``, and the buckets around every ``_State.merge`` (which
-    the twin-width validator calls directly); returns a list that counts the
-    steps checked, a merge as "merge"."""
+    """Checks the indexes and the rules before, and the indexes after,
+    every ``_State.apply``, and the indexes around every ``_State.merge``
+    (which the twin-width validator calls directly); returns a list that
+    counts the steps checked, a merge as "merge"."""
     steps = []
     apply, merge = _State.apply, _State.merge
 
     def checked_merge(st, a, b, w):
-        assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
+        _check_indexes(st)
         merge(st, a, b, w)
-        assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
+        _check_indexes(st)
         steps.append("merge")
 
     def checked_apply(st, app):
-        assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
+        _check_indexes(st)
         check_rules(st)
         apply(st, app)
-        assert _nonempty_buckets(st) == ref.black_degree_buckets(st)
+        _check_indexes(st)
         steps.append(app.rule_id)
 
     monkeypatch.setattr(_State, "apply", checked_apply)
@@ -97,8 +129,13 @@ def checked_steps(monkeypatch):
 
 
 @pytest.fixture
+def checked_dh_steps(monkeypatch):
+    return _checked(monkeypatch, lambda st: _check_plain_rules(st, twins=True))
+
+
+@pytest.fixture
 def checked_tww_steps(monkeypatch):
-    return _checked(monkeypatch, _check_lowblack)
+    return _checked(monkeypatch, _check_tww_rules)
 
 
 # Each step rescans the whole state, so the 2000-vertex runs take seconds
@@ -111,6 +148,7 @@ def test_planar_buckets(checked_steps, n):
     for seed in range(3 if n < 700 else 1):
         engine.run_planar(random_planar(n, 100 + seed))
     assert "low_degree" in checked_steps and "x_elim" in checked_steps
+    assert "y_edge" in checked_steps
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -125,8 +163,9 @@ def test_treewidth_buckets(checked_steps, n):
 def test_twodeg_buckets(checked_steps, n):
     for seed in range(3 if n < 700 else 1):
         engine_twodeg.run_twodeg(random_twodeg(n, 300 + seed))
-    assert "2deg_pendant_support" in checked_steps
-    assert "2deg_free_degree2" in checked_steps
+    for rule in ("pendant_support", "free_degree2", "anchored_leaf", "dominated_fringe",
+                 "extra_x_edge", "x_x_edge"):
+        assert f"2deg_{rule}" in checked_steps
 
 
 def test_twodeg_gadget_buckets(checked_steps):
@@ -138,13 +177,14 @@ def test_twodeg_gadget_buckets(checked_steps):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_dh_buckets(checked_steps, n):
+def test_dh_buckets(checked_dh_steps, n):
     for seed in range(3 if n < 700 else 1):
         g = random_dh(n, 400 + seed)
         rng = random.Random(seed)
         engine.run_distance_hereditary(g)
         engine.run_distance_hereditary(g, {v for v in g.vertices() if rng.random() < 0.2})
-    assert "dh_pendant" in checked_steps and "dh_y_prune" in checked_steps
+    assert "dh_pendant" in checked_dh_steps and "dh_y_prune" in checked_dh_steps
+    assert "dh_twin" in checked_dh_steps
 
 
 @pytest.mark.parametrize("n,flip", [(10, 0.0), (40, 0.3), (120, 0.15)])
@@ -169,6 +209,31 @@ def test_buckets_track_isolated_additions():
     st.apply(engine.RuleApplication("t", removed_vertices=(1,), added_vertices=(7,)))
     assert _nonempty_buckets(st) == {0: {0, 2, 7}}
     assert engine.rule_isolated(st).payload["vertex"] == 0
+
+
+def test_indexes_follow_any_change():
+    # Random single changes the drivers never make in these shapes: an edge
+    # between two old vertices added, any edge removed, any vertex removed,
+    # any vertex joining X or Y.
+    rng = random.Random(5)
+    for seed in range(30):
+        g = random_graph(16, 0.25, 800 + seed)
+        st = _State.from_graph(g, x={v for v in g.vertices() if rng.random() < 0.3})
+        st.y.update(v for v in g.vertices() if v not in st.x and rng.random() < 0.3)
+        while len(st.adj) > 2:
+            _check_indexes(st)
+            _check_plain_rules(st, twins=True)
+            u, v = rng.sample(sorted(st.adj), 2)
+            edge = (min(u, v), max(u, v))
+            app = rng.choice([
+                engine.RuleApplication("t", removed_edges=(edge,) if v in st.adj[u] else (),
+                                       added_edges=() if v in st.adj[u] else (edge,)),
+                engine.RuleApplication("t", removed_vertices=(u,)),
+                engine.RuleApplication("t", x_added=(u,)),
+                engine.RuleApplication("t", y_added=(u,)),
+            ])
+            st.apply(app)
+        _check_indexes(st)
 
 
 # ---------------------------------------------------------------------------
