@@ -13,6 +13,7 @@ from .engine import EngineError, WitnessPair, certify
 from .graph import (
     Graph,
     GraphError,
+    OversizeError,
     ball2,
     bits,
     closed_neighborhood,
@@ -247,6 +248,13 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
 # bounds each of the grid's integers by 10**150 times its scale (_DiskGrid).
 MAX_COORDINATE = 10**150
 
+# The scale is the lcm of the denominators, which many distinct ones make
+# huge: the first 3,000 primes above 1,000 give it 40,399 bits, and every
+# distance test then works on integers that long.  One coordinate carries a
+# denominator up to 10**8600 (4300 decimals, exponent -4300), so the cap
+# still runs every configuration whose coordinates share one denominator.
+MAX_SCALE = 10**8600
+
 # Fraction computes 10**exponent, so a short line could ask for billions of
 # digits: an exponent reaches no further than int() reads digits (4300).
 _MAX_EXPONENT = 4300
@@ -266,7 +274,12 @@ class _DiskGrid:
     side 2 (2u scaled).  Each cell lists its indices in increasing order."""
 
     def __init__(self, centers):
-        self.u = u = 2 * lcm(*(q.denominator for c in centers for q in c))
+        scale = 1
+        for d in {q.denominator for c in centers for q in c}:
+            scale = lcm(scale, d)
+            if scale > MAX_SCALE:
+                raise OversizeError("coordinate denominators have a common multiple above 10^8600")
+        self.u = u = 2 * scale
         self.pts = [(x.numerator * (u // x.denominator), y.numerator * (u // y.denominator))
                     for x, y in centers]
         self.cells: dict[tuple[int, int], list[int]] = {}

@@ -160,22 +160,21 @@ def certify(g: Graph, d, p, tag: str, constant, trace=(), y=()) -> WitnessPair:
 class _Index:
     """An index a rule reads, kept by ``_State`` once the rule has built it
     (``_State.index``).  ``apply`` and ``merge`` report each change through
-    these hooks, which do nothing here: ``vertex_gone`` before v and its
-    edges are removed (its X and Y membership still as it was), every other
-    hook after its change.  ``vertex_added`` reports a fresh vertex with no
-    edges yet; X and Y grow one vertex at a time; ``merged`` comes once a
-    and b are contracted into w and dropped from X and Y."""
+    these hooks, which do nothing here, every one after its change:
+    ``vertex_gone(v, nbrs)`` once v's edges are gone, with its old neighbour
+    set, while X and Y still hold it; ``edge_changed(u, v)`` once uv is added
+    or removed; ``vertex_added`` for a fresh vertex with no edges yet;
+    ``x_joined`` and ``y_joined`` as X and Y grow one vertex at a time; and
+    ``merged(a, b, w)`` once a and b are contracted into w and dropped from
+    X and Y."""
 
-    def vertex_gone(self, v) -> None:
+    def vertex_gone(self, v, nbrs) -> None:
         pass
 
-    def edge_gone(self, u, v) -> None:
+    def edge_changed(self, u, v) -> None:
         pass
 
     def vertex_added(self, v) -> None:
-        pass
-
-    def edge_added(self, u, v) -> None:
         pass
 
     def x_joined(self, v) -> None:
@@ -253,10 +252,8 @@ class _State:
             adj[u].discard(v)
             adj[v].discard(u)
             for ix in ixs:
-                ix.edge_gone(u, v)
+                ix.edge_changed(u, v)
         for v in app.removed_vertices:
-            for ix in ixs:
-                ix.vertex_gone(v)
             nbrs = adj.pop(v)
             reds = red.pop(v)
             by_deg[len(nbrs) - len(reds)].discard(v)
@@ -268,6 +265,8 @@ class _State:
                     by_deg[d].discard(w)
                     by_deg[d - 1].add(w)
                 adj[w].discard(v)
+            for ix in ixs:
+                ix.vertex_gone(v, nbrs)
             x.discard(v)
             y.discard(v)
         if app.merged:
@@ -287,7 +286,7 @@ class _State:
             adj[u].add(v)
             adj[v].add(u)
             for ix in ixs:
-                ix.edge_added(u, v)
+                ix.edge_changed(u, v)
         for v in fresh:
             by_deg[self._black_deg(v)].add(v)
         for v in app.x_added:
@@ -415,8 +414,8 @@ class _YEdges(_Index):
             heappop(heap)
         return None
 
-    def edge_added(self, u, v) -> None:
-        if u in self.y and v in self.y:
+    def edge_changed(self, u, v) -> None:
+        if v in self.adj[u] and u in self.y and v in self.y:
             heappush(self.heap, min(u, v))
 
     def y_joined(self, v) -> None:
@@ -655,62 +654,52 @@ DH_CONSTANT = 2
 
 class _YOut(_Index):
     """``out[a]`` = |N(a) - Y| for each a in Y, and ``low``, the members of Y
-    with at most one neighbour outside it.  A count changes by one per
-    change at a, and ``low`` changes only when a count crosses 1."""
+    with at most one neighbour outside it.  The hooks move the counts, and
+    ``_set`` places each count's vertex in ``low``."""
 
     def __init__(self, st: _State):
-        adj, y = self.adj, self.y = st.adj, st.y
-        self.out = {a: len(adj[a] - y) for a in y}
-        self.low = {a for a, k in self.out.items() if k <= 1}
+        self.adj, self.y = st.adj, st.y
+        self.out: dict[int, int] = {}
+        self.low: set[int] = set()
+        for a in st.y:
+            self._recount(a)
 
-    def _fewer(self, members) -> None:
-        """Each of ``members`` lost a neighbour outside Y."""
-        out, low = self.out, self.low
-        for a in members:
-            k = out[a] - 1
-            out[a] = k
-            if k == 1:
-                low.add(a)
+    def _set(self, a, k) -> None:
+        self.out[a] = k
+        if k <= 1:
+            self.low.add(a)
+        else:
+            self.low.discard(a)
 
-    def vertex_gone(self, v) -> None:
-        y = self.y
-        if v in y:
-            del self.out[v]
+    def _recount(self, a) -> None:
+        self._set(a, len(self.adj[a] - self.y))
+
+    def vertex_gone(self, v, nbrs) -> None:
+        out = self.out
+        if v in self.y:
+            del out[v]
             self.low.discard(v)
         else:
-            self._fewer(self.adj[v] & y)
+            for a in nbrs & self.y:
+                self._set(a, out[a] - 1)
 
-    def edge_gone(self, u, v) -> None:
-        y = self.y
-        if (u in y) != (v in y):
-            self._fewer((u if u in y else v,))
-
-    def edge_added(self, u, v) -> None:
-        y = self.y
-        if (u in y) != (v in y):
-            a = u if u in y else v
-            k = self.out[a] = self.out[a] + 1
-            if k == 2:
-                self.low.discard(a)
+    def edge_changed(self, u, v) -> None:
+        for a in (u, v):
+            if a in self.y:
+                self._recount(a)
 
     def y_joined(self, v) -> None:
-        adj, y = self.adj, self.y
-        k = self.out[v] = len(adj[v] - y)
-        if k <= 1:
-            self.low.add(v)
-        self._fewer(adj[v] & y)
+        out = self.out
+        self._recount(v)
+        for a in self.adj[v] & self.y:
+            self._set(a, out[a] - 1)
 
     def merged(self, a, b, w) -> None:
-        adj, y, out, low = self.adj, self.y, self.out, self.low
         for v in (a, b):
-            out.pop(v, None)
-            low.discard(v)
-        for v in adj[w] & y:
-            k = out[v] = len(adj[v] - y)
-            if k <= 1:
-                low.add(v)
-            else:
-                low.discard(v)
+            self.out.pop(v, None)
+            self.low.discard(v)
+        for v in self.adj[w] & self.y:
+            self._recount(v)
 
 
 def _dh_y_prune(st: _State) -> RuleApplication | None:

@@ -50,201 +50,112 @@ TWODEG_CONSTANT = 7
 class _XIndex(_Index):
     """What the local rules ask about X, kept per vertex.
 
-    ``xdeg[v]`` = |N(v) & X| for every live v; ``outside`` = V - N[X];
-    ``on[v]`` = |N(v) - N[X]| for each v in N[X] - X.  The candidate sets are
+    Three counters: ``xdeg[v]`` = |N(v) & X| and ``on[v]`` = |N(v) - N[X]|
+    for every live v, and ``outside`` = V - N[X].  The candidate sets are
     exact: ``anchored`` (v in N[X] - X with at most one neighbour outside X),
-    ``fringe`` (v in N[X] - X with ``on[v]`` <= 1), ``extra`` (v outside X
+    ``fringe`` (v in N[X] - X with ``on[v]`` <= 1), ``extra`` (v in N[X] - X
     with two X neighbours or more), ``xx`` (v in X with an X neighbour), and
-    ``x0``/``x1``, the members of X of degree 0 and 1.  The two hooks of
-    every step (a vertex leaving, a vertex joining X) move a counter by one
-    per neighbour and touch a set only when the counter crosses the set's
-    threshold; the rarer edge changes and merges recount the vertices they
-    touch (``_refresh``).
+    ``x0``/``x1``, the members of X of degree 0 and 1.  ``_place`` states
+    each set's rule once and reads a vertex's sets off its counters; the
+    hooks only move the counters of the vertices their change touched
+    (edge changes and merges recount them) and hand those to ``_touch``,
+    which places them.
     """
 
     def __init__(self, st: _State):
         adj, x = self.adj, self.x = st.adj, st.x
-        self.xdeg = xdeg = {v: len(nb & x) for v, nb in adj.items()}
-        self.outside = {v for v, k in xdeg.items() if not k} - x
-        self.on: dict[int, int] = {}
-        self.anchored: set[int] = set()
-        self.fringe: set[int] = set()
-        self.extra: set[int] = set()
-        self.xx: set[int] = set()
-        self.x0: set[int] = set()
-        self.x1: set[int] = set()
-        for v in adj.keys() - self.outside:
+        outside = self.outside = adj.keys() - closed_neighborhood(st, x)
+        self.xdeg = {v: len(nb & x) for v, nb in adj.items()}
+        self.on = {v: len(nb & outside) for v, nb in adj.items()}
+        self.anchored, self.fringe, self.extra, self.xx, self.x0, self.x1 = (
+            set() for _ in range(6))
+        self.sets = (outside, self.anchored, self.fringe, self.extra, self.xx, self.x0, self.x1)
+        for v in adj.keys() - outside:
             self._place(v)
 
-    def _place(self, v) -> None:
-        """Recount ``on[v]`` and put v in the sets its counters call for."""
-        adj, xdeg, on = self.adj, self.xdeg, self.on
-        xd, d, inx = xdeg[v], len(adj[v]), v in self.x
-        near = bool(xd) and not inx
-        if near:
-            k = on[v] = len(adj[v] & self.outside)
-        else:
-            on.pop(v, None)
-        for members, holds in (
-            (self.anchored, near and d - xd <= 1),
-            (self.fringe, near and k <= 1),
-            (self.extra, near and xd >= 2),
-            (self.xx, inx and xd > 0),
-            (self.x0, inx and d == 0),
-            (self.x1, inx and d == 1),
-        ):
-            if holds:
-                members.add(v)
-            else:
-                members.discard(v)
+    def _place(self, v) -> bool:
+        """Put v in the sets its counters call for and take it out of the
+        others, one line per set; True when v entered or left ``outside``."""
+        xd, d, inx = self.xdeg[v], len(self.adj[v]), v in self.x
+        out = not xd and not inx
+        outside, anchored, fringe, extra, xx, x0, x1 = self.sets
+        moved = out != (v in outside)
+        if out and not moved:
+            return False  # a vertex outside N[X] is in no other set
+        near = not out and not inx
+        outside.add(v) if out else outside.discard(v)
+        anchored.add(v) if near and d - xd <= 1 else anchored.discard(v)
+        fringe.add(v) if near and self.on[v] <= 1 else fringe.discard(v)
+        extra.add(v) if near and xd >= 2 else extra.discard(v)
+        xx.add(v) if inx and xd else xx.discard(v)
+        x0.add(v) if inx and d == 0 else x0.discard(v)
+        x1.add(v) if inx and d == 1 else x1.discard(v)
+        return moved
 
-    def _refresh(self, vs) -> None:
-        """Recount the vertices of vs, whose edges changed, and the
-        neighbours of each that entered or left N[X]."""
+    def _touch(self, vs) -> None:
+        """Place the vertices of vs, whose counters moved; each that entered
+        or left ``outside`` moves the ``on`` count of its neighbours, and
+        those in N[X] - X, the only ones whose sets read it, are placed
+        again."""
+        place = self._place
+        moved = list(filter(place, vs))
+        if not moved:
+            return
+        adj, x, on, outside = self.adj, self.x, self.on, self.outside
+        nearby = set()
+        for v in moved:
+            step = 1 if v in outside else -1
+            for w in adj[v]:
+                on[w] += step
+            nearby |= adj[v]
+        for w in nearby:
+            if w not in outside and w not in x:
+                place(w)
+
+    def _recount(self, vs) -> None:
+        """Recount the counters of the vertices of vs, whose edges changed,
+        and place them."""
         adj, x, outside = self.adj, self.x, self.outside
-        touched = set(vs)
         for v in vs:
-            xd = self.xdeg[v] = len(adj[v] & x)
-            out = not xd and v not in x
-            if out != (v in outside):
-                if out:
-                    outside.add(v)
-                else:
-                    outside.discard(v)
-                touched |= adj[v]
-        for v in touched:
-            self._place(v)
+            self.xdeg[v] = len(adj[v] & x)
+            self.on[v] = len(adj[v] & outside)
+        self._touch(vs)
 
-    def _forget(self, v) -> int:
-        """Drop v from every counter and set it can be in; returns its
-        X-degree."""
-        xd = self.xdeg.pop(v)
+    def _forget(self, v) -> None:
+        del self.xdeg[v], self.on[v]
+        for members in self.sets:
+            members.discard(v)
+
+    def vertex_gone(self, v, nbrs) -> None:
         if v in self.x:
-            self.xx.discard(v)
-            self.x0.discard(v)
-            self.x1.discard(v)
-        elif xd:
-            del self.on[v]
-            self.anchored.discard(v)
-            self.fringe.discard(v)
-            self.extra.discard(v)
-        else:
-            self.outside.discard(v)
-        return xd
-
-    def _fewer_outside(self, zs) -> None:
-        """Each vertex of zs lost a neighbour outside N[X]."""
-        on, fringe = self.on, self.fringe
-        for z in zs:
-            if z in on:
-                k = on[z] - 1
-                on[z] = k
-                if k == 1:
-                    fringe.add(z)
-
-    def vertex_gone(self, r) -> None:
-        adj, x, xdeg, on = self.adj, self.x, self.xdeg, self.on
-        anchored, fringe = self.anchored, self.fringe
-        rx = self._forget(r)
-        if r in x:
-            for w in adj[r]:
-                xd = xdeg[w] - 1
-                xdeg[w] = xd
-                if w in x:
-                    if not xd:
-                        self.xx.discard(w)
-                    self._lower_x(w)
-                elif xd == 1:
-                    self.extra.discard(w)
-                elif not xd:
-                    # w leaves N[X]: each neighbour of it in N[X] - X gains
-                    # one outside neighbour.
-                    anchored.discard(w)
-                    fringe.discard(w)
-                    del on[w]
-                    self.outside.add(w)
-                    for z in adj[w]:
-                        if z in on:
-                            k = on[z] + 1
-                            on[z] = k
-                            if k == 2:
-                                fringe.discard(z)
-        elif rx:
-            for w in adj[r]:
-                if w in x:
-                    self._lower_x(w)
-                elif w in on and len(adj[w]) - xdeg[w] == 2:
-                    anchored.add(w)
-        else:  # r was outside N[X], so none of its neighbours is in X
-            for w in adj[r]:
-                if w in on:
-                    k = on[w] - 1
-                    on[w] = k
-                    if k == 1:
-                        fringe.add(w)
-                    if len(adj[w]) - xdeg[w] == 2:
-                        anchored.add(w)
-
-    def _lower_x(self, w) -> None:
-        """The member w of X is about to lose an edge."""
-        d = len(self.adj[w])
-        if d == 2:
-            self.x1.add(w)
-        elif d == 1:
-            self.x1.discard(w)
-            self.x0.add(w)
+            xdeg = self.xdeg
+            for w in nbrs:
+                xdeg[w] -= 1
+        elif v in self.outside:
+            on = self.on
+            for w in nbrs:
+                on[w] -= 1
+        self._forget(v)
+        self._touch(nbrs)
 
     def x_joined(self, v) -> None:
-        adj, x, xdeg, on, outside = self.adj, self.x, self.xdeg, self.on, self.outside
-        nbrs = adj[v]
-        self.anchored.discard(v)
-        self.fringe.discard(v)
-        self.extra.discard(v)
-        on.pop(v, None)
-        if xdeg[v]:
-            self.xx.add(v)
-        if len(nbrs) < 2:
-            (self.x1 if nbrs else self.x0).add(v)
-        if v in outside:
-            outside.discard(v)
-            self._fewer_outside(nbrs)
+        xdeg = self.xdeg
+        nbrs = self.adj[v]
         for w in nbrs:
-            xd = xdeg[w] + 1
-            xdeg[w] = xd
-            if w in x:
-                if xd == 1:
-                    self.xx.add(w)
-            elif xd == 1:
-                # w enters N[X]: it stops counting for its neighbours, and
-                # its own count starts.
-                outside.discard(w)
-                aw = adj[w]
-                self._fewer_outside(aw)
-                k = on[w] = len(aw & outside)
-                if k <= 1:
-                    self.fringe.add(w)
-                if len(aw) <= 2:
-                    self.anchored.add(w)
-            else:
-                if xd == 2:
-                    self.extra.add(w)
-                if len(adj[w]) - xd == 1:
-                    self.anchored.add(w)
+            xdeg[w] += 1
+        self._touch([v, *nbrs])
 
     def vertex_added(self, v) -> None:
-        self.xdeg[v] = 0
-        self.outside.add(v)
+        self.xdeg[v] = self.on[v] = 0
+        self._touch((v,))
 
-    def edge_gone(self, u, v) -> None:
-        self._refresh((u, v))
-
-    def edge_added(self, u, v) -> None:
-        self._refresh((u, v))
+    def edge_changed(self, u, v) -> None:
+        self._recount((u, v))
 
     def merged(self, a, b, w) -> None:
         self._forget(a)
         self._forget(b)
-        self._refresh([w, *self.adj[w]])
+        self._recount([w, *self.adj[w]])
 
 
 def _budget_terms(st: _State) -> tuple[int, int]:
@@ -329,15 +240,16 @@ def _peel_layers(st: _State) -> tuple[set[int], set[int], set[int]]:
     return a1, a2, a3
 
 
-def _a2_profile(st: _State, z: int, nx_: set[int]) -> tuple[int, int]:
+def _a2_profile(st: _State, z: int, outside: set[int]) -> tuple[int, list[int]]:
     """A second-layer vertex is a degree-3 vertex with one X anchor of degree
-    at most 2 and two neighbors outside N[X]; returns (anchor, other)."""
+    at most 2 and two neighbors in ``outside`` (V - N[X]); returns the
+    anchor and those two."""
     nbrs = st.adj[z]
     anchors = sorted(nbrs & st.x)
-    outside = sorted(nbrs - nx_)
-    if st.deg(z) != 3 or len(anchors) != 1 or len(outside) != 2 or st.deg(anchors[0]) > 2:
+    pair = sorted(nbrs & outside)
+    if st.deg(z) != 3 or len(anchors) != 1 or len(pair) != 2 or st.deg(anchors[0]) > 2:
         raise Stalled(f"second-layer vertex {z} lacks the expected shape")
-    return anchors[0], outside
+    return anchors[0], pair
 
 
 def _main_step(st: _State, ids) -> RuleApplication:
@@ -348,17 +260,17 @@ def _main_step(st: _State, ids) -> RuleApplication:
         raise Stalled(f"low-degree vertices {bad} escaped the local rules")
     if not a3:
         raise Stalled("third peel empty on a nonempty instance (not 2-degenerate?)")
-    nx_ = closed_neighborhood(st, st.x)
+    outside = st.index(_XIndex).outside
     profiles = {}
     choices = []
     for u in sorted(a3):
-        if u in nx_:
+        if u not in outside:
             raise Stalled(f"third-layer vertex {u} inside N[X]")
         z_nbrs = tuple(sorted(st.adj[u] & a2))
         w = st.adj[u] - a1 - a2
         if not z_nbrs or len(w) > 2:
             raise Stalled(f"third-layer vertex {u} lacks the expected shape")
-        w_out = tuple(sorted(w - nx_))
+        w_out = tuple(sorted(w & outside))
         profiles[u] = (z_nbrs, w_out)
         choices.append((len(w_out), len(z_nbrs), u))
     choices.sort()
@@ -367,11 +279,11 @@ def _main_step(st: _State, ids) -> RuleApplication:
     anchors = []
     others = []
     for z in z_nbrs:
-        anchor, outside = _a2_profile(st, z, nx_)
-        if u not in outside:
+        anchor, pair = _a2_profile(st, z, outside)
+        if u not in pair:
             raise Stalled(f"vertex {u} not among the outside pair of {z}")
         anchors.append(anchor)
-        others.append(next(t for t in outside if t != u))
+        others.append(next(t for t in pair if t != u))
     if len(w_out) <= 1:
         return RuleApplication(
             "2deg_low_out",

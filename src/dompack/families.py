@@ -162,6 +162,7 @@ def gen_random_unitdisk(n: int, box: float, seed: int) -> DiskConfiguration:
     may reach no further than the disk CSV reader's coordinate bound."""
     if n < 0 or box < 0:
         raise ValueError("need n >= 0, box >= 0")
+    check_max_order(n)
     grid = max(1, int(box * 100))
     if grid > 100 * MAX_COORDINATE:
         raise ValueError(f"box beyond the coordinate bound {MAX_COORDINATE:.0e}")
@@ -177,9 +178,11 @@ def gen_random_convex(nx: int, ny: int, seed: int) -> ConvexEncoding:
     """Random convex bipartite encoding: each right vertex gets a random
     interval over the left ordering, consecutive by construction.  Left
     positions missed by every interval get one singleton interval each so
-    the encoding never carries isolated vertices."""
+    the encoding never carries isolated vertices.  The order is checked
+    before anything is drawn, and again with those singletons."""
     if nx < 1 or ny < 0:
         raise ValueError("need nx >= 1, ny >= 0")
+    check_max_order(nx + ny)
     rng = random.Random(seed)
     x_order = list(range(nx))
     rng.shuffle(x_order)
@@ -190,11 +193,10 @@ def gen_random_convex(nx: int, ny: int, seed: int) -> ConvexEncoding:
         hi = min(nx - 1, lo + rng.randrange(1 + nx // 2))
         y_neighbors[nx + j] = tuple(x_order[q] for q in range(lo, hi + 1))
         covered.update(range(lo, hi + 1))
-    nid = nx + ny
-    for q in range(nx):
-        if q not in covered:
-            y_neighbors[nid] = (x_order[q],)
-            nid += 1
+    missed = [x_order[q] for q in range(nx) if q not in covered]
+    check_max_order(nx + ny + len(missed))
+    for nid, x in enumerate(missed, nx + ny):
+        y_neighbors[nid] = (x,)
     return ConvexEncoding(tuple(x_order), y_neighbors)
 
 

@@ -199,7 +199,7 @@ def x_index(st) -> dict:
     x = st.x
     xdeg = {v: len(nb & x) for v, nb in st.adj.items()}
     nx, near = _nx_fringe(st)
-    on = {v: len(st.adj[v] - nx) for v in near}
+    on = {v: len(nb - nx) for v, nb in st.adj.items()}
     return {
         "xdeg": xdeg,
         "outside": st.adj.keys() - nx,

@@ -94,6 +94,16 @@ def random_twodeg(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def k2n(n: int) -> Graph:
+    """K_{2,n}: hubs 0 and 1, each joined to all of 2..n+1."""
+    return Graph.from_edges(n + 2, [(h, v) for h in (0, 1) for v in range(2, n + 2)])
+
+
+def fan(n: int) -> Graph:
+    """The path 0..n-1 plus the apex n, joined to every path vertex."""
+    return Graph.from_edges(n + 1, [(v, v + 1) for v in range(n - 1)] + [(v, n) for v in range(n)])
+
+
 def random_dh(n: int, seed: int) -> Graph:
     """Grow by pendants and twins, which preserves distance-heredity."""
     rng = random.Random(seed)

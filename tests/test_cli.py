@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -524,6 +525,26 @@ class TestConstruct:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the stdout of `construct --class twodeg` on two graphs with
+    # a hub: K_{2,8000} and the fan over a path of 8000 vertices.  A hub's
+    # counters move by one at almost every step.
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "graph, digest",
+        [
+            ("k2n", "2a2fa1eeea3106cc5e0b8afcf92ab13a14ce21389c1c7af1c8852a9a98a3d92e"),
+            ("fan", "647a8799fee578c69b26560447caa906a89f5a38740306501f998cff5ac9e5c2"),
+        ],
+    )
+    def test_golden_stdout_hubs(self, graph, digest, tmp_path, capsys):
+        import conftest
+
+        g = getattr(conftest, graph)(8000)
+        argv = ["construct", "--class", "twodeg", write(tmp_path, "g.json", to_edge_json(g))]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # The drivers' budgets add up over components, so a disjoint union of
     # two in-class pieces must construct and validate like each piece.
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -655,6 +676,11 @@ class TestGenerateValidate:
             ("cycle", f"n={MAX_ORDER + 1}", MAX_ORDER + 1),
             ("path", f"n={MAX_ORDER + 1}", MAX_ORDER + 1),
             ("random-tree", f"n={MAX_ORDER + 1},seed=3", MAX_ORDER + 1),
+            ("random-unitdisk", f"n={MAX_ORDER + 1}", MAX_ORDER + 1),
+            ("random-convex", f"nx={MAX_ORDER + 1},ny=0", MAX_ORDER + 1),
+            # Within the cap, but each of the nx left vertices gets its own
+            # singleton interval.
+            ("random-convex", f"nx={MAX_ORDER},ny=0", 2 * MAX_ORDER),
         ],
     )
     def test_generate_above_the_order_cap_is_3(self, family, params, order):
@@ -1338,6 +1364,26 @@ class TestMalformedInputs:
         if certificate is not None:
             argv += ["--certificate", write(tmp_path, "cert.json", certificate)]
         self.assert_parse_error(run_cli(argv, capsys))
+
+    # The disk grid scales every centre by the lcm of the denominators.  One
+    # coordinate carries a denominator up to 10^8600 (4300 decimals and
+    # exponent -4300), which still runs; a common multiple past it exits 3
+    # before a scaled point is built.  One disk per prime above 1,000, 3,000
+    # of them, gave a 40,399-bit scale and ran for 100 s.
+    def test_disk_scale_cap(self, tmp_path, capsys):
+        finest = "0." + "0" * 4299 + "1e-4300"
+        refused = (3, "", "error: coordinate denominators have a common multiple above 10^8600\n")
+
+        def construct(csv):
+            return run_cli(["construct", "--class", "unitdisk", write(tmp_path, "in.csv", csv)],
+                           capsys)
+
+        code, out, _ = construct(f"{finest},0\n1,{finest}\n")
+        assert code == 0 and json.loads(out)["P"] == [0]
+        assert construct(f"{finest},0\n1/3,0\n") == refused
+        primes = [p for p in range(1001, 30000) if all(p % d for d in range(2, isqrt(p) + 1))]
+        assert construct("".join(f"{3 * i * p + 1}/{p},0\n"
+                                 for i, p in enumerate(primes[:3000]))) == refused
 
     # A red edge outside black mode exited 4 from the planar, treewidth,
     # twodeg and dh drivers ("driver expects a plain graph"), but 2 from

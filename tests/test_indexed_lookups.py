@@ -20,6 +20,8 @@ import pytest
 
 import _rule_reference as ref
 from conftest import (
+    fan,
+    k2n,
     random_cograph,
     random_dh,
     random_graph,
@@ -163,6 +165,10 @@ def test_treewidth_buckets(checked_steps, n):
 def test_twodeg_buckets(checked_steps, n):
     for seed in range(3 if n < 700 else 1):
         engine_twodeg.run_twodeg(random_twodeg(n, 300 + seed))
+    if n < 700:
+        # A hub's counters move at almost every step.
+        engine_twodeg.run_twodeg(k2n(n))
+        engine_twodeg.run_twodeg(fan(n))
     for rule in ("pendant_support", "free_degree2", "anchored_leaf", "dominated_fringe",
                  "extra_x_edge", "x_x_edge"):
         assert f"2deg_{rule}" in checked_steps
@@ -213,27 +219,49 @@ def test_buckets_track_isolated_additions():
 
 def test_indexes_follow_any_change():
     # Random single changes the drivers never make in these shapes: an edge
-    # between two old vertices added, any edge removed, any vertex removed,
-    # any vertex joining X or Y.
+    # between two old vertices added, any black edge removed (``apply``
+    # removes black edges only), any vertex removed, any vertex joining X or
+    # Y, a fresh vertex with or without edges (in place of a removed one, so
+    # that the state shrinks), and a merge of two live vertices.  A merge
+    # adds red edges, and the plain rules are checked on plain states only.
     rng = random.Random(5)
+    fresh = iter(range(100, 10**6))
     for seed in range(30):
         g = random_graph(16, 0.25, 800 + seed)
         st = _State.from_graph(g, x={v for v in g.vertices() if rng.random() < 0.3})
         st.y.update(v for v in g.vertices() if v not in st.x and rng.random() < 0.3)
         while len(st.adj) > 2:
             _check_indexes(st)
-            _check_plain_rules(st, twins=True)
-            u, v = rng.sample(sorted(st.adj), 2)
+            if not any(st.red.values()):
+                _check_plain_rules(st, twins=True)
+            u, v, w = rng.sample(sorted(st.adj), 3)
             edge = (min(u, v), max(u, v))
+            f = next(fresh)
             app = rng.choice([
                 engine.RuleApplication("t", removed_edges=(edge,) if v in st.adj[u] else (),
-                                       added_edges=() if v in st.adj[u] else (edge,)),
+                                       added_edges=() if v in st.adj[u] else (edge,))
+                if v not in st.red[u] else engine.RuleApplication("t", removed_vertices=(v,)),
                 engine.RuleApplication("t", removed_vertices=(u,)),
                 engine.RuleApplication("t", x_added=(u,)),
                 engine.RuleApplication("t", y_added=(u,)),
+                engine.RuleApplication("t", removed_vertices=(u,), added_vertices=(f,)),
+                engine.RuleApplication("t", removed_vertices=(u,), added_vertices=(f,),
+                                       added_edges=((v, f), (w, f))[:rng.randint(1, 2)]),
+                engine.RuleApplication("t", merged=(u, v, f)),
             ])
             st.apply(app)
         _check_indexes(st)
+
+
+def test_merge_of_x_vertices():
+    # The X index once forgot a merged vertex by asking X, which the merge
+    # had already left: with X = {0, 1} on the path 0-1-2-3, merging 1 and 2
+    # raised KeyError.
+    st = _State.from_graph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), x={0, 1})
+    _check_indexes(st)
+    st.merge(1, 2, 9)
+    _check_indexes(st)
+    assert st.x == {0} and st.adj[9] == {0, 3}
 
 
 # ---------------------------------------------------------------------------
