@@ -143,11 +143,6 @@ class ConvexEncoding:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"bad convex encoding JSON: {exc}") from exc
 
-    @cached_property
-    def positions(self) -> dict[int, int]:
-        """Index of each interval-side vertex in ``x_order``."""
-        return {x: i for i, x in enumerate(self.x_order)}
-
 
 def _check_encoding(g: Graph, enc: ConvexEncoding) -> dict[int, tuple[int, int]]:
     """Each right vertex's interval (lo, hi) of positions in ``x_order``, once
@@ -158,7 +153,7 @@ def _check_encoding(g: Graph, enc: ConvexEncoding) -> dict[int, tuple[int, int]]
     Two vertices then lie within distance 2 iff two intervals overlap, a
     point lies in an interval, or two points share an interval, so radius-2
     balls of the graph decide packings."""
-    pos = enc.positions
+    pos = {x: i for i, x in enumerate(enc.x_order)}
     ys = enc.y_neighbors
     not_convex = EncodingInvalid("encoding does not match the graph or is not convex")
     if (
@@ -187,51 +182,44 @@ def construct_convex(g: Graph, enc: ConvexEncoding) -> WitnessPair:
     """Interval sweep: maximal packing with short intervals, endpoints and
     extremal intervals as the dominating complement; |D| <= 3|P|."""
     intervals = _check_encoding(g, enc)
-    pos = enc.positions
+    width = {y: hi - lo for y, (lo, hi) in intervals.items()}
     # The swaps test and re-extend the same few balls many times over, so
     # each vertex's ball is built once, on first use.
     ball = cache(partial(ball2, g))
     p = _extend_packing(ball, g.vertices(), set())
-    # Improvement loop: swap a packed interval for a strictly shorter one,
-    # re-extend, repeat to a fixed point.  No p repeats: the new p contains
-    # rest | {y2}, which is as large as the old p, so either |p| grows or p
-    # is rest | {y2}, whose intervals are narrower in total; the pair
-    # (|p|, -total width) rises strictly at every swap.  p is maximal, so
-    # the ball of each y2 outside p meets p; it misses rest only if it holds
-    # y, that is, only if y2 lies in the ball of y.  Scanning that ball in id
-    # order finds the y2 a scan of every interval would.
+    # Improvement loop: swap a packed interval y for a strictly shorter y2
+    # whose ball meets p in y alone, re-extend, repeat to a fixed point.  No
+    # p repeats: the new p holds rest = p - {y} and y2, so either |p| grows
+    # or p is rest | {y2}, narrower in total; (|p|, -total width) rises
+    # strictly at every swap.  p is maximal, so every vertex outside the
+    # ball of y is blocked by rest: each such y2 lies in that ball, and a
+    # greedy pass over the whole graph adds only vertices of it, in id
+    # order against the same blocked set, as the pass over it alone does.
     for _ in range(1 + len(intervals) * (len(enc.x_order) + 1)):
-        swapped = False
-        for y in sorted(v for v in p if v in intervals):
-            lo, hi = intervals[y]
-            width = hi - lo
-            rest = p - {y}
-            for y2 in sorted(ball(y)):
-                if y2 in p or y2 not in intervals:
-                    continue
-                lo2, hi2 = intervals[y2]
-                if hi2 - lo2 >= width:
-                    continue
-                if ball(y2).isdisjoint(rest):
-                    p = _extend_packing(ball, g.vertices(), rest | {y2})
-                    swapped = True
-                    break
-            if swapped:
-                break
-        if not swapped:
+        swap = next(
+            (
+                (y, y2)
+                for y in sorted(p & intervals.keys())
+                for y2 in sorted(ball(y))
+                if y2 in intervals and width[y2] < width[y] and ball(y2) & p == {y}
+            ),
+            None,
+        )
+        if swap is None:
             break
+        y, y2 = swap
+        p = _extend_packing(ball, sorted(ball(y)), (p - {y}) | {y2})
 
+    # The intervals through a packed point are its neighbours.
     d = set(p)
-    for y in sorted(v for v in p if v in intervals):
-        lo, hi = intervals[y]
-        d.add(enc.x_order[lo])
-        d.add(enc.x_order[hi])
-    for x in sorted(v for v in p if v in pos):
-        q = pos[x]
-        containing = [y for y, (lo, hi) in intervals.items() if lo <= q <= hi]
-        if containing:
-            d.add(min(containing, key=lambda y: (intervals[y][0], y)))
-            d.add(max(containing, key=lambda y: (intervals[y][1], -y)))
+    for v in p:
+        if v in intervals:
+            lo, hi = intervals[v]
+            d.add(enc.x_order[lo])
+            d.add(enc.x_order[hi])
+        else:
+            d.add(min(g.adj[v], key=lambda y: (intervals[y][0], y)))
+            d.add(max(g.adj[v], key=lambda y: (intervals[y][1], -y)))
 
     # The encoding matches the graph, so the two covering properties (every
     # free point lies in an interval of D, every interval outside D holds a

@@ -174,15 +174,26 @@ def gen_random_unitdisk(n: int, box: float, seed: int) -> DiskConfiguration:
     return DiskConfiguration(pts)
 
 
+# Each right vertex of ``gen_random_convex`` lists up to nx // 2 + 1 left
+# ids, so ny (nx // 2 + 1) bounds what it stores; nx = ny = 2,000 is within.
+MAX_CONVEX_ENTRIES = 1 << 22
+
+
 def gen_random_convex(nx: int, ny: int, seed: int) -> ConvexEncoding:
     """Random convex bipartite encoding: each right vertex gets a random
     interval over the left ordering, consecutive by construction.  Left
     positions missed by every interval get one singleton interval each so
-    the encoding never carries isolated vertices.  The order is checked
-    before anything is drawn, and again with those singletons."""
+    the encoding never carries isolated vertices.  The order and the most
+    left ids the intervals can list are checked before anything is drawn,
+    and the order again with those singletons."""
     if nx < 1 or ny < 0:
         raise ValueError("need nx >= 1, ny >= 0")
     check_max_order(nx + ny)
+    most = ny * (nx // 2 + 1)
+    if most > MAX_CONVEX_ENTRIES:
+        raise OversizeError(
+            f"random-convex may list {most} left ids, above the cap of {MAX_CONVEX_ENTRIES}"
+        )
     rng = random.Random(seed)
     x_order = list(range(nx))
     rng.shuffle(x_order)

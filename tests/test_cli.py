@@ -382,6 +382,24 @@ class TestConstruct:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of the stdout of `construct --class convex` over 400 seeded
+    # `random-convex` encodings of up to 180 vertices, in seed order, so
+    # that the packings the swap loop reaches stay fixed (306 of the 400
+    # swap at least once).
+    def test_golden_stdout_convex_seeds(self, tmp_path, capsys):
+        sha = hashlib.sha256()
+        for seed in range(400):
+            enc = families.gen_random_convex(2 + seed % 97, 1 + seed % 83, seed)
+            gf = write(tmp_path, "g.json", to_edge_json(convex_graph(enc)))
+            ef = write(tmp_path, "enc.json", enc.to_json())
+            argv = ["construct", "--class", "convex", gf, "--certificate", ef]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            sha.update(out.encode())
+        assert sha.hexdigest() == (
+            "5d63c906ae1b1e4894d5f5fe10db14b25d18adc6463f367977d46125e753c7ba"
+        )
+
     # Small inputs that take the branches the seeded inputs above never
     # reach: the 2-degenerate low-out step and its unwind, a pack step whose
     # unwind pays its backstop, and the dominating pair of K1.  The rules of
@@ -689,6 +707,20 @@ class TestGenerateValidate:
         run = _generate_in_child(family, params, refuse=True)
         assert run.returncode == 3 and run.stdout == ""
         assert run.stderr == f"error: order {order} above the cap of {MAX_ORDER}\n"
+
+    @pytest.mark.parametrize(
+        "nx, ny",
+        [(2896, 2896), (200000, 50), (8192, 1024)],
+    )
+    def test_generate_random_convex_above_the_entry_cap_is_3(self, nx, ny):
+        # Each right vertex may list nx // 2 + 1 left ids; the worst case is
+        # refused before any interval is drawn, even within the order cap.
+        run = _generate_in_child("random-convex", f"nx={nx},ny={ny}", refuse=True)
+        assert run.returncode == 3 and run.stdout == ""
+        most = ny * (nx // 2 + 1)
+        assert run.stderr == (
+            f"error: random-convex may list {most} left ids, above the cap of {1 << 22}\n"
+        )
 
     def test_generate_rook_capped_at_64(self):
         # Below the order cap, rook's edge list still grows as n**3: n=100

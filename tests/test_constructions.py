@@ -25,7 +25,14 @@ from dompack.graph import Graph, XYInstance, distances_from, masks_connected
 from _geometry_reference import float_images, intersection_edges, verify_covering
 from _reference import convex_graph, edges
 from _rule_reference import is_dominating_pair
-from conftest import complete, named, random_graph, random_interval_graph, random_planar
+from conftest import (
+    complete,
+    named,
+    random_convex,
+    random_graph,
+    random_interval_graph,
+    random_planar,
+)
 
 
 def check_plain(g, w):
@@ -78,6 +85,29 @@ def bfs_convex_packing(g, enc):
         y, y2 = swap
         p = bfs_greedy(g, g.vertices(), (p - {y}) | {y2})
     return p
+
+
+def scan_convex_dominating(enc, p):
+    """construct_convex's D from the encoding alone: P, both endpoints of each
+    packed interval and, for each packed point, the interval holding it that
+    starts first and the one that ends last, found by scanning every
+    interval."""
+    pos = {x: i for i, x in enumerate(enc.x_order)}
+    intervals = {}
+    for y, ns in enc.y_neighbors.items():
+        ps = [pos[x] for x in ns]
+        intervals[y] = (min(ps), max(ps))
+    d = set(p)
+    for y in sorted(v for v in p if v in intervals):
+        lo, hi = intervals[y]
+        d.add(enc.x_order[lo])
+        d.add(enc.x_order[hi])
+    for x in sorted(v for v in p if v in pos):
+        q = pos[x]
+        containing = [y for y, (lo, hi) in intervals.items() if lo <= q <= hi]
+        d.add(min(containing, key=lambda y: (intervals[y][0], y)))
+        d.add(max(containing, key=lambda y: (intervals[y][1], -y)))
+    return d
 
 
 class TestDominatingPair:
@@ -293,6 +323,19 @@ class TestConvex:
         )
         g = convex_graph(enc)
         assert construct_convex(g, enc).p_set == bfs_convex_packing(g, enc)
+
+    def test_dominating_set_matches_the_interval_scan(self):
+        encodings = [families.gen_random_convex(4 + s % 17, 3 + s % 13, s) for s in range(40)]
+        encodings += [random_convex(10 + 3 * s, 8 + 2 * s, s) for s in range(20)]
+        swapped = 0
+        for enc in encodings:
+            g = convex_graph(enc)
+            w = construct_convex(g, enc)
+            assert w.d_set == scan_convex_dominating(enc, w.p_set)
+            swapped += w.p_set != bfs_greedy(g, g.vertices())
+        # The plain greedy packing is the loop's start, so a P that differs
+        # from it took at least one swap and its re-extension.
+        assert swapped > 0
 
     def test_intervals_use_the_order(self):
         enc = families.gen_random_convex(12, 9, 4)
